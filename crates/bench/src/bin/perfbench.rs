@@ -7,7 +7,7 @@
 //! from `/proc/self/status` (`VmHWM`) where available.
 //!
 //! ```text
-//! perfbench [--smoke] [--scale N] [--seed N] [--threads N] [--sim-threads N]
+//! perfbench [--smoke] [--scale N] [--seed N] [--threads N]
 //!           [--out PATH] [--baseline PATH]
 //! ```
 //!
@@ -16,18 +16,16 @@
 //! baseline); `--baseline` compares per-figure events/sec against a prior
 //! report and **exits 1 on a >20 % regression**.
 //!
-//! The v2 report also carries, per figure, the p99 swap-in latency of its
+//! The report also carries, per figure, the p99 swap-in latency of its
 //! primary HPBD cell (virtual-clock µs, from the always-on metrics
 //! histograms — the timed runs themselves never enable lifecycle
 //! tracing), and a phase-attribution summary from one separate small
 //! lifecycle-enabled fig9 pass.
 //!
-//! The v3 report adds, per figure, the primary HPBD cell's
-//! `messages_per_page` (request messages sent per 4 KiB page moved — the
-//! wire-efficiency metric the hot-path batching layer optimises). The
-//! baseline gate also fails when that ratio grows more than 20 % over a
-//! baseline that carries the field; v1/v2 baselines (no such field) gate
-//! on events/sec only, so they keep working.
+//! Each figure row also has the primary HPBD cell's `messages_per_page`
+//! (request messages sent per 4 KiB page moved — the wire-efficiency
+//! metric the hot-path batching layer optimises). The baseline gate also
+//! fails when that ratio grows more than 20 % over the baseline's.
 //!
 //! Two per-swap-path rows (`figU-block`, `figU-direct`) run the figU
 //! fig9-style pair cell through each [`workloads::SwapPath`]. Their
@@ -35,11 +33,9 @@
 //! `messages_per_page`: growing more than 20 % over a baseline that
 //! carries the field fails the run, covering both swap paths.
 //!
-//! The v4 report records `sim_threads` (`--sim-threads` routes each
-//! figure's cells through the conservative parallel engine; deterministic
-//! rows are identical at any value) and the baseline check is **strict**:
-//! a baseline whose schema version is not v3/v4 or whose figure set
-//! doesn't exactly match the current run fails loudly instead of silently
+//! The baseline check is **strict**: a baseline whose schema is not the
+//! one this binary emits (`hpbd-perfbench-v5`) or whose figure set doesn't
+//! exactly match the current run fails loudly instead of silently
 //! comparing the rows that happen to line up — silently-skipped rows are
 //! how a stale baseline once hid a regression.
 
@@ -99,13 +95,12 @@ fn main() {
             "--scale" => common.scale = take("--scale").parse().unwrap_or(16).max(1),
             "--seed" => common.seed = take("--seed").parse().unwrap_or(42),
             "--threads" => common.threads = take("--threads").parse().unwrap_or(1),
-            "--sim-threads" => common.sim_threads = take("--sim-threads").parse().unwrap_or(1),
             "--out" => out = Some(PathBuf::from(take("--out"))),
             "--baseline" => baseline = Some(PathBuf::from(take("--baseline"))),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: perfbench [--smoke] [--scale N] [--seed N] [--threads N] \
-                     [--sim-threads N] [--out PATH] [--baseline PATH]"
+                     [--out PATH] [--baseline PATH]"
                 );
                 std::process::exit(0);
             }
@@ -118,7 +113,7 @@ fn main() {
     if smoke {
         common.scale = common.scale.max(256);
     }
-    let runner = Runner::with_threads(common.threads).with_sim_threads(common.sim_threads);
+    let runner = common.runner();
 
     let mut results: Vec<FigureResult> = Vec::new();
     let mut measure = |name: &'static str, f: &dyn Fn() -> (u64, f64, f64)| {
@@ -321,12 +316,11 @@ fn render_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"hpbd-perfbench-v4\",\n");
+    s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     s.push_str(&format!("  \"smoke\": {smoke},\n"));
     s.push_str(&format!("  \"scale\": {},\n", common.scale));
     s.push_str(&format!("  \"seed\": {},\n", common.seed));
     s.push_str(&format!("  \"threads\": {},\n", runner.threads()));
-    s.push_str(&format!("  \"sim_threads\": {},\n", runner.sim_threads()));
     s.push_str("  \"figures\": [\n");
     for (i, r) in results.iter().enumerate() {
         s.push_str(&format!(
@@ -355,11 +349,10 @@ fn render_json(
     s
 }
 
-/// Baseline schema versions this binary knows how to compare against. A v3
-/// baseline is a strict field subset of v4 (no `sim_threads`), so both are
-/// accepted; anything else — older reports, hand-edited files — must be
+/// The report schema this binary emits, and the only one it compares
+/// against; anything else — older reports, hand-edited files — must be
 /// regenerated, not silently half-compared.
-const ACCEPTED_SCHEMAS: [&str; 2] = ["hpbd-perfbench-v3", "hpbd-perfbench-v4"];
+const SCHEMA: &str = "hpbd-perfbench-v5";
 
 /// Compare per-figure events/sec against a prior report. `Ok` carries the
 /// per-figure comparison lines; `Err` the regression messages.
@@ -398,18 +391,16 @@ fn compare_to_baseline(
         .and_then(|o| o.get("schema"))
         .and_then(|s| s.as_string());
     match schema {
-        Some(s) if ACCEPTED_SCHEMAS.contains(&s) => {}
+        Some(s) if s == SCHEMA => {}
         Some(s) => {
             return Err(vec![format!(
-                "baseline schema \"{s}\" is not comparable to this binary (accepted: {}); \
-                 regenerate the baseline with --out",
-                ACCEPTED_SCHEMAS.join(", ")
+                "baseline schema \"{s}\" is not comparable to this binary (accepted: {SCHEMA}); \
+                 regenerate the baseline with --out"
             )])
         }
         None => {
             return Err(vec![format!(
-                "baseline has no \"schema\" field (accepted: {}); regenerate it with --out",
-                ACCEPTED_SCHEMAS.join(", ")
+                "baseline has no \"schema\" field (accepted: {SCHEMA}); regenerate it with --out"
             )])
         }
     }
@@ -516,7 +507,7 @@ fn compare_to_baseline(
         );
         // Wire efficiency: messages per page moved must not grow. The
         // metric is virtual-clock deterministic, so it gates regardless of
-        // wall time; v1/v2 baselines have no field and skip the check.
+        // wall time.
         if let Some(base_mpp) = base_field(r.name, "messages_per_page") {
             if base_mpp > 0.0 && r.msgs_per_page > 0.0 {
                 let ratio = r.msgs_per_page / base_mpp;
@@ -616,26 +607,25 @@ mod tests {
     }
 
     #[test]
-    fn matching_v4_baseline_passes() {
+    fn matching_baseline_passes() {
         let results = [row("fig5", 10.0, 1000), row("fig9", 10.0, 1000)];
-        let doc = baseline_json("hpbd-perfbench-v4", &[("fig5", 100.0), ("fig9", 100.0)]);
+        let doc = baseline_json(SCHEMA, &[("fig5", 100.0), ("fig9", 100.0)]);
         assert!(compare_to_baseline(&doc, &results).is_ok());
     }
 
     #[test]
-    fn v3_baseline_is_still_accepted() {
+    fn any_other_schema_generation_fails_loudly() {
         let results = [row("fig5", 10.0, 1000)];
-        let doc = baseline_json("hpbd-perfbench-v3", &[("fig5", 100.0)]);
-        assert!(compare_to_baseline(&doc, &results).is_ok());
-    }
-
-    #[test]
-    fn unknown_schema_fails_loudly() {
-        let results = [row("fig5", 10.0, 1000)];
-        let doc = baseline_json("hpbd-perfbench-v2", &[("fig5", 100.0)]);
-        let err = compare_to_baseline(&doc, &results).unwrap_err();
-        assert!(err[0].contains("schema"), "{err:?}");
-        assert!(err[0].contains("hpbd-perfbench-v2"), "{err:?}");
+        for old in [
+            "hpbd-perfbench-v2",
+            "hpbd-perfbench-v3",
+            "hpbd-perfbench-v4",
+        ] {
+            let doc = baseline_json(old, &[("fig5", 100.0)]);
+            let err = compare_to_baseline(&doc, &results).unwrap_err();
+            assert!(err[0].contains("schema"), "{err:?}");
+            assert!(err[0].contains(old), "{err:?}");
+        }
     }
 
     #[test]
@@ -650,7 +640,7 @@ mod tests {
         // The PR 6 trap: the run produces figU rows the stale baseline
         // predates. That must be a hard failure, not a silent skip.
         let results = [row("fig5", 10.0, 1000), row("figU-direct", 10.0, 1000)];
-        let doc = baseline_json("hpbd-perfbench-v4", &[("fig5", 100.0)]);
+        let doc = baseline_json(SCHEMA, &[("fig5", 100.0)]);
         let err = compare_to_baseline(&doc, &results).unwrap_err();
         assert!(
             err[0].contains("missing from baseline: [figU-direct]"),
@@ -661,7 +651,7 @@ mod tests {
     #[test]
     fn baseline_with_extra_figures_fails() {
         let results = [row("fig5", 10.0, 1000)];
-        let doc = baseline_json("hpbd-perfbench-v4", &[("fig5", 100.0), ("fig77", 100.0)]);
+        let doc = baseline_json(SCHEMA, &[("fig5", 100.0), ("fig77", 100.0)]);
         let err = compare_to_baseline(&doc, &results).unwrap_err();
         assert!(
             err[0].contains("not produced by this run: [fig77]"),
@@ -674,17 +664,16 @@ mod tests {
         // 50 events/s against a 100 events/s baseline on a gated (>=1 s)
         // figure: well past the 20% tolerance.
         let results = [row("fig5", 10.0, 500)];
-        let doc = baseline_json("hpbd-perfbench-v4", &[("fig5", 100.0)]);
+        let doc = baseline_json(SCHEMA, &[("fig5", 100.0)]);
         let err = compare_to_baseline(&doc, &results).unwrap_err();
         assert!(err.iter().any(|m| m.contains("events/sec fell")), "{err:?}");
     }
 
     #[test]
     fn malformed_row_is_an_error_not_a_skip() {
-        let doc = simtrace::json::parse(
-            "{\"schema\": \"hpbd-perfbench-v4\", \
-             \"figures\": [{\"name\": \"fig5\"}]}",
-        )
+        let doc = simtrace::json::parse(&format!(
+            "{{\"schema\": \"{SCHEMA}\", \"figures\": [{{\"name\": \"fig5\"}}]}}"
+        ))
         .unwrap();
         let err = compare_to_baseline(&doc, &[row("fig5", 10.0, 1000)]).unwrap_err();
         assert!(err[0].contains("no events_per_sec"), "{err:?}");

@@ -27,17 +27,13 @@ fn auto_threads() -> usize {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Runner {
     threads: usize,
-    sim_threads: usize,
 }
 
 impl Runner {
     /// Run cells inline on the calling thread, in order (the default for
     /// the figure binaries — identical to the pre-runner behaviour).
     pub fn sequential() -> Runner {
-        Runner {
-            threads: 1,
-            sim_threads: 1,
-        }
+        Runner { threads: 1 }
     }
 
     /// Use exactly `threads` workers (0 means auto).
@@ -48,7 +44,6 @@ impl Runner {
             } else {
                 threads
             },
-            sim_threads: 1,
         }
     }
 
@@ -57,30 +52,9 @@ impl Runner {
         Runner::with_threads(auto_threads())
     }
 
-    /// Route this runner's cells through the conservative parallel engine
-    /// (`simcore::parallel`) with `sim_threads` workers (0 means auto).
-    /// The federation claims cells exactly like the sweep pool but runs
-    /// them as logical processes of one [`ParallelEngine`]
-    /// (`simcore::parallel::ParallelEngine`) — same deterministic
-    /// cell-order reassembly, so output stays byte-identical. A value of 1
-    /// leaves the plain sweep path untouched.
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Runner {
-        self.sim_threads = if sim_threads == 0 {
-            auto_threads()
-        } else {
-            sim_threads
-        };
-        self
-    }
-
     /// Worker count this runner will use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Parallel-engine worker count (1 = sweep path).
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
     }
 
     /// Run `cells` independent cells through `f`, returning results in
@@ -92,23 +66,27 @@ impl Runner {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.sim_threads > 1 {
-            return simcore::parallel::run_cells(self.sim_threads, cells, f);
-        }
         if self.threads <= 1 || cells <= 1 {
             return (0..cells).map(f).collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..cells).map(|_| Mutex::new(None)).collect();
+        // The default scheduler kind is thread-local: carry the caller's
+        // choice into each worker, or cells would silently run on the
+        // built-in default.
+        let sched = simcore::default_scheduler();
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(cells) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells {
-                        break;
+                scope.spawn(|| {
+                    simcore::set_default_scheduler(sched);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= cells {
+                            break;
+                        }
+                        let value = f(i);
+                        *slots[i].lock().unwrap() = Some(value);
                     }
-                    let value = f(i);
-                    *slots[i].lock().unwrap() = Some(value);
                 });
             }
         });
@@ -170,18 +148,13 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_route_matches_sequential() {
-        let f = |i: usize| (i as u64 + 1) * 7;
-        let seq = Runner::sequential().run_cells(13, f);
-        for t in [2, 4, 8] {
-            let fed = Runner::sequential().with_sim_threads(t).run_cells(13, f);
-            assert_eq!(seq, fed, "sim_threads={t}");
+    fn workers_inherit_the_callers_scheduler_kind() {
+        use simcore::{default_scheduler, set_default_scheduler, SchedulerKind};
+        for kind in [SchedulerKind::ReferenceHeap, SchedulerKind::TimingWheel] {
+            let prev = set_default_scheduler(kind);
+            let seen = Runner::with_threads(2).run_cells(4, |_| default_scheduler());
+            set_default_scheduler(prev);
+            assert_eq!(seen, vec![kind; 4]);
         }
-    }
-
-    #[test]
-    fn zero_sim_threads_means_auto() {
-        assert!(Runner::sequential().with_sim_threads(0).sim_threads() >= 1);
-        assert_eq!(Runner::sequential().sim_threads(), 1);
     }
 }

@@ -224,16 +224,6 @@ impl Calibration {
         let pages = len.div_ceil(self.page_size).max(1);
         SimDuration::from_nanos(self.dereg_base_ns + pages * (self.reg_per_page_ns / 4))
     }
-
-    /// Minimum lookahead over all calibrated transports — the safe barrier
-    /// window width for a partitioned simulation whose partitions may talk
-    /// over any of them (see [`TransportModel::lookahead`]).
-    pub fn min_lookahead(&self) -> SimDuration {
-        self.ib
-            .lookahead()
-            .min(self.ipoib.lookahead())
-            .min(self.gige.lookahead())
-    }
 }
 
 impl Default for Calibration {

@@ -29,16 +29,9 @@
 //!
 //! The engine is deliberately single-threaded (`Rc`-based): determinism is a
 //! core requirement for reproducing the paper's figures exactly and for
-//! property-based testing. Parallelism lives one layer up, in [`parallel`]:
-//! a conservative parallel-DES core where whole simulations (or partitions
-//! of one) are [`parallel::LogicalProcess`]es advanced in lookahead-bounded
-//! barrier windows, with deterministic cross-partition delivery keys so the
-//! observable event order — and therefore every trace byte — is identical at
-//! any thread count. The sequential engine remains the default and the
-//! reference oracle.
+//! property-based testing.
 
 pub mod engine;
-pub mod parallel;
 pub mod resource;
 pub mod rng;
 mod sched;
@@ -47,7 +40,6 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{default_scheduler, set_default_scheduler, Engine, EventId, SchedulerKind};
-pub use parallel::{LogicalProcess, ParallelEngine, PartitionCtx, PartitionId, Topology};
 pub use resource::{MultiResource, Resource};
 pub use rng::SimRng;
 pub use signal::{Counter, Latch, Signal};

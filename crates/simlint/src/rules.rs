@@ -52,11 +52,10 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo { id: "D001", summary: "no wall-clock time sources (std::time::{Instant,SystemTime})" },
     RuleInfo { id: "D002", summary: "no HashMap/HashSet in determinism-scoped code (iteration order feeds traces/scheduling)" },
     RuleInfo { id: "D003", summary: "no ambient randomness (thread_rng/from_entropy/OsRng) — use seeded SimRng" },
-    RuleInfo { id: "D004", summary: "no std::thread spawn/scope outside the sanctioned fan-out sites" },
+    RuleInfo { id: "D004", summary: "no std::thread spawn/scope outside the sanctioned fan-out site" },
     RuleInfo { id: "I001", summary: "no unwrap()/expect() on protocol paths — surface typed IoError/ProtoError" },
     RuleInfo { id: "I002", summary: "tracer/lifecycle emit sites must be guarded by trace_enabled()/lifecycle_enabled()" },
     RuleInfo { id: "I003", summary: "crate roots must carry #![forbid(unsafe_code)]" },
-    RuleInfo { id: "A001", summary: "no HpbdCluster::build/build_on remnants — use ClusterBuilder" },
     RuleInfo { id: "A002", summary: "no pub fields on wire/protocol structs" },
     RuleInfo { id: "A003", summary: "no raw post_send outside ibsim — submit through the typed WrChain builder" },
     RuleInfo { id: "A004", summary: "no raw RequestQueue in vmsim outside the BlockBackend adapter — go through SwapBackend" },
@@ -388,9 +387,7 @@ pub fn check_file(
     };
 
     // ---- token-pattern rules ------------------------------------------------
-    for id in [
-        "D001", "D002", "D003", "D004", "I001", "A001", "A003", "A004",
-    ] {
+    for id in ["D001", "D002", "D003", "D004", "I001", "A003", "A004"] {
         if !enabled(id) || !rule_applies(&ctx.rel, &config.rule(id)) {
             continue;
         }
@@ -454,7 +451,7 @@ pub fn check_file(
                         && (ctx.ident_at(k + 3, "spawn") || ctx.ident_at(k + 3, "scope"))
                     {
                         let what = ctx.tok(k + 3).text.clone();
-                        push(ctx, "D004", line, format!("`thread::{what}` outside the sanctioned fan-out sites (bench::runner, simcore::parallel) — simulation code is single-threaded by contract"));
+                        push(ctx, "D004", line, format!("`thread::{what}` outside the sanctioned fan-out site (bench::runner) — simulation code is single-threaded by contract"));
                     }
                 }
                 "I001" => {
@@ -465,16 +462,6 @@ pub fn check_file(
                     {
                         let what = ctx.tok(k).text.clone();
                         push(ctx, "I001", line, format!("`.{what}()` on a protocol path — convert to a typed ProtoError/IoError (or waive with a justification)"));
-                    }
-                }
-                "A001" => {
-                    if ctx.ident_at(k, "HpbdCluster")
-                        && ctx.punct_at(k + 1, ':')
-                        && ctx.punct_at(k + 2, ':')
-                        && (ctx.ident_at(k + 3, "build") || ctx.ident_at(k + 3, "build_on"))
-                    {
-                        let what = ctx.tok(k + 3).text.clone();
-                        push(ctx, "A001", line, format!("`HpbdCluster::{what}` is the removed positional API — use ClusterBuilder"));
                     }
                 }
                 "A003" => {

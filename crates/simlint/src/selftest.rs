@@ -184,21 +184,6 @@ const FIXTURES: &[Fixture] = &[
         src: "//! A crate.\n#![forbid(unsafe_code)]\npub mod a;\n",
         expect: 0,
     },
-    // ---- A001 ----
-    Fixture {
-        rule: "A001",
-        name: "build-remnant",
-        path: "crates/x/src/a.rs",
-        src: "fn f() { let c = HpbdCluster::build(4, 16); }\n",
-        expect: 1,
-    },
-    Fixture {
-        rule: "A001",
-        name: "builder-clean",
-        path: "crates/x/src/a.rs",
-        src: "fn f() { let c = ClusterBuilder::new().servers(4).run(); }\n",
-        expect: 0,
-    },
     // ---- A002 ----
     Fixture {
         rule: "A002",
@@ -599,6 +584,6 @@ mod tests {
     fn all_fixtures_pass() {
         let (_, failed, rules) = super::run();
         assert_eq!(failed, 0);
-        assert!(rules >= 18, "only {rules} rules exercised");
+        assert!(rules >= 17, "only {rules} rules exercised");
     }
 }

@@ -59,15 +59,6 @@ impl TraceSession {
         self.runs.push((label.to_string(), tracer));
     }
 
-    /// Install a labelled run whose events were collected by *partitions*
-    /// of one sharded simulation (`simcore::parallel`). Buffers are merged
-    /// by concatenation in partition-id order — never by completion order —
-    /// so the run's event stream, and therefore every exported trace byte,
-    /// is identical no matter how many worker threads produced the buffers.
-    pub fn push_partitioned_run(&mut self, label: &str, partitions: Vec<Vec<crate::TraceEvent>>) {
-        self.push_run(label, partitions.concat());
-    }
-
     /// Serialise all runs into one Chrome trace JSON document.
     pub fn to_chrome_json(&self) -> String {
         let runs: Vec<(String, Vec<crate::TraceEvent>)> = self
@@ -117,26 +108,5 @@ mod tests {
         // 2 process_name + 2 thread_name + 2 events.
         assert_eq!(events.len(), 6);
         assert!(doc.find("first").unwrap() < doc.find("second").unwrap());
-    }
-
-    #[test]
-    fn partitioned_run_merges_in_partition_order() {
-        let collect = |bufs: Vec<Vec<crate::TraceEvent>>| {
-            let mut s = TraceSession::new(true);
-            s.push_partitioned_run("sharded", bufs);
-            s.to_chrome_json()
-        };
-        let t = Tracer::enabled();
-        t.instant("p0", "a", 5, &[]);
-        let p0 = t.snapshot();
-        let t = Tracer::enabled();
-        t.instant("p1", "b", 5, &[]);
-        let p1 = t.snapshot();
-
-        // Same partition buffers → same bytes, independent of how workers
-        // happened to finish; swapped partition order is a different doc.
-        let merged = collect(vec![p0.clone(), p1.clone()]);
-        assert_eq!(merged, collect(vec![p0.clone(), p1.clone()]));
-        assert_ne!(merged, collect(vec![p1, p0]));
     }
 }

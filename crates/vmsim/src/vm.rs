@@ -847,6 +847,9 @@ impl Vm {
                             referenced: false,
                         },
                     );
+                    // A store from here on must go back through `try_page`
+                    // to set `dirty_again`: drop every lookaside.
+                    inner.epoch.set(inner.epoch.get() + 1);
                     inner.stats.swap_outs += 1;
                     let backend = inner.swap.backend(slot.dev);
                     let offset = inner.swap.offset_of(slot);
@@ -868,5 +871,52 @@ impl Vm {
             }
         }
         writes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AddressSpace, DirectBackend, DirectConfig, PagedVec};
+    use blockdev::SimDisk;
+
+    /// Starting a page's write-out must invalidate every `PagedVec`
+    /// lookaside: a holder with write intent that keeps storing past
+    /// `try_page` never sets `dirty_again`, so `finish_write` frees the
+    /// frame and the store vanishes.
+    #[test]
+    fn store_after_writeout_starts_is_not_lost() {
+        let engine = Engine::new();
+        let cal = Rc::new(Calibration::cluster_2005());
+        let node = Node::new("client", 0, 2);
+        let vm = Vm::new(
+            engine.clone(),
+            cal.clone(),
+            node.clone(),
+            VmConfig::for_memory(16 * 4096),
+        );
+        // The direct path over a disk copies the page at `store` time, as
+        // the HPBD client does into its staging pool: what the device
+        // holds is the page as of the write-out, not of its completion.
+        let disk = Rc::new(SimDisk::new(
+            engine.clone(),
+            cal.disk.clone(),
+            64 * 4096,
+            "swap",
+        ));
+        vm.add_swap_backend(
+            DirectBackend::new(engine.clone(), node, disk, DirectConfig::default()),
+            0,
+        );
+        let space = AddressSpace::new(&vm);
+        let v: PagedVec<i32> = PagedVec::new(&space, 1024);
+        v.set(0, 1);
+        // One pass clears the referenced bit, then starts the write-out.
+        let writes = vm.reclaim(&mut vm.inner.borrow_mut(), 1);
+        assert_eq!(writes, 1, "the page's write-out must be in flight");
+        v.try_set(0, 2)
+            .expect("a page under writeback stays mapped");
+        engine.run_until_idle();
+        assert_eq!(v.get(0), 2);
     }
 }
