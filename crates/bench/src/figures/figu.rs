@@ -243,7 +243,7 @@ fn run_cell(work: Work, path: SwapPath, args: &CommonArgs) -> FigURow {
         major_faults: report.vm.major_faults,
         readaheads: report.vm.readaheads,
         readahead_pages: config.readahead_pages.unwrap_or(8),
-        direct: scenario.direct.as_ref().map(|d| d.stats()),
+        direct: report.direct.clone(),
         phase_mismatches,
         lifecycle,
         checksum,

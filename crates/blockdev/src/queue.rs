@@ -252,16 +252,12 @@ impl RequestQueue {
             // folds them — so [submit, end] is exactly the latency the
             // blockdev histograms record for the same request.
             let mut req = req;
-            let lifecycle = if engine.lifecycle_enabled() {
-                engine.lifecycle().begin(
-                    simtrace::intern(device.name()),
-                    op == IoOp::Write,
-                    bytes,
-                    dispatched.as_nanos(),
-                )
-            } else {
-                None
-            };
+            let lifecycle = engine.lifecycle().begin(
+                device.name(),
+                op == IoOp::Write,
+                bytes,
+                dispatched.as_nanos(),
+            );
             if let Some(ctx) = &lifecycle {
                 req.set_lifecycle(ctx.clone());
             }
@@ -273,15 +269,13 @@ impl RequestQueue {
                     IoOp::Write => ("write", "blockdev.swap_out_latency_us"),
                 };
                 metrics.observe(hist, us);
-                if engine2.trace_enabled() {
-                    engine2.tracer().span(
-                        "blockdev",
-                        name,
-                        dispatched.as_nanos(),
-                        engine2.now().as_nanos(),
-                        &[("bytes", bytes), ("bios", bios)],
-                    );
-                }
+                engine2.span(
+                    "blockdev",
+                    name,
+                    dispatched.as_nanos(),
+                    engine2.now().as_nanos(),
+                    &[("bytes", bytes), ("bios", bios)],
+                );
                 if let Some(ctx) = &lifecycle {
                     ctx.end(engine2.now().as_nanos(), result.is_ok());
                 }

@@ -17,7 +17,7 @@
 //! pre-posted receive buffers at the server; requests over the water-mark
 //! queue inside the driver.
 
-use crate::config::{Distribution, HpbdConfig, StagingMode};
+use crate::config::{Distribution, HpbdConfig, StagingMode, REPLY_PROC_NS, SERVER_STAGING_SIZE};
 use crate::pool::{PoolBuf, SimBufferPool};
 use crate::proto::{
     MergedRequest, MergedSeg, PageOp, PageRequest, ReplyStatus, RevokeNotice, ServerMessage,
@@ -31,7 +31,9 @@ use ibsim::{
 use simcore::{Engine, EventId, SimDuration, SimTime};
 use simtrace::{intern, Counter, Histogram, LazyCounter, MarkKind, RequestCtx};
 use std::cell::{Cell, RefCell};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 /// Client statistics.
@@ -121,10 +123,8 @@ struct Parent {
     error: Cell<Option<IoError>>,
     /// Submission instant (trace span start).
     started: SimTime,
-    op: PageOp,
-    len: u64,
     /// Physical parts issued (including mirror replicas).
-    parts: Cell<usize>,
+    parts: usize,
     /// Pre-resolved swap-in/out latency histogram for this op.
     latency_hist: Histogram,
     /// Lifecycle span context stamped at block-queue dispatch; the parts
@@ -144,22 +144,20 @@ impl Parent {
                 Some(e) => Err(e),
                 None => Ok(()),
             };
-            if engine.trace_enabled() {
-                engine.tracer().span(
-                    "hpbd",
-                    match self.op {
-                        PageOp::Read => "request_read",
-                        PageOp::Write => "request_write",
-                    },
-                    self.started.as_nanos(),
-                    engine.now().as_nanos(),
-                    &[
-                        ("bytes", self.len),
-                        ("parts", self.parts.get() as u64),
-                        ("ok", result.is_ok() as u64),
-                    ],
-                );
-            }
+            engine.span(
+                "hpbd",
+                match req.op() {
+                    IoOp::Read => "request_read",
+                    IoOp::Write => "request_write",
+                },
+                self.started.as_nanos(),
+                engine.now().as_nanos(),
+                &[
+                    ("bytes", req.len()),
+                    ("parts", self.parts as u64),
+                    ("ok", result.is_ok() as u64),
+                ],
+            );
             self.latency_hist
                 .observe(engine.now().since(self.started).as_micros_f64());
             req.complete(result);
@@ -182,9 +180,8 @@ enum Staging {
 struct Segment {
     parent: Rc<Parent>,
     parent_off: u64,
-    /// Store offset of this part inside the target server's swap area.
-    /// For single-segment requests this always equals `Phys::server_offset`
-    /// (failover remaps both together).
+    /// Store offset of this part inside the target server's swap area
+    /// (failover remaps it into the buddy's replica region).
     server_offset: u64,
     len: u64,
     /// Write-fencing stamp (0 for reads). Retries and failover reissues
@@ -196,24 +193,39 @@ struct Segment {
 }
 
 /// Segment storage for a physical request: the unmerged hot path keeps its
-/// one segment inline, with no heap allocation per request.
+/// one segment inline, with no heap allocation per request. Everything
+/// reads it as a `[Segment]`; only the wire-format choice in
+/// `post_request` asks how many there are.
 enum Segs {
     One(Segment),
     Many(Vec<Segment>),
 }
 
-impl Segs {
-    fn as_slice(&self) -> &[Segment] {
+impl Deref for Segs {
+    type Target = [Segment];
+    fn deref(&self) -> &[Segment] {
         match self {
             Segs::One(seg) => std::slice::from_ref(seg),
             Segs::Many(segs) => segs,
         }
     }
+}
 
-    fn as_mut_slice(&mut self) -> &mut [Segment] {
+impl DerefMut for Segs {
+    fn deref_mut(&mut self) -> &mut [Segment] {
         match self {
             Segs::One(seg) => std::slice::from_mut(seg),
             Segs::Many(segs) => segs,
+        }
+    }
+}
+
+impl FromIterator<Segment> for Segs {
+    fn from_iter<I: IntoIterator<Item = Segment>>(iter: I) -> Segs {
+        let mut iter = iter.into_iter();
+        match (iter.next(), iter.next()) {
+            (Some(only), None) => Segs::One(only),
+            (first, second) => Segs::Many(first.into_iter().chain(second).chain(iter).collect()),
         }
     }
 }
@@ -223,13 +235,6 @@ struct Phys {
     req_id: u64,
     op: PageOp,
     server_idx: usize,
-    /// Store offset of the FIRST segment (single-segment requests: the
-    /// whole message's offset). Merged messages carry per-segment offsets
-    /// in `segs`.
-    server_offset: u64,
-    /// Total transfer length — the sum of the segment lengths (the size
-    /// of the staging span and of the single RDMA operation).
-    len: u64,
     staging: Staging,
     /// Mirror copies do not scatter data back on reads and are counted
     /// separately in the stats.
@@ -251,32 +256,91 @@ struct Phys {
 }
 
 impl Phys {
+    /// Total transfer length — the sum of the segment lengths (the size
+    /// of the staging span and of the single RDMA operation).
+    fn len(&self) -> u64 {
+        self.segs.iter().map(|s| s.len).sum()
+    }
+
     /// The fencing version the reply is expected to echo: the segment's
     /// own stamp for a plain request, the maximum across segments for a
     /// merged one (matching `MergedRequest::max_version`).
     fn reply_version(&self) -> u64 {
-        self.segs
-            .as_slice()
-            .iter()
-            .map(|s| s.version)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Whether any carried part has a lifecycle context attached.
-    fn has_ctx(&self) -> bool {
-        self.segs.as_slice().iter().any(|s| s.parent.ctx.is_some())
+        self.segs.iter().map(|s| s.version).max().unwrap_or(0)
     }
 
     /// Whether any carried segment overlaps the store range `[lo, hi)`.
-    /// Merged requests may span gaps, so `server_offset..+len` alone would
-    /// understate (and sometimes overstate) the touched extent.
+    /// Merged requests may span gaps, so the head offset plus the total
+    /// length would understate (and sometimes overstate) the touched extent.
     fn touches_store(&self, lo: u64, hi: u64) -> bool {
         self.segs
-            .as_slice()
             .iter()
             .any(|s| s.server_offset < hi && lo < s.server_offset + s.len)
     }
+
+    /// The lifecycle contexts of the carried parts that have one (none
+    /// when lifecycle tracing is off or for migration traffic).
+    fn ctxs(&self) -> impl Iterator<Item = &RequestCtx> {
+        self.segs.iter().filter_map(|s| s.parent.ctx.as_deref())
+    }
+
+    /// Append a lifecycle mark for the current delivery attempt of every
+    /// traced part: a merged message posts, times out and is answered as a
+    /// unit.
+    fn mark(&self, kind: MarkKind, now_ns: u64) {
+        for seg in self.segs.iter() {
+            if let Some(ctx) = &seg.parent.ctx {
+                ctx.mark(seg.part, self.trace_attempt, kind, now_ns);
+            }
+        }
+    }
+
+    /// Every carried part's parent sees `error`.
+    fn set_error(&self, error: IoError) {
+        for seg in self.segs.iter() {
+            seg.parent.error.set(Some(error));
+        }
+    }
+
+    /// Complete every carried part towards its parent, appending the
+    /// lifecycle `Done` marks at this instant (inside the completing
+    /// event, so the context's mark log stays in execution order).
+    fn finish_parts(&self, engine: &Engine) {
+        let now_ns = engine.now().as_nanos();
+        for seg in self.segs.iter() {
+            if let Some(ctx) = &seg.parent.ctx {
+                ctx.mark(seg.part, self.trace_attempt, MarkKind::Done, now_ns);
+            }
+            seg.parent.finish_part(engine);
+        }
+    }
+}
+
+/// What can happen to a physical request on its way through the driver.
+/// Each is noted at exactly one protocol site; [`HpbdClient::note`] renders
+/// it into the `ClientStats` bump, the registry counter, the trace instant
+/// and the per-part lifecycle marks that belong to it.
+enum Event {
+    /// Hit the credit water-mark (§4.2.4).
+    CreditStall,
+    /// Its control message went to the send queue.
+    Posted,
+    /// Its reply arrived.
+    ReplyReceived,
+    /// The server fenced the write off as stale.
+    StaleDrop,
+    /// Its reply exposed an in-window server restart.
+    EpochWipe,
+    /// The attempt is lost: timer expiry, failed send or wiped epoch.
+    Timeout,
+    /// The same server gets another attempt.
+    Retry,
+    /// Re-routed to `buddy`'s replica region. `reissue`: the lost attempt
+    /// had reached the wire, so a new attempt is queued (a pre-post
+    /// re-route keeps its attempt and its Queue attribution).
+    Failover { buddy: usize, reissue: bool },
+    /// A mirror replica lost its home server and was dropped.
+    MirrorDropped,
 }
 
 /// A part parked in the per-server batch accumulator until its merge
@@ -285,13 +349,6 @@ struct PendingPart {
     op: PageOp,
     is_mirror: bool,
     seg: Segment,
-}
-
-/// Per-server merge accumulator (batching mode).
-struct BatchState {
-    pending: RefCell<Vec<PendingPart>>,
-    /// A flush event is already scheduled; dedups arming per window.
-    armed: Cell<bool>,
 }
 
 struct ServerConn {
@@ -311,6 +368,11 @@ struct ServerConn {
     /// (the store was wiped inside our timeout window): its data must not
     /// be trusted, and the connection is retired like a timed-out one.
     generation: Cell<u64>,
+    /// Merge accumulator: parts parked until the merge window closes
+    /// (batching mode; idle otherwise).
+    batch: RefCell<Vec<PendingPart>>,
+    /// A flush event is already scheduled; dedups arming per window.
+    batch_armed: Cell<bool>,
 }
 
 /// One entry of the device-to-server mapping (dynamic-memory indirection).
@@ -367,14 +429,11 @@ struct ClientInner {
     /// Freelist of swap-in data buffers (filled from the pool MR, scattered
     /// back to the page frames, then recycled).
     data_pool: RefCell<Vec<Vec<u8>>>,
-    /// Per-server merge accumulators, indexed like `conns` (batching mode;
-    /// present but idle otherwise).
-    batch: RefCell<Vec<BatchState>>,
     /// Flush-scoped doorbell spool: `(conn index, work request)` pairs
     /// collected while a batch flush is on the stack, posted as chained
     /// WRs — one doorbell per server per flush — when it unwinds.
-    spool: RefCell<Vec<(usize, WorkRequest)>>,
-    spool_active: Cell<bool>,
+    /// `Some` exactly while a flush is on the stack.
+    spool: RefCell<Option<Vec<(usize, WorkRequest)>>>,
     /// Pre-resolved handles for metrics that are registered at construction
     /// anyway; hot emit sites bump these without a registry lookup.
     ctr_credit_stalls: Counter,
@@ -446,9 +505,7 @@ impl HpbdClient {
                 wire_scratch: RefCell::new(Vec::new()),
                 gather_scratch: RefCell::new(Vec::new()),
                 data_pool: RefCell::new(Vec::new()),
-                batch: RefCell::new(Vec::new()),
-                spool: RefCell::new(Vec::new()),
-                spool_active: Cell::new(false),
+                spool: RefCell::new(None),
                 ctr_credit_stalls,
                 hist_swap_in,
                 hist_swap_out,
@@ -529,10 +586,8 @@ impl HpbdClient {
             extent_len,
             dead: Cell::new(false),
             generation: Cell::new(generation),
-        });
-        inner.batch.borrow_mut().push(BatchState {
-            pending: RefCell::new(Vec::new()),
-            armed: Cell::new(false),
+            batch: RefCell::new(Vec::new()),
+            batch_armed: Cell::new(false),
         });
         inner.capacity.set(base + extent_len);
         // Device-chunk map entries for the new extent.
@@ -569,16 +624,9 @@ impl HpbdClient {
 
     // -- sender path ---------------------------------------------------------
 
-    /// Split a device extent into per-server physical parts, according to
-    /// the configured distribution (paper §4.2.5).
-    fn split(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64, u64)> {
-        // (server_idx, server_offset, parent_off, part_len)
-        match self.inner.config.distribution {
-            Distribution::Blocking => self.split_blocking(offset, len),
-            Distribution::Striped { stripe_bytes } => self.split_striped(offset, len, stripe_bytes),
-        }
-    }
-
+    /// Split a device extent into per-server physical parts
+    /// `(server_idx, server_offset, parent_off, part_len)`, blocking
+    /// distribution (paper §4.2.5).
     fn split_blocking(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64, u64)> {
         // Resolve through the chunk map (identity until migrations move
         // chunks), coalescing runs that stay contiguous on one server.
@@ -646,69 +694,162 @@ impl HpbdClient {
         parts
     }
 
-    fn stage_part(&self, phys: Phys) {
+    /// Render one request event everywhere it is observed. The
+    /// `ClientStats` field and its registry twin move together here and
+    /// nowhere else. Every emit self-guards, so with observation off an
+    /// event costs its counter bumps and a few not-taken branches.
+    fn note(&self, phys: &Phys, ev: Event) {
         let inner = &self.inner;
-        let Staging::Pool(pool_buf) = phys.staging else {
-            unreachable!("stage_part is the pool path");
+        let engine = &inner.engine;
+        let now_ns = engine.now().as_nanos();
+        let mut stats = inner.stats.borrow_mut();
+        // The recovery-path instants all name the request and one detail.
+        let instant = |name, key, val| {
+            engine.instant("hpbd", name, &[("req", phys.req_id), (key, val)]);
         };
-        match phys.op {
-            PageOp::Write => {
-                // Copy the page data into the registered pool (the paper's
-                // copy-instead-of-register decision), then send. A merged
-                // request packs its segments back-to-back so the server's
-                // single RDMA pull sees one contiguous span.
-                {
-                    let mut data = inner.gather_scratch.borrow_mut();
-                    let mut at = pool_buf.offset as usize;
-                    for seg in phys.segs.as_slice() {
-                        {
-                            let parent = seg.parent.req.borrow();
-                            // simlint: allow(I001): the Parent holds its request until the last part finishes; this part has not finished
-                            parent.as_ref().expect("parent alive").gather_range_into(
-                                seg.parent_off,
-                                seg.len,
-                                &mut data,
-                            );
-                        }
-                        inner.pool_mr.write(at, &data);
-                        at += seg.len as usize;
-                    }
-                }
-                let copy = inner.ibnode.memory_model().memcpy_time(phys.len);
-                let (_, t_copy) = inner.ibnode.node().cpu().reserve(inner.engine.now(), copy);
-                if inner.engine.trace_enabled() {
-                    inner.engine.tracer().span(
-                        "hpbd",
-                        "stage_copy",
-                        inner.engine.now().as_nanos(),
-                        t_copy.as_nanos(),
-                        &[("req", phys.req_id), ("bytes", phys.len)],
-                    );
-                }
-                let this = self.clone();
-                inner
-                    .engine
-                    .schedule_at(t_copy, move || this.enqueue_send(phys));
+        match ev {
+            Event::CreditStall => {
+                stats.flow_stalls += 1;
+                inner.ctr_credit_stalls.inc();
+                engine.instant(
+                    "hpbd",
+                    "credit_stall",
+                    &[
+                        ("server", phys.server_idx as u64),
+                        ("req", phys.req_id),
+                        ("bytes", phys.len()),
+                    ],
+                );
             }
-            PageOp::Read => self.enqueue_send(phys),
+            Event::Posted => {
+                stats.phys_requests += 1;
+                stats.messages += 1;
+                inner.ctr_phys_requests.inc();
+                inner.ctr_messages.inc();
+                if phys.is_mirror {
+                    stats.mirrored_phys += 1;
+                }
+                if phys.segs.len() > 1 {
+                    stats.merged_requests += 1;
+                    stats.merged_segments += phys.segs.len() as u64;
+                }
+                phys.mark(MarkKind::Posted, now_ns);
+            }
+            Event::ReplyReceived => {
+                stats.replies += 1;
+                phys.mark(MarkKind::ReplyReceived, now_ns);
+                engine.lifecycle().unregister_phys(phys.req_id);
+            }
+            Event::StaleDrop => {
+                stats.stale_drops += 1;
+                engine.metrics().inc("hpbd.stale_drops");
+                instant("stale_write_dropped", "version", phys.reply_version());
+            }
+            Event::EpochWipe => {
+                stats.epoch_wipes += 1;
+                engine.metrics().inc("hpbd.epoch_wipes");
+                instant("epoch_wipe", "server", phys.server_idx as u64);
+            }
+            Event::Timeout => {
+                stats.timeouts += 1;
+                engine.metrics().inc("hpbd.timeouts");
+                instant("timeout", "server", phys.server_idx as u64);
+                // Dooms the attempt: the fold relabels its whole lifetime
+                // (and the gap until the next attempt is queued) to
+                // RetryOverhead.
+                phys.mark(MarkKind::TimedOut, now_ns);
+                engine.lifecycle().unregister_phys(phys.req_id);
+            }
+            Event::Retry => {
+                stats.retries += 1;
+                engine.metrics().inc("hpbd.retries");
+                instant("retry", "attempt", phys.attempts as u64);
+                phys.ctxs().for_each(RequestCtx::note_retry);
+                phys.mark(MarkKind::Queued, now_ns);
+            }
+            Event::Failover { buddy, reissue } => {
+                stats.failovers += 1;
+                engine.metrics().inc("hpbd.failovers");
+                instant("failover", "buddy", buddy as u64);
+                phys.ctxs().for_each(RequestCtx::note_failover);
+                if reissue {
+                    phys.mark(MarkKind::Queued, now_ns);
+                }
+            }
+            Event::MirrorDropped => {
+                stats.mirror_drops += 1;
+                engine.metrics().inc("hpbd.mirror_drops");
+                instant("mirror_dropped", "server", phys.server_idx as u64);
+            }
         }
     }
 
-    /// Register-on-the-fly path (ablation): the page buffers become an
-    /// ephemeral MR — no staging copy, but the registration cost sits on
-    /// the critical path of every request, which is exactly what Figure 3
-    /// says loses for swap-sized transfers.
-    fn stage_registered(&self, phys: Phys) {
+    /// Give one (possibly merged) group of parts a request id and staging,
+    /// then stage it. Serves batching off (one part), batching on (a flush
+    /// group) and the register-on-the-fly ablation alike.
+    fn issue(&self, server_idx: usize, op: PageOp, is_mirror: bool, segs: Segs) {
         let inner = &self.inner;
-        let Staging::Ephemeral(mr) = &phys.staging else {
-            unreachable!("stage_registered is the on-the-fly path");
+        let req_id = inner.next_req_id.replace(inner.next_req_id.get() + 1);
+        let len: u64 = segs.iter().map(|s| s.len).sum();
+        let phys = move |staging| Phys {
+            req_id,
+            op,
+            server_idx,
+            staging,
+            is_mirror,
+            timer: Cell::new(None),
+            attempts: 0,
+            trace_attempt: 0,
+            segs,
         };
+        match inner.config.staging {
+            StagingMode::CopyToPool => {
+                if inner.pool.free_bytes() < len || inner.pool.queued_waiters() != 0 {
+                    inner.stats.borrow_mut().pool_waits += 1;
+                    inner.ctr_pool_waits.inc();
+                    inner
+                        .engine
+                        .instant("hpbd", "pool_wait", &[("req", req_id), ("bytes", len)]);
+                }
+                let this = self.clone();
+                inner
+                    .pool
+                    .alloc(len, move |buf| this.stage(phys(Staging::Pool(buf))));
+            }
+            // The page buffers become an ephemeral MR — no staging copy,
+            // but the registration cost sits on the critical path of every
+            // request, which is exactly what Figure 3 says loses for
+            // swap-sized transfers.
+            StagingMode::RegisterOnFly => {
+                let mr = inner.ibnode.hca().register(len as usize);
+                self.stage(phys(Staging::Ephemeral(mr)));
+            }
+        }
+    }
+
+    /// The registered region a request stages through, and where in it.
+    fn staging_span<'a>(&'a self, phys: &'a Phys) -> (&'a MemoryRegion, u64) {
+        match &phys.staging {
+            Staging::Pool(buf) => (self.inner.pool_mr.region(), buf.offset),
+            Staging::Ephemeral(mr) => (mr, 0),
+        }
+    }
+
+    /// Fill the staging span of a write and charge what staging costs,
+    /// then hand the request to the sender.
+    fn stage(&self, phys: Phys) {
+        let inner = &self.inner;
+        let now = inner.engine.now();
+        let len = phys.len();
         if phys.op == PageOp::Write {
-            // Zero-copy: the MR *is* the page memory (we mirror the bytes
-            // into the simulated region without a timing charge).
+            // A merged request packs its segments back-to-back so the
+            // server's single RDMA pull sees one contiguous span. (On the
+            // fly the MR *is* the page memory: the bytes are mirrored into
+            // the simulated region without a copy charge.)
+            let (region, start) = self.staging_span(&phys);
             let mut data = inner.gather_scratch.borrow_mut();
-            let mut at = 0usize;
-            for seg in phys.segs.as_slice() {
+            let mut at = start as usize;
+            for seg in phys.segs.iter() {
                 {
                     let parent = seg.parent.req.borrow();
                     // simlint: allow(I001): the Parent holds its request until the last part finishes; this part has not finished
@@ -718,76 +859,51 @@ impl HpbdClient {
                         &mut data,
                     );
                 }
-                mr.write(at, &data);
+                region.write(at, &data);
                 at += seg.len as usize;
             }
         }
-        let reg = inner
-            .ibnode
-            .memory_model()
-            .calibration()
-            .registration_time(phys.len);
-        let (_, t_reg) = inner.ibnode.node().cpu().reserve(inner.engine.now(), reg);
+        let ready = match (&phys.staging, phys.op) {
+            (Staging::Pool(_), PageOp::Read) => return self.enqueue_send(phys),
+            (Staging::Pool(_), PageOp::Write) => {
+                // The paper's copy-instead-of-register decision.
+                let copy = inner.ibnode.memory_model().memcpy_time(len);
+                let (_, t_copy) = inner.ibnode.node().cpu().reserve(now, copy);
+                inner.engine.span(
+                    "hpbd",
+                    "stage_copy",
+                    now.as_nanos(),
+                    t_copy.as_nanos(),
+                    &[("req", phys.req_id), ("bytes", len)],
+                );
+                t_copy
+            }
+            (Staging::Ephemeral(_), _) => {
+                let reg = inner
+                    .ibnode
+                    .memory_model()
+                    .calibration()
+                    .registration_time(len);
+                inner.ibnode.node().cpu().reserve(now, reg).1
+            }
+        };
         let this = self.clone();
         inner
             .engine
-            .schedule_at(t_reg, move || this.enqueue_send(phys));
+            .schedule_at(ready, move || this.enqueue_send(phys));
     }
 
-    fn enqueue_send(&self, mut phys: Phys) {
+    fn enqueue_send(&self, phys: Phys) {
         // A server known to be dead gets no traffic: re-target the buddy's
         // replica region up front (requires mirroring).
         if self.inner.conns.borrow()[phys.server_idx].dead.get() {
-            if phys.is_mirror {
-                self.drop_mirror(phys);
-                return;
-            }
-            match self.failover_target(&phys) {
-                Some((buddy, offset)) => {
-                    self.inner.stats.borrow_mut().failovers += 1;
-                    self.inner.engine.metrics().inc("hpbd.failovers");
-                    if self.inner.engine.trace_enabled() {
-                        self.inner.engine.tracer().instant(
-                            "hpbd",
-                            "failover",
-                            self.inner.engine.now().as_nanos(),
-                            &[("req", phys.req_id), ("buddy", buddy as u64)],
-                        );
-                    }
-                    // A pre-post re-route (the part never reached the dead
-                    // server) counts as a failover but not a doomed attempt:
-                    // its wait so far stays attributed to Queue.
-                    for seg in phys.segs.as_slice() {
-                        if let Some(ctx) = &seg.parent.ctx {
-                            ctx.note_failover();
-                        }
-                    }
-                    self.retarget(&mut phys, buddy, offset);
-                }
-                None => {
-                    self.fail_phys(phys, IoError::Fault(FaultKind::ServerDead));
-                    return;
-                }
-            }
+            return self.fail_over(phys, FaultKind::ServerDead);
         }
         let conns = self.inner.conns.borrow();
         let conn = &conns[phys.server_idx];
         if conn.credits.get() == 0 {
             // Water-mark reached: queue until credits return (§4.2.4).
-            self.inner.stats.borrow_mut().flow_stalls += 1;
-            self.inner.ctr_credit_stalls.inc();
-            if self.inner.engine.trace_enabled() {
-                self.inner.engine.tracer().instant(
-                    "hpbd",
-                    "credit_stall",
-                    self.inner.engine.now().as_nanos(),
-                    &[
-                        ("server", phys.server_idx as u64),
-                        ("req", phys.req_id),
-                        ("bytes", phys.len),
-                    ],
-                );
-            }
+            self.note(&phys, Event::CreditStall);
             let mut queued = conn.queued.borrow_mut();
             queued.push_back(phys);
             conn.peak_queued
@@ -799,67 +915,55 @@ impl HpbdClient {
     }
 
     fn post_request(&self, conn: &ServerConn, phys: Phys) {
-        let (client_rkey, client_offset) = match &phys.staging {
-            Staging::Pool(buf) => (self.inner.pool_mr.rkey(), buf.offset),
-            Staging::Ephemeral(mr) => (mr.rkey(), 0),
-        };
-        let payload = match &phys.segs {
-            Segs::One(seg) => PageRequest::new(
+        let (region, client_offset) = self.staging_span(&phys);
+        let client_rkey = region.rkey();
+        // The one place the merge layer shows: a lone segment travels as
+        // the paper's plain request, several as one merged message.
+        let payload = if let [seg] = &*phys.segs {
+            PageRequest::new(
                 phys.req_id,
                 phys.op,
-                phys.server_offset,
-                phys.len,
+                seg.server_offset,
+                seg.len,
                 client_rkey,
                 client_offset,
                 seg.version,
             )
-            .encode(),
-            Segs::Many(segs) => {
-                {
-                    let mut stats = self.inner.stats.borrow_mut();
-                    stats.merged_requests += 1;
-                    stats.merged_segments += segs.len() as u64;
-                }
-                MergedRequest::new(
-                    phys.req_id,
-                    phys.op,
-                    client_rkey,
-                    client_offset,
-                    segs.iter()
-                        .map(|s| MergedSeg::new(s.server_offset, s.len, s.version))
-                        .collect(),
-                )
-                .encode()
-            }
+            .encode()
+        } else {
+            MergedRequest::new(
+                phys.req_id,
+                phys.op,
+                client_rkey,
+                client_offset,
+                phys.segs
+                    .iter()
+                    .map(|s| MergedSeg::new(s.server_offset, s.len, s.version))
+                    .collect(),
+            )
+            .encode()
         };
-        {
-            let mut stats = self.inner.stats.borrow_mut();
-            stats.phys_requests += 1;
-            stats.messages += 1;
-            self.inner.ctr_phys_requests.inc();
-            self.inner.ctr_messages.inc();
-            if phys.is_mirror {
-                stats.mirrored_phys += 1;
-            }
-        }
-        let now_ns = self.inner.engine.now().as_nanos();
-        for seg in phys.segs.as_slice() {
-            if let Some(ctx) = &seg.parent.ctx {
-                ctx.mark(seg.part, phys.trace_attempt, MarkKind::Posted, now_ns);
-            }
-        }
-        self.register_lifecycle(&phys);
+        self.note(&phys, Event::Posted);
+        // Bind the message id to the lifecycle contexts of every part it
+        // carries, so the netmodel wire/server marks fan out to each one.
+        self.inner.engine.lifecycle().register_phys(
+            phys.req_id,
+            phys.segs.iter().filter_map(|s| {
+                let ctx = s.parent.ctx.clone()?;
+                Some((ctx, s.part, phys.trace_attempt))
+            }),
+        );
         let wr = WorkRequest {
             wr_id: phys.req_id,
             kind: WorkKind::Send { payload },
             // Solicited so the (possibly sleeping) server wakes.
             solicited: true,
         };
-        let posted = if self.inner.spool_active.get() {
+        let posted = if let Some(spool) = self.inner.spool.borrow_mut().as_mut() {
             // A batch flush is on the stack: spool the WR so the whole
             // flush rings one doorbell per server. Chain-post errors are
             // recovered per-WR when the spool drains.
-            self.inner.spool.borrow_mut().push((phys.server_idx, wr));
+            spool.push((phys.server_idx, wr));
             Ok(1)
         } else {
             let mut chain = conn.qp.chain();
@@ -867,16 +971,7 @@ impl HpbdClient {
             chain.post()
         };
         if posted.is_err() {
-            // Send-queue overflow: treat like a lost send. The recovery
-            // runs after `phys` lands in `outstanding` below, entering
-            // the same timeout/retry path as a wire-level send failure.
-            let this = self.clone();
-            let req_id = phys.req_id;
-            self.inner
-                .engine
-                .schedule_in(SimDuration::from_nanos(0), move || {
-                    this.on_send_failed(req_id);
-                });
+            self.fail_sends_later(vec![phys.req_id]);
         }
         if let Some(timeout_ns) = self.inner.config.request_timeout_ns {
             // Exponential backoff: each retry of this request waits twice
@@ -898,102 +993,75 @@ impl HpbdClient {
             .insert(phys.req_id, phys);
     }
 
-    /// Bind a posted message's id to the lifecycle contexts of every part
-    /// it carries, so the netmodel wire/server marks fan out to each one.
-    fn register_lifecycle(&self, phys: &Phys) {
-        let lifecycle = self.inner.engine.lifecycle();
-        match &phys.segs {
-            Segs::One(seg) => {
-                if let Some(ctx) = &seg.parent.ctx {
-                    lifecycle.register_phys(phys.req_id, ctx, seg.part, phys.trace_attempt);
-                }
-            }
-            Segs::Many(segs) => lifecycle.register_phys_many(
-                phys.req_id,
-                segs.iter().filter_map(|s| {
-                    s.parent
-                        .ctx
-                        .as_ref()
-                        .map(|ctx| (ctx.clone(), s.part, phys.trace_attempt))
-                }),
-            ),
+    /// `phys` targets a dead server: decide what becomes of it. `why` is
+    /// the error it ends with if nothing can take it over: `ServerDead` for
+    /// a pre-post re-route (it keeps its delivery attempt), `Timeout` when
+    /// it had been posted and lost (a re-route is then a new attempt).
+    fn fail_over(&self, mut phys: Phys, why: FaultKind) {
+        let reissue = why == FaultKind::Timeout;
+        let now = self.inner.engine.now();
+        if phys.is_mirror {
+            // A mirror replica has nowhere safe to go: its home server is
+            // dead, and the buddy's replica region is a *different*
+            // extent's replica namespace — re-routing there would alias two
+            // device pages onto one slot and corrupt whichever loses the
+            // race. Drop the copy instead: the write keeps its primary, and
+            // the device runs with degraded redundancy until the server
+            // returns.
+            self.note(&phys, Event::MirrorDropped);
+            return self.complete_at(phys, now);
         }
-    }
-
-    /// The buddy server and replica offset for a physical request, if the
-    /// deployment mirrors writes (replicas live in the upper half of the
-    /// buddy's store). `None` when there is nowhere to fail over to.
-    fn failover_target(&self, phys: &Phys) -> Option<(usize, u64)> {
-        if !self.inner.config.mirror_writes || self.server_count() < 2 {
-            return None;
+        // A primary re-routes to the buddy's replica region, if the
+        // deployment mirrors writes and the buddy is alive.
+        let buddy = (phys.server_idx + 1) % self.server_count();
+        if !self.inner.config.mirror_writes
+            || self.server_count() < 2
+            || self.inner.conns.borrow()[buddy].dead.get()
+        {
+            // Nowhere to fail over to: every carried part's parent sees
+            // the error.
+            phys.set_error(IoError::Fault(why));
+            self.inner.engine.lifecycle().unregister_phys(phys.req_id);
+            return self.complete_at(phys, now);
         }
-        let conns = self.inner.conns.borrow();
-        let buddy = (phys.server_idx + 1) % conns.len();
-        if conns[buddy].dead.get() {
-            return None;
+        if reissue {
+            phys.trace_attempt += 1;
         }
-        // `% extent_len` strips a previous failover re-route (replica
-        // offsets live past the extent), yielding the primary offset.
-        let base = phys.server_offset % conns[buddy].extent_len;
-        Some((buddy, conns[buddy].extent_len + base))
-    }
-
-    /// Re-target a physical request at its buddy's replica region. Every
-    /// carried segment gets the same extent transform as the head offset,
-    /// so merged requests land each extent on its own replica slot.
-    fn retarget(&self, phys: &mut Phys, buddy: usize, offset: u64) {
+        self.note(&phys, Event::Failover { buddy, reissue });
+        // Replicas live in the upper half of the buddy's store; every
+        // carried segment gets the same extent transform, so merged
+        // requests land each extent on its own replica slot.
         let extent_len = self.inner.conns.borrow()[buddy].extent_len;
         phys.server_idx = buddy;
-        phys.server_offset = offset;
-        for seg in phys.segs.as_mut_slice() {
+        for seg in phys.segs.iter_mut() {
+            // `% extent_len` strips a previous failover re-route (replica
+            // offsets live past the extent), yielding the primary offset.
             seg.server_offset = extent_len + (seg.server_offset % extent_len);
         }
+        self.enqueue_send(phys);
     }
 
-    /// A request send errored in the fabric (injected link fault, or RNR
-    /// against a crashed server that stopped consuming): the server never
-    /// saw it. Recover through the timeout path right away instead of
-    /// waiting out the timer.
-    fn on_send_failed(&self, req_id: u64) {
-        if self.inner.outstanding.borrow().contains_key(&req_id) {
-            self.on_timeout(req_id);
+    /// A request's timer expired, or its send errored in the fabric
+    /// (injected link fault, send-queue overflow, or RNR against a crashed
+    /// server that stopped consuming — the server never saw it, so recovery
+    /// starts right away instead of waiting out the timer). A no-op when
+    /// the request was answered in the meantime.
+    fn on_timeout(&self, req_id: u64) {
+        let lost = self.inner.outstanding.borrow_mut().remove(&req_id);
+        if let Some(phys) = lost {
+            self.retire(phys);
         }
     }
 
-    /// A request timed out (or its send failed): retry with backoff while
-    /// attempts remain, else presume the server dead and re-route to the
-    /// replica or fail the I/O.
-    fn on_timeout(&self, req_id: u64) {
-        let Some(mut phys) = self.inner.outstanding.borrow_mut().remove(&req_id) else {
-            return; // answered in time
-        };
+    /// The delivery attempt `phys` (already out of `outstanding`) is lost:
+    /// retry with backoff while attempts remain, else presume the server
+    /// dead and re-route to the replica or fail the I/O.
+    fn retire(&self, mut phys: Phys) {
         if let Some(timer) = phys.timer.take() {
             // Still armed when we got here via a send failure.
             self.inner.engine.cancel(timer);
         }
-        self.inner.stats.borrow_mut().timeouts += 1;
-        self.inner.engine.metrics().inc("hpbd.timeouts");
-        if self.inner.engine.trace_enabled() {
-            self.inner.engine.tracer().instant(
-                "hpbd",
-                "timeout",
-                self.inner.engine.now().as_nanos(),
-                &[("req", req_id), ("server", phys.server_idx as u64)],
-            );
-        }
-        if phys.has_ctx() {
-            // Dooms the attempt: the fold relabels its whole lifetime (and
-            // the gap until the next attempt is queued) to RetryOverhead.
-            // A merged message times out as a unit, so every carried part
-            // is doomed together.
-            let now_ns = self.inner.engine.now().as_nanos();
-            for seg in phys.segs.as_slice() {
-                if let Some(ctx) = &seg.parent.ctx {
-                    ctx.mark(seg.part, phys.trace_attempt, MarkKind::TimedOut, now_ns);
-                }
-            }
-            self.inner.engine.lifecycle().unregister_phys(req_id);
-        }
+        self.note(&phys, Event::Timeout);
         {
             // The credit consumed by the lost request never returns via a
             // reply; restore it so accounting stays consistent.
@@ -1006,138 +1074,33 @@ impl HpbdClient {
             // chance (with a backed-off timeout) before declaring it dead.
             phys.attempts += 1;
             phys.trace_attempt += 1;
-            self.inner.stats.borrow_mut().retries += 1;
-            self.inner.engine.metrics().inc("hpbd.retries");
-            if self.inner.engine.trace_enabled() {
-                self.inner.engine.tracer().instant(
-                    "hpbd",
-                    "retry",
-                    self.inner.engine.now().as_nanos(),
-                    &[("req", req_id), ("attempt", phys.attempts as u64)],
-                );
-            }
-            let now_ns = self.inner.engine.now().as_nanos();
-            for seg in phys.segs.as_slice() {
-                if let Some(ctx) = &seg.parent.ctx {
-                    ctx.note_retry();
-                    ctx.mark(seg.part, phys.trace_attempt, MarkKind::Queued, now_ns);
-                }
-            }
+            self.note(&phys, Event::Retry);
             self.enqueue_send(phys);
             return;
         }
-        let stranded: Vec<Phys> = {
+        let stranded = {
             let conns = self.inner.conns.borrow();
             let conn = &conns[phys.server_idx];
             conn.dead.set(true);
             // Requests still queued for the dead server will never get
             // credits back: pull them out for re-routing.
-            let stranded: Vec<Phys> = conn.queued.borrow_mut().drain(..).collect();
+            let stranded = std::mem::take(&mut *conn.queued.borrow_mut());
             stranded
         };
         for queued in stranded {
             self.enqueue_send(queued);
         }
-        if phys.is_mirror {
-            self.drop_mirror(phys);
-            return;
-        }
-        match self.failover_target(&phys) {
-            Some((buddy, offset)) => {
-                self.inner.stats.borrow_mut().failovers += 1;
-                self.inner.engine.metrics().inc("hpbd.failovers");
-                if self.inner.engine.trace_enabled() {
-                    self.inner.engine.tracer().instant(
-                        "hpbd",
-                        "failover",
-                        self.inner.engine.now().as_nanos(),
-                        &[("req", phys.req_id), ("buddy", buddy as u64)],
-                    );
-                }
-                let mut reissued = Phys {
-                    trace_attempt: phys.trace_attempt + 1,
-                    ..phys
-                };
-                self.retarget(&mut reissued, buddy, offset);
-                let now_ns = self.inner.engine.now().as_nanos();
-                for seg in reissued.segs.as_slice() {
-                    if let Some(ctx) = &seg.parent.ctx {
-                        ctx.note_failover();
-                        ctx.mark(seg.part, reissued.trace_attempt, MarkKind::Queued, now_ns);
-                    }
-                }
-                self.enqueue_send(reissued);
-            }
-            None => self.fail_phys(phys, IoError::Fault(FaultKind::Timeout)),
-        }
+        self.fail_over(phys, FaultKind::Timeout);
     }
 
-    /// A mirror replica has nowhere safe to go: its home server is dead,
-    /// and the buddy's replica region is a *different* extent's replica
-    /// namespace — re-routing there would alias two device pages onto one
-    /// slot and corrupt whichever loses the race. Drop the copy instead:
-    /// the write keeps its primary, and the device runs with degraded
-    /// redundancy until the server returns.
-    fn drop_mirror(&self, phys: Phys) {
-        debug_assert!(phys.is_mirror);
-        self.inner.stats.borrow_mut().mirror_drops += 1;
-        self.inner.engine.metrics().inc("hpbd.mirror_drops");
-        if self.inner.engine.trace_enabled() {
-            self.inner.engine.tracer().instant(
-                "hpbd",
-                "mirror_dropped",
-                self.inner.engine.now().as_nanos(),
-                &[("req", phys.req_id), ("server", phys.server_idx as u64)],
-            );
-        }
+    /// Return the staging resources now and schedule the parent
+    /// completion of every carried part at `at`.
+    fn complete_at(&self, phys: Phys, at: SimTime) {
         self.release_staging(&phys);
-        self.finish_parts_at(&phys, self.inner.engine.now());
-    }
-
-    /// Complete a physical request as failed: every carried part's parent
-    /// sees the error.
-    fn fail_phys(&self, phys: Phys, error: IoError) {
-        for seg in phys.segs.as_slice() {
-            seg.parent.error.set(Some(error));
-        }
-        self.release_staging(&phys);
-        if phys.has_ctx() {
-            self.inner.engine.lifecycle().unregister_phys(phys.req_id);
-        }
-        self.finish_parts_at(&phys, self.inner.engine.now());
-    }
-
-    /// Schedule the parent completion of every carried part at `at`,
-    /// appending the lifecycle `Done` marks at that instant (inside the
-    /// event, so the context's mark log stays in execution order).
-    fn finish_parts_at(&self, phys: &Phys, at: SimTime) {
         let engine = self.inner.engine.clone();
-        let attempt = phys.trace_attempt;
-        match &phys.segs {
-            Segs::One(seg) => {
-                let parent = seg.parent.clone();
-                let part = seg.part;
-                self.inner.engine.schedule_at(at, move || {
-                    if let Some(ctx) = &parent.ctx {
-                        ctx.mark(part, attempt, MarkKind::Done, engine.now().as_nanos());
-                    }
-                    parent.finish_part(&engine);
-                });
-            }
-            Segs::Many(segs) => {
-                let parts: Vec<(Rc<Parent>, u16)> =
-                    segs.iter().map(|s| (s.parent.clone(), s.part)).collect();
-                self.inner.engine.schedule_at(at, move || {
-                    let now_ns = engine.now().as_nanos();
-                    for (parent, part) in &parts {
-                        if let Some(ctx) = &parent.ctx {
-                            ctx.mark(*part, attempt, MarkKind::Done, now_ns);
-                        }
-                        parent.finish_part(&engine);
-                    }
-                });
-            }
-        }
+        self.inner
+            .engine
+            .schedule_at(at, move || phys.finish_parts(&engine));
     }
 
     // -- receiver path --------------------------------------------------------
@@ -1155,25 +1118,24 @@ impl HpbdClient {
         // once; send successes are unsolicited and never trigger it, so a
         // healthy run schedules no extra events through this path.
         let this = self.clone();
-        self.inner
-            .send_cq
-            .set_event_handler(move || this.on_send_events());
+        self.inner.send_cq.set_event_handler(move || {
+            this.drain_send_cq();
+            this.inner.send_cq.req_notify(true);
+        });
         self.inner.send_cq.req_notify(true);
     }
 
-    /// Send-CQ event: only fires for error completions (see
-    /// `install_receiver`); route them into the recovery path and re-arm.
-    fn on_send_events(&self) {
+    /// Drain send-side completions: successes carry no actions, but a
+    /// failed request send must enter the recovery path (the server never
+    /// saw the message, so no reply will ever come).
+    fn drain_send_cq(&self) {
         while let Some(c) = self.inner.send_cq.poll() {
             match c.status {
                 WcStatus::Success => {}
-                WcStatus::RetryExceeded | WcStatus::RnrRetryExceeded => {
-                    self.on_send_failed(c.wr_id);
-                }
+                WcStatus::RetryExceeded | WcStatus::RnrRetryExceeded => self.on_timeout(c.wr_id),
                 other => panic!("request send failed: {other:?}"),
             }
         }
-        self.inner.send_cq.req_notify(true);
     }
 
     /// The receiver thread body: drain all available replies in one burst,
@@ -1193,18 +1155,7 @@ impl HpbdClient {
             };
             self.handle_reply(conn_idx, completion.wr_id);
         }
-        // Drain send-side completions too: successes carry no actions, but
-        // a failed request send must enter the recovery path (the server
-        // never saw the message, so no reply will ever come).
-        while let Some(c) = inner.send_cq.poll() {
-            match c.status {
-                WcStatus::Success => {}
-                WcStatus::RetryExceeded | WcStatus::RnrRetryExceeded => {
-                    self.on_send_failed(c.wr_id);
-                }
-                other => panic!("request send failed: {other:?}"),
-            }
-        }
+        self.drain_send_cq();
         inner.recv_cq.req_notify(true);
     }
 
@@ -1226,20 +1177,14 @@ impl HpbdClient {
                 .expect("re-posting reply receive");
             decoded
         };
-        let message = match decoded {
-            Ok(message) => message,
-            Err(_) => {
-                // Signature validation failed (paper §4.1): drop the
-                // corrupt message; the requester's timeout recovers.
-                inner.stats.borrow_mut().bad_messages += 1;
-                return;
-            }
+        let Ok(message) = decoded else {
+            // Signature validation failed (paper §4.1): drop the
+            // corrupt message; the requester's timeout recovers.
+            inner.stats.borrow_mut().bad_messages += 1;
+            return;
         };
-        {
-            let mut stats = inner.stats.borrow_mut();
-            stats.messages += 1;
-            inner.ctr_messages.inc();
-        }
+        inner.stats.borrow_mut().messages += 1;
+        inner.ctr_messages.inc();
         let reply = match message {
             ServerMessage::Reply(reply) => reply,
             ServerMessage::Revoke(notice) => {
@@ -1247,22 +1192,14 @@ impl HpbdClient {
                 return;
             }
         };
-        let phys = {
-            let mut outstanding = inner.outstanding.borrow_mut();
-            // A reply may arrive after its request timed out (and was
-            // re-routed or failed), or from a server the request no longer
-            // targets after a failover reissue. Either way the timeout
-            // path already restored the credit; drop the stale reply.
-            match outstanding.remove(&reply.req_id()) {
-                Some(p) if p.server_idx == conn_idx => p,
-                Some(p) => {
-                    // Stale reply from a pre-failover server: the live
-                    // request still awaits its buddy's answer.
-                    outstanding.insert(reply.req_id(), p);
-                    return;
-                }
-                None => return,
-            }
+        // A reply may arrive after its request timed out (and was
+        // re-routed or failed), or from a server the request no longer
+        // targets after a failover reissue (the live request still awaits
+        // its buddy's answer). Either way the timeout path already restored
+        // the credit; drop the stale reply.
+        let phys = match inner.outstanding.borrow_mut().entry(reply.req_id()) {
+            Entry::Occupied(e) if e.get().server_idx == conn_idx => e.remove(),
+            _ => return,
         };
         if let Some(timer) = phys.timer.take() {
             inner.engine.cancel(timer);
@@ -1275,68 +1212,33 @@ impl HpbdClient {
         // force the request down the timeout path with its retry budget
         // exhausted: the server is dead-marked and the mirror/buddy serves
         // the data, exactly as if the restart had been noticed by a timer.
-        let gen_mismatch = {
-            let conns = inner.conns.borrow();
-            let conn = &conns[conn_idx];
-            let mismatch = reply.generation() != conn.generation.get();
-            if mismatch {
-                conn.generation.set(reply.generation());
-            }
-            mismatch
-        };
-        if gen_mismatch {
-            inner.stats.borrow_mut().epoch_wipes += 1;
-            inner.engine.metrics().inc("hpbd.epoch_wipes");
-            if inner.engine.trace_enabled() {
-                inner.engine.tracer().instant(
-                    "hpbd",
-                    "epoch_wipe",
-                    inner.engine.now().as_nanos(),
-                    &[("req", reply.req_id()), ("server", conn_idx as u64)],
-                );
-            }
-            let mut phys = phys;
-            phys.attempts = inner.config.max_retries;
-            let req_id = phys.req_id;
+        let expected = inner.conns.borrow()[conn_idx]
+            .generation
+            .replace(reply.generation());
+        if expected != reply.generation() {
+            self.note(&phys, Event::EpochWipe);
             // Every other in-flight request to this conn is equally doomed:
             // now that the expected generation is updated, their replies
             // would pass the check and a read could hand back stale-empty
-            // pages. Retire them all through the same path, in req-id
-            // order (the map is a BTreeMap, so this is deterministic).
-            let doomed: Vec<u64> = {
-                let mut outstanding = inner.outstanding.borrow_mut();
-                outstanding.insert(req_id, phys);
-                outstanding
-                    .iter_mut()
-                    .filter(|(_, p)| p.server_idx == conn_idx)
-                    .map(|(id, p)| {
-                        p.attempts = inner.config.max_retries;
-                        *id
-                    })
-                    .collect()
-            };
-            for id in doomed {
-                self.on_timeout(id);
+            // pages. Retire them all with this one, in req-id order (so
+            // the outcome is deterministic).
+            let mut doomed: Vec<Phys> = inner
+                .outstanding
+                .borrow_mut()
+                .extract_if(.., |_, p| p.server_idx == conn_idx)
+                .map(|(_, p)| p)
+                .collect();
+            doomed.push(phys);
+            doomed.sort_by_key(|p| p.req_id);
+            for mut phys in doomed {
+                phys.attempts = inner.config.max_retries;
+                self.retire(phys);
             }
             return;
         }
-        inner.stats.borrow_mut().replies += 1;
-        if phys.has_ctx() {
-            let now_ns = inner.engine.now().as_nanos();
-            for seg in phys.segs.as_slice() {
-                if let Some(ctx) = &seg.parent.ctx {
-                    ctx.mark(
-                        seg.part,
-                        phys.trace_attempt,
-                        MarkKind::ReplyReceived,
-                        now_ns,
-                    );
-                }
-            }
-            inner.engine.lifecycle().unregister_phys(phys.req_id);
-        }
+        self.note(&phys, Event::ReplyReceived);
         // Receiver-thread CPU cost per reply.
-        let proc = SimDuration::from_nanos(inner.config.reply_proc_ns);
+        let proc = SimDuration::from_nanos(REPLY_PROC_NS);
         let (_, t_proc) = inner.ibnode.node().cpu().reserve(inner.engine.now(), proc);
 
         // Credit returns; queued requests for this server may now go.
@@ -1351,86 +1253,41 @@ impl HpbdClient {
             }
         }
 
-        if reply.status() == ReplyStatus::StaleWrite {
-            // The server fenced this write: a newer version already covers
-            // every page it touched. From the block layer's point of view
-            // that is success — the superseding write is the state the
-            // device must converge to, and applying this one could only
-            // have undone it. Typical sources: a timed-out write whose
-            // original delivery landed late, or a failover reissue racing
-            // its own mirror copy.
-            debug_assert_eq!(phys.op, PageOp::Write);
-            debug_assert_eq!(reply.version(), phys.reply_version());
-            inner.stats.borrow_mut().stale_drops += 1;
-            inner.engine.metrics().inc("hpbd.stale_drops");
-            if inner.engine.trace_enabled() {
-                inner.engine.tracer().instant(
-                    "hpbd",
-                    "stale_write_dropped",
-                    inner.engine.now().as_nanos(),
-                    &[("req", phys.req_id), ("version", phys.reply_version())],
-                );
-            }
-            self.release_staging(&phys);
-            self.finish_parts_at(&phys, t_proc);
-            return;
-        }
-
-        if reply.status() != ReplyStatus::Ok {
-            let error = match reply.status() {
-                // The server's RDMA to/from our pool failed on the wire.
-                ReplyStatus::TransferError => IoError::Fault(FaultKind::LinkDown),
-                _ => IoError::DeviceError("hpbd server error"),
-            };
-            for seg in phys.segs.as_slice() {
-                seg.parent.error.set(Some(error));
-            }
-            self.release_staging(&phys);
-            self.finish_parts_at(&phys, t_proc);
-            return;
-        }
-
-        match phys.op {
-            PageOp::Write => {
+        let len = phys.len();
+        match (reply.status(), phys.op) {
+            (ReplyStatus::Ok, PageOp::Write) => {
                 debug_assert_eq!(reply.version(), phys.reply_version());
-                inner.stats.borrow_mut().bytes_out += phys.len;
-                self.release_staging(&phys);
-                self.finish_parts_at(&phys, t_proc);
+                inner.stats.borrow_mut().bytes_out += len;
             }
-            PageOp::Read => {
+            (ReplyStatus::Ok, PageOp::Read) => {
                 // Swap-in data was RDMA-WRITTEN into the staging buffer;
                 // copy it out to the page frames (no copy in the
                 // register-on-the-fly mode — the MR is the page memory).
-                inner.stats.borrow_mut().bytes_in += phys.len;
-                let (data, t_data) = match &phys.staging {
-                    Staging::Pool(buf) => {
-                        let mut data = self.take_data_buf(phys.len as usize);
-                        inner.pool_mr.read(buf.offset as usize, &mut data);
-                        let copy = inner.ibnode.memory_model().memcpy_time(phys.len);
+                inner.stats.borrow_mut().bytes_in += len;
+                let mut data = self.take_data_buf(len as usize);
+                let (region, at) = self.staging_span(&phys);
+                region.read(at as usize, &mut data);
+                let t_data = match &phys.staging {
+                    Staging::Pool(_) => {
+                        let copy = inner.ibnode.memory_model().memcpy_time(len);
                         let (_, t_copy) = inner.ibnode.node().cpu().reserve(t_proc, copy);
-                        if inner.engine.trace_enabled() {
-                            inner.engine.tracer().span(
-                                "hpbd",
-                                "unstage_copy",
-                                t_proc.as_nanos(),
-                                t_copy.as_nanos(),
-                                &[("req", phys.req_id), ("bytes", phys.len)],
-                            );
-                        }
-                        (data, t_copy)
+                        inner.engine.span(
+                            "hpbd",
+                            "unstage_copy",
+                            t_proc.as_nanos(),
+                            t_copy.as_nanos(),
+                            &[("req", phys.req_id), ("bytes", len)],
+                        );
+                        t_copy
                     }
-                    Staging::Ephemeral(mr) => {
-                        let mut data = self.take_data_buf(phys.len as usize);
-                        mr.read(0, &mut data);
-                        (data, t_proc)
-                    }
+                    Staging::Ephemeral(_) => t_proc,
                 };
                 let this = self.clone();
                 inner.engine.schedule_at(t_data, move || {
                     // Scatter each carried part out of the contiguous span
                     // at its running offset, then complete them all.
                     let mut at = 0usize;
-                    for seg in phys.segs.as_slice() {
+                    for seg in phys.segs.iter() {
                         let chunk = &data[at..at + seg.len as usize];
                         {
                             let parent = seg.parent.req.borrow();
@@ -1444,16 +1301,31 @@ impl HpbdClient {
                     }
                     this.recycle_data_buf(data);
                     this.release_staging(&phys);
-                    let now_ns = this.inner.engine.now().as_nanos();
-                    for seg in phys.segs.as_slice() {
-                        if let Some(ctx) = &seg.parent.ctx {
-                            ctx.mark(seg.part, phys.trace_attempt, MarkKind::Done, now_ns);
-                        }
-                        seg.parent.finish_part(&this.inner.engine);
-                    }
+                    phys.finish_parts(&this.inner.engine);
                 });
+                return;
+            }
+            (ReplyStatus::StaleWrite, _) => {
+                // The server fenced this write: a newer version already covers
+                // every page it touched. From the block layer's point of view
+                // that is success — the superseding write is the state the
+                // device must converge to, and applying this one could only
+                // have undone it. Typical sources: a timed-out write whose
+                // original delivery landed late, or a failover reissue racing
+                // its own mirror copy.
+                debug_assert_eq!(phys.op, PageOp::Write);
+                debug_assert_eq!(reply.version(), phys.reply_version());
+                self.note(&phys, Event::StaleDrop);
+            }
+            // The server's RDMA to/from our pool failed on the wire.
+            (ReplyStatus::TransferError, _) => {
+                phys.set_error(IoError::Fault(FaultKind::LinkDown));
+            }
+            (ReplyStatus::OutOfRange, _) => {
+                phys.set_error(IoError::DeviceError("hpbd server error"));
             }
         }
+        self.complete_at(phys, t_proc);
     }
 
     /// Pop a recycled swap-in data buffer (or grow a fresh one), sized and
@@ -1485,7 +1357,7 @@ impl HpbdClient {
                     .ibnode
                     .memory_model()
                     .calibration()
-                    .deregistration_time(phys.len);
+                    .deregistration_time(phys.len());
                 self.inner
                     .ibnode
                     .node()
@@ -1498,23 +1370,16 @@ impl HpbdClient {
 
     // -- hot-path batching (RDMAbox-style request merging) --------------------
 
-    fn alloc_req_id(&self) -> u64 {
-        let id = self.inner.next_req_id.get();
-        self.inner.next_req_id.set(id + 1);
-        id
-    }
-
     /// Park a part in its target server's merge accumulator and arm the
     /// window flush. Window 0 flushes at the same virtual instant, after
     /// every already-queued event — so a same-tick burst coalesces without
     /// delaying an isolated demand fault.
     fn batch_part(&self, server_idx: usize, part: PendingPart) {
         let inner = &self.inner;
-        let batch = inner.batch.borrow();
-        let state = &batch[server_idx];
-        state.pending.borrow_mut().push(part);
-        if !state.armed.get() {
-            state.armed.set(true);
+        let conns = inner.conns.borrow();
+        let conn = &conns[server_idx];
+        conn.batch.borrow_mut().push(part);
+        if !conn.batch_armed.replace(true) {
             let this = self.clone();
             let window = SimDuration::from_nanos(inner.config.merge_window_ns);
             inner
@@ -1532,10 +1397,10 @@ impl HpbdClient {
     fn flush_batch(&self, server_idx: usize) {
         let inner = &self.inner;
         let mut parts = {
-            let batch = inner.batch.borrow();
-            let state = &batch[server_idx];
-            state.armed.set(false);
-            let taken = std::mem::take(&mut *state.pending.borrow_mut());
+            let conns = inner.conns.borrow();
+            let conn = &conns[server_idx];
+            conn.batch_armed.set(false);
+            let taken = std::mem::take(&mut *conn.batch.borrow_mut());
             taken
         };
         if parts.is_empty() {
@@ -1548,8 +1413,7 @@ impl HpbdClient {
         // A merged span must fit the client pool and the server staging
         // pool with room to spare, or merging would manufacture pool
         // stalls that separate requests never hit.
-        let cap = (inner.config.server_staging_size.min(inner.config.pool_size) / 2).max(4096);
-        let max_segs = inner.config.max_merge_segments.clamp(1, MAX_MERGE_SEGMENTS);
+        let cap = (SERVER_STAGING_SIZE.min(inner.config.pool_size) / 2).max(4096);
         let keys: Vec<(bool, bool, u64, u64)> = parts
             .iter()
             .map(|p| {
@@ -1561,71 +1425,19 @@ impl HpbdClient {
                 )
             })
             .collect();
-        let ends = plan_merge(&keys, cap, max_segs);
-        let spooling = !inner.spool_active.get();
-        if spooling {
-            inner.spool_active.set(true);
-        }
+        let ends = plan_merge(&keys, cap, MAX_MERGE_SEGMENTS);
+        *inner.spool.borrow_mut() = Some(Vec::new());
         let mut rest = parts;
         let mut prev = 0;
         for end in ends {
             let tail = rest.split_off(end - prev);
             let group = std::mem::replace(&mut rest, tail);
             prev = end;
-            self.issue_group(server_idx, group);
+            let (op, is_mirror) = (group[0].op, group[0].is_mirror);
+            let segs = group.into_iter().map(|p| p.seg).collect();
+            self.issue(server_idx, op, is_mirror, segs);
         }
-        if spooling {
-            inner.spool_active.set(false);
-            self.drain_spool();
-        }
-    }
-
-    /// Issue one merged group (possibly a group of one) as a single
-    /// physical request through the normal staging path.
-    fn issue_group(&self, server_idx: usize, group: Vec<PendingPart>) {
-        let inner = &self.inner;
-        debug_assert!(!group.is_empty());
-        let op = group[0].op;
-        let is_mirror = group[0].is_mirror;
-        let server_offset = group[0].seg.server_offset;
-        let total: u64 = group.iter().map(|p| p.seg.len).sum();
-        let req_id = self.alloc_req_id();
-        let segs = if group.len() == 1 {
-            let mut it = group.into_iter();
-            // simlint: allow(I001): the branch condition just proved len == 1
-            Segs::One(it.next().unwrap().seg)
-        } else {
-            Segs::Many(group.into_iter().map(|p| p.seg).collect())
-        };
-        let had_space = inner.pool.free_bytes() >= total && inner.pool.queued_waiters() == 0;
-        if !had_space {
-            inner.stats.borrow_mut().pool_waits += 1;
-            inner.ctr_pool_waits.inc();
-            if inner.engine.trace_enabled() {
-                inner.engine.tracer().instant(
-                    "hpbd",
-                    "pool_wait",
-                    inner.engine.now().as_nanos(),
-                    &[("req", req_id), ("bytes", total)],
-                );
-            }
-        }
-        let this = self.clone();
-        inner.pool.alloc(total, move |pool_buf| {
-            this.stage_part(Phys {
-                req_id,
-                op,
-                server_idx,
-                server_offset,
-                len: total,
-                staging: Staging::Pool(pool_buf),
-                is_mirror,
-                timer: Cell::new(None),
-                attempts: 0,
-                trace_attempt: 0,
-                segs,
-            });
-        });
+        self.drain_spool();
     }
 
     /// Post the spooled WRs, one chained doorbell per run of same-server
@@ -1633,40 +1445,36 @@ impl HpbdClient {
     /// sits in `outstanding` with its timer armed, so each one routes
     /// through the ordinary send-failure recovery.
     fn drain_spool(&self) {
-        let entries: Vec<(usize, WorkRequest)> = {
-            let mut spool = self.inner.spool.borrow_mut();
-            if spool.is_empty() {
-                return;
-            }
-            spool.drain(..).collect()
-        };
+        let entries = self.inner.spool.borrow_mut().take().unwrap_or_default();
         let conns = self.inner.conns.borrow();
         let mut iter = entries.into_iter().peekable();
         while let Some((conn_idx, wr)) = iter.next() {
             let mut wr_ids = vec![wr.wr_id];
-            let conn = &conns[conn_idx];
-            let mut chain = conn.qp.chain();
+            let mut chain = conns[conn_idx].qp.chain();
             chain.push(wr);
-            while let Some((next_idx, _)) = iter.peek() {
-                if *next_idx != conn_idx {
-                    break;
-                }
-                // simlint: allow(I001): peek() just returned Some for this entry
-                let (_, wr) = iter.next().unwrap();
+            while let Some((_, wr)) = iter.next_if(|(idx, _)| *idx == conn_idx) {
                 wr_ids.push(wr.wr_id);
                 chain.push(wr);
             }
             if chain.post().is_err() {
-                let this = self.clone();
-                self.inner
-                    .engine
-                    .schedule_in(SimDuration::from_nanos(0), move || {
-                        for req_id in wr_ids {
-                            this.on_send_failed(req_id);
-                        }
-                    });
+                self.fail_sends_later(wr_ids);
             }
         }
+    }
+
+    /// The send queue rejected these requests: treat them like lost sends.
+    /// The recovery runs from the event loop, once each request sits in
+    /// `outstanding` with its timer armed, and enters the same
+    /// timeout/retry path as a wire-level send failure.
+    fn fail_sends_later(&self, req_ids: Vec<u64>) {
+        let this = self.clone();
+        self.inner
+            .engine
+            .schedule_in(SimDuration::from_nanos(0), move || {
+                for req_id in req_ids {
+                    this.on_timeout(req_id);
+                }
+            });
     }
 }
 
@@ -1715,18 +1523,15 @@ impl HpbdClient {
     fn on_revoke(&self, server_idx: usize, notice: RevokeNotice) {
         self.inner.stats.borrow_mut().revocations += 1;
         self.inner.engine.metrics().inc("hpbd.revocations");
-        if self.inner.engine.trace_enabled() {
-            self.inner.engine.tracer().instant(
-                "hpbd",
-                "revoke",
-                self.inner.engine.now().as_nanos(),
-                &[
-                    ("server", server_idx as u64),
-                    ("offset", notice.offset()),
-                    ("len", notice.len()),
-                ],
-            );
-        }
+        self.inner.engine.instant(
+            "hpbd",
+            "revoke",
+            &[
+                ("server", server_idx as u64),
+                ("offset", notice.offset()),
+                ("len", notice.len()),
+            ],
+        );
         let victims: Vec<usize> = {
             let map = self.inner.chunk_map.borrow();
             map.iter()
@@ -1762,8 +1567,8 @@ impl HpbdClient {
                 .any(|p| p.server_idx == server && p.touches_store(lo, hi));
             // Parts parked in the merge accumulator are in flight too: they
             // will hit the old location once their window closes.
-            let batch_busy = self.inner.batch.borrow()[server]
-                .pending
+            let batch_busy = conns[server]
+                .batch
                 .borrow()
                 .iter()
                 .any(|p| p.seg.server_offset < hi && lo < p.seg.server_offset + p.seg.len);
@@ -1805,14 +1610,11 @@ impl HpbdClient {
         );
         self.inner.stats.borrow_mut().migration_retries += 1;
         self.inner.engine.metrics().inc("hpbd.migration_retries");
-        if self.inner.engine.trace_enabled() {
-            self.inner.engine.tracer().instant(
-                "hpbd",
-                "migration_retry",
-                self.inner.engine.now().as_nanos(),
-                &[("chunk", chunk_idx as u64), ("attempt", attempts as u64)],
-            );
-        }
+        self.inner.engine.instant(
+            "hpbd",
+            "migration_retry",
+            &[("chunk", chunk_idx as u64), ("attempt", attempts as u64)],
+        );
         let this = self.clone();
         self.inner
             .engine
@@ -1906,14 +1708,11 @@ impl HpbdClient {
                         this2.inner.migrating.borrow_mut().remove(&chunk_idx);
                         this2.inner.stats.borrow_mut().migrations += 1;
                         this2.inner.engine.metrics().inc("hpbd.migrations");
-                        if this2.inner.engine.trace_enabled() {
-                            this2.inner.engine.tracer().instant(
-                                "hpbd",
-                                "migration_done",
-                                this2.inner.engine.now().as_nanos(),
-                                &[("chunk", chunk_idx as u64), ("server", new_server as u64)],
-                            );
-                        }
+                        this2.inner.engine.instant(
+                            "hpbd",
+                            "migration_done",
+                            &[("chunk", chunk_idx as u64), ("server", new_server as u64)],
+                        );
                         this2.release_deferred();
                     },
                 )));
@@ -1933,10 +1732,10 @@ impl HpbdClient {
     /// is the write-fencing stamp shared by every part (0 for reads).
     fn issue_parts(
         &self,
+        req: IoRequest,
         op: PageOp,
         version: u64,
         parts: Vec<(usize, u64, u64, u64)>,
-        parent: Rc<Parent>,
     ) {
         let inner = &self.inner;
         // Mirrored writes double the physical parts (one per replica).
@@ -1944,10 +1743,20 @@ impl HpbdClient {
         // cluster builder doubles server capacity in mirror mode), so they
         // never collide with the buddy's primary extent.
         let mirror = inner.config.mirror_writes && op == PageOp::Write;
+        let count = if mirror { 2 * parts.len() } else { parts.len() };
+        let parent = Rc::new(Parent {
+            started: inner.engine.now(),
+            parts: count,
+            ctx: req.lifecycle().cloned(),
+            req: RefCell::new(Some(req)),
+            remaining: Cell::new(count),
+            error: Cell::new(None),
+            latency_hist: match op {
+                PageOp::Read => inner.hist_swap_in.clone(),
+                PageOp::Write => inner.hist_swap_out.clone(),
+            },
+        });
         if mirror {
-            let extra = parts.len();
-            parent.remaining.set(parent.remaining.get() + extra);
-            parent.parts.set(parent.parts.get() + extra);
             assert!(
                 self.server_count() >= 2,
                 "mirrored writes need at least two servers"
@@ -1989,63 +1798,15 @@ impl HpbdClient {
                     version,
                     part,
                 };
-                match inner.config.staging {
-                    // Batching parks the part in the per-server accumulator;
-                    // the merge-window flush stages whole (possibly merged)
-                    // groups. Only the pool path batches: on-the-fly
-                    // registration has no contiguous staging span to merge
-                    // into.
-                    StagingMode::CopyToPool if inner.config.batching => {
-                        self.batch_part(target, PendingPart { op, is_mirror, seg });
-                    }
-                    StagingMode::CopyToPool => {
-                        let req_id = self.alloc_req_id();
-                        let this = self.clone();
-                        let had_space =
-                            inner.pool.free_bytes() >= len && inner.pool.queued_waiters() == 0;
-                        if !had_space {
-                            inner.stats.borrow_mut().pool_waits += 1;
-                            inner.ctr_pool_waits.inc();
-                            if inner.engine.trace_enabled() {
-                                inner.engine.tracer().instant(
-                                    "hpbd",
-                                    "pool_wait",
-                                    inner.engine.now().as_nanos(),
-                                    &[("req", req_id), ("bytes", len)],
-                                );
-                            }
-                        }
-                        inner.pool.alloc(len, move |pool_buf| {
-                            this.stage_part(Phys {
-                                req_id,
-                                op,
-                                server_idx: target,
-                                server_offset,
-                                len,
-                                staging: Staging::Pool(pool_buf),
-                                is_mirror,
-                                timer: Cell::new(None),
-                                attempts: 0,
-                                trace_attempt: 0,
-                                segs: Segs::One(seg),
-                            });
-                        });
-                    }
-                    StagingMode::RegisterOnFly => {
-                        self.stage_registered(Phys {
-                            req_id: self.alloc_req_id(),
-                            op,
-                            server_idx: target,
-                            server_offset,
-                            len,
-                            staging: Staging::Ephemeral(inner.ibnode.hca().register(len as usize)),
-                            is_mirror,
-                            timer: Cell::new(None),
-                            attempts: 0,
-                            trace_attempt: 0,
-                            segs: Segs::One(seg),
-                        });
-                    }
+                // Batching parks the part in the per-server accumulator;
+                // the merge-window flush issues whole (possibly merged)
+                // groups. Only the pool path batches: on-the-fly
+                // registration has no contiguous staging span to merge
+                // into.
+                if inner.config.batching && inner.config.staging == StagingMode::CopyToPool {
+                    self.batch_part(target, PendingPart { op, is_mirror, seg });
+                } else {
+                    self.issue(target, op, is_mirror, Segs::One(seg));
                 }
             }
         }
@@ -2072,6 +1833,7 @@ impl HpbdClient {
             return;
         }
         inner.stats.borrow_mut().requests += 1;
+        inner.ctr_requests.inc();
         let op = match req.op() {
             IoOp::Write => PageOp::Write,
             IoOp::Read => PageOp::Read,
@@ -2081,43 +1843,25 @@ impl HpbdClient {
         // only after its previous write completed), so submission order is
         // the order the fence must enforce.
         let version = match op {
-            PageOp::Write => {
-                let v = inner.next_version.get();
-                inner.next_version.set(v + 1);
-                v
-            }
+            PageOp::Write => inner.next_version.replace(inner.next_version.get() + 1),
             PageOp::Read => 0,
         };
-        inner.ctr_requests.inc();
-        let parts = self.split(req.offset(), req.len());
+        let parts = match inner.config.distribution {
+            Distribution::Blocking => self.split_blocking(req.offset(), req.len()),
+            Distribution::Striped { stripe_bytes } => {
+                self.split_striped(req.offset(), req.len(), stripe_bytes)
+            }
+        };
         if parts.len() > 1 {
             inner.stats.borrow_mut().split_requests += 1;
             engine.metrics().inc("hpbd.split_requests");
-            if engine.trace_enabled() {
-                engine.tracer().instant(
-                    "hpbd",
-                    "request_split",
-                    engine.now().as_nanos(),
-                    &[("parts", parts.len() as u64), ("bytes", req.len())],
-                );
-            }
+            engine.instant(
+                "hpbd",
+                "request_split",
+                &[("parts", parts.len() as u64), ("bytes", req.len())],
+            );
         }
-        let ctx = req.lifecycle().cloned();
-        let parent = Rc::new(Parent {
-            started: engine.now(),
-            op,
-            len: req.len(),
-            parts: Cell::new(parts.len()),
-            req: RefCell::new(Some(req)),
-            remaining: Cell::new(parts.len()),
-            error: Cell::new(None),
-            latency_hist: match op {
-                PageOp::Read => inner.hist_swap_in.clone(),
-                PageOp::Write => inner.hist_swap_out.clone(),
-            },
-            ctx,
-        });
-        self.issue_parts(op, version, parts, parent);
+        self.issue_parts(req, op, version, parts);
     }
 
     fn submit_internal(&self, req: IoRequest) {

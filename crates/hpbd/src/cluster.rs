@@ -168,12 +168,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Cap on parts per merged message (clamped to the wire format limit).
-    pub fn max_merge_segments(mut self, segs: usize) -> ClusterBuilder {
-        self.config.max_merge_segments = segs;
-        self
-    }
-
     /// Attach a deterministic fault plan. An EMPTY plan (the default) arms
     /// nothing: no link-fault handles, no scheduled events — the built
     /// cluster is bit-for-bit the unfaulted one.

@@ -28,24 +28,25 @@ pub enum StagingMode {
     RegisterOnFly,
 }
 
+/// Server staging buffer pool size.
+pub const SERVER_STAGING_SIZE: u64 = 1 << 20;
+/// Server idle time before it yields the CPU and sleeps (paper §4.2.3:
+/// 200 µs).
+pub const SERVER_IDLE_NS: u64 = 200_000;
+/// Client CPU cost to process one reply in the receiver thread.
+pub const REPLY_PROC_NS: u64 = 600;
+/// Server CPU cost to parse and dispatch one request.
+pub const REQUEST_PROC_NS: u64 = 800;
+
 /// Configuration of the HPBD client and servers.
 #[derive(Clone, Debug)]
 pub struct HpbdConfig {
     /// Client registered buffer pool size (paper default: 1 MiB,
     /// initialised at device load time).
     pub pool_size: u64,
-    /// Server staging buffer pool size.
-    pub server_staging_size: u64,
     /// Flow-control water-mark: maximum outstanding requests per server
     /// (equals the receive buffers pre-posted at each end).
     pub credits: usize,
-    /// Server idle time before it yields the CPU and sleeps (paper:
-    /// 200 µs).
-    pub server_idle_ns: u64,
-    /// Client CPU cost to process one reply in the receiver thread.
-    pub reply_proc_ns: u64,
-    /// Server CPU cost to parse and dispatch one request.
-    pub request_proc_ns: u64,
     /// Swap-area-to-server mapping.
     pub distribution: Distribution,
     /// Data staging strategy.
@@ -84,23 +85,16 @@ pub struct HpbdConfig {
     /// 0 (default): same-tick coalescing only — parts staged at the same
     /// virtual instant merge, an isolated demand fault is never delayed.
     /// Larger windows trade first-part latency for bigger merges. Only
-    /// meaningful with `batching`.
+    /// meaningful with `batching`. A merged message carries at most the
+    /// wire format's `proto::MAX_MERGE_SEGMENTS` parts.
     pub merge_window_ns: u64,
-    /// Most parts one merged message may carry; clamped to the wire
-    /// format's `proto::MAX_MERGE_SEGMENTS`. Only meaningful with
-    /// `batching`.
-    pub max_merge_segments: usize,
 }
 
 impl Default for HpbdConfig {
     fn default() -> HpbdConfig {
         HpbdConfig {
             pool_size: 1 << 20,
-            server_staging_size: 1 << 20,
             credits: 16,
-            server_idle_ns: 200_000,
-            reply_proc_ns: 600,
-            request_proc_ns: 800,
             distribution: Distribution::Blocking,
             staging: StagingMode::CopyToPool,
             mirror_writes: false,
@@ -110,7 +104,6 @@ impl Default for HpbdConfig {
             max_retries: 0,
             batching: false,
             merge_window_ns: 0,
-            max_merge_segments: crate::proto::MAX_MERGE_SEGMENTS,
         }
     }
 }
@@ -123,7 +116,7 @@ mod tests {
     fn defaults_match_paper() {
         let c = HpbdConfig::default();
         assert_eq!(c.pool_size, 1 << 20, "1MB default pool (paper §4.2.2)");
-        assert_eq!(c.server_idle_ns, 200_000, "200us idle sleep (paper §4.2.3)");
+        assert_eq!(SERVER_IDLE_NS, 200_000, "200us idle sleep (paper §4.2.3)");
         assert!(c.credits > 0);
         assert_eq!(
             c.distribution,
@@ -138,6 +131,5 @@ mod tests {
         assert!(!c.mirror_writes, "mirroring is out of the paper's scope");
         assert!(!c.batching, "batching is a post-paper optimisation");
         assert_eq!(c.merge_window_ns, 0, "same-tick coalescing by default");
-        assert_eq!(c.max_merge_segments, crate::proto::MAX_MERGE_SEGMENTS);
     }
 }

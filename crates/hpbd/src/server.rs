@@ -18,7 +18,7 @@
 //! receiver thread wakes (paper §5). The server itself sleeps after 200 µs
 //! of idling and is woken by the completion event of the next request.
 
-use crate::config::HpbdConfig;
+use crate::config::{HpbdConfig, REQUEST_PROC_NS, SERVER_IDLE_NS, SERVER_STAGING_SIZE};
 use crate::pool::{PoolBuf, SimBufferPool};
 use crate::proto::{
     ClientMessage, MergedRequest, PageOp, PageReply, PageRequest, ProtoError, ReplyStatus,
@@ -213,13 +213,11 @@ impl HpbdServer {
         let ibnode = fabric.add_node(name.to_string());
         // Staging pool is registered once at startup; charge the one-time
         // registration against the server CPU.
-        let reg_cost = fabric
-            .calibration()
-            .registration_time(config.server_staging_size);
+        let reg_cost = fabric.calibration().registration_time(SERVER_STAGING_SIZE);
         ibnode.node().cpu().reserve(engine.now(), reg_cost);
         let pd = Pd::new(ibnode.clone());
-        let staging_mr = pd.register(config.server_staging_size as usize);
-        let staging_pool = SimBufferPool::new(config.server_staging_size);
+        let staging_mr = pd.register(SERVER_STAGING_SIZE as usize);
+        let staging_pool = SimBufferPool::new(SERVER_STAGING_SIZE);
         let send_cq = pd.create_cq();
         let recv_cq = pd.create_cq();
         let server = HpbdServer {
@@ -351,14 +349,7 @@ impl HpbdServer {
         for p in pending {
             self.inner.staging_pool.free(p.staging);
         }
-        if self.inner.engine.trace_enabled() {
-            self.inner.engine.tracer().instant(
-                "hpbd_server",
-                "crash",
-                self.inner.engine.now().as_nanos(),
-                &[],
-            );
-        }
+        self.inner.engine.instant("hpbd_server", "crash", &[]);
     }
 
     /// Failure injection: the crashed daemon comes back up. The staging
@@ -380,7 +371,7 @@ impl HpbdServer {
             .ibnode
             .memory_model()
             .calibration()
-            .registration_time(inner.config.server_staging_size);
+            .registration_time(SERVER_STAGING_SIZE);
         inner.ibnode.node().cpu().reserve(inner.engine.now(), reg);
         // Receives consumed by the dead process go back on the QPs.
         let wire = MERGED_MAX_WIRE_SIZE as u64;
@@ -402,14 +393,7 @@ impl HpbdServer {
         inner.crashed.set(false);
         inner.last_activity.set(inner.engine.now());
         inner.recv_cq.req_notify(true);
-        if inner.engine.trace_enabled() {
-            inner.engine.tracer().instant(
-                "hpbd_server",
-                "restart",
-                inner.engine.now().as_nanos(),
-                &[],
-            );
-        }
+        inner.engine.instant("hpbd_server", "restart", &[]);
     }
 
     /// Record the recv completions a dead daemon would have consumed, so a
@@ -481,18 +465,15 @@ impl HpbdServer {
     fn note_activity(&self) {
         let now = self.inner.engine.now();
         let last = self.inner.last_activity.get();
-        if now.since(last).as_nanos() > self.inner.config.server_idle_ns {
+        if now.since(last).as_nanos() > SERVER_IDLE_NS {
             // The server had yielded the CPU; this arrival paid a wakeup.
             self.inner.stats.borrow_mut().wakeups += 1;
             self.inner.ctr_wakeups.inc();
-            if self.inner.engine.trace_enabled() {
-                self.inner.engine.tracer().instant(
-                    "hpbd_server",
-                    "wakeup",
-                    now.as_nanos(),
-                    &[("idle_ns", now.since(last).as_nanos())],
-                );
-            }
+            self.inner.engine.instant(
+                "hpbd_server",
+                "wakeup",
+                &[("idle_ns", now.since(last).as_nanos())],
+            );
         }
         self.inner.last_activity.set(now);
     }
@@ -561,20 +542,18 @@ impl HpbdServer {
         inner.stats.borrow_mut().requests += 1;
         inner.ctr_requests.inc();
         let started = inner.engine.now();
-        if inner.engine.lifecycle_enabled() {
-            // Route the mark back to the client-side span context by the
-            // physical request id; a merged id fans out to every carried
-            // part. Unknown ids (e.g. the context completed after a
-            // timeout) are a silent no-op.
-            inner.engine.lifecycle().mark_phys(
-                job.req_id,
-                MarkKind::ServerReceived,
-                started.as_nanos(),
-            );
-        }
+        // Route the mark back to the client-side span context by the
+        // physical request id; a merged id fans out to every carried
+        // part. Unknown ids (e.g. the context completed after a
+        // timeout) are a silent no-op.
+        inner.engine.lifecycle().mark_phys(
+            job.req_id,
+            MarkKind::ServerReceived,
+            started.as_nanos(),
+        );
         // CPU cost of parsing + dispatching the message — paid once per
         // wire message, which is exactly the overhead merging amortises.
-        let proc = SimDuration::from_nanos(inner.config.request_proc_ns);
+        let proc = SimDuration::from_nanos(REQUEST_PROC_NS);
         let (_, t_proc) = inner.ibnode.node().cpu().reserve(started, proc);
 
         if !self.validate(&job) {
@@ -593,7 +572,7 @@ impl HpbdServer {
 
     fn validate(&self, job: &Job) -> bool {
         job.len > 0
-            && job.len <= self.inner.config.server_staging_size
+            && job.len <= SERVER_STAGING_SIZE
             && job
                 .spans()
                 .all(|(offset, len, _)| len > 0 && self.inner.storage.in_range(offset, len))
@@ -698,13 +677,11 @@ impl HpbdServer {
                 // Swap-out: pull the page data from the client — ONE
                 // scatter-gather read for the whole merged span.
                 inner.stats.borrow_mut().rdma_reads += 1;
-                if inner.engine.lifecycle_enabled() {
-                    inner.engine.lifecycle().mark_phys(
-                        req_id,
-                        MarkKind::RdmaPosted,
-                        inner.engine.now().as_nanos(),
-                    );
-                }
+                inner.engine.lifecycle().mark_phys(
+                    req_id,
+                    MarkKind::RdmaPosted,
+                    inner.engine.now().as_nanos(),
+                );
                 self.post_rdma(
                     conn_idx,
                     WorkRequest {
@@ -720,15 +697,13 @@ impl HpbdServer {
                 let data = read_data.expect("gathered above for reads");
                 let copy = inner.ibnode.memory_model().memcpy_time(len);
                 let (_, t_copy) = inner.ibnode.node().cpu().reserve(inner.engine.now(), copy);
-                if inner.engine.trace_enabled() {
-                    inner.engine.tracer().span(
-                        "hpbd_server",
-                        "store_to_staging",
-                        inner.engine.now().as_nanos(),
-                        t_copy.as_nanos(),
-                        &[("bytes", len)],
-                    );
-                }
+                inner.engine.span(
+                    "hpbd_server",
+                    "store_to_staging",
+                    inner.engine.now().as_nanos(),
+                    t_copy.as_nanos(),
+                    &[("bytes", len)],
+                );
                 let this = self.clone();
                 inner.engine.schedule_at(t_copy, move || {
                     if this.inner.crashed.get() {
@@ -740,13 +715,11 @@ impl HpbdServer {
                     this.inner.staging_mr.write(staging.offset as usize, &data);
                     this.recycle_data_buf(data);
                     this.inner.stats.borrow_mut().rdma_writes += 1;
-                    if this.inner.engine.lifecycle_enabled() {
-                        this.inner.engine.lifecycle().mark_phys(
-                            req_id,
-                            MarkKind::RdmaPosted,
-                            this.inner.engine.now().as_nanos(),
-                        );
-                    }
+                    this.inner.engine.lifecycle().mark_phys(
+                        req_id,
+                        MarkKind::RdmaPosted,
+                        this.inner.engine.now().as_nanos(),
+                    );
                     this.post_rdma(
                         conn_idx,
                         WorkRequest {
@@ -822,13 +795,11 @@ impl HpbdServer {
         else {
             return; // state dropped by a crash between post and completion
         };
-        if inner.engine.lifecycle_enabled() {
-            inner.engine.lifecycle().mark_phys(
-                job.req_id,
-                MarkKind::RdmaDone,
-                inner.engine.now().as_nanos(),
-            );
-        }
+        inner.engine.lifecycle().mark_phys(
+            job.req_id,
+            MarkKind::RdmaDone,
+            inner.engine.now().as_nanos(),
+        );
         if status != WcStatus::Success {
             inner.staging_pool.free(staging);
             self.serve_span(&job, started, false);
@@ -839,15 +810,13 @@ impl HpbdServer {
         inner.staging_mr.read(staging.offset as usize, &mut data);
         let copy = inner.ibnode.memory_model().memcpy_time(job.len);
         let (_, t_copy) = inner.ibnode.node().cpu().reserve(inner.engine.now(), copy);
-        if inner.engine.trace_enabled() {
-            inner.engine.tracer().span(
-                "hpbd_server",
-                "staging_to_store",
-                inner.engine.now().as_nanos(),
-                t_copy.as_nanos(),
-                &[("bytes", job.len)],
-            );
-        }
+        inner.engine.span(
+            "hpbd_server",
+            "staging_to_store",
+            inner.engine.now().as_nanos(),
+            t_copy.as_nanos(),
+            &[("bytes", job.len)],
+        );
         let this = self.clone();
         inner.engine.schedule_at(t_copy, move || {
             if this.inner.crashed.get() {
@@ -928,13 +897,11 @@ impl HpbdServer {
         else {
             return; // state dropped by a crash between post and completion
         };
-        if inner.engine.lifecycle_enabled() {
-            inner.engine.lifecycle().mark_phys(
-                job.req_id,
-                MarkKind::RdmaDone,
-                inner.engine.now().as_nanos(),
-            );
-        }
+        inner.engine.lifecycle().mark_phys(
+            job.req_id,
+            MarkKind::RdmaDone,
+            inner.engine.now().as_nanos(),
+        );
         inner.staging_pool.free(staging);
         if status != WcStatus::Success {
             self.serve_span(&job, started, false);
@@ -965,10 +932,7 @@ impl HpbdServer {
     /// Emit the request-arrival -> reply trace span for one served request.
     fn serve_span(&self, job: &Job, started: SimTime, ok: bool) {
         let engine = &self.inner.engine;
-        if !engine.trace_enabled() {
-            return;
-        }
-        engine.tracer().span(
+        engine.span(
             "hpbd_server",
             match job.op {
                 PageOp::Write => "serve_write",
@@ -984,13 +948,11 @@ impl HpbdServer {
         if self.inner.crashed.get() {
             return; // a dead daemon sends nothing
         }
-        if self.inner.engine.lifecycle_enabled() {
-            self.inner.engine.lifecycle().mark_phys(
-                req_id,
-                MarkKind::ReplyPosted,
-                self.inner.engine.now().as_nanos(),
-            );
-        }
+        self.inner.engine.lifecycle().mark_phys(
+            req_id,
+            MarkKind::ReplyPosted,
+            self.inner.engine.now().as_nanos(),
+        );
         let reply = PageReply::new(req_id, status, version, self.inner.generation.get());
         let conns = self.inner.conns.borrow();
         // Best-effort: a reply squeezed out by a full send queue is

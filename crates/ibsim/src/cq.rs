@@ -166,14 +166,8 @@ impl CompletionQueue {
         };
         if let Some((handler, latency)) = fire {
             self.events_ctr.inc();
-            if self.engine.trace_enabled() {
-                self.engine.tracer().instant(
-                    "ibsim",
-                    "cq_event",
-                    self.engine.now().as_nanos(),
-                    &[("latency_ns", latency.as_nanos())],
-                );
-            }
+            self.engine
+                .instant("ibsim", "cq_event", &[("latency_ns", latency.as_nanos())]);
             self.engine.schedule_in(latency, move || handler());
         }
     }

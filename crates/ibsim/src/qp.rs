@@ -376,23 +376,18 @@ impl QueuePair {
                 Opcode::RdmaRead => "rdma_read",
                 Opcode::Recv => "recv",
             };
-            if this.engine.trace_enabled() {
-                this.engine.tracer().span(
-                    "ibsim",
-                    name,
-                    posted.as_nanos(),
-                    this.engine.now().as_nanos(),
-                    &[
-                        ("bytes", len),
-                        ("qp", this.qp_num as u64),
-                        ("ok", (status == WcStatus::Success) as u64),
-                    ],
-                );
-            }
-            if opcode == Opcode::Send
-                && status == WcStatus::Success
-                && this.engine.lifecycle_enabled()
-            {
+            this.engine.span(
+                "ibsim",
+                name,
+                posted.as_nanos(),
+                this.engine.now().as_nanos(),
+                &[
+                    ("bytes", len),
+                    ("qp", this.qp_num as u64),
+                    ("ok", (status == WcStatus::Success) as u64),
+                ],
+            );
+            if opcode == Opcode::Send && status == WcStatus::Success {
                 // The send completed: the message has left the wire. Only
                 // `Send` wr_ids share the request-id namespace the lifecycle
                 // registry keys on (RDMA wr_ids are server-local tokens).

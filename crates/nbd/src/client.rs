@@ -140,18 +140,16 @@ impl NbdClient {
                 let this = this.clone();
                 move |ok: bool| {
                     let engine = &this.inner.engine;
-                    if engine.trace_enabled() {
-                        engine.tracer().span(
-                            "nbd",
-                            match op {
-                                IoOp::Read => "request_read",
-                                IoOp::Write => "request_write",
-                            },
-                            started.as_nanos(),
-                            engine.now().as_nanos(),
-                            &[("handle", handle), ("bytes", len), ("ok", ok as u64)],
-                        );
-                    }
+                    engine.span(
+                        "nbd",
+                        match op {
+                            IoOp::Read => "request_read",
+                            IoOp::Write => "request_write",
+                        },
+                        started.as_nanos(),
+                        engine.now().as_nanos(),
+                        &[("handle", handle), ("bytes", len), ("ok", ok as u64)],
+                    );
                     let us = (engine.now().since(started).as_nanos() / 1_000) as f64;
                     engine.metrics().observe(
                         match op {
@@ -230,12 +228,7 @@ impl NbdClient {
             return;
         }
         inner.engine.metrics().inc("nbd.resets");
-        if inner.engine.trace_enabled() {
-            inner
-                .engine
-                .tracer()
-                .instant("nbd", "reset", inner.engine.now().as_nanos(), &[]);
-        }
+        inner.engine.instant("nbd", "reset", &[]);
         let inflight = inner.inflight.borrow_mut().take();
         if let Some(req) = inflight {
             req.complete(Err(IoError::Fault(FaultKind::Reset)));

@@ -14,9 +14,9 @@
 //!   window, in heap order — which is exactly `(time, seq)` order, so slot
 //!   FIFOs stay sequence-sorted.
 //! * [`ReferenceHeap`] — the seed implementation (a plain
-//!   `BinaryHeap<Scheduled>`), kept as a differential oracle. The
-//!   `reference-sched` cargo feature flips the engine default to this
-//!   scheduler so any run can be replayed against it.
+//!   `BinaryHeap<Scheduled>`), kept as a differential oracle that
+//!   `Engine::with_scheduler` / `set_default_scheduler` select at run time
+//!   so any run can be replayed against it.
 //!
 //! ## Determinism argument
 //!
@@ -381,7 +381,7 @@ impl TimingWheel {
 }
 
 /// The seed scheduler: a plain binary heap of boxed events, kept as the
-/// differential oracle behind the `reference-sched` feature.
+/// differential oracle.
 pub(crate) struct ReferenceHeap {
     heap: BinaryHeap<Scheduled>,
     /// Actions of still-pending events, keyed by seq. Cancel removes the

@@ -7,8 +7,7 @@
 //!   iteration-order-sensitive containers in simulation crates, no ambient
 //!   randomness, no OS threads outside the bench fan-out.
 //! * **I-rules** — invariants: no `unwrap()`/`expect()` on protocol paths,
-//!   every tracer emit guarded by `trace_enabled()`, `forbid(unsafe_code)`
-//!   in every crate root.
+//!   `forbid(unsafe_code)` in every crate root.
 //! * **A-rules** — API hygiene: no resurrected pre-builder cluster API, no
 //!   public fields on wire structs.
 //!
@@ -54,7 +53,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo { id: "D003", summary: "no ambient randomness (thread_rng/from_entropy/OsRng) — use seeded SimRng" },
     RuleInfo { id: "D004", summary: "no std::thread spawn/scope outside the sanctioned fan-out site" },
     RuleInfo { id: "I001", summary: "no unwrap()/expect() on protocol paths — surface typed IoError/ProtoError" },
-    RuleInfo { id: "I002", summary: "tracer/lifecycle emit sites must be guarded by trace_enabled()/lifecycle_enabled()" },
     RuleInfo { id: "I003", summary: "crate roots must carry #![forbid(unsafe_code)]" },
     RuleInfo { id: "A002", summary: "no pub fields on wire/protocol structs" },
     RuleInfo { id: "A003", summary: "no raw post_send outside ibsim — submit through the typed WrChain builder" },
@@ -483,14 +481,6 @@ pub fn check_file(
         }
     }
 
-    // ---- I002: guarded tracer emits ----------------------------------------
-    if enabled("I002") && rule_applies(&ctx.rel, &config.rule("I002")) {
-        let findings = check_emit_guards(ctx);
-        for (line, message) in findings {
-            push(ctx, "I002", line, message);
-        }
-    }
-
     // ---- I003: forbid(unsafe_code) in crate roots ---------------------------
     if enabled("I003") && rule_applies(&ctx.rel, &config.rule("I003")) && is_crate_root(&ctx.rel) {
         let mut found = false;
@@ -599,241 +589,6 @@ pub fn check_file(
     out
 }
 
-/// Scope-tracking walk for I002. Two families of hot-path emits, each with
-/// its own guard predicate:
-///
-/// * `tracer().<emit>(...)` must be lexically inside an `if` whose
-///   condition mentions `trace_enabled` (or a local bound from it, e.g.
-///   `let on = e.trace_enabled(); if on { .. }`), or after an early-return
-///   guard (`if !...trace_enabled() { return; }`) in the same function.
-/// * `lifecycle().<emit>(...)` for the per-request emit methods (`begin`,
-///   `mark_phys`, `note_fault`, `register_phys`, `unregister_phys`) must
-///   likewise sit under `lifecycle_enabled`, or under a span-context
-///   presence check (`if let Some(ctx) = ...` / `...ctx.is_some()`) —
-///   a context only exists when the hub was enabled at `begin`. Cold
-///   query/dump methods (`summary`, `dump_json`, ...) are exempt.
-fn check_emit_guards(ctx: &FileCtx) -> Vec<(u32, String)> {
-    /// Which enable flags a scope (or variable) proves are on. The two
-    /// dimensions are independent: `trace_enabled()` says nothing about
-    /// the lifecycle hub and vice versa.
-    #[derive(Clone, Copy, Default, PartialEq)]
-    struct Guards {
-        trace: bool,
-        lifecycle: bool,
-    }
-    impl Guards {
-        fn or(self, other: Guards) -> Guards {
-            Guards {
-                trace: self.trace || other.trace,
-                lifecycle: self.lifecycle || other.lifecycle,
-            }
-        }
-        fn any(self) -> bool {
-            self.trace || self.lifecycle
-        }
-    }
-    #[derive(Clone, Copy, PartialEq)]
-    enum Kind {
-        Block,
-        If { cond_guards: Guards },
-        Fn,
-    }
-    struct Scope {
-        guarded: Guards,
-        kind: Kind,
-        saw_return: bool,
-        /// `let` bindings in this scope whose initialiser mentions
-        /// `trace_enabled`/`lifecycle_enabled` (or another guard
-        /// variable): naming one in an `if` condition counts as a guard
-        /// for the same dimension(s).
-        guard_vars: Vec<(String, Guards)>,
-    }
-    /// Guards carried by variable `name` here, if any. Bindings are
-    /// function-local: the walk stops after the innermost `fn` scope.
-    fn guard_var(stack: &[Scope], name: &str) -> Guards {
-        for scope in stack.iter().rev() {
-            if let Some((_, g)) = scope.guard_vars.iter().find(|(v, _)| v == name) {
-                return *g;
-            }
-            if matches!(scope.kind, Kind::Fn) {
-                break;
-            }
-        }
-        Guards::default()
-    }
-    /// Lifecycle hub methods that run per request on the hot path; the
-    /// cold query/dump surface is exempt from the guard requirement.
-    const LIFECYCLE_EMITS: [&str; 5] = [
-        "begin",
-        "mark_phys",
-        "note_fault",
-        "register_phys",
-        "unregister_phys",
-    ];
-    let mut out = Vec::new();
-    let mut stack: Vec<Scope> = vec![Scope {
-        guarded: Guards::default(),
-        kind: Kind::Block,
-        saw_return: false,
-        guard_vars: Vec::new(),
-    }];
-    let mut pending: Option<Kind> = None;
-    let n = ctx.code.len();
-    for k in 0..n {
-        let t = ctx.tok(k);
-        if t.is_ident("if") {
-            // Scan the condition up to the body `{` at paren depth 0.
-            let mut guards = Guards::default();
-            let mut saw_ctx = false;
-            let mut saw_presence = false;
-            let mut depth = 0i32;
-            let mut j = k + 1;
-            while j < n {
-                let c = ctx.tok(j);
-                if c.is_punct('(') || c.is_punct('[') {
-                    depth += 1;
-                } else if c.is_punct(')') || c.is_punct(']') {
-                    depth -= 1;
-                } else if c.is_punct('{') && depth == 0 {
-                    break;
-                } else if c.is_ident("trace_enabled") {
-                    guards.trace = true;
-                } else if c.is_ident("lifecycle_enabled") {
-                    guards.lifecycle = true;
-                } else if c.kind == TokKind::Ident {
-                    guards = guards.or(guard_var(&stack, &c.text));
-                    if c.text == "ctx" {
-                        saw_ctx = true;
-                    }
-                    if c.text == "Some" || c.text == "is_some" {
-                        saw_presence = true;
-                    }
-                    // `has_ctx()` helpers assert span-context presence by
-                    // name: they exist only to wrap the Some-check.
-                    if c.text == "has_ctx" {
-                        saw_ctx = true;
-                        saw_presence = true;
-                    }
-                }
-                j += 1;
-            }
-            // `if let Some(ctx) = req.lifecycle()` / `if ....ctx.is_some()`:
-            // a span context exists only when the hub was enabled, so
-            // presence of `ctx` proves the lifecycle dimension.
-            if saw_ctx && saw_presence {
-                guards.lifecycle = true;
-            }
-            pending = Some(Kind::If {
-                cond_guards: guards,
-            });
-        } else if t.is_ident("fn") {
-            pending = Some(Kind::Fn);
-        } else if t.is_ident("let") {
-            // `let [mut] name [: ty] = <init>;` — record `name` as a guard
-            // variable when the initialiser mentions trace_enabled /
-            // lifecycle_enabled (or an existing guard variable). Pattern
-            // bindings (`let Some(x)`) are skipped: the next token after
-            // the name must be `=`/`:`.
-            let mut j = k + 1;
-            if j < n && ctx.tok(j).is_ident("mut") {
-                j += 1;
-            }
-            if j < n
-                && ctx.tok(j).kind == TokKind::Ident
-                && (ctx.punct_at(j + 1, '=') || ctx.punct_at(j + 1, ':'))
-            {
-                let name = ctx.tok(j).text.clone();
-                let mut depth = 0i32;
-                let mut m = j + 1;
-                let mut from_guard = Guards::default();
-                while m < n {
-                    let c = ctx.tok(m);
-                    if c.is_punct('(') || c.is_punct('[') || c.is_punct('{') {
-                        depth += 1;
-                    } else if c.is_punct(')') || c.is_punct(']') || c.is_punct('}') {
-                        depth -= 1;
-                    } else if c.is_punct(';') && depth == 0 {
-                        break;
-                    } else if c.is_ident("trace_enabled") {
-                        from_guard.trace = true;
-                    } else if c.is_ident("lifecycle_enabled") {
-                        from_guard.lifecycle = true;
-                    } else if c.kind == TokKind::Ident {
-                        from_guard = from_guard.or(guard_var(&stack, &c.text));
-                    }
-                    m += 1;
-                }
-                if from_guard.any() {
-                    if let Some(top) = stack.last_mut() {
-                        top.guard_vars.push((name, from_guard));
-                    }
-                }
-            }
-        } else if t.is_ident("return") {
-            if let Some(top) = stack.last_mut() {
-                top.saw_return = true;
-            }
-        } else if t.is_punct('{') {
-            let kind = pending.take().unwrap_or(Kind::Block);
-            let parent_guarded = stack.last().map(|s| s.guarded).unwrap_or_default();
-            let guarded = match kind {
-                Kind::Fn => Guards::default(),
-                Kind::If { cond_guards } => parent_guarded.or(cond_guards),
-                Kind::Block => parent_guarded,
-            };
-            stack.push(Scope {
-                guarded,
-                kind,
-                saw_return: false,
-                guard_vars: Vec::new(),
-            });
-        } else if t.is_punct('}') {
-            if stack.len() > 1 {
-                let done = stack.pop().expect("non-empty scope stack");
-                if let Kind::If { cond_guards } = done.kind {
-                    if cond_guards.any() && done.saw_return {
-                        // `if !trace_enabled() { return; }`: the rest of the
-                        // enclosing scope runs only when the emit is on.
-                        if let Some(top) = stack.last_mut() {
-                            top.guarded = top.guarded.or(cond_guards);
-                        }
-                    }
-                }
-            }
-        } else if (t.is_ident("tracer") || t.is_ident("lifecycle"))
-            && ctx.punct_at(k + 1, '(')
-            && ctx.punct_at(k + 2, ')')
-            && ctx.punct_at(k + 3, '.')
-            && k + 4 < n
-            && ctx.tok(k + 4).kind == TokKind::Ident
-            && ctx.punct_at(k + 5, '(')
-            && !(k >= 1 && ctx.punct_at(k - 1, ':'))
-            && !(k >= 1 && ctx.tok(k - 1).is_ident("fn"))
-        {
-            if ctx.in_test_at(k) {
-                continue;
-            }
-            let guarded = stack.last().map(|s| s.guarded).unwrap_or_default();
-            let method = &ctx.tok(k + 4).text;
-            if t.is_ident("tracer") && !guarded.trace {
-                out.push((
-                    t.line,
-                    format!("tracer().{method}(...) emit is not guarded by trace_enabled() — hot paths must skip argument marshalling when tracing is off"),
-                ));
-            } else if t.is_ident("lifecycle")
-                && LIFECYCLE_EMITS.contains(&method.as_str())
-                && !guarded.lifecycle
-            {
-                out.push((
-                    t.line,
-                    format!("lifecycle().{method}(...) emit is not guarded by lifecycle_enabled() (or a span-context presence check) — hot paths must skip attribution marshalling when the flight recorder is off"),
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// A002 walk: `pub` fields inside `struct Name { ... }` / `struct Name(...)`
 /// bodies.
 fn check_pub_fields(ctx: &FileCtx) -> Vec<(u32, String)> {
@@ -930,78 +685,6 @@ mod tests {
         let f = run("crates/x/src/a.rs", src, "I001");
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn i002_guard_forms() {
-        let guarded = "fn f(&self) { if self.engine.trace_enabled() { self.engine.tracer().instant(\"a\", \"b\", 0, &[]); } }";
-        assert!(run("crates/x/src/a.rs", guarded, "I002").is_empty());
-        let early = "fn f(&self) { if !engine.trace_enabled() { return; } engine.tracer().span(\"a\", \"b\", 0, 1, &[]); }";
-        assert!(run("crates/x/src/a.rs", early, "I002").is_empty());
-        let naked = "fn f(&self) { engine.tracer().instant(\"a\", \"b\", 0, &[]); }";
-        assert_eq!(run("crates/x/src/a.rs", naked, "I002").len(), 1);
-        // The guard does not leak across fn boundaries.
-        let leak = "fn f() { if trace_enabled() { } }\nfn g() { engine.tracer().instant(\"a\", \"b\", 0, &[]); }";
-        assert_eq!(run("crates/x/src/a.rs", leak, "I002").len(), 1);
-    }
-
-    #[test]
-    fn i002_guard_variables() {
-        // A local bound from trace_enabled() carries the guard.
-        let var = "fn f() { let on = engine.trace_enabled(); if on { engine.tracer().instant(\"a\", \"b\", 0, &[]); } }";
-        assert!(run("crates/x/src/a.rs", var, "I002").is_empty());
-        // Early-return through the variable guards the rest of the fn.
-        let early = "fn f() { let on = e.trace_enabled(); if !on { return; } e.tracer().span(\"a\", \"b\", 0, 1, &[]); }";
-        assert!(run("crates/x/src/a.rs", early, "I002").is_empty());
-        // Aliasing propagates: a guard var copied into another binding.
-        let alias = "fn f() { let on = e.trace_enabled(); let go = on; if go { e.tracer().instant(\"a\", \"b\", 0, &[]); } }";
-        assert!(run("crates/x/src/a.rs", alias, "I002").is_empty());
-        // An unrelated boolean does NOT guard.
-        let unrelated = "fn f() { let other = e.ready(); if other { e.tracer().instant(\"a\", \"b\", 0, &[]); } }";
-        assert_eq!(run("crates/x/src/a.rs", unrelated, "I002").len(), 1);
-        // Guard variables are function-local.
-        let cross = "fn f() { let on = e.trace_enabled(); }\nfn g(on: bool) { if on { e.tracer().instant(\"a\", \"b\", 0, &[]); } }";
-        assert_eq!(run("crates/x/src/a.rs", cross, "I002").len(), 1);
-        // `let mut` and a type annotation still register the binding.
-        let muts = "fn f() { let mut on: bool = e.trace_enabled(); if on { e.tracer().instant(\"a\", \"b\", 0, &[]); } }";
-        assert!(run("crates/x/src/a.rs", muts, "I002").is_empty());
-    }
-
-    #[test]
-    fn i002_lifecycle_emits() {
-        // The enabled() guard covers direct hub emits.
-        let guarded = "fn f() { if e.lifecycle_enabled() { e.lifecycle().mark_phys(1, MarkKind::Posted, 0); } }";
-        assert!(run("crates/x/src/a.rs", guarded, "I002").is_empty());
-        // A span-context presence check proves the hub was enabled.
-        let presence = "fn f() { if let Some(ctx) = &phys.parent.ctx { e.lifecycle().register_phys(1, ctx, 0, 0); } }";
-        assert!(run("crates/x/src/a.rs", presence, "I002").is_empty());
-        let is_some =
-            "fn f() { if phys.parent.ctx.is_some() { e.lifecycle().unregister_phys(1); } }";
-        assert!(run("crates/x/src/a.rs", is_some, "I002").is_empty());
-        // A has_ctx() presence helper proves the same thing.
-        let helper = "fn f() { if phys.has_ctx() { e.lifecycle().unregister_phys(1); } }";
-        assert!(run("crates/x/src/a.rs", helper, "I002").is_empty());
-        // Naked hot-path emits are findings.
-        let naked = "fn f() { e.lifecycle().note_fault(true); }";
-        assert_eq!(run("crates/x/src/a.rs", naked, "I002").len(), 1);
-        // The two guard dimensions are independent: trace_enabled() does
-        // not license a lifecycle emit, nor the other way around.
-        let wrong = "fn f() { if e.trace_enabled() { e.lifecycle().begin(d, false, 0, 0); } }";
-        assert_eq!(run("crates/x/src/a.rs", wrong, "I002").len(), 1);
-        let wrong2 =
-            "fn f() { if e.lifecycle_enabled() { e.tracer().instant(\"a\", \"b\", 0, &[]); } }";
-        assert_eq!(run("crates/x/src/a.rs", wrong2, "I002").len(), 1);
-        // Cold query/dump methods need no guard.
-        let cold =
-            "fn f() { let s = e.lifecycle().dump_json(\"hpbd0\"); e.lifecycle().summary(); }";
-        assert!(run("crates/x/src/a.rs", cold, "I002").is_empty());
-        // A guard variable bound from lifecycle_enabled() carries only
-        // the lifecycle dimension.
-        let var =
-            "fn f() { let on = e.lifecycle_enabled(); if on { e.lifecycle().note_fault(false); } }";
-        assert!(run("crates/x/src/a.rs", var, "I002").is_empty());
-        let varwrong = "fn f() { let on = e.lifecycle_enabled(); if on { e.tracer().instant(\"a\", \"b\", 0, &[]); } }";
-        assert_eq!(run("crates/x/src/a.rs", varwrong, "I002").len(), 1);
     }
 
     #[test]

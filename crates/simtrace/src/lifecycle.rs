@@ -621,9 +621,7 @@ struct HubInner {
 /// per-device flight recorders.
 ///
 /// A disabled hub (the default) is a no-op handle: every call is an
-/// early-out branch, so instrumented code may call it unconditionally —
-/// though hot paths should still guard on
-/// [`LifecycleHub::is_enabled`] to skip argument marshalling.
+/// early-out branch, so instrumented code calls it unconditionally.
 #[derive(Clone, Default)]
 pub struct LifecycleHub {
     inner: Option<Rc<HubInner>>,
@@ -672,15 +670,17 @@ impl LifecycleHub {
     }
 
     /// Start a request context for `device`. Returns `None` when the
-    /// hub is disabled.
+    /// hub is disabled — before the device name is interned, so a
+    /// disabled hub costs the caller one branch.
     pub fn begin(
         &self,
-        device: &'static str,
+        device: &str,
         write: bool,
         bytes: u64,
         submit_ns: u64,
     ) -> Option<Rc<RequestCtx>> {
         let inner = self.inner.as_ref()?;
+        let device = crate::intern(device);
         let req = inner.next_req.get();
         inner.next_req.set(req + 1);
         Some(Rc::new(RequestCtx {
@@ -698,27 +698,14 @@ impl LifecycleHub {
         }))
     }
 
-    /// Bind physical request id `phys` to `(ctx, part, attempt)` so
-    /// server-side and HCA marks can reach the context. Re-registering
-    /// (a retry with a bumped attempt) overwrites.
-    pub fn register_phys(&self, phys: u64, ctx: &Rc<RequestCtx>, part: u16, attempt: u16) {
-        if let Some(inner) = &self.inner {
-            inner.registry.borrow_mut().insert(
-                phys,
-                vec![PhysEntry {
-                    ctx: ctx.clone(),
-                    part,
-                    attempt,
-                }],
-            );
-        }
-    }
-
-    /// Bind one physical request id to several `(ctx, part, attempt)`
-    /// triples at once — a merged wire message carrying multiple logical
-    /// parts. Marks routed to `phys` fan out to every binding with the
-    /// same timestamp, so each part's phase tiling stays exact.
-    pub fn register_phys_many(
+    /// Bind physical request id `phys` to the `(ctx, part, attempt)` of
+    /// every logical part its wire message carries (one for a plain
+    /// request, several for a merged one) so server-side and HCA marks can
+    /// reach the contexts. Marks routed to `phys` fan out to every binding
+    /// with the same timestamp, so each part's phase tiling stays exact.
+    /// Re-registering (a retry with a bumped attempt) overwrites; an empty
+    /// binding list (no part is traced) registers nothing.
+    pub fn register_phys(
         &self,
         phys: u64,
         bindings: impl IntoIterator<Item = (Rc<RequestCtx>, u16, u16)>,
@@ -963,7 +950,7 @@ mod tests {
         let c = ctx(&hub);
         let p = c.alloc_part();
         c.mark(p, 0, MarkKind::Posted, 110);
-        hub.register_phys(42, &c, p, 0);
+        hub.register_phys(42, [(c.clone(), p, 0)]);
         hub.mark_phys(42, MarkKind::ServerReceived, 130);
         hub.mark_phys(999, MarkKind::ServerReceived, 140); // unknown: no-op
         hub.unregister_phys(42);

@@ -325,16 +325,12 @@ impl DirectBackend {
         self.in_flight.set(self.in_flight.get() + 1);
 
         let mut req = IoRequest::single(Bio::new(op, offset, buf, done));
-        let lifecycle = if self.engine.lifecycle_enabled() {
-            self.engine.lifecycle().begin(
-                simtrace::intern(self.dev.name()),
-                op == IoOp::Write,
-                bytes,
-                now.as_nanos(),
-            )
-        } else {
-            None
-        };
+        let lifecycle = self.engine.lifecycle().begin(
+            self.dev.name(),
+            op == IoOp::Write,
+            bytes,
+            now.as_nanos(),
+        );
         if let Some(ctx) = &lifecycle {
             req.set_lifecycle(ctx.clone());
         }
@@ -378,15 +374,13 @@ impl DirectBackend {
                 IoOp::Write => ("write", "direct.swap_out_latency_us"),
             };
             metrics.observe(hist, us);
-            if engine.trace_enabled() {
-                engine.tracer().span(
-                    "directswap",
-                    name,
-                    now.as_nanos(),
-                    done_at.as_nanos(),
-                    &[("bytes", bytes), ("polled", polling as u64)],
-                );
-            }
+            engine.span(
+                "directswap",
+                name,
+                now.as_nanos(),
+                done_at.as_nanos(),
+                &[("bytes", bytes), ("polled", polling as u64)],
+            );
             if let Some(ctx) = &lifecycle {
                 ctx.end(done_at.as_nanos(), result.is_ok());
             }

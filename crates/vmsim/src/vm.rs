@@ -462,9 +462,7 @@ impl Vm {
         inner.clock.push_back(key);
         inner.epoch.set(inner.epoch.get() + 1);
         inner.stats.zero_fills += 1;
-        if self.engine.lifecycle_enabled() {
-            self.engine.lifecycle().note_fault(false);
-        }
+        self.engine.lifecycle().note_fault(false);
         self.maybe_wake_kswapd(inner);
         Ok(inner.frames.buffer(frame))
     }
@@ -483,9 +481,7 @@ impl Vm {
         };
         inner.stats.major_faults += 1;
         inner.stats.swap_ins += 1;
-        if self.engine.lifecycle_enabled() {
-            self.engine.lifecycle().note_fault(true);
-        }
+        self.engine.lifecycle().note_fault(true);
         // Kernel fault-path cost.
         let cost = SimDuration::from_nanos(self.cal.compute.fault_ns);
         self.node.cpu().reserve(self.engine.now(), cost);
@@ -584,15 +580,13 @@ impl Vm {
                 major,
             }) => {
                 let now = self.engine.now();
-                if self.engine.trace_enabled() {
-                    self.engine.tracer().span(
-                        "vmsim",
-                        if major { "fault" } else { "readahead" },
-                        started.as_nanos(),
-                        now.as_nanos(),
-                        &[("vpn", key.1), ("dev", slot.dev as u64)],
-                    );
-                }
+                self.engine.span(
+                    "vmsim",
+                    if major { "fault" } else { "readahead" },
+                    started.as_nanos(),
+                    now.as_nanos(),
+                    &[("vpn", key.1), ("dev", slot.dev as u64)],
+                );
                 if major {
                     self.engine
                         .metrics()
@@ -661,15 +655,13 @@ impl Vm {
                         let started = t.started;
                         let issued = t.issued;
                         inner.throttle = None;
-                        if self.engine.trace_enabled() {
-                            self.engine.tracer().span(
-                                "vmsim",
-                                "reclaim_throttle",
-                                started.as_nanos(),
-                                self.engine.now().as_nanos(),
-                                &[("pageouts", issued as u64)],
-                            );
-                        }
+                        self.engine.span(
+                            "vmsim",
+                            "reclaim_throttle",
+                            started.as_nanos(),
+                            self.engine.now().as_nanos(),
+                            &[("pageouts", issued as u64)],
+                        );
                     }
                 }
                 self.notify_waiters(&mut inner);
@@ -763,14 +755,8 @@ impl Vm {
                 let writes = self.reclaim(&mut inner, batch);
                 inner.swap.reap_all();
                 self.ctrs.kswapd_batches.inc();
-                if self.engine.trace_enabled() {
-                    self.engine.tracer().instant(
-                        "vmsim",
-                        "kswapd_batch",
-                        self.engine.now().as_nanos(),
-                        &[("pageouts", writes as u64)],
-                    );
-                }
+                self.engine
+                    .instant("vmsim", "kswapd_batch", &[("pageouts", writes as u64)]);
                 true
             }
         };

@@ -23,7 +23,8 @@ use simfault::FaultPlan;
 use std::cell::RefCell;
 use std::rc::Rc;
 use vmsim::{
-    AddressSpace, BlockBackend, DirectBackend, DirectConfig, SwapBackend, Vm, VmConfig, VmStats,
+    AddressSpace, BlockBackend, DirectBackend, DirectConfig, DirectStats, SwapBackend, Vm,
+    VmConfig, VmStats,
 };
 
 /// Which swap back-end a scenario uses.
@@ -143,6 +144,10 @@ pub struct RunReport {
     pub write_latency_us: (f64, f64, u64),
     /// HPBD client counters (None for non-HPBD scenarios).
     pub hpbd_client: Option<hpbd::ClientStats>,
+    /// Direct-path poll counters (None on the block path). Snapshotted
+    /// with the rest of the report, before any debug-only proof walk
+    /// re-faults pages through the backend.
+    pub direct: Option<DirectStats>,
     /// Metrics registry snapshot at report time (counters, gauges,
     /// latency histograms — see `simtrace`).
     pub metrics: MetricsSnapshot,
@@ -346,6 +351,7 @@ impl Scenario {
             read_latency_us,
             write_latency_us,
             hpbd_client: self.hpbd.as_ref().map(|c| c.client.stats()),
+            direct: self.direct.as_ref().map(|d| d.stats()),
             metrics: self.engine.metrics().snapshot(),
             events: self.engine.events_executed(),
             lifecycle: if self.engine.lifecycle_enabled() {

@@ -122,6 +122,25 @@ fn crashed_server_requests_still_tile_exactly_including_failovers() {
         .find(|r| r.failovers > 0)
         .expect("ring retains at least one failed-over request");
     assert!(recovered.phase_ns[Phase::RetryOverhead as usize] > 0);
+    // Every client counter that has a registry twin moved with it.
+    for (name, stat) in [
+        ("hpbd.requests", stats.requests),
+        ("hpbd.split_requests", stats.split_requests),
+        ("hpbd.phys_requests", stats.phys_requests),
+        ("hpbd.messages", stats.messages),
+        ("hpbd.receiver_wakeups", stats.receiver_wakeups),
+        ("hpbd.pool_waits", stats.pool_waits),
+        ("hpbd.credit_stalls", stats.flow_stalls),
+        ("hpbd.timeouts", stats.timeouts),
+        ("hpbd.retries", stats.retries),
+        ("hpbd.failovers", stats.failovers),
+        ("hpbd.mirror_drops", stats.mirror_drops),
+        ("hpbd.stale_drops", stats.stale_drops),
+        ("hpbd.epoch_wipes", stats.epoch_wipes),
+    ] {
+        let twin = report.metrics.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(twin, stat, "{name} disagrees with ClientStats");
+    }
 }
 
 #[test]

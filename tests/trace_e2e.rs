@@ -1,9 +1,11 @@
 //! End-to-end observability tests: a quicksort-over-HPBD scenario traced
-//! twice must export byte-identical Chrome trace files, and the exported
+//! twice must export byte-identical Chrome trace files, the exported
 //! document must be well-formed Chrome trace-event JSON with spans from
-//! every instrumented layer.
+//! every instrumented layer, and turning the tracer or the lifecycle hub
+//! on must not change what the simulation does.
 
 use hpbd_suite::simcore::TraceSession;
+use hpbd_suite::simfault::FaultPlan;
 use hpbd_suite::simtrace::json;
 use hpbd_suite::workloads::{Scenario, ScenarioConfig, SwapKind};
 use std::collections::BTreeSet;
@@ -97,4 +99,40 @@ fn exported_trace_is_valid_chrome_trace_event_json() {
         components.len() >= 4,
         "expected spans from at least 4 components, got {components:?}"
     );
+}
+
+/// Emit sites are unguarded: they call the tracer and the lifecycle hub
+/// whether or not either records. So observation must be invisible — the
+/// same seed, through message loss, retries, a server crash and failovers,
+/// does the same thing with the tracer on, the lifecycle hub on, or both
+/// off.
+#[test]
+fn observation_does_not_perturb_a_faulted_run() {
+    let run = |traced: bool, lifecycle: bool| {
+        let mut session = TraceSession::new(traced);
+        let mut config = ScenarioConfig::new(2 * MB, 16 * MB, SwapKind::Hpbd { servers: 4 });
+        config.hpbd.mirror_writes = true;
+        config.hpbd.request_timeout_ns = Some(2_000_000);
+        config.hpbd.max_retries = 1;
+        config.fault_plan = FaultPlan::new()
+            .message_loss(5_000_000, 1, 3)
+            .server_crash(10_000_000, 0);
+        config.tracer = Some(session.tracer_for("HPBD-4-mirror"));
+        config.record_lifecycle = lifecycle;
+        let report = Scenario::build(&config).run_qsort(512 * 1024, 11);
+        let client = report.hpbd_client.expect("hpbd scenario");
+        assert!(client.retries > 0, "the lost messages must force retries");
+        assert!(client.failovers > 0, "the crash must force failovers");
+        assert_eq!(report.lifecycle.is_some(), lifecycle);
+        (
+            report.elapsed,
+            report.events,
+            report.metrics,
+            format!("{:?}", report.vm),
+            format!("{client:?}"),
+        )
+    };
+    let dark = run(false, false);
+    assert_eq!(dark, run(true, false), "the tracer perturbed the run");
+    assert_eq!(dark, run(false, true), "the hub perturbed the run");
 }
