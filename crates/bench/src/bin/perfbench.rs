@@ -77,26 +77,46 @@ impl FigureResult {
     }
 }
 
-fn main() {
-    let mut smoke = false;
-    let mut out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut common = CommonArgs::default();
-    let mut args = std::env::args().skip(1);
+/// The parsed command line.
+struct Opts {
+    smoke: bool,
+    out: Option<PathBuf>,
+    baseline: Option<PathBuf>,
+    common: CommonArgs,
+}
+
+/// Parse the arguments after the program name. A missing or malformed
+/// value is an error, never a silent default: `--scale 1x` must not run
+/// scale 16 and compare it against a baseline.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+    let mut opts = Opts {
+        smoke: false,
+        out: None,
+        baseline: None,
+        common: CommonArgs::default(),
+    };
     while let Some(arg) = args.next() {
-        let mut take = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} requires a value");
-                std::process::exit(2);
-            })
+        let mut int = || -> Result<u64, String> {
+            args.next()
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{arg} requires an integer value"))
         };
         match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--scale" => common.scale = take("--scale").parse().unwrap_or(16).max(1),
-            "--seed" => common.seed = take("--seed").parse().unwrap_or(42),
-            "--threads" => common.threads = take("--threads").parse().unwrap_or(1),
-            "--out" => out = Some(PathBuf::from(take("--out"))),
-            "--baseline" => baseline = Some(PathBuf::from(take("--baseline"))),
+            "--smoke" => opts.smoke = true,
+            "--scale" => opts.common.scale = int()?.max(1),
+            "--seed" => opts.common.seed = int()?,
+            "--threads" => opts.common.threads = int()? as usize,
+            "--out" | "--baseline" => {
+                let path = args
+                    .next()
+                    .ok_or_else(|| format!("{arg} requires a file path"))?;
+                let slot = if arg == "--out" {
+                    &mut opts.out
+                } else {
+                    &mut opts.baseline
+                };
+                *slot = Some(PathBuf::from(path));
+            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: perfbench [--smoke] [--scale N] [--seed N] [--threads N] \
@@ -104,12 +124,22 @@ fn main() {
                 );
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument: {other} (try --help)");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other} (try --help)")),
         }
     }
+    Ok(opts)
+}
+
+fn main() {
+    let Opts {
+        smoke,
+        out,
+        baseline,
+        mut common,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     if smoke {
         common.scale = common.scale.max(256);
     }
@@ -604,6 +634,30 @@ mod tests {
             rows.join(", ")
         );
         simtrace::json::parse(&doc).unwrap()
+    }
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn malformed_numbers_are_rejected_not_defaulted() {
+        let opts = parse(&["--smoke", "--scale", "64", "--seed", "7", "--threads", "2"]).unwrap();
+        assert!(opts.smoke);
+        assert_eq!(
+            (opts.common.scale, opts.common.seed, opts.common.threads),
+            (64, 7, 2)
+        );
+        for bad in [
+            &["--scale", "1x"][..],
+            &["--seed", "-1"],
+            &["--threads", "two"],
+            &["--scale"],
+            &["--out"],
+            &["--bogus"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be an error");
+        }
     }
 
     #[test]

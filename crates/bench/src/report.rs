@@ -73,40 +73,6 @@ pub fn hpbd_note(report: &workloads::RunReport) -> String {
     }
 }
 
-/// Phase-attribution note for a row — empty unless the run recorded a
-/// flight recorder (`--lifecycle`) and saw swap traffic.
-pub fn lifecycle_note(report: &workloads::RunReport) -> String {
-    let Some(summary) = &report.lifecycle else {
-        return String::new();
-    };
-    let mut total = 0u64;
-    let mut phase_ns = [0u64; simtrace::NUM_PHASES];
-    for dev in &summary.devices {
-        total += dev.total;
-        for (p, ns) in phase_ns.iter_mut().enumerate() {
-            *ns += dev.phase_total_ns(simtrace::Phase::ALL[p]);
-        }
-    }
-    if total == 0 {
-        return String::new();
-    }
-    let sum: u64 = phase_ns.iter().sum();
-    if sum == 0 {
-        return String::new();
-    }
-    // The two dominant phases tell the story in a table cell.
-    let mut idx: Vec<usize> = (0..simtrace::NUM_PHASES).collect();
-    idx.sort_by_key(|&p| std::cmp::Reverse(phase_ns[p]));
-    let pct = |p: usize| phase_ns[p] as f64 * 100.0 / sum as f64;
-    format!(
-        " phases: {} {:.0}%, {} {:.0}%",
-        simtrace::Phase::NAMES[idx[0]],
-        pct(idx[0]),
-        simtrace::Phase::NAMES[idx[1]],
-        pct(idx[1])
-    )
-}
-
 /// Print per-configuration metrics summaries (the `--metrics` flag).
 pub fn print_metrics<'a>(runs: impl IntoIterator<Item = (&'a str, &'a MetricsSnapshot)>) {
     for (label, snapshot) in runs {

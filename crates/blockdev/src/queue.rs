@@ -135,11 +135,6 @@ impl RequestQueue {
         self.log.clone()
     }
 
-    /// Bios staged and not yet flushed.
-    pub fn staged_len(&self) -> usize {
-        self.staged.borrow().len()
-    }
-
     /// Stage a bio ("plugged" submission). Call [`RequestQueue::flush`] to
     /// dispatch — mirroring the kernel's plug/unplug batching that gives
     /// adjacent swap pages a chance to merge.

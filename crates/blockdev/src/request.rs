@@ -204,20 +204,10 @@ impl IoRequest {
     }
 
     /// Concatenate the bytes of the sub-range `start..start+len` (relative
-    /// to the request start) across bio buffers. Used when a request is
-    /// split into physical requests to different servers.
-    ///
-    /// # Panics
-    /// Panics if the range exceeds the request.
-    pub fn gather_range(&self, start: u64, len: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len as usize);
-        self.gather_range_into(start, len, &mut out);
-        out
-    }
-
-    /// [`IoRequest::gather_range`] into a caller-owned buffer (cleared
-    /// first), so drivers staging many parts can reuse one scratch
-    /// allocation instead of building a fresh `Vec` per part.
+    /// to the request start) across bio buffers into a caller-owned buffer
+    /// (cleared first). Used when a request is split into physical
+    /// requests to different servers; drivers staging many parts reuse one
+    /// scratch allocation instead of building a fresh `Vec` per part.
     ///
     /// # Panics
     /// Panics if the range exceeds the request.
@@ -383,10 +373,14 @@ mod tests {
     #[test]
     fn gather_range_spans_bio_boundaries() {
         let req = IoRequest::from_bios(vec![bio_at(0, 4, 1), bio_at(4, 4, 2), bio_at(8, 4, 3)]);
+        // Stale content must be cleared.
+        let mut out = vec![7u8; 3];
         // Range covering the tail of bio 0, all of bio 1, head of bio 2.
-        assert_eq!(req.gather_range(2, 8), vec![1, 1, 2, 2, 2, 2, 3, 3]);
+        req.gather_range_into(2, 8, &mut out);
+        assert_eq!(out, vec![1, 1, 2, 2, 2, 2, 3, 3]);
         // Degenerate full range equals gather().
-        assert_eq!(req.gather_range(0, 12), req.gather());
+        req.gather_range_into(0, 12, &mut out);
+        assert_eq!(out, req.gather());
     }
 
     #[test]
@@ -406,6 +400,6 @@ mod tests {
     #[should_panic(expected = "gather_range out of request")]
     fn gather_range_bounds_checked() {
         let req = IoRequest::single(bio_at(0, 4, 0));
-        req.gather_range(2, 4);
+        req.gather_range_into(2, 4, &mut Vec::new());
     }
 }

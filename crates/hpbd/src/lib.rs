@@ -8,11 +8,9 @@
 //!
 //! * [`pool`] — the pre-registered buffer pool (paper §4.2.2): a first-fit
 //!   allocator with merge-on-free over one registered region, plus an
-//!   allocation wait queue. Provided both as a thread-safe allocator
-//!   ([`pool::SharedBufferPool`], parking_lot-based, exercised by real
-//!   multithreaded stress tests — the driver is a shared resource and the
-//!   paper calls out thread safety as a design issue) and as an event-based
-//!   wrapper for the simulation ([`pool::SimBufferPool`]).
+//!   allocation wait queue: a pure allocator core
+//!   ([`pool::PoolAllocator`]) inside an event-based wrapper for the
+//!   simulation ([`pool::SimBufferPool`]).
 //! * [`proto`] — the wire protocol: control messages carrying request id,
 //!   operation, server offset and the client buffer's rkey/offset, plus
 //!   acknowledgement replies; all messages carry a signature that is
@@ -42,5 +40,5 @@ pub mod server;
 pub use client::{ClientStats, HpbdClient};
 pub use cluster::{ClusterBuilder, HpbdCluster};
 pub use config::HpbdConfig;
-pub use pool::{PoolAllocator, SharedBufferPool, SimBufferPool};
+pub use pool::{PoolAllocator, SimBufferPool};
 pub use server::{HpbdServer, ServerStats};

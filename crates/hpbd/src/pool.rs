@@ -9,15 +9,12 @@
 //! for page requests. Its simplicity incurs little overhead").
 //!
 //! Allocation failure must not fail the swap request — that could crash the
-//! machine — so both wrappers queue the request instead: the
-//! [`SharedBufferPool`] blocks the calling thread on a condvar (the kernel
-//! driver's wait queue), and the [`SimBufferPool`] queues a continuation
-//! fired on deallocation.
+//! machine — so the [`SimBufferPool`] queues the request instead (the
+//! kernel driver's wait queue): a continuation fired on deallocation.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Condvar, Mutex};
 
 /// A span allocated from the pool: offset into the registered region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,53 +197,6 @@ impl PoolAllocator {
             assert_eq!(self.prefix_max[i], running_max, "stale prefix_max[{i}]");
         }
         assert_eq!(total, self.free_bytes, "free byte accounting");
-    }
-}
-
-/// Thread-safe pool for the real-concurrency facet of the driver: the HPBD
-/// client is a shared resource and its buffer management primitives must be
-/// protected (paper §4.1 "thread safety"). Blocking allocation parks the
-/// thread until another thread frees enough.
-pub struct SharedBufferPool {
-    inner: Mutex<PoolAllocator>,
-    freed: Condvar,
-}
-
-impl SharedBufferPool {
-    /// A shared pool over `size` bytes.
-    pub fn new(size: u64) -> SharedBufferPool {
-        SharedBufferPool {
-            inner: Mutex::new(PoolAllocator::new(size)),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Non-blocking allocation.
-    pub fn try_alloc(&self, len: u64) -> Option<PoolBuf> {
-        self.inner.lock().expect("pool lock").alloc(len)
-    }
-
-    /// Blocking allocation: waits on the deallocation wait queue until a
-    /// contiguous span of `len` is available.
-    pub fn alloc_blocking(&self, len: u64) -> PoolBuf {
-        let mut pool = self.inner.lock().expect("pool lock");
-        loop {
-            if let Some(buf) = pool.alloc(len) {
-                return buf;
-            }
-            pool = self.freed.wait(pool).expect("pool lock");
-        }
-    }
-
-    /// Free a span and wake waiters.
-    pub fn free(&self, buf: PoolBuf) {
-        self.inner.lock().expect("pool lock").free(buf);
-        self.freed.notify_all();
-    }
-
-    /// Bytes currently free.
-    pub fn free_bytes(&self) -> u64 {
-        self.inner.lock().expect("pool lock").free_bytes()
     }
 }
 
@@ -448,47 +398,5 @@ mod tests {
     fn sim_pool_rejects_oversized_request() {
         let p = SimBufferPool::new(64);
         p.alloc(65, |_| {});
-    }
-
-    #[test]
-    fn shared_pool_blocking_handoff_across_threads() {
-        use std::sync::Arc;
-        use std::thread;
-        let pool = Arc::new(SharedBufferPool::new(128));
-        let first = pool.try_alloc(128).unwrap();
-        let p2 = pool.clone();
-        let t = thread::spawn(move || {
-            // Blocks until the main thread frees.
-            let buf = p2.alloc_blocking(64);
-            p2.free(buf);
-            true
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        pool.free(first);
-        assert!(t.join().unwrap());
-        assert_eq!(pool.free_bytes(), 128);
-    }
-
-    #[test]
-    fn shared_pool_concurrent_stress() {
-        use std::sync::Arc;
-        use std::thread;
-        let pool = Arc::new(SharedBufferPool::new(1 << 20));
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            let pool = pool.clone();
-            handles.push(thread::spawn(move || {
-                for i in 0..500u64 {
-                    let len = 1 + ((t * 131 + i * 17) % 8192);
-                    let buf = pool.alloc_blocking(len);
-                    assert_eq!(buf.len, len);
-                    pool.free(buf);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(pool.free_bytes(), 1 << 20, "all memory returned");
     }
 }

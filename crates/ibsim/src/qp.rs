@@ -203,11 +203,6 @@ impl QueuePair {
         *self.inner.faults.borrow_mut() = Some(faults);
     }
 
-    /// The installed fault handle, if any.
-    pub fn link_faults(&self) -> Option<LinkFaults> {
-        self.inner.faults.borrow().clone()
-    }
-
     /// One-way propagation, including any injected link latency.
     fn eff_prop(&self) -> SimDuration {
         let p = self.inner.model.propagation();

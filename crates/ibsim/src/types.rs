@@ -197,6 +197,7 @@ enum ChainWrs {
 /// Build with [`WrChain::send`] / [`WrChain::rdma_read`] /
 /// [`WrChain::rdma_write`] / [`WrChain::push`], then [`WrChain::post`]
 /// once. Elements complete individually on the send CQ in post order.
+#[must_use = "a chain that is never posted drops its work requests"]
 pub struct WrChain<'a> {
     qp: &'a Qp,
     wrs: ChainWrs,

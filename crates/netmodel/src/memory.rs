@@ -48,13 +48,6 @@ impl MemoryModel {
         self.engine.schedule_at(end, done);
     }
 
-    /// Reserve CPU time for registering `len` bytes; returns completion.
-    pub fn register_busy(&self, earliest: SimTime, len: u64) -> SimTime {
-        let dur = self.cal.registration_time(len);
-        let (_, end) = self.cpu.reserve(earliest, dur);
-        end
-    }
-
     /// memcpy duration without reserving CPU (pure model query).
     pub fn memcpy_time(&self, len: u64) -> SimDuration {
         self.cal.memcpy_time(len)

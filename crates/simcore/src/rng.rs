@@ -78,12 +78,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.unit_f64() * (hi - lo)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

@@ -33,10 +33,8 @@ pub enum TokKind {
 pub struct Tok {
     /// Class.
     pub kind: TokKind,
-    /// Source text for identifiers, comments, and string literals (the
-    /// body between the quotes, escapes kept verbatim — the linking pass
-    /// matches metric names by their literal spelling); empty for other
-    /// kinds.
+    /// Source text for identifiers and comments; empty for other kinds
+    /// (rules never need literal contents).
     pub text: String,
     /// Punctuation character for `Punct`, `\0` otherwise.
     pub ch: char,
@@ -163,8 +161,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                     }
                     if i < chars.len() && chars[i] == '"' {
                         i += 1; // opening quote
-                        let body_start = i;
-                        let mut body_end = chars.len();
                         'scan: while i < chars.len() {
                             if chars[i] == '"' {
                                 let mut k = i + 1;
@@ -174,7 +170,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
                                     k += 1;
                                 }
                                 if seen == hashes {
-                                    body_end = i;
                                     i = k;
                                     break 'scan;
                                 }
@@ -184,7 +179,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
                         bump_lines!(str_start, i.min(chars.len()));
                         toks.push(Tok {
                             kind: TokKind::Str,
-                            text: chars[body_start..body_end].iter().collect(),
+                            text: String::new(),
                             ch: '\0',
                             line: start_line,
                         });
@@ -195,12 +190,11 @@ pub fn lex(src: &str) -> Vec<Tok> {
                 }
                 if prefix_is_byte && next == '"' {
                     i += 1;
-                    let body_start = i;
                     i = scan_string(&chars, i);
                     bump_lines!(start, i.min(chars.len()));
                     toks.push(Tok {
                         kind: TokKind::Str,
-                        text: string_body(&chars, body_start, i),
+                        text: String::new(),
                         ch: '\0',
                         line: start_line,
                     });
@@ -230,12 +224,11 @@ pub fn lex(src: &str) -> Vec<Tok> {
         if c == '"' {
             let start = i;
             i += 1;
-            let body_start = i;
             i = scan_string(&chars, i);
             bump_lines!(start, i.min(chars.len()));
             toks.push(Tok {
                 kind: TokKind::Str,
-                text: string_body(&chars, body_start, i),
+                text: String::new(),
                 ch: '\0',
                 line: start_line,
             });
@@ -304,19 +297,6 @@ pub fn lex(src: &str) -> Vec<Tok> {
         i += 1;
     }
     toks
-}
-
-/// Body of a string whose opening quote sat just before `body_start` and
-/// whose scan ended at `end` (one past the closing quote, or end-of-file
-/// when unterminated).
-fn string_body(chars: &[char], body_start: usize, end: usize) -> String {
-    let stop = end.min(chars.len());
-    let stop = if stop > body_start && chars[stop - 1] == '"' {
-        stop - 1
-    } else {
-        stop
-    };
-    chars[body_start..stop].iter().collect()
 }
 
 /// Scan past the body and closing quote of a normal (escaped) string,
@@ -413,16 +393,6 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert!(c[0].text.contains("allow(I001)"));
         assert_eq!(c[0].line, 1);
-    }
-
-    #[test]
-    fn string_tokens_keep_their_body() {
-        let strs: Vec<String> = lex(r###"f("plain"); g(r#"raw body"#); h(b"bytes");"###)
-            .into_iter()
-            .filter(|t| t.kind == TokKind::Str)
-            .map(|t| t.text)
-            .collect();
-        assert_eq!(strs, ["plain", "raw body", "bytes"]);
     }
 
     #[test]

@@ -1,70 +1,35 @@
 //! simlint — the workspace determinism & invariant analysis pass.
 //!
 //! A dependency-free static analyzer for the HPBD suite. It lexes every
-//! `.rs` file with a small hand-rolled lexer and runs rules in two
-//! phases: pass 1 builds a workspace symbol index from the token
-//! streams (declarations, call sites, metric names — see `index`),
-//! pass 2 runs the rules. File-local token-pattern rules protect the
-//! properties the differential tests rely on (no wall clocks, no
-//! hash-order iteration feeding traces or scheduling, typed errors on
-//! protocol paths, guarded trace emits, no `unsafe`, no resurrected
-//! pre-builder APIs); linked rules judge each file with workspace-wide
-//! evidence (wall-clock/virtual-clock mixing, config-knob liveness,
-//! encode/decode roundtrip coverage, completion-lifecycle leaks, metric
-//! registration/emission agreement). See DESIGN.md §12 for the rule
+//! `.rs` file with a small hand-rolled lexer and runs token-pattern rules
+//! over each file on its own, in one pass: the properties the
+//! differential tests rely on (no wall clocks, no hash-order iteration
+//! feeding traces or scheduling, typed errors on protocol paths, no
+//! `unsafe`, sealed wire structs, one typed submit path per layer) and
+//! encode/decode roundtrip coverage next to each wire format. See DESIGN.md §12 for the rule
 //! catalog and the waiver format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod index;
 pub mod lexer;
-mod linked;
 pub mod report;
 pub mod rules;
 pub mod selftest;
 pub mod walk;
 
 use config::Config;
-use index::WorkspaceIndex;
 use report::Report;
 use rules::{check_file, FileCtx};
 use std::path::Path;
 
-/// Lint every file under the configured roots of `workspace`, returning
-/// the report together with the pass-1 symbol index (for `--index-json`).
-pub fn analyze_workspace(
-    workspace: &Path,
-    config: &Config,
-) -> std::io::Result<(Report, WorkspaceIndex)> {
-    let files = walk::collect(workspace, &config.roots, &config.exclude);
-    // Pass 1: lex everything and build the symbol index.
-    let mut ctxs = Vec::with_capacity(files.len());
-    for rel in files {
-        let src = std::fs::read_to_string(workspace.join(&rel))?;
-        ctxs.push(FileCtx::new(&rel, &src));
-    }
-    let index = WorkspaceIndex::build(&ctxs);
-    // Pass 2: run every rule per file against the index.
-    let mut findings = Vec::new();
-    for ctx in &mut ctxs {
-        findings.extend(check_file(ctx, config, None, Some(&index)));
-    }
-    Ok((Report::new(findings), index))
-}
-
 /// Lint every file under the configured roots of `workspace`.
 pub fn lint_workspace(workspace: &Path, config: &Config) -> std::io::Result<Report> {
-    analyze_workspace(workspace, config).map(|(report, _)| report)
-}
-
-/// Lint a single file (repo-relative `rel` controls rule scoping). The
-/// symbol index covers just this file, so linked rules see a one-file
-/// workspace.
-pub fn lint_source(rel: &str, src: &str, config: &Config) -> Report {
-    let ctx = FileCtx::new(rel, src);
-    let index = WorkspaceIndex::build(std::slice::from_ref(&ctx));
-    let mut ctx = ctx;
-    Report::new(check_file(&mut ctx, config, None, Some(&index)))
+    let mut findings = Vec::new();
+    for rel in walk::collect(workspace, &config.roots, &config.exclude) {
+        let src = std::fs::read_to_string(workspace.join(&rel))?;
+        findings.extend(check_file(&mut FileCtx::new(&rel, &src), config, None));
+    }
+    Ok(Report::new(findings))
 }

@@ -2,24 +2,18 @@
 //!
 //! ```text
 //! simlint --workspace [--config simlint.toml] [--json PATH] [--verbose]
-//!         [--deny-warnings] [--index-json PATH] [--changed-only REF]
+//!         [--deny-warnings]
 //! simlint --path DIR [...]      lint a specific tree (fixture testing)
 //! simlint --self-test           run embedded rule fixtures
 //! simlint --list-rules          print the rule catalog
 //! ```
-//!
-//! `--changed-only REF` reports findings only for files that differ from
-//! the git ref (plus untracked files) — the full symbol index is still
-//! built over the whole workspace, so linked rules keep their evidence.
-//! `--index-json PATH` dumps the pass-1 symbol index (CI artifact).
 //!
 //! Exit codes: 0 clean, 1 unwaived findings (or self-test failure),
 //! 2 usage/config error.
 
 use simlint::config::Config;
 use simlint::rules::RULES;
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
@@ -27,8 +21,6 @@ struct Args {
     paths: Vec<PathBuf>,
     config: Option<PathBuf>,
     json: Option<PathBuf>,
-    index_json: Option<PathBuf>,
-    changed_only: Option<String>,
     deny_warnings: bool,
     verbose: bool,
     self_test: bool,
@@ -41,8 +33,6 @@ fn parse_args() -> Result<Args, String> {
         paths: Vec::new(),
         config: None,
         json: None,
-        index_json: None,
-        changed_only: None,
         deny_warnings: false,
         verbose: false,
         self_test: false,
@@ -64,14 +54,6 @@ fn parse_args() -> Result<Args, String> {
                 let p = it.next().ok_or("--json needs a file argument")?;
                 args.json = Some(PathBuf::from(p));
             }
-            "--index-json" => {
-                let p = it.next().ok_or("--index-json needs a file argument")?;
-                args.index_json = Some(PathBuf::from(p));
-            }
-            "--changed-only" => {
-                let r = it.next().ok_or("--changed-only needs a git ref argument")?;
-                args.changed_only = Some(r);
-            }
             "--deny-warnings" => args.deny_warnings = true,
             "--verbose" | "-v" => args.verbose = true,
             "--self-test" => args.self_test = true,
@@ -79,8 +61,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: simlint --workspace | --path DIR | --self-test | --list-rules \
-                            [--config FILE] [--json FILE] [--index-json FILE] \
-                            [--changed-only REF] [--deny-warnings] [--verbose]"
+                            [--config FILE] [--json FILE] [--deny-warnings] [--verbose]"
                         .to_string(),
                 )
             }
@@ -109,40 +90,6 @@ fn find_workspace_root() -> Option<PathBuf> {
     }
 }
 
-/// Repo-relative `.rs` files that differ from `git_ref`, plus untracked
-/// ones — the report filter for `--changed-only`.
-fn changed_files(root: &Path, git_ref: &str) -> Result<BTreeSet<String>, String> {
-    let run = |argv: &[&str]| -> Result<String, String> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(argv)
-            .output()
-            .map_err(|e| format!("cannot run git: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "`git {}` failed: {}",
-                argv.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let mut set = BTreeSet::new();
-    for text in [
-        run(&["diff", "--name-only", git_ref, "--"])?,
-        run(&["ls-files", "--others", "--exclude-standard"])?,
-    ] {
-        for line in text.lines() {
-            let line = line.trim();
-            if line.ends_with(".rs") {
-                set.insert(line.replace('\\', "/"));
-            }
-        }
-    }
-    Ok(set)
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -160,11 +107,7 @@ fn main() -> ExitCode {
     }
 
     if args.self_test {
-        let (_, failed, rules) = simlint::selftest::run();
-        // Every rule in the catalog except W001 (exercised separately
-        // inside run()) must have fixtures; the floor catches a rule
-        // added without any.
-        return if failed == 0 && rules >= 16 {
+        return if simlint::selftest::run() {
             ExitCode::SUCCESS
         } else {
             ExitCode::from(1)
@@ -217,42 +160,13 @@ fn main() -> ExitCode {
         args.paths.clone()
     };
     for tree in &roots {
-        match simlint::analyze_workspace(tree, &config) {
-            Ok((report, index)) => {
-                all.extend(report.findings);
-                if let Some(index_path) = &args.index_json {
-                    if let Err(e) = std::fs::write(index_path, index.render_json()) {
-                        eprintln!("simlint: cannot write {}: {e}", index_path.display());
-                        return ExitCode::from(2);
-                    }
-                }
-            }
+        match simlint::lint_workspace(tree, &config) {
+            Ok(report) => all.extend(report.findings),
             Err(e) => {
                 eprintln!("simlint: error walking {}: {e}", tree.display());
                 return ExitCode::from(2);
             }
         }
-    }
-
-    // --changed-only filters the *report*, not the analysis: the symbol
-    // index above was built over the whole tree, so linked rules judged
-    // changed files with full workspace evidence.
-    if let Some(git_ref) = &args.changed_only {
-        let changed = match changed_files(&root, git_ref) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("simlint: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let before = all.len();
-        all.retain(|f| changed.contains(&f.path));
-        eprintln!(
-            "simlint: --changed-only {git_ref}: {} of {} finding(s) on the {} changed file(s)",
-            all.len(),
-            before,
-            changed.len()
-        );
     }
     let report = simlint::report::Report::new(all);
 

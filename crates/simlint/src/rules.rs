@@ -1,15 +1,17 @@
 //! The rule set and the token-pattern engine that drives it.
 //!
-//! Three families, mirroring the determinism contract the differentials
-//! depend on (DESIGN.md §12):
+//! Every rule sees one file at a time. Four families, mirroring the
+//! determinism contract the differentials depend on (DESIGN.md §12):
 //!
 //! * **D-rules** — determinism: no wall-clock time sources, no
 //!   iteration-order-sensitive containers in simulation crates, no ambient
 //!   randomness, no OS threads outside the bench fan-out.
 //! * **I-rules** — invariants: no `unwrap()`/`expect()` on protocol paths,
 //!   `forbid(unsafe_code)` in every crate root.
-//! * **A-rules** — API hygiene: no resurrected pre-builder cluster API, no
-//!   public fields on wire structs.
+//! * **A-rules** — API hygiene: no public fields on wire structs, no raw
+//!   `post_send` outside ibsim, no raw `RequestQueue` inside vmsim.
+//! * **X001** — every wire type with an `encode`/`to_wire` has a decode
+//!   call in a test of the same file.
 //!
 //! Waivers are inline comments with a mandatory justification:
 //! `// simlint: allow(I001): completion invariants keep the parent alive`.
@@ -57,19 +59,11 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo { id: "A002", summary: "no pub fields on wire/protocol structs" },
     RuleInfo { id: "A003", summary: "no raw post_send outside ibsim — submit through the typed WrChain builder" },
     RuleInfo { id: "A004", summary: "no raw RequestQueue in vmsim outside the BlockBackend adapter — go through SwapBackend" },
-    RuleInfo { id: "D005", summary: "no wall-clock Duration in crates that drive the virtual clock (linked: needs the workspace index)" },
-    RuleInfo { id: "A005", summary: "*Config hygiene: derive Clone + Debug, no mutable statics, every knob read somewhere (linked)" },
-    RuleInfo { id: "X001", summary: "every wire type with encode/to_wire needs a decode call in some test (linked)" },
-    RuleInfo { id: "X002", summary: "completion-lifecycle leaks: swap submissions need a reap loop, WrChains must be posted (linked)" },
-    RuleInfo { id: "X003", summary: "registered metrics must be emitted; counter reads must name an emitted metric (linked)" },
+    RuleInfo { id: "X001", summary: "every wire type with encode/to_wire needs a decode call in a test of the same file" },
     RuleInfo { id: "W000", summary: "waiver without a justification" },
     RuleInfo { id: "W001", summary: "waiver that matched no finding (stale)" },
     RuleInfo { id: "W002", summary: "waiver naming a rule id that does not exist (typo — the allow can never match)" },
 ];
-
-/// Rule ids that need the pass-1 workspace index (pass 2 skips them when
-/// no index was built, e.g. in single-rule unit tests).
-pub const LINKED_RULES: &[&str] = &["D005", "A005", "X001", "X002", "X003"];
 
 /// An inline waiver comment.
 #[derive(Debug)]
@@ -124,33 +118,28 @@ impl FileCtx {
         self.rel.split('/').any(|seg| seg == "tests")
     }
 
-    /// Number of non-comment tokens (the index the pass-1 walk runs over).
-    pub(crate) fn code_len(&self) -> usize {
-        self.code.len()
-    }
-
     /// Token (not code-index) accessor.
-    pub(crate) fn tok(&self, code_idx: usize) -> &Tok {
+    fn tok(&self, code_idx: usize) -> &Tok {
         &self.toks[self.code[code_idx]]
     }
 
-    pub(crate) fn ident_at(&self, code_idx: usize, name: &str) -> bool {
+    fn ident_at(&self, code_idx: usize, name: &str) -> bool {
         code_idx < self.code.len() && self.tok(code_idx).is_ident(name)
     }
 
-    pub(crate) fn punct_at(&self, code_idx: usize, c: char) -> bool {
+    fn punct_at(&self, code_idx: usize, c: char) -> bool {
         code_idx < self.code.len() && self.tok(code_idx).is_punct(c)
     }
 
     /// `a :: b` path-segment test: ident `a` at k, `::`, ident `b`.
-    pub(crate) fn path2(&self, k: usize, a: &str, b: &str) -> bool {
+    fn path2(&self, k: usize, a: &str, b: &str) -> bool {
         self.ident_at(k, a)
             && self.punct_at(k + 1, ':')
             && self.punct_at(k + 2, ':')
             && self.ident_at(k + 3, b)
     }
 
-    pub(crate) fn in_test_at(&self, code_idx: usize) -> bool {
+    fn in_test_at(&self, code_idx: usize) -> bool {
         self.in_test[self.code[code_idx]]
     }
 
@@ -239,7 +228,7 @@ impl FileCtx {
     }
 
     /// Code index of the `}` matching the `{` at `open`.
-    pub(crate) fn matching_brace(&self, open: usize) -> usize {
+    fn matching_brace(&self, open: usize) -> usize {
         let mut depth = 0i32;
         let mut j = open;
         while j < self.code.len() {
@@ -358,15 +347,8 @@ fn is_crate_root(rel: &str) -> bool {
 }
 
 /// Run every enabled rule over one file. `only` restricts to a single rule
-/// id (used by the self-test); pass `None` for all. `index` is the pass-1
-/// workspace symbol index: linked rules (D005/A005/X001/X002/X003) run
-/// only when it is present.
-pub fn check_file(
-    ctx: &mut FileCtx,
-    config: &Config,
-    only: Option<&str>,
-    index: Option<&crate::index::WorkspaceIndex>,
-) -> Vec<Finding> {
+/// id (used by the self-test); pass `None` for all.
+pub fn check_file(ctx: &mut FileCtx, config: &Config, only: Option<&str>) -> Vec<Finding> {
     let mut out: Vec<Finding> = Vec::new();
     let enabled = |id: &str| only.map(|o| o == id).unwrap_or(true);
     let rel = ctx.rel.clone();
@@ -508,26 +490,15 @@ pub fn check_file(
 
     // ---- A002: pub fields on wire structs -----------------------------------
     if enabled("A002") && rule_applies(&ctx.rel, &config.rule("A002")) {
-        let findings = check_pub_fields(ctx);
-        for (line, message) in findings {
+        for (line, message) in check_pub_fields(ctx) {
             push(ctx, "A002", line, message);
         }
     }
 
-    // ---- linked rules (pass 2, need the workspace index) --------------------
-    // These run BEFORE the waiver police so a justified waiver on a
-    // linked finding is marked used and does not trip W001.
-    if let Some(index) = index {
-        if let Some(facts) = index.facts(&ctx.rel) {
-            for info in RULES.iter().filter(|r| LINKED_RULES.contains(&r.id)) {
-                let id = info.id;
-                if !enabled(id) || !rule_applies(&ctx.rel, &config.rule(id)) {
-                    continue;
-                }
-                for (line, message) in crate::linked::check_linked(id, facts, index) {
-                    push(ctx, id, line, message);
-                }
-            }
+    // ---- X001: encode without a decode test in the same file ----------------
+    if enabled("X001") && rule_applies(&ctx.rel, &config.rule("X001")) {
+        for (line, message) in check_roundtrips(ctx) {
+            push(ctx, "X001", line, message);
         }
     }
 
@@ -646,13 +617,81 @@ fn check_pub_fields(ctx: &FileCtx) -> Vec<(u32, String)> {
     out
 }
 
+/// X001 walk: every `impl T { fn encode | fn to_wire }` in this file needs
+/// a `T::decode(` / `T::decode_slice(` / `T::from_wire(` call inside test
+/// code of the same file, so the two sides of a wire format cannot drift
+/// apart untested.
+fn check_roundtrips(ctx: &FileCtx) -> Vec<(u32, String)> {
+    let n = ctx.code.len();
+    // (type, method, line) of every encode-side method.
+    let mut encoders: Vec<(&str, &str, u32)> = Vec::new();
+    let mut decoded: Vec<&str> = Vec::new();
+    for k in 0..n {
+        if ctx.in_test_at(k)
+            && ctx.tok(k).kind == TokKind::Ident
+            && ctx.punct_at(k + 1, ':')
+            && ctx.punct_at(k + 2, ':')
+            && ["decode", "decode_slice", "from_wire"]
+                .iter()
+                .any(|m| ctx.ident_at(k + 3, m))
+            && ctx.punct_at(k + 4, '(')
+        {
+            decoded.push(&ctx.tok(k).text);
+        }
+        if !ctx.ident_at(k, "impl") {
+            continue;
+        }
+        // Header: the implementing type is the last identifier outside
+        // `<...>` before `where` or the body, so
+        // `impl<T> Tr for a::Ty<T> {` names `Ty`.
+        let mut ty = None;
+        let mut angles = 0i32;
+        let mut in_where = false;
+        let mut j = k + 1;
+        while j < n && !ctx.punct_at(j, '{') && !ctx.punct_at(j, ';') {
+            let t = ctx.tok(j);
+            if t.is_punct('<') {
+                angles += 1;
+            } else if t.is_punct('>') && !ctx.punct_at(j - 1, '-') {
+                angles -= 1;
+            } else if t.is_ident("where") {
+                in_where = true;
+            } else if angles == 0 && !in_where && t.kind == TokKind::Ident {
+                ty = Some(t.text.as_str());
+            }
+            j += 1;
+        }
+        let (Some(ty), true) = (ty, ctx.punct_at(j, '{')) else {
+            continue;
+        };
+        for m in j + 1..ctx.matching_brace(j) {
+            if ctx.ident_at(m, "fn")
+                && (ctx.ident_at(m + 1, "encode") || ctx.ident_at(m + 1, "to_wire"))
+            {
+                let name = ctx.tok(m + 1);
+                encoders.push((ty, &name.text, name.line));
+            }
+        }
+    }
+    encoders
+        .into_iter()
+        .filter(|(ty, _, _)| !decoded.contains(ty))
+        .map(|(ty, method, line)| {
+            (
+                line,
+                format!("wire type `{ty}` has `{method}` but no `{ty}::decode`/`decode_slice`/`from_wire` call inside a test of this file — add a roundtrip test next to the format so the encode and decode sides cannot drift apart"),
+            )
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn run(rel: &str, src: &str, only: &str) -> Vec<Finding> {
         let mut ctx = FileCtx::new(rel, src);
-        check_file(&mut ctx, &Config::builtin(), Some(only), None)
+        check_file(&mut ctx, &Config::builtin(), Some(only))
     }
 
     #[test]
@@ -710,7 +749,7 @@ mod tests {
     fn w000_flags_missing_justification() {
         let src = "// simlint: allow(I001)\nfn f() { x.unwrap(); }\n";
         let mut ctx = FileCtx::new("crates/x/src/a.rs", src);
-        let f = check_file(&mut ctx, &Config::builtin(), None, None);
+        let f = check_file(&mut ctx, &Config::builtin(), None);
         assert!(f.iter().any(|f| f.rule == "W000"));
         // ...and the unjustified waiver does not actually waive.
         assert!(f.iter().any(|f| f.rule == "I001" && f.waived.is_none()));
@@ -720,7 +759,7 @@ mod tests {
     fn w001_flags_stale_waivers() {
         let src = "// simlint: allow(I001): nothing here needs it\nfn f() { ok(); }\n";
         let mut ctx = FileCtx::new("crates/x/src/a.rs", src);
-        let f = check_file(&mut ctx, &Config::builtin(), None, None);
+        let f = check_file(&mut ctx, &Config::builtin(), None);
         assert!(f.iter().any(|f| f.rule == "W001"));
     }
 
@@ -730,37 +769,19 @@ mod tests {
         // never match — W002, not W000/W001.
         let src = "// simlint: allow(I0O1): looks plausible\nfn f() { x.unwrap(); }\n";
         let mut ctx = FileCtx::new("crates/x/src/a.rs", src);
-        let f = check_file(&mut ctx, &Config::builtin(), None, None);
+        let f = check_file(&mut ctx, &Config::builtin(), None);
         assert!(f.iter().any(|f| f.rule == "W002"), "{f:?}");
         assert!(!f.iter().any(|f| f.rule == "W000" || f.rule == "W001"));
     }
 
     #[test]
-    fn linked_rules_run_only_with_an_index() {
-        use crate::index::WorkspaceIndex;
-        let src = "use std::time::Duration;\nfn f(e: &Engine) { e.schedule_in(1); }\n";
-        // Without an index the linked pass is skipped entirely.
-        let f = run("crates/x/src/a.rs", src, "D005");
-        assert!(f.is_empty());
-        // With one, the same file fires (its own crate has clock sites).
-        let ctx = FileCtx::new("crates/x/src/a.rs", src);
-        let index = WorkspaceIndex::build(std::slice::from_ref(&ctx));
-        let mut ctx = ctx;
-        let f = check_file(&mut ctx, &Config::builtin(), Some("D005"), Some(&index));
-        assert_eq!(f.len(), 1, "{f:?}");
-    }
-
-    #[test]
-    fn linked_findings_are_waivable_without_tripping_w001() {
-        use crate::index::WorkspaceIndex;
-        let src = "fn f(e: &Engine) {\n    // simlint: allow(D005): interop with a host API that wants Duration\n    let d = std::time::Duration::from_millis(1);\n}\n";
-        let ctx = FileCtx::new("crates/x/src/a.rs", src);
-        let index = WorkspaceIndex::build(std::slice::from_ref(&ctx));
-        let mut ctx = ctx;
-        let f = check_file(&mut ctx, &Config::builtin(), None, Some(&index));
-        let d005: Vec<_> = f.iter().filter(|f| f.rule == "D005").collect();
-        assert_eq!(d005.len(), 1);
-        assert!(d005[0].waived.is_some());
+    fn x001_is_waivable_without_tripping_w001() {
+        let src = "impl Frame {\n    // simlint: allow(X001): decoded only by the peer implementation\n    pub fn encode(&self) {}\n}\n";
+        let mut ctx = FileCtx::new("crates/x/src/a.rs", src);
+        let f = check_file(&mut ctx, &Config::builtin(), None);
+        let x001: Vec<_> = f.iter().filter(|f| f.rule == "X001").collect();
+        assert_eq!(x001.len(), 1);
+        assert!(x001[0].waived.is_some());
         assert!(!f.iter().any(|f| f.rule == "W001"), "{f:?}");
     }
 
@@ -768,7 +789,7 @@ mod tests {
     fn trailing_same_line_waiver() {
         let src = "fn f() { x.unwrap(); } // simlint: allow(I001): boot-time invariant\n";
         let mut ctx = FileCtx::new("crates/x/src/a.rs", src);
-        let f = check_file(&mut ctx, &Config::builtin(), Some("I001"), None);
+        let f = check_file(&mut ctx, &Config::builtin(), Some("I001"));
         assert_eq!(f.len(), 1);
         assert!(f[0].waived.is_some());
     }

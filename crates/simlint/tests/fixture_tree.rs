@@ -67,147 +67,50 @@ fn fixture_tree_with_one_violation_per_rule_fails() {
         "crates/w002/src/typo.rs",
         "// simlint: allow(I0O1): misremembered the rule id\nfn f() { fine(); }\n",
     );
-    // Linked rules: the violation needs workspace-wide evidence, so these
-    // fixtures span two files where it matters.
-    write(
-        &base,
-        "crates/d005/src/timeouts.rs",
-        "pub fn linger() { wait(std::time::Duration::from_millis(20)); }\n",
-    );
-    write(
-        &base,
-        "crates/d005/src/sim.rs",
-        "pub fn arm(e: &mut Engine) { e.schedule_in(t, ev); }\n",
-    );
-    write(
-        &base,
-        "crates/a005/src/knobs.rs",
-        "#[derive(Clone, Debug)]\npub struct RetryConfig { pub max_retries: u32 }\n",
-    );
     write(
         &base,
         "crates/x001/src/wire.rs",
         "struct Frame { a: u32 }\n\nimpl Frame {\n    pub fn encode(&self) -> Vec<u8> { Vec::new() }\n}\n",
     );
-    write(
-        &base,
-        "crates/x002/src/submit.rs",
-        "fn push(backend: &mut B, s: Slot) { backend.store(s, 0, 4096); }\n",
-    );
-    write(
-        &base,
-        "crates/x003/src/metrics.rs",
-        "fn setup(m: &mut Metrics) { let ctr = m.counter_handle(\"x.acks\"); }\n",
-    );
 
     let report = lint_workspace(&base, &Config::builtin()).unwrap();
     let fired: BTreeSet<&str> = report.denied().map(|f| f.rule).collect();
     for rule in [
-        "D001", "D002", "D003", "D004", "I001", "A002", "W000", "W001", "W002", "D005", "A005",
-        "X001", "X002", "X003",
+        "D001", "D002", "D003", "D004", "I001", "A002", "X001", "W000", "W001", "W002",
     ] {
         assert!(fired.contains(rule), "rule {rule} did not fire: {fired:?}");
     }
     // I003 fires on every crate root in the tree that lacks the forbid —
     // at minimum the dedicated one.
     assert!(fired.contains("I003"), "I003 did not fire");
-    assert!(report.denied().count() >= 15);
+    assert!(report.denied().count() >= 11);
 
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Count findings for one rule over a freshly materialized tree.
-fn count_rule(base_name: &str, files: &[(&str, &str)], rule: &str) -> usize {
-    let base = std::env::temp_dir().join(base_name);
-    let _ = std::fs::remove_dir_all(&base);
-    for (rel, src) in files {
-        write(&base, rel, src);
-    }
-    let report = lint_workspace(&base, &Config::builtin()).unwrap();
-    let n = report.denied().filter(|f| f.rule == rule).count();
-    let _ = std::fs::remove_dir_all(&base);
-    n
-}
-
-/// Every linked rule must change its verdict when the *other* file of the
-/// pair disappears — the finding (or its exoneration) lives in a file the
-/// per-file pass never opens, so this is the linking pass at work.
+/// X001 is file-local: a decode call in a test of *another* file does
+/// not exonerate an encode side; one in the same file does.
 #[test]
-fn linked_findings_depend_on_the_second_file() {
-    // D005: the Duration file is only wrong because a sibling file drives
-    // the virtual clock.
-    let duration = (
-        "crates/pair/src/timeouts.rs",
-        "pub fn linger() { wait(std::time::Duration::from_millis(20)); }\n",
+fn x001_wants_the_roundtrip_test_next_to_the_format() {
+    let base = std::env::temp_dir().join("simlint-x001-tree");
+    let _ = std::fs::remove_dir_all(&base);
+    let wire = "struct Frame { a: u32 }\n\nimpl Frame {\n    pub fn encode(&self) -> Vec<u8> { Vec::new() }\n}\n";
+    let roundtrip = "#[test]\nfn rt() { let f = Frame::decode(&raw); check(f); }\n";
+    write(&base, "crates/far/src/wire.rs", wire);
+    write(&base, "crates/far/tests/roundtrip.rs", roundtrip);
+    write(
+        &base,
+        "crates/near/src/wire.rs",
+        &format!("{wire}#[cfg(test)]\nmod tests {{\n{roundtrip}}}\n"),
     );
-    let clock = (
-        "crates/pair/src/sim.rs",
-        "pub fn arm(e: &mut Engine) { e.schedule_in(t, ev); }\n",
-    );
-    assert_eq!(
-        count_rule("simlint-pair-d005", &[duration, clock], "D005"),
-        1
-    );
-    assert_eq!(count_rule("simlint-pair-d005", &[duration], "D005"), 0);
-
-    // A005: the knob is only dead until some other file reads it.
-    let knobs = (
-        "crates/pair/src/knobs.rs",
-        "#[derive(Clone, Debug)]\npub struct RetryConfig { pub max_retries: u32 }\n",
-    );
-    let reader = (
-        "crates/pair/src/reader.rs",
-        "pub fn budget(c: &RetryConfig) -> u32 { c.max_retries * 2 }\n",
-    );
-    assert_eq!(count_rule("simlint-pair-a005", &[knobs], "A005"), 1);
-    assert_eq!(count_rule("simlint-pair-a005", &[knobs, reader], "A005"), 0);
-
-    // X001: the encode side is only untested until a test file (anywhere
-    // in the workspace) decodes the type.
-    let wire = (
-        "crates/pair/src/wire.rs",
-        "struct Frame { a: u32 }\n\nimpl Frame {\n    pub fn encode(&self) -> Vec<u8> { Vec::new() }\n}\n",
-    );
-    let roundtrip = (
-        "crates/pair/tests/roundtrip.rs",
-        "#[test]\nfn rt() { let f = Frame::decode(&raw); check(f); }\n",
-    );
-    assert_eq!(count_rule("simlint-pair-x001", &[wire], "X001"), 1);
-    assert_eq!(
-        count_rule("simlint-pair-x001", &[wire, roundtrip], "X001"),
-        0
-    );
-
-    // X002: the submission leaks only while no file in the crate reaps.
-    let submit = (
-        "crates/pair/src/submit.rs",
-        "fn push(backend: &mut B, s: Slot) { backend.store(s, 0, 4096); }\n",
-    );
-    let reaper = (
-        "crates/pair/src/drain.rs",
-        "fn drain(backend: &mut B) { while backend.reap() > 0 { step(); } }\n",
-    );
-    assert_eq!(count_rule("simlint-pair-x002", &[submit], "X002"), 1);
-    assert_eq!(
-        count_rule("simlint-pair-x002", &[submit, reaper], "X002"),
-        0
-    );
-
-    // X003: the metric is only dead until another file emits through its
-    // handle.
-    let registry = (
-        "crates/pair/src/metrics.rs",
-        "fn setup(m: &mut Metrics) { let ctr = m.counter_handle(\"x.acks\"); }\n",
-    );
-    let emitter = (
-        "crates/pair/src/hot.rs",
-        "fn ack(s: &S) { s.ctr.inc(1); }\n",
-    );
-    assert_eq!(count_rule("simlint-pair-x003", &[registry], "X003"), 1);
-    assert_eq!(
-        count_rule("simlint-pair-x003", &[registry, emitter], "X003"),
-        0
-    );
+    let report = lint_workspace(&base, &Config::builtin()).unwrap();
+    let fired: Vec<&str> = report
+        .denied()
+        .filter(|f| f.rule == "X001")
+        .map(|f| f.path.as_str())
+        .collect();
+    assert_eq!(fired, ["crates/far/src/wire.rs"]);
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]

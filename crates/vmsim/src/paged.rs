@@ -82,11 +82,6 @@ impl AddressSpace {
         self.next_vpn.set(base + pages);
         base
     }
-
-    /// Pages reserved so far.
-    pub fn reserved_pages(&self) -> u64 {
-        self.next_vpn.get()
-    }
 }
 
 /// A typed array living in paged virtual memory.

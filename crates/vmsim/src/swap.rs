@@ -64,11 +64,6 @@ impl SwapManager {
         (self.devices.len() - 1) as u32
     }
 
-    /// Number of registered devices.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
     /// Total free slots across devices.
     pub fn free_slots(&self) -> u64 {
         self.devices.iter().map(|d| d.free).sum()

@@ -256,16 +256,6 @@ impl Barnes {
         }
     }
 
-    /// Total potential energy (0.5 Σ m·φ) after the last force pass.
-    pub fn potential_energy(&self) -> f64 {
-        let n = self.params.bodies;
-        let mut pe = 0.0;
-        for b in 0..n {
-            pe += 0.5 * self.mass.get(b) * self.phi.get(b);
-        }
-        pe
-    }
-
     #[allow(clippy::needless_range_loop)] // indexing c[d] alongside per-dim scans is clearest
     fn bounding_box(&self) -> (f64, f64, f64, f64) {
         let n = self.params.bodies;

@@ -14,7 +14,6 @@
 //! figures measure.
 
 use simcore::{Engine, MultiResource, Signal, SimDuration, SimTime};
-use std::rc::Rc;
 
 /// Outcome of one scheduling step.
 pub enum Step {
@@ -63,13 +62,6 @@ impl Scheduler {
             cpus,
             node_cpu: None,
         }
-    }
-
-    /// Override the quantum (timing-granularity ablation).
-    pub fn with_quantum(mut self, quantum: SimDuration) -> Scheduler {
-        assert!(!quantum.is_zero());
-        self.quantum = quantum;
-        self
     }
 
     /// Charge application compute against this node CPU pool, so kernel
@@ -171,9 +163,6 @@ macro_rules! try_access {
         }
     };
 }
-
-/// Make `Rc<dyn Fn>`-style completion checking easy in tests.
-pub type SharedFlag = Rc<std::cell::Cell<bool>>;
 
 #[cfg(test)]
 mod tests {

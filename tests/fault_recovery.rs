@@ -345,6 +345,21 @@ fn oracle_survives_message_loss() {
 }
 
 #[test]
+fn oracle_survives_completion_errors() {
+    // The send WR itself completes in error (`RetryExceeded`) instead of
+    // the message vanishing: the client's send-CQ handler hands the
+    // request straight to the timeout path.
+    let stats = run_consistency_oracle(
+        "completion error",
+        FaultPlan::new().completion_error(30_000, 2, 4),
+    );
+    assert!(
+        stats.retries > 0,
+        "errored sends must be retried: {stats:?}"
+    );
+}
+
+#[test]
 fn oracle_survives_delayed_deliveries() {
     // 5 ms delay > 2 ms timeout: the original delivery outlives the retry
     // that replaced it and lands behind it — the reorder write fencing
