@@ -44,6 +44,13 @@ impl Storage {
         out.copy_from_slice(&bytes[at..at + out.len()]);
     }
 
+    /// Append `len` bytes at `offset` to `out`. Panics if out of range
+    /// (callers validate).
+    pub fn read_append(&self, offset: u64, len: u64, out: &mut Vec<u8>) {
+        let at = offset as usize;
+        out.extend_from_slice(&self.bytes.borrow()[at..at + len as usize]);
+    }
+
     /// Copy into the store. Panics if out of range (callers validate).
     pub fn write_at(&self, offset: u64, data: &[u8]) {
         let mut bytes = self.bytes.borrow_mut();

@@ -203,18 +203,17 @@ impl IoRequest {
         self.scatter_range(0, data);
     }
 
-    /// Concatenate the bytes of the sub-range `start..start+len` (relative
-    /// to the request start) across bio buffers into a caller-owned buffer
-    /// (cleared first). Used when a request is split into physical
-    /// requests to different servers; drivers staging many parts reuse one
-    /// scratch allocation instead of building a fresh `Vec` per part.
+    /// Concatenate the bytes of the sub-range `start..start+out.len()`
+    /// (relative to the request start) across bio buffers into `out`. Used
+    /// when a request is split into physical requests to different
+    /// servers; a driver points `out` at its staging memory, so the bytes
+    /// are copied once.
     ///
     /// # Panics
     /// Panics if the range exceeds the request.
-    pub fn gather_range_into(&self, start: u64, len: u64, out: &mut Vec<u8>) {
+    pub fn gather_range_into(&self, start: u64, out: &mut [u8]) {
+        let len = out.len() as u64;
         assert!(start + len <= self.len, "gather_range out of request");
-        out.clear();
-        out.reserve(len as usize);
         let mut cursor = 0u64; // position within the request
         for b in &self.bios {
             let blen = b.len();
@@ -222,7 +221,8 @@ impl IoRequest {
             let hi = (start + len).min(cursor + blen);
             if lo < hi {
                 let buf = b.buf.borrow();
-                out.extend_from_slice(&buf[(lo - cursor) as usize..(hi - cursor) as usize]);
+                out[(lo - start) as usize..(hi - start) as usize]
+                    .copy_from_slice(&buf[(lo - cursor) as usize..(hi - cursor) as usize]);
             }
             cursor += blen;
             if cursor >= start + len {
@@ -373,14 +373,14 @@ mod tests {
     #[test]
     fn gather_range_spans_bio_boundaries() {
         let req = IoRequest::from_bios(vec![bio_at(0, 4, 1), bio_at(4, 4, 2), bio_at(8, 4, 3)]);
-        // Stale content must be cleared.
-        let mut out = vec![7u8; 3];
+        // Stale content must be overwritten.
+        let mut out = [7u8; 12];
         // Range covering the tail of bio 0, all of bio 1, head of bio 2.
-        req.gather_range_into(2, 8, &mut out);
-        assert_eq!(out, vec![1, 1, 2, 2, 2, 2, 3, 3]);
+        req.gather_range_into(2, &mut out[..8]);
+        assert_eq!(out[..8], [1, 1, 2, 2, 2, 2, 3, 3]);
         // Degenerate full range equals gather().
-        req.gather_range_into(0, 12, &mut out);
-        assert_eq!(out, req.gather());
+        req.gather_range_into(0, &mut out);
+        assert_eq!(out[..], req.gather());
     }
 
     #[test]
@@ -400,6 +400,6 @@ mod tests {
     #[should_panic(expected = "gather_range out of request")]
     fn gather_range_bounds_checked() {
         let req = IoRequest::single(bio_at(0, 4, 0));
-        req.gather_range_into(2, 4, &mut Vec::new());
+        req.gather_range_into(2, &mut [0; 4]);
     }
 }

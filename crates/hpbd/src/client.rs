@@ -424,8 +424,6 @@ struct ClientInner {
     /// Scratch for decoding one reply off a receive buffer (reused — the
     /// receiver burst never allocates per message).
     wire_scratch: RefCell<Vec<u8>>,
-    /// Scratch for gathering write payloads out of the parent request.
-    gather_scratch: RefCell<Vec<u8>>,
     /// Freelist of swap-in data buffers (filled from the pool MR, scattered
     /// back to the page frames, then recycled).
     data_pool: RefCell<Vec<Vec<u8>>>,
@@ -503,7 +501,6 @@ impl HpbdClient {
                 name: "hpbd0".to_string(),
                 shut_down: Cell::new(false),
                 wire_scratch: RefCell::new(Vec::new()),
-                gather_scratch: RefCell::new(Vec::new()),
                 data_pool: RefCell::new(Vec::new()),
                 spool: RefCell::new(None),
                 ctr_credit_stalls,
@@ -847,19 +844,14 @@ impl HpbdClient {
             // fly the MR *is* the page memory: the bytes are mirrored into
             // the simulated region without a copy charge.)
             let (region, start) = self.staging_span(&phys);
-            let mut data = inner.gather_scratch.borrow_mut();
             let mut at = start as usize;
             for seg in phys.segs.iter() {
-                {
-                    let parent = seg.parent.req.borrow();
-                    // simlint: allow(I001): the Parent holds its request until the last part finishes; this part has not finished
-                    parent.as_ref().expect("parent alive").gather_range_into(
-                        seg.parent_off,
-                        seg.len,
-                        &mut data,
-                    );
-                }
-                region.write(at, &data);
+                let parent = seg.parent.req.borrow();
+                // simlint: allow(I001): the Parent holds its request until the last part finishes; this part has not finished
+                let parent = parent.as_ref().expect("parent alive");
+                region.fill_with(at, seg.len as usize, |span| {
+                    parent.gather_range_into(seg.parent_off, span)
+                });
                 at += seg.len as usize;
             }
         }
@@ -1167,8 +1159,8 @@ impl HpbdClient {
             let conn = &conns[conn_idx];
             let mut raw = inner.wire_scratch.borrow_mut();
             raw.clear();
-            raw.resize(wire as usize, 0);
-            conn.recv_region.read((buf_idx * wire) as usize, &mut raw);
+            conn.recv_region
+                .read_append((buf_idx * wire) as usize, wire as usize, &mut raw);
             let decoded = ServerMessage::decode_slice(&raw);
             // Re-post the consumed receive buffer.
             conn.qp
@@ -1266,7 +1258,7 @@ impl HpbdClient {
                 inner.stats.borrow_mut().bytes_in += len;
                 let mut data = self.take_data_buf(len as usize);
                 let (region, at) = self.staging_span(&phys);
-                region.read(at as usize, &mut data);
+                region.read_append(at as usize, len as usize, &mut data);
                 let t_data = match &phys.staging {
                     Staging::Pool(_) => {
                         let copy = inner.ibnode.memory_model().memcpy_time(len);
@@ -1328,12 +1320,12 @@ impl HpbdClient {
         self.complete_at(phys, t_proc);
     }
 
-    /// Pop a recycled swap-in data buffer (or grow a fresh one), sized and
-    /// zeroed to `len`.
+    /// Pop a recycled swap-in data buffer (or a fresh one): empty, with
+    /// room for `len` bytes.
     fn take_data_buf(&self, len: usize) -> Vec<u8> {
         let mut buf = self.inner.data_pool.borrow_mut().pop().unwrap_or_default();
         buf.clear();
-        buf.resize(len, 0);
+        buf.reserve(len);
         buf
     }
 

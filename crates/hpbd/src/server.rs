@@ -515,8 +515,8 @@ impl HpbdServer {
             let conn = &conns[conn_idx];
             let mut raw = inner.wire_scratch.borrow_mut();
             raw.clear();
-            raw.resize(wire as usize, 0);
-            conn.recv_region.read((buf_idx * wire) as usize, &mut raw);
+            conn.recv_region
+                .read_append((buf_idx * wire) as usize, wire as usize, &mut raw);
             ClientMessage::decode_slice(&raw)
         };
         // Buffer consumed: re-post it for the next request.
@@ -648,12 +648,8 @@ impl HpbdServer {
         // staging order (merged segments may be scattered on the store).
         let read_data = (op == PageOp::Read).then(|| {
             let mut data = self.take_data_buf(len as usize);
-            let mut base = 0usize;
             for (offset, seg_len, _) in job.spans() {
-                inner
-                    .storage
-                    .read_at(offset, &mut data[base..base + seg_len as usize]);
-                base += seg_len as usize;
+                inner.storage.read_append(offset, seg_len, &mut data);
             }
             data
         });
@@ -807,7 +803,9 @@ impl HpbdServer {
             return;
         }
         let mut data = self.take_data_buf(job.len as usize);
-        inner.staging_mr.read(staging.offset as usize, &mut data);
+        inner
+            .staging_mr
+            .read_append(staging.offset as usize, job.len as usize, &mut data);
         let copy = inner.ibnode.memory_model().memcpy_time(job.len);
         let (_, t_copy) = inner.ibnode.node().cpu().reserve(inner.engine.now(), copy);
         inner.engine.span(
@@ -913,11 +911,12 @@ impl HpbdServer {
         self.send_reply(conn, job.req_id, ReplyStatus::Ok, job.version);
     }
 
-    /// Pop a recycled data buffer (or grow a fresh one), sized to `len`.
+    /// Pop a recycled data buffer (or a fresh one): empty, with room for
+    /// `len` bytes.
     fn take_data_buf(&self, len: usize) -> Vec<u8> {
         let mut buf = self.inner.data_pool.borrow_mut().pop().unwrap_or_default();
         buf.clear();
-        buf.resize(len, 0);
+        buf.reserve(len);
         buf
     }
 

@@ -65,6 +65,19 @@ impl MemoryRegion {
         out.copy_from_slice(&buf[offset..offset + out.len()]);
     }
 
+    /// Append `len` bytes starting at `offset` to `out`: an owned snapshot
+    /// in one pass, with no zero-fill of the destination first. Panics on
+    /// out-of-bounds, as [`MemoryRegion::read`] does.
+    pub fn read_append(&self, offset: usize, len: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.inner.buf.borrow()[offset..offset + len]);
+    }
+
+    /// Run `f` over `offset..offset+len` of the region, to fill it in place.
+    /// Panics on out-of-bounds.
+    pub fn fill_with(&self, offset: usize, len: usize, f: impl FnOnce(&mut [u8])) {
+        f(&mut self.inner.buf.borrow_mut()[offset..offset + len]);
+    }
+
     /// Copy `data` into the region at `offset`. Panics on out-of-bounds.
     pub fn write(&self, offset: usize, data: &[u8]) {
         let mut buf = self.inner.buf.borrow_mut();

@@ -573,8 +573,10 @@ impl QueuePair {
             return;
         }
         let len = local.len;
-        let mut data = vec![0u8; len as usize];
-        local.mr.read(local.offset as usize, &mut data);
+        let mut data = Vec::new();
+        local
+            .mr
+            .read_append(local.offset as usize, len as usize, &mut data);
 
         let placed = self.wire_transfer(&peer, t_hca, len);
         let this = self.clone();
@@ -644,8 +646,8 @@ impl QueuePair {
             let t_srv = peer.hca.process_wqe(peer.engine.now(), peer.qp_num);
             match peer.hca.lookup_rkey(remote.rkey) {
                 Some(region) if region.contains(remote.offset, len) => {
-                    let mut data = vec![0u8; len as usize];
-                    region.read(remote.offset as usize, &mut data);
+                    let mut data = Vec::new();
+                    region.read_append(remote.offset as usize, len as usize, &mut data);
                     // Data streams back: peer tx -> our rx. READ responses
                     // are limited by the Tavor HCA's read bandwidth.
                     let read_bw = this

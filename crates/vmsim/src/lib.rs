@@ -45,6 +45,6 @@ pub use backend::{
 };
 pub use config::VmConfig;
 pub use frames::{FrameId, FramePool};
-pub use paged::{AddressSpace, Element, PagedVec};
+pub use paged::{AddressSpace, Element, PagedVec, Pinned};
 pub use swap::{Slot, SwapManager};
-pub use vm::{Vm, VmStats};
+pub use vm::{Stamps, Vm, VmStats};

@@ -6,20 +6,49 @@
 //! workloads (testswap, quicksort, Barnes-Hut) "run on" the simulated
 //! machine while remaining ordinary Rust code.
 //!
-//! Accesses come in two flavours:
+//! Accesses come in three flavours:
 //! * `try_get`/`try_set` return `Err(Signal)` instead of blocking, which
 //!   lets a scheduler interleave multiple application instances (Figure 9).
 //! * `get`/`set` run the engine until the fault resolves (single-instance
 //!   figures).
+//! * [`PagedVec::pinned`] lends out the two pages the array touched last
+//!   for a run of accesses that need no VM call at all; an access it cannot
+//!   prove to be one of those answers `None` and is made through
+//!   `try_get`/`try_set` instead.
 //!
-//! A one-page lookaside cache (invalidated by the VM's epoch counter) keeps
-//! the fast path to a few nanoseconds of real time, so paper-scale datasets
-//! are affordable.
+//! # The lookaside, and why it is exact
+//!
+//! The simulated MMU is [`Vm::try_page`]: it sets the referenced bit (and
+//! the dirty bit for a store), which is what CLOCK and write-back later
+//! read, so *which* accesses reach it decides every virtual-time number.
+//! That sequence is fixed by a one-page **logical** lookaside: an access
+//! skips `try_page` iff it is to the page of the previous access, no
+//! residency change ([`Stamps::epoch`]) happened since, and a store has
+//! write intent already. Everything else is a logical miss.
+//!
+//! Most logical misses change nothing. The benchmark's Fig 9 cell
+//! (`qsort_pair_hpbd`, seed 42) makes 278.5 M accesses in its timed pass;
+//! 81.8 M are logical misses, and of those 54.6 M only alternate between
+//! the two pages Lomuto's `a[i]` and `a[j]` sit on and 27.2 M only follow
+//! a load with a store on the same page — 2,936 miss because the epoch
+//! moved. So the array keeps **two** slots, each stamped with
+//! [`Stamps::sweep`] at its last real `try_page` and with that touch's
+//! intent. `sweep` moves whenever a page-table entry is inserted,
+//! removed or has a bit cleared; `try_page` on a mapped page only *sets*
+//! bits. A logical miss on a slot whose stamp is current and whose intent
+//! covers the access would therefore find the page in the same frame with
+//! `referenced` and `dirty`/`dirty_again` already set, touch no counter and
+//! emit no event: it is skipped, and the logical lookaside is updated as if
+//! it had been made. The real `try_page` calls that remain are the old
+//! sequence minus calls that were no-ops, so page-table state after every
+//! access — and with it CLOCK order, dirty bits, faults and time — is the
+//! same by construction.
 
-use crate::vm::Vm;
+use crate::vm::{Stamps, Vm};
 use blockdev::IoBuffer;
 use simcore::Signal;
 use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// Fixed-size plain-data element storable in paged memory.
 pub trait Element: Copy {
@@ -84,25 +113,69 @@ impl AddressSpace {
     }
 }
 
+/// The logical one-page lookaside: page and intent of the last access
+/// that went (or provably need not have gone) to [`Vm::try_page`], and the
+/// epoch it saw.
+#[derive(Clone, Copy)]
+struct Lookaside {
+    vpn: u64,
+    epoch: u64,
+    write: bool,
+}
+
+impl Lookaside {
+    const EMPTY: Lookaside = Lookaside {
+        vpn: u64::MAX,
+        epoch: u64::MAX,
+        write: false,
+    };
+
+    #[inline]
+    fn hits(&self, vpn: u64, write: bool, epoch: u64) -> bool {
+        self.vpn == vpn && self.epoch == epoch && (self.write || !write)
+    }
+}
+
+/// What one slot knows about its page: the sweep stamp and intent of the
+/// last real `try_page` on it.
+#[derive(Clone, Copy)]
+struct SlotMeta {
+    vpn: u64,
+    sweep: u64,
+    write: bool,
+}
+
+impl SlotMeta {
+    const EMPTY: SlotMeta = SlotMeta {
+        vpn: u64::MAX,
+        sweep: u64::MAX,
+        write: false,
+    };
+
+    /// Would `try_page(vpn, write)` be a repeat of what this slot's last
+    /// real touch already did?
+    #[inline]
+    fn covers(&self, vpn: u64, write: bool, sweep: u64) -> bool {
+        self.vpn == vpn && self.sweep == sweep && (self.write || !write)
+    }
+}
+
 /// A typed array living in paged virtual memory.
 pub struct PagedVec<T: Element> {
     vm: Vm,
-    /// Shared epoch counter, read without borrowing the VM (hot path).
-    epoch: std::rc::Rc<Cell<u64>>,
+    /// Shared counters, read without borrowing the VM (hot path).
+    stamps: Rc<Stamps>,
     asid: u32,
     base_vpn: u64,
     len: usize,
-    per_page: usize,
-    /// `log2(per_page)` when `per_page` is a power of two (always, for the
-    /// built-in element types): index math becomes shift/mask instead of
-    /// an integer divide on every access.
-    per_page_shift: Option<u32>,
+    /// `log2` of the elements per page: index math is shift and mask.
+    per_page_shift: u32,
     page_size: usize,
-    // One-page lookaside cache: (vpn, epoch, write-intent honoured).
-    cached_vpn: Cell<u64>,
-    cached_epoch: Cell<u64>,
-    cached_write: Cell<bool>,
-    cached_buf: RefCell<Option<IoBuffer>>,
+    lookaside: Cell<Lookaside>,
+    /// The two pages touched last; `lookaside.vpn` is always `meta[mru]`'s.
+    meta: [Cell<SlotMeta>; 2],
+    bufs: [RefCell<Option<IoBuffer>>; 2],
+    mru: Cell<usize>,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -116,23 +189,24 @@ impl<T: Element> PagedVec<T> {
             "element size must divide the page size"
         );
         let per_page = page_size / T::SIZE;
+        assert!(
+            per_page.is_power_of_two(),
+            "elements per page must be a power of two"
+        );
         let pages = len.div_ceil(per_page).max(1) as u64;
         let base_vpn = space.alloc_pages(pages);
         PagedVec {
             vm: space.vm().clone(),
-            epoch: space.vm().epoch_handle(),
+            stamps: space.vm().stamps(),
             asid: space.asid(),
             base_vpn,
             len,
-            per_page,
-            per_page_shift: per_page
-                .is_power_of_two()
-                .then(|| per_page.trailing_zeros()),
+            per_page_shift: per_page.trailing_zeros(),
             page_size,
-            cached_vpn: Cell::new(u64::MAX),
-            cached_epoch: Cell::new(u64::MAX),
-            cached_write: Cell::new(false),
-            cached_buf: RefCell::new(None),
+            lookaside: Cell::new(Lookaside::EMPTY),
+            meta: [Cell::new(SlotMeta::EMPTY), Cell::new(SlotMeta::EMPTY)],
+            bufs: [RefCell::new(None), RefCell::new(None)],
+            mru: Cell::new(0),
             _marker: std::marker::PhantomData,
         }
     }
@@ -149,7 +223,7 @@ impl<T: Element> PagedVec<T> {
 
     /// Pages backing the array.
     pub fn pages(&self) -> u64 {
-        (self.len.div_ceil(self.per_page).max(1)) as u64
+        self.len.div_ceil(1 << self.per_page_shift).max(1) as u64
     }
 
     /// Total footprint in bytes (page-granular).
@@ -160,22 +234,52 @@ impl<T: Element> PagedVec<T> {
     #[inline]
     fn locate(&self, index: usize) -> (u64, usize) {
         assert!(index < self.len, "index {index} out of {}", self.len);
-        match self.per_page_shift {
-            Some(shift) => (
-                self.base_vpn + (index >> shift) as u64,
-                (index & (self.per_page - 1)) * T::SIZE,
-            ),
-            None => (
-                self.base_vpn + (index / self.per_page) as u64,
-                (index % self.per_page) * T::SIZE,
-            ),
-        }
+        (
+            self.base_vpn + (index >> self.per_page_shift) as u64,
+            (index & ((1 << self.per_page_shift) - 1)) * T::SIZE,
+        )
     }
 
-    /// Run `f` against the page's buffer, resolving through the one-page
-    /// lookaside cache. The fast path touches only `Cell`s and the cached
-    /// buffer — no VM borrow, no `Rc` clone — which is what makes
-    /// element-at-a-time workloads over multi-GiB arrays affordable.
+    /// A logical miss: make the `try_page` call the one-page rule asks for,
+    /// unless a slot proves it a repeat. Returns the slot now holding `vpn`.
+    fn touch(&self, vpn: u64, write: bool) -> Result<usize, Signal> {
+        let sweep = self.stamps.sweep();
+        let slot = match self
+            .meta
+            .iter()
+            .position(|m| m.get().covers(vpn, write, sweep))
+        {
+            Some(slot) => slot,
+            None => {
+                let buf = self.vm.try_page(self.asid, vpn, write)?;
+                let slot = self
+                    .meta
+                    .iter()
+                    .position(|m| m.get().vpn == vpn)
+                    .unwrap_or(1 - self.mru.get());
+                // Stamp after the call: a fault bumps `sweep` on its way.
+                self.meta[slot].set(SlotMeta {
+                    vpn,
+                    sweep: self.stamps.sweep(),
+                    write,
+                });
+                *self.bufs[slot].borrow_mut() = Some(buf);
+                slot
+            }
+        };
+        self.mru.set(slot);
+        self.lookaside.set(Lookaside {
+            vpn,
+            epoch: self.stamps.epoch(),
+            write,
+        });
+        Ok(slot)
+    }
+
+    /// Run `f` against the page's buffer. The fast path touches only
+    /// `Cell`s and the cached buffer — no VM borrow, no `Rc` clone — which
+    /// is what makes element-at-a-time workloads over multi-GiB arrays
+    /// affordable.
     #[inline]
     fn with_page<R>(
         &self,
@@ -183,21 +287,13 @@ impl<T: Element> PagedVec<T> {
         write: bool,
         f: impl FnOnce(&IoBuffer) -> R,
     ) -> Result<R, Signal> {
-        if self.cached_vpn.get() == vpn
-            && self.cached_epoch.get() == self.epoch.get()
-            && (!write || self.cached_write.get())
-        {
-            if let Some(buf) = self.cached_buf.borrow().as_ref() {
-                return Ok(f(buf));
-            }
-        }
-        let buf = self.vm.try_page(self.asid, vpn, write)?;
-        self.cached_vpn.set(vpn);
-        self.cached_epoch.set(self.epoch.get());
-        self.cached_write.set(write);
-        let out = f(&buf);
-        *self.cached_buf.borrow_mut() = Some(buf);
-        Ok(out)
+        let slot = if self.lookaside.get().hits(vpn, write, self.stamps.epoch()) {
+            self.mru.get()
+        } else {
+            self.touch(vpn, write)?
+        };
+        let buf = self.bufs[slot].borrow();
+        Ok(f(buf.as_ref().expect("a live slot holds its frame buffer")))
     }
 
     /// Read element `index`, or the signal to wait on.
@@ -220,6 +316,45 @@ impl<T: Element> PagedVec<T> {
         })
     }
 
+    /// Lend `f` the two slots for a run of accesses that make no VM call.
+    /// Nothing else may run meanwhile — `f` gets the frame buffers mutably
+    /// borrowed — so an access [`Pinned`] refuses must be made through
+    /// `try_get`/`try_set` after `f` returns.
+    pub fn pinned<R>(&self, f: impl FnOnce(&mut Pinned<'_, T>) -> R) -> R {
+        let (epoch, sweep) = (self.stamps.epoch(), self.stamps.sweep());
+        let lookaside = self.lookaside.get();
+        let mru = self.mru.get();
+        // A slot is live — its buffer still the page's frame — if nothing
+        // was swept since its stamp, or if it is the logical slot and no
+        // residency changed. Only live slots are borrowed: a dead one may
+        // name a frame that has since gone to the other slot's page.
+        let live = [0, 1].map(|k| {
+            let meta = self.meta[k].get();
+            let fresh = meta.sweep == sweep;
+            (fresh || (k == mru && lookaside.epoch == epoch)).then_some((meta, fresh))
+        });
+        let bufs = [0, 1].map(|k| live[k].and_then(|_| self.bufs[k].borrow().clone()));
+        let mut guards = bufs
+            .each_ref()
+            .map(|buf| buf.as_ref().map(|b| b.borrow_mut()));
+        let mut view = Pinned {
+            vec: self,
+            epoch,
+            lookaside,
+            mru,
+            vpn: live.map(|slot| slot.map_or(u64::MAX, |(meta, _)| meta.vpn)),
+            elidable: live.map(|slot| slot.and_then(|(meta, fresh)| fresh.then_some(meta.write))),
+            page: guards.each_mut().map(|guard| match guard {
+                Some(page) => &mut page[..],
+                None => &mut [],
+            }),
+        };
+        let out = f(&mut view);
+        self.lookaside.set(view.lookaside);
+        self.mru.set(view.mru);
+        out
+    }
+
     /// Blocking read (runs the engine through any fault).
     pub fn get(&self, index: usize) -> T {
         loop {
@@ -240,19 +375,71 @@ impl<T: Element> PagedVec<T> {
         }
     }
 
-    /// Blocking swap of two elements.
-    pub fn swap(&self, i: usize, j: usize) {
-        let a = self.get(i);
-        let b = self.get(j);
-        self.set(i, b);
-        self.set(j, a);
-    }
-
     /// Release the backing pages and swap slots. Call with the engine
     /// quiesced (no in-flight I/O on these pages).
     pub fn release(self) {
         self.vm
             .release_range(self.asid, self.base_vpn, self.pages());
+    }
+}
+
+/// The two live slots of a [`PagedVec`], borrowed for a run of accesses.
+/// `read`/`write` answer `None` — and change nothing — for an access that
+/// is not provably free of a VM call: a page in neither slot, or a logical
+/// miss the slot's stamp or intent does not cover.
+pub struct Pinned<'a, T: Element> {
+    vec: &'a PagedVec<T>,
+    epoch: u64,
+    lookaside: Lookaside,
+    mru: usize,
+    vpn: [u64; 2],
+    /// `Some(intent)` for a slot whose stamp is current.
+    elidable: [Option<bool>; 2],
+    page: [&'a mut [u8]; 2],
+}
+
+impl<T: Element> Pinned<'_, T> {
+    /// The byte range of element `index` in a slot's page, with the logical
+    /// lookaside advanced exactly as `with_page` would have.
+    #[inline]
+    fn access(&mut self, index: usize, write: bool) -> Option<(usize, usize)> {
+        let (vpn, off) = self.vec.locate(index);
+        let slot = if self.vpn[0] == vpn {
+            0
+        } else if self.vpn[1] == vpn {
+            1
+        } else {
+            return None;
+        };
+        if !self.lookaside.hits(vpn, write, self.epoch) {
+            // A logical miss: only a slot that proves the touch a repeat
+            // may stand in for it.
+            if !self.elidable[slot].is_some_and(|intent| intent || !write) {
+                return None;
+            }
+            self.lookaside = Lookaside {
+                vpn,
+                epoch: self.epoch,
+                write,
+            };
+            self.mru = slot;
+        }
+        Some((slot, off))
+    }
+
+    /// Element `index`, if reading it needs no VM call.
+    #[inline]
+    pub fn read(&mut self, index: usize) -> Option<T> {
+        let (slot, off) = self.access(index, false)?;
+        Some(T::load(&self.page[slot][off..off + T::SIZE]))
+    }
+
+    /// Store element `index`, if that needs no VM call.
+    #[inline]
+    pub fn write(&mut self, index: usize, value: T) -> Option<()> {
+        let (slot, off) = self.access(index, true)?;
+        value.store(&mut self.page[slot][off..off + T::SIZE]);
+        Some(())
     }
 }
 

@@ -68,21 +68,62 @@ struct PageEntry {
     referenced: bool,
 }
 
+/// The two counters a [`crate::PagedVec`] validates its lookaside against,
+/// shared out via [`Vm::stamps`] so the per-element fast path reads them
+/// without borrowing the VM.
+#[derive(Default)]
+pub struct Stamps {
+    epoch: Cell<u64>,
+    sweep: Cell<u64>,
+}
+
+impl Stamps {
+    /// Moves on every residency change (a page gains or loses its frame, or
+    /// its write-out starts or ends): a frame buffer cached before the move
+    /// may no longer be the page's.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.get()
+    }
+
+    /// Moves whenever anything a touch would have to redo may have been
+    /// undone: on every `epoch` move, every other page-table insert or
+    /// remove, and every referenced bit reclaim clears. While it stands
+    /// still, repeating a touch that already happened changes nothing.
+    pub fn sweep(&self) -> u64 {
+        self.sweep.get()
+    }
+
+    fn bump_sweep(&self) {
+        self.sweep.set(self.sweep.get() + 1);
+    }
+}
+
 /// Dense per-asid page table. Asids and vpns are both small bump-allocated
 /// integers (`Vm::new_asid`, `AddressSpace::alloc_pages`), so a slab per
 /// address space resolves the fault-path lookup with two array indexings.
-/// Point lookups dominate — under swap pressure every element access of a
-/// `PagedVec` whose lookaside cache was invalidated lands here, and the
-/// previous `BTreeMap<PageKey, _>` walk was the largest single host cost
-/// of the memory-pressure figures.
+///
+/// Entries change only through the mutators below, and every mutator that
+/// can clear a bit or move a page bumps `stamps.sweep`; [`PageTable::touch`]
+/// only sets bits. That is what lets a `PagedVec` skip a touch it can prove
+/// would be a repeat.
 struct PageTable {
     /// Slab per asid; index 0 stays empty (asids start at 1).
     spaces: Vec<Vec<Option<PageEntry>>>,
+    stamps: Rc<Stamps>,
 }
 
 impl PageTable {
     fn new() -> PageTable {
-        PageTable { spaces: Vec::new() }
+        PageTable {
+            spaces: Vec::new(),
+            stamps: Rc::default(),
+        }
+    }
+
+    /// Record a residency change.
+    fn bump_epoch(&self) {
+        self.stamps.epoch.set(self.stamps.epoch.get() + 1);
+        self.stamps.bump_sweep();
     }
 
     #[inline]
@@ -94,14 +135,41 @@ impl PageTable {
     }
 
     #[inline]
-    fn get_mut(&mut self, key: &PageKey) -> Option<&mut PageEntry> {
+    fn entry_mut(&mut self, key: &PageKey) -> Option<&mut PageEntry> {
         self.spaces
             .get_mut(key.0 as usize)?
             .get_mut(key.1 as usize)?
             .as_mut()
     }
 
+    /// An access to `key`: set its referenced bit and, for a store to a
+    /// mapped page, its dirty bit. Sets bits only, so `sweep` stays.
+    #[inline]
+    fn touch(&mut self, key: &PageKey, write: bool) -> Option<&PageState> {
+        let entry = self.entry_mut(key)?;
+        entry.referenced = true;
+        if write {
+            match &mut entry.state {
+                PageState::Resident { dirty, .. } => *dirty = true,
+                // Page under writeback is still mapped; a write re-dirties
+                // it so it will not be freed.
+                PageState::Writing { dirty_again, .. } => *dirty_again = true,
+                PageState::Reading { .. } | PageState::Swapped { .. } => {}
+            }
+        }
+        Some(&entry.state)
+    }
+
+    /// CLOCK's second chance: clear the referenced bit of `key`.
+    fn clear_referenced(&mut self, key: &PageKey) {
+        if let Some(entry) = self.entry_mut(key) {
+            entry.referenced = false;
+            self.stamps.bump_sweep();
+        }
+    }
+
     fn insert(&mut self, key: PageKey, entry: PageEntry) {
+        self.stamps.bump_sweep();
         let (asid, vpn) = (key.0 as usize, key.1 as usize);
         if self.spaces.len() <= asid {
             self.spaces.resize_with(asid + 1, Vec::new);
@@ -114,6 +182,7 @@ impl PageTable {
     }
 
     fn remove(&mut self, key: &PageKey) -> Option<PageEntry> {
+        self.stamps.bump_sweep();
         self.spaces
             .get_mut(key.0 as usize)?
             .get_mut(key.1 as usize)?
@@ -179,9 +248,6 @@ struct VmInner {
     throttle: Option<Throttle>,
     kswapd_active: bool,
     next_asid: u32,
-    /// Residency-change counter, shared out via [`Vm::epoch_handle`] so
-    /// page-cache consumers can validate without borrowing the VM.
-    epoch: Rc<Cell<u64>>,
     stats: VmStats,
 }
 
@@ -231,7 +297,6 @@ impl Vm {
                 throttle: None,
                 kswapd_active: false,
                 next_asid: 1,
-                epoch: Rc::new(Cell::new(0)),
                 stats: VmStats::default(),
             })),
         }
@@ -280,18 +345,11 @@ impl Vm {
         self.inner.borrow().swap.free_slots()
     }
 
-    /// Counter that bumps on every residency change; callers caching frame
-    /// buffers must re-validate when it moves.
-    pub fn epoch(&self) -> u64 {
-        self.inner.borrow().epoch.get()
-    }
-
-    /// Shared handle to the epoch counter. Reading through the handle skips
-    /// the `RefCell` borrow of the VM — this sits on the per-element access
-    /// fast path of [`crate::PagedVec`], which validates its one-page cache
-    /// against the epoch on *every* load and store.
-    pub fn epoch_handle(&self) -> Rc<Cell<u64>> {
-        self.inner.borrow().epoch.clone()
+    /// Shared handle to the lookaside-validation counters. Reading through
+    /// the handle skips the `RefCell` borrow of the VM — this sits on the
+    /// per-element access fast path of [`crate::PagedVec`].
+    pub fn stamps(&self) -> Rc<Stamps> {
+        self.inner.borrow().table.stamps.clone()
     }
 
     /// Snapshot of the activity counters.
@@ -350,40 +408,21 @@ impl Vm {
     pub fn try_page(&self, asid: u32, vpn: u64, write: bool) -> Result<IoBuffer, Signal> {
         let mut inner = self.inner.borrow_mut();
         let key = (asid, vpn);
-        match inner.table.get_mut(&key) {
-            Some(entry) => {
-                entry.referenced = true;
-                match &mut entry.state {
-                    PageState::Resident { frame, dirty, .. } => {
-                        if write {
-                            *dirty = true;
-                        }
-                        let frame = *frame;
-                        Ok(inner.frames.buffer(frame))
-                    }
-                    PageState::Writing {
-                        frame, dirty_again, ..
-                    } => {
-                        // Page under writeback is still mapped; a write
-                        // re-dirties it so it will not be freed.
-                        if write {
-                            *dirty_again = true;
-                        }
-                        let frame = *frame;
-                        Ok(inner.frames.buffer(frame))
-                    }
-                    PageState::Reading { signal, major, .. } => {
-                        if !*major {
-                            // Demand fault absorbed by in-flight readahead.
-                            self.ctrs.readahead_hits.inc();
-                        }
-                        Err(signal.clone())
-                    }
-                    PageState::Swapped { slot } => {
-                        let slot = *slot;
-                        self.start_swap_in(&mut inner, key, slot)
-                    }
+        match inner.table.touch(&key, write) {
+            Some(PageState::Resident { frame, .. } | PageState::Writing { frame, .. }) => {
+                let frame = *frame;
+                Ok(inner.frames.buffer(frame))
+            }
+            Some(PageState::Reading { signal, major, .. }) => {
+                if !*major {
+                    // Demand fault absorbed by in-flight readahead.
+                    self.ctrs.readahead_hits.inc();
                 }
+                Err(signal.clone())
+            }
+            Some(PageState::Swapped { slot }) => {
+                let slot = *slot;
+                self.start_swap_in(&mut inner, key, slot)
             }
             None => self.zero_fill(&mut inner, key),
         }
@@ -419,7 +458,7 @@ impl Vm {
                         if let Some(slot) = slot {
                             inner.swap.free_slot(slot);
                         }
-                        inner.epoch.set(inner.epoch.get() + 1);
+                        inner.table.bump_epoch();
                     }
                     PageState::Swapped { slot } => inner.swap.free_slot(slot),
                     PageState::Reading { .. } | PageState::Writing { .. } => {
@@ -460,7 +499,7 @@ impl Vm {
             },
         );
         inner.clock.push_back(key);
-        inner.epoch.set(inner.epoch.get() + 1);
+        inner.table.bump_epoch();
         inner.stats.zero_fills += 1;
         self.engine.lifecycle().note_fault(false);
         self.maybe_wake_kswapd(inner);
@@ -604,7 +643,7 @@ impl Vm {
                     },
                 );
                 inner.clock.push_back(key);
-                inner.epoch.set(inner.epoch.get() + 1);
+                inner.table.bump_epoch();
                 signal.set();
                 self.notify_waiters(&mut inner);
             }
@@ -647,7 +686,7 @@ impl Vm {
                     );
                     inner.frames.free(frame);
                 }
-                inner.epoch.set(inner.epoch.get() + 1);
+                inner.table.bump_epoch();
                 if let Some(t) = &mut inner.throttle {
                     t.remaining = t.remaining.saturating_sub(1);
                     if t.remaining == 0 {
@@ -788,9 +827,7 @@ impl Vm {
                 continue; // stale clock entry
             };
             if entry.referenced {
-                if let Some(e) = inner.table.get_mut(&key) {
-                    e.referenced = false;
-                }
+                inner.table.clear_referenced(&key);
                 inner.clock.push_back(key);
                 continue;
             }
@@ -805,7 +842,7 @@ impl Vm {
                         },
                     );
                     inner.frames.free(frame);
-                    inner.epoch.set(inner.epoch.get() + 1);
+                    inner.table.bump_epoch();
                     inner.stats.clean_evictions += 1;
                     self.notify_waiters(inner);
                     progressed += 1;
@@ -835,7 +872,7 @@ impl Vm {
                     );
                     // A store from here on must go back through `try_page`
                     // to set `dirty_again`: drop every lookaside.
-                    inner.epoch.set(inner.epoch.get() + 1);
+                    inner.table.bump_epoch();
                     inner.stats.swap_outs += 1;
                     let backend = inner.swap.backend(slot.dev);
                     let offset = inner.swap.offset_of(slot);
@@ -866,12 +903,7 @@ mod tests {
     use crate::{AddressSpace, DirectBackend, DirectConfig, PagedVec};
     use blockdev::SimDisk;
 
-    /// Starting a page's write-out must invalidate every `PagedVec`
-    /// lookaside: a holder with write intent that keeps storing past
-    /// `try_page` never sets `dirty_again`, so `finish_write` frees the
-    /// frame and the store vanishes.
-    #[test]
-    fn store_after_writeout_starts_is_not_lost() {
+    fn vm_over_disk(frames: u64) -> (Engine, Vm) {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let node = Node::new("client", 0, 2);
@@ -879,7 +911,7 @@ mod tests {
             engine.clone(),
             cal.clone(),
             node.clone(),
-            VmConfig::for_memory(16 * 4096),
+            VmConfig::for_memory(frames * 4096),
         );
         // The direct path over a disk copies the page at `store` time, as
         // the HPBD client does into its staging pool: what the device
@@ -894,15 +926,101 @@ mod tests {
             DirectBackend::new(engine.clone(), node, disk, DirectConfig::default()),
             0,
         );
+        (engine, vm)
+    }
+
+    fn entry(vm: &Vm, key: PageKey) -> PageEntry {
+        vm.inner.borrow().table.get(&key).cloned().expect("mapped")
+    }
+
+    /// Starting a page's write-out must invalidate every `PagedVec`
+    /// lookaside: a holder with write intent that keeps storing past
+    /// `try_page` never sets `dirty_again`, so `finish_write` frees the
+    /// frame and the store vanishes.
+    #[test]
+    fn store_after_writeout_starts_is_not_lost() {
+        let (engine, vm) = vm_over_disk(16);
         let space = AddressSpace::new(&vm);
         let v: PagedVec<i32> = PagedVec::new(&space, 1024);
         v.set(0, 1);
+        assert!(
+            v.pinned(|pages| pages.write(0, 1)).is_some(),
+            "nothing swept yet: the pinned page takes stores"
+        );
         // One pass clears the referenced bit, then starts the write-out.
         let writes = vm.reclaim(&mut vm.inner.borrow_mut(), 1);
         assert_eq!(writes, 1, "the page's write-out must be in flight");
+        assert!(
+            v.pinned(|pages| pages.write(0, 2)).is_none(),
+            "a swept slot must send the store back to try_page"
+        );
         v.try_set(0, 2)
             .expect("a page under writeback stays mapped");
+        assert!(matches!(
+            entry(&vm, (space.asid(), 0)).state,
+            PageState::Writing {
+                dirty_again: true,
+                ..
+            }
+        ));
         engine.run_until_idle();
         assert_eq!(v.get(0), 2);
+    }
+
+    /// Pinning makes no touch of its own: a page that was only read keeps
+    /// refusing stores and leaves as a clean eviction.
+    #[test]
+    fn pinned_read_only_page_evicts_clean() {
+        let (engine, vm) = vm_over_disk(16);
+        let space = AddressSpace::new(&vm);
+        let v: PagedVec<i32> = PagedVec::new(&space, 32 * 1024);
+        for i in 0..v.len() {
+            v.set(i, 7);
+        }
+        engine.run_until_idle();
+        assert_eq!(v.get(0), 7, "page 0 comes back from swap, clean");
+        assert_eq!(
+            v.pinned(|pages| (pages.read(1), pages.write(1, 9))),
+            (Some(7), None),
+            "read intent pins for reads only"
+        );
+        let key = (space.asid(), 0);
+        let before = vm.stats();
+        while !matches!(entry(&vm, key).state, PageState::Swapped { .. }) {
+            assert!(
+                matches!(
+                    entry(&vm, key).state,
+                    PageState::Resident { dirty: false, .. }
+                ),
+                "page 0 must never be dirtied or written out"
+            );
+            vm.reclaim(&mut vm.inner.borrow_mut(), 1);
+        }
+        assert!(vm.stats().clean_evictions > before.clean_evictions);
+        engine.run_until_idle();
+    }
+
+    /// CLOCK's second chance alone — no eviction, no residency change —
+    /// must already stop elision: the next access to each page has to set
+    /// its referenced bit again, as it always did.
+    #[test]
+    fn cleared_referenced_bit_is_set_again_by_the_next_access() {
+        let engine = Engine::new();
+        let node = Node::new("client", 0, 2);
+        let cal = Rc::new(Calibration::cluster_2005());
+        // No swap device: reclaim can clear bits but evict nothing.
+        let vm = Vm::new(engine, cal, node, VmConfig::for_memory(16 * 4096));
+        let space = AddressSpace::new(&vm);
+        let v: PagedVec<i32> = PagedVec::new(&space, 2048);
+        let keys = [(space.asid(), 0), (space.asid(), 1)];
+        v.set(0, 1);
+        v.set(1024, 2);
+        let epoch = vm.stamps().epoch();
+        assert_eq!(vm.reclaim(&mut vm.inner.borrow_mut(), 1), 0);
+        assert_eq!(vm.stamps().epoch(), epoch, "nothing moved");
+        assert!(keys.iter().all(|&k| !entry(&vm, k).referenced));
+        assert_eq!(v.pinned(|pages| pages.read(0)), None);
+        assert_eq!((v.get(0), v.get(1024)), (1, 2));
+        assert!(keys.iter().all(|&k| entry(&vm, k).referenced));
     }
 }

@@ -12,14 +12,114 @@
 //! cutoff, the textbook CLRS structure the paper cites.
 
 use crate::task::{Step, Task};
-use simcore::SimRng;
-use vmsim::{AddressSpace, PagedVec};
+use simcore::{Signal, SimRng};
+use vmsim::{AddressSpace, PagedVec, Pinned};
 
 /// Ranges at or below this length use insertion sort.
 const INSERTION_CUTOFF: u64 = 16;
 
+/// How the state machine reaches the array. It is written once against
+/// this; a step runs it over the pinned pages, and makes the one access
+/// they refuse through the VM.
+trait Mem {
+    /// Why an access was not made.
+    type Stop;
+    fn read(&mut self, index: u64) -> Result<i32, Self::Stop>;
+    fn write(&mut self, index: u64, value: i32) -> Result<(), Self::Stop>;
+}
+
+/// The pinned pages cannot serve this access without a VM call.
+struct Unpinned;
+
+impl Mem for Pinned<'_, i32> {
+    type Stop = Unpinned;
+    #[inline]
+    fn read(&mut self, index: u64) -> Result<i32, Unpinned> {
+        Pinned::read(self, index as usize).ok_or(Unpinned)
+    }
+    #[inline]
+    fn write(&mut self, index: u64, value: i32) -> Result<(), Unpinned> {
+        Pinned::write(self, index as usize, value).ok_or(Unpinned)
+    }
+}
+
+/// Through the VM: may fault, and stops on the signal to wait for.
+impl Mem for &PagedVec<i32> {
+    type Stop = Signal;
+    fn read(&mut self, index: u64) -> Result<i32, Signal> {
+        self.try_get(index as usize)
+    }
+    fn write(&mut self, index: u64, value: i32) -> Result<(), Signal> {
+        self.try_set(index as usize, value)
+    }
+}
+
+/// Lomuto scan over `lo..hi`: `i` is the store index, `j` the scan index.
+/// The `Option`s and `wrote_i` hold the swap's progress across a stop.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Scan {
+    lo: u64,
+    hi: u64,
+    pivot: i32,
+    i: u64,
+    j: u64,
+    vj: Option<i32>,
+    vi: Option<i32>,
+    wrote_i: bool,
+}
+
+impl Scan {
+    /// Scan while `*budget > 0`, one op per access; true once `j` reached
+    /// `hi`. On a stop the fields say where to pick up.
+    #[inline]
+    fn run<M: Mem>(&mut self, mem: &mut M, budget: &mut i64) -> Result<bool, M::Stop> {
+        while *budget > 0 {
+            if self.j == self.hi {
+                return Ok(true);
+            }
+            let Some(vj) = self.vj else {
+                self.vj = Some(mem.read(self.j)?);
+                *budget -= 1;
+                continue;
+            };
+            if vj > self.pivot {
+                self.j += 1;
+                self.vj = None;
+                continue;
+            }
+            if self.i == self.j {
+                self.i += 1;
+                self.j += 1;
+                self.vj = None;
+                continue;
+            }
+            // Swap a[i] <-> a[j], one access per transition.
+            let Some(vi) = self.vi else {
+                self.vi = Some(mem.read(self.i)?);
+                *budget -= 1;
+                continue;
+            };
+            if !self.wrote_i {
+                mem.write(self.i, vj)?;
+                self.wrote_i = true;
+                *budget -= 1;
+                continue;
+            }
+            mem.write(self.j, vi)?;
+            self.i += 1;
+            self.j += 1;
+            self.vj = None;
+            self.vi = None;
+            self.wrote_i = false;
+            *budget -= 1;
+        }
+        Ok(false)
+    }
+}
+
 /// Micro-state of the quicksort state machine. Indices are element
 /// positions; `Option` fields cache values across a blocking retry.
+#[derive(Debug, PartialEq)]
 enum Phase {
     /// Writing random input data.
     Fill,
@@ -27,17 +127,8 @@ enum Phase {
     Next,
     /// Load the pivot `a[hi]`.
     PivotLoad { lo: u64, hi: u64 },
-    /// Lomuto scan: `i` is the store index, `j` the scan index.
-    Scan {
-        lo: u64,
-        hi: u64,
-        pivot: i32,
-        i: u64,
-        j: u64,
-        vj: Option<i32>,
-        vi: Option<i32>,
-        wrote_i: bool,
-    },
+    /// Partition around the pivot.
+    Scan(Scan),
     /// Swap the pivot into place at `i`, then push subranges.
     FinalSwap {
         lo: u64,
@@ -61,14 +152,173 @@ enum Phase {
     Finished,
 }
 
+/// The sort's progress, apart from the array it works on.
+struct Sorter {
+    n: u64,
+    stack: Vec<(u64, u64)>,
+    phase: Phase,
+    fill_next: u64,
+    fill_val: Option<i32>,
+    rng: SimRng,
+}
+
+impl Sorter {
+    /// Make transitions while `*budget > 0`, charging it the ops each one
+    /// costs. Transitions that touch no memory are free but still need
+    /// budget left; the budget only counts memory operations, matching the
+    /// paper's compute model.
+    fn advance<M: Mem>(&mut self, mem: &mut M, budget: &mut i64) -> Result<(), M::Stop> {
+        while *budget > 0 {
+            match &mut self.phase {
+                Phase::Fill => {
+                    if self.fill_next == self.n {
+                        self.phase = if self.n >= 2 {
+                            self.stack.push((0, self.n - 1));
+                            Phase::Next
+                        } else {
+                            Phase::Finished
+                        };
+                        continue;
+                    }
+                    let val = *self
+                        .fill_val
+                        .get_or_insert_with(|| self.rng.next_u32() as i32);
+                    mem.write(self.fill_next, val)?;
+                    self.fill_next += 1;
+                    self.fill_val = None;
+                    *budget -= 1;
+                }
+                Phase::Next => {
+                    self.phase = match self.stack.pop() {
+                        None => Phase::Finished,
+                        Some((lo, hi)) if hi - lo < INSERTION_CUTOFF => {
+                            Phase::InsOuter { lo, hi, i: lo + 1 }
+                        }
+                        Some((lo, hi)) => Phase::PivotLoad { lo, hi },
+                    };
+                }
+                Phase::PivotLoad { lo, hi } => {
+                    let (lo, hi) = (*lo, *hi);
+                    let pivot = mem.read(hi)?;
+                    self.phase = Phase::Scan(Scan {
+                        lo,
+                        hi,
+                        pivot,
+                        i: lo,
+                        j: lo,
+                        vj: None,
+                        vi: None,
+                        wrote_i: false,
+                    });
+                    *budget -= 1;
+                }
+                Phase::Scan(scan) => {
+                    // On a copy, so the loop's state stays in registers.
+                    let mut s = *scan;
+                    let swept = s.run(mem, budget);
+                    *scan = s;
+                    if swept? {
+                        self.phase = Phase::FinalSwap {
+                            lo: s.lo,
+                            hi: s.hi,
+                            i: s.i,
+                            vi: None,
+                            vhi: None,
+                            wrote_i: false,
+                        };
+                    }
+                }
+                Phase::FinalSwap {
+                    lo,
+                    hi,
+                    i,
+                    vi,
+                    vhi,
+                    wrote_i,
+                } => {
+                    let (lo, hi, i) = (*lo, *hi, *i);
+                    if i != hi {
+                        let Some(cur_vhi) = *vhi else {
+                            *vhi = Some(mem.read(hi)?);
+                            *budget -= 1;
+                            continue;
+                        };
+                        let Some(cur_vi) = *vi else {
+                            *vi = Some(mem.read(i)?);
+                            *budget -= 1;
+                            continue;
+                        };
+                        if !*wrote_i {
+                            mem.write(i, cur_vhi)?;
+                            *wrote_i = true;
+                            *budget -= 1;
+                            continue;
+                        }
+                        mem.write(hi, cur_vi)?;
+                    }
+                    // Pivot in place at i. Push larger side first so the
+                    // smaller is processed next (bounded stack depth).
+                    let left = (i > lo).then(|| (lo, i - 1));
+                    let right = (i < hi).then(|| (i + 1, hi));
+                    match (left, right) {
+                        (Some(l), Some(r)) => {
+                            if l.1 - l.0 > r.1 - r.0 {
+                                self.stack.push(l);
+                                self.stack.push(r);
+                            } else {
+                                self.stack.push(r);
+                                self.stack.push(l);
+                            }
+                        }
+                        (Some(l), None) => self.stack.push(l),
+                        (None, Some(r)) => self.stack.push(r),
+                        (None, None) => {}
+                    }
+                    self.phase = Phase::Next;
+                    *budget -= 1;
+                }
+                Phase::InsOuter { lo, hi, i } => {
+                    let (lo, hi, i) = (*lo, *hi, *i);
+                    if i > hi {
+                        self.phase = Phase::Next;
+                        continue;
+                    }
+                    let key = mem.read(i)?;
+                    self.phase = Phase::InsInner {
+                        lo,
+                        hi,
+                        i,
+                        j: i,
+                        key,
+                    };
+                    *budget -= 1;
+                }
+                Phase::InsInner { lo, hi, i, j, key } => {
+                    let (lo, hi, i, key) = (*lo, *hi, *i, *key);
+                    if *j > lo {
+                        let prev = mem.read(*j - 1)?;
+                        if prev > key {
+                            mem.write(*j, prev)?;
+                            *j -= 1;
+                            *budget -= 2;
+                            continue;
+                        }
+                    }
+                    mem.write(*j, key)?;
+                    self.phase = Phase::InsOuter { lo, hi, i: i + 1 };
+                    *budget -= 2;
+                }
+                Phase::Finished => break,
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A resumable quicksort instance.
 pub struct QsortTask {
     data: PagedVec<i32>,
-    stack: Vec<(u64, u64)>,
-    phase: Phase,
-    fill_next: usize,
-    fill_val: Option<i32>,
-    rng: SimRng,
+    sorter: Sorter,
     ns_per_op: u64,
     name: String,
 }
@@ -84,11 +334,14 @@ impl QsortTask {
     ) -> QsortTask {
         QsortTask {
             data: PagedVec::new(space, elements),
-            stack: Vec::new(),
-            phase: Phase::Fill,
-            fill_next: 0,
-            fill_val: None,
-            rng: SimRng::new(seed),
+            sorter: Sorter {
+                n: elements as u64,
+                stack: Vec::new(),
+                phase: Phase::Fill,
+                fill_next: 0,
+                fill_val: None,
+                rng: SimRng::new(seed),
+            },
             ns_per_op,
             name: name.into(),
         }
@@ -117,231 +370,38 @@ impl QsortTask {
         true
     }
 
-    /// One micro-transition. Returns ops consumed, or the blocking signal.
-    fn advance_one(&mut self) -> Result<u64, simcore::Signal> {
-        let n = self.data.len() as u64;
-        match &mut self.phase {
-            Phase::Fill => {
-                if self.fill_next as u64 == n {
-                    self.phase = if n >= 2 {
-                        self.stack.push((0, n - 1));
-                        Phase::Next
-                    } else {
-                        Phase::Finished
-                    };
-                    return Ok(0);
-                }
-                let val = *self
-                    .fill_val
-                    .get_or_insert_with(|| self.rng.next_u32() as i32);
-                self.data.try_set(self.fill_next, val)?;
-                self.fill_next += 1;
-                self.fill_val = None;
-                Ok(1)
-            }
-            Phase::Next => match self.stack.pop() {
-                None => {
-                    self.phase = Phase::Finished;
-                    Ok(0)
-                }
-                Some((lo, hi)) => {
-                    self.phase = if hi - lo < INSERTION_CUTOFF {
-                        Phase::InsOuter { lo, hi, i: lo + 1 }
-                    } else {
-                        Phase::PivotLoad { lo, hi }
-                    };
-                    Ok(0)
-                }
-            },
-            Phase::PivotLoad { lo, hi } => {
-                let (lo, hi) = (*lo, *hi);
-                let pivot = self.data.try_get(hi as usize)?;
-                self.phase = Phase::Scan {
-                    lo,
-                    hi,
-                    pivot,
-                    i: lo,
-                    j: lo,
-                    vj: None,
-                    vi: None,
-                    wrote_i: false,
-                };
-                Ok(1)
-            }
-            Phase::Scan {
-                lo,
-                hi,
-                pivot,
-                i,
-                j,
-                vj,
-                vi,
-                wrote_i,
-            } => {
-                let (lo, hi, pivot) = (*lo, *hi, *pivot);
-                if *j == hi {
-                    let i = *i;
-                    self.phase = Phase::FinalSwap {
-                        lo,
-                        hi,
-                        i,
-                        vi: None,
-                        vhi: None,
-                        wrote_i: false,
-                    };
-                    return Ok(0);
-                }
-                // Read a[j].
-                let cur_vj = match *vj {
-                    Some(v) => v,
-                    None => {
-                        let v = self.data.try_get(*j as usize)?;
-                        *vj = Some(v);
-                        return Ok(1);
-                    }
-                };
-                if cur_vj > pivot {
-                    *j += 1;
-                    *vj = None;
-                    return Ok(0);
-                }
-                if *i == *j {
-                    *i += 1;
-                    *j += 1;
-                    *vj = None;
-                    return Ok(0);
-                }
-                // Swap a[i] <-> a[j], one access per transition.
-                let cur_vi = match *vi {
-                    Some(v) => v,
-                    None => {
-                        let v = self.data.try_get(*i as usize)?;
-                        *vi = Some(v);
-                        return Ok(1);
-                    }
-                };
-                if !*wrote_i {
-                    self.data.try_set(*i as usize, cur_vj)?;
-                    *wrote_i = true;
-                    return Ok(1);
-                }
-                self.data.try_set(*j as usize, cur_vi)?;
-                *i += 1;
-                *j += 1;
-                *vj = None;
-                *vi = None;
-                *wrote_i = false;
-                Ok(1)
-            }
-            Phase::FinalSwap {
-                lo,
-                hi,
-                i,
-                vi,
-                vhi,
-                wrote_i,
-            } => {
-                let (lo, hi, i) = (*lo, *hi, *i);
-                if i != hi {
-                    let cur_vhi = match *vhi {
-                        Some(v) => v,
-                        None => {
-                            let v = self.data.try_get(hi as usize)?;
-                            *vhi = Some(v);
-                            return Ok(1);
-                        }
-                    };
-                    let cur_vi = match *vi {
-                        Some(v) => v,
-                        None => {
-                            let v = self.data.try_get(i as usize)?;
-                            *vi = Some(v);
-                            return Ok(1);
-                        }
-                    };
-                    if !*wrote_i {
-                        self.data.try_set(i as usize, cur_vhi)?;
-                        *wrote_i = true;
-                        return Ok(1);
-                    }
-                    self.data.try_set(hi as usize, cur_vi)?;
-                }
-                // Pivot in place at i. Push larger side first so the
-                // smaller is processed next (bounded stack depth).
-                let left = (i > lo).then(|| (lo, i - 1));
-                let right = (i < hi).then(|| (i + 1, hi));
-                match (left, right) {
-                    (Some(l), Some(r)) => {
-                        if l.1 - l.0 > r.1 - r.0 {
-                            self.stack.push(l);
-                            self.stack.push(r);
-                        } else {
-                            self.stack.push(r);
-                            self.stack.push(l);
-                        }
-                    }
-                    (Some(l), None) => self.stack.push(l),
-                    (None, Some(r)) => self.stack.push(r),
-                    (None, None) => {}
-                }
-                self.phase = Phase::Next;
-                Ok(1)
-            }
-            Phase::InsOuter { lo, hi, i } => {
-                let (lo, hi, i) = (*lo, *hi, *i);
-                if i > hi {
-                    self.phase = Phase::Next;
-                    return Ok(0);
-                }
-                let key = self.data.try_get(i as usize)?;
-                self.phase = Phase::InsInner {
-                    lo,
-                    hi,
-                    i,
-                    j: i,
-                    key,
-                };
-                Ok(1)
-            }
-            Phase::InsInner { lo, hi, i, j, key } => {
-                let (lo, hi, i, key) = (*lo, *hi, *i, *key);
-                if *j > lo {
-                    let prev = self.data.try_get(*j as usize - 1)?;
-                    if prev > key {
-                        self.data.try_set(*j as usize, prev)?;
-                        *j -= 1;
-                        return Ok(2);
+    /// [`Task::step`], also saying how many ops it charged.
+    fn step_counting(&mut self, max_ops: u64) -> (Step, i64) {
+        let mut budget = max_ops as i64;
+        let sorter = &mut self.sorter;
+        let step = 'run: {
+            while budget > 0 && sorter.phase != Phase::Finished {
+                let ran = self.data.pinned(|pages| sorter.advance(pages, &mut budget));
+                if ran.is_err() {
+                    // Make the refused access — and nothing after it —
+                    // through the VM, where it may fault or block, then pin
+                    // again.
+                    let mut one = 1;
+                    let made = sorter.advance(&mut &self.data, &mut one);
+                    budget -= 1 - one;
+                    if let Err(sig) = made {
+                        break 'run Step::Blocked(sig);
                     }
                 }
-                self.data.try_set(*j as usize, key)?;
-                self.phase = Phase::InsOuter { lo, hi, i: i + 1 };
-                Ok(2)
             }
-            Phase::Finished => Ok(0),
-        }
+            if sorter.phase == Phase::Finished {
+                Step::Done
+            } else {
+                Step::Ran
+            }
+        };
+        (step, max_ops as i64 - budget)
     }
 }
 
 impl Task for QsortTask {
     fn step(&mut self, max_ops: u64) -> Step {
-        let mut budget = max_ops as i64;
-        while budget > 0 {
-            if matches!(self.phase, Phase::Finished) {
-                return Step::Done;
-            }
-            match self.advance_one() {
-                Ok(ops) => budget -= ops as i64,
-                Err(sig) => return Step::Blocked(sig),
-            }
-            // Zero-op transitions (stack pops) still make progress; the
-            // budget only counts memory operations, matching the paper's
-            // compute model.
-        }
-        if matches!(self.phase, Phase::Finished) {
-            Step::Done
-        } else {
-            Step::Ran
-        }
+        self.step_counting(max_ops).0
     }
 
     fn ns_per_op(&self) -> u64 {
@@ -352,6 +412,9 @@ impl Task for QsortTask {
         &self.name
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
