@@ -1,7 +1,7 @@
 //! Figure U (reproduction extra): kernel block path vs user-space direct
 //! swap path across the fig9/fig10 workloads plus a zipfian-access variant.
 use bench::figures::figu;
-use bench::report::print_paper_note;
+use bench::report::{print_paper_note, ratio};
 use bench::CommonArgs;
 use workloads::SwapPath;
 
@@ -85,9 +85,22 @@ fn main() {
         fig.rows.len()
     );
     println!(
-        "readahead: window of {} pages honored on both paths (direct submits \
-         readahead per-page and never polls for it)",
+        "readahead: window of {} pages honored on both paths (direct sends the \
+         demand page first and alone, its readahead cluster behind it as one \
+         request, and never polls for that)",
         fig.rows.first().map(|r| r.readahead_pages).unwrap_or(8)
+    );
+    let (polled, timeouts) = fig
+        .rows
+        .iter()
+        .filter_map(|r| r.direct.as_ref())
+        .fold((0u64, 0u64), |(p, t), s| {
+            (p + s.polled, t + s.poll_timeouts)
+        });
+    println!(
+        "busy-poll: {timeouts} of {polled} polled demand loads ({:.1}%) outlived the \
+         poll budget — the fault paid the budget in CPU, then slept the tail",
+        ratio(polled as f64, timeouts as f64) * 100.0
     );
     if let Some(direct_zipf) = fig
         .rows
@@ -105,8 +118,9 @@ fn main() {
     println!();
     print_paper_note(&[
         "the paper swaps through the kernel block device (nbd/hpbd); this figure",
-        "measures the reproduction's frontswap-style alternative: per-page",
-        "submission straight to the HPBD client with busy-poll completion.",
+        "measures the reproduction's frontswap-style alternative: the demand page",
+        "goes straight to the HPBD client, alone, with busy-poll completion, and",
+        "write-back bursts and readahead clusters follow as coalesced requests.",
         "Demand faults skip the elevator's merge batching, so the faulting",
         "process stops paying for its neighbors' pages in the swap-in tail.",
     ]);

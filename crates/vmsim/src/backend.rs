@@ -10,10 +10,12 @@
 //!   figure built on this adapter is byte-identical to the pre-trait code
 //!   (`tests/block_backend_differential.rs` holds the blessed baseline).
 //! * [`DirectBackend`] — a frontswap-style user-space path (Hermit /
-//!   Fastswap, PAPERS.md): 4 KiB pages go straight to the device as
-//!   single-bio requests — no elevator, no queue plug, no per-bio kernel
-//!   submission charge — and demand-load completions are busy-polled with
-//!   an adaptive poll→event fallback when the swap stream has gone idle.
+//!   Fastswap, PAPERS.md): no elevator, no queue plug, no per-bio kernel
+//!   submission charge. The demand page goes straight to the device,
+//!   first and alone, and its completion is busy-polled with an adaptive
+//!   poll→event fallback when the swap stream has gone idle; write-back
+//!   bursts and readahead clusters are staged and [`SwapBackend::reap`]
+//!   sends each run of adjacent pages as one request.
 //!
 //! The contract (DESIGN.md §16): `store`/`load` *submit* one page and may
 //! defer I/O until [`SwapBackend::reap`]; completion callbacks fire from
@@ -173,6 +175,15 @@ impl SwapBackend for BlockBackend {
 
 // -- the user-space direct path ------------------------------------------
 
+/// Largest request [`DirectBackend::reap`] builds out of adjacent staged
+/// pages: one default readahead cluster, 8 × 4 KiB. A constant, not an
+/// option — the sweep that chose it (32 / 64 / 128 KiB against per-page
+/// submission, EXPERIMENTS.md *Figure U*) found 32 KiB the only cap at
+/// which every direct-path makespan beats per-page submission: it carries
+/// a whole readahead in one message, and a demand page that lands behind a
+/// neighbour's write-back run waits for 32 KiB, not 128.
+pub const DIRECT_MAX_RUN_BYTES: u64 = 32 * 1024;
+
 /// Tuning for the [`DirectBackend`].
 #[derive(Clone, Debug)]
 pub struct DirectConfig {
@@ -193,16 +204,20 @@ impl Default for DirectConfig {
     fn default() -> DirectConfig {
         DirectConfig {
             submit_ns: 350,
-            // One-page HPBD round trips sit in the tens of µs on the 2005
-            // calibration; 25 µs of spin covers the common case without
-            // burning a whole scheduler quantum on the tail.
+            // A one-page HPBD round trip is 63–80 µs on the 2005
+            // calibration, so this budget never covers one: measured,
+            // every polled demand load times out (`poll_timeouts ==
+            // polled` on every figU cell and on `zipf_direct`). What the
+            // model charges is therefore 25 µs of CPU per hot fault, then
+            // a sleep for the tail. Sizing or dropping the budget is
+            // ROADMAP item 1.
             poll_budget_ns: 25_000,
             idle_threshold_ns: 200_000,
         }
     }
 }
 
-/// Busy-poll bookkeeping of a [`DirectBackend`].
+/// Page and busy-poll bookkeeping of a [`DirectBackend`].
 #[derive(Clone, Debug, Default)]
 pub struct DirectStats {
     /// Page-out submissions.
@@ -221,13 +236,6 @@ pub struct DirectStats {
     pub poll_cpu_ns: u64,
 }
 
-/// What a page submission is, from the poll model's point of view.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PageOp {
-    Store,
-    Load(LoadKind),
-}
-
 struct DirectInner {
     stats: DirectStats,
     read_latency: OnlineStats,
@@ -236,18 +244,28 @@ struct DirectInner {
     total_bytes: u64,
 }
 
-/// Frontswap-style user-space path: each page is one single-bio request
-/// submitted straight to the device at call time. There is no staging, so
-/// [`SwapBackend::reap`] is a no-op; a demand fault's completion latency
-/// is charged to the faulting CPU as busy-poll time (bounded by
-/// [`DirectConfig::poll_budget_ns`]) whenever the swap stream is hot.
+/// Frontswap-style user-space path: demand first and alone, everything
+/// else coalesced at [`SwapBackend::reap`].
+///
+/// A demand load is one single-page request submitted straight to the
+/// device at the call; its completion latency is charged to the faulting
+/// CPU as busy-poll time (bounded by [`DirectConfig::poll_budget_ns`])
+/// whenever the swap stream is hot. Stores and readahead loads are staged;
+/// `reap` sorts them and sends every run of same-op, offset-adjacent pages
+/// as one request of at most [`DIRECT_MAX_RUN_BYTES`] — a kswapd burst over
+/// next-fit slots or a readahead cluster is one message, as it is below
+/// the block layer's elevator. The merge sits here, above the device,
+/// because this is the last place a page's [`LoadKind`] is known: merged
+/// any lower, the demand page rides in its readahead's request and waits
+/// for all of it.
 pub struct DirectBackend {
     engine: Engine,
     node: Node,
     dev: Rc<dyn BlockDevice>,
     config: DirectConfig,
     inner: Rc<RefCell<DirectInner>>,
-    in_flight: Rc<Cell<u64>>,
+    /// Stores and readahead loads submitted since the last `reap`.
+    staged: RefCell<Vec<Bio>>,
     /// Completion recency, for the poll-vs-event decision. `None` until
     /// the first completion.
     last_completion: Rc<Cell<Option<SimTime>>>,
@@ -273,12 +291,12 @@ impl DirectBackend {
                 requests: 0,
                 total_bytes: 0,
             })),
-            in_flight: Rc::new(Cell::new(0)),
+            staged: RefCell::new(Vec::new()),
             last_completion: Rc::new(Cell::new(None)),
         })
     }
 
-    /// Busy-poll bookkeeping so far.
+    /// Page and busy-poll bookkeeping so far.
     pub fn stats(&self) -> DirectStats {
         self.inner.borrow().stats.clone()
     }
@@ -298,33 +316,32 @@ impl DirectBackend {
         }
     }
 
-    fn submit_page(&self, page_op: PageOp, offset: u64, buf: IoBuffer, done: PageDone) {
+    /// Per-page submission cost, paid at the `store`/`load` call whether
+    /// the page goes out now or at `reap`: trivial next to the block
+    /// layer's per-bio charge — that difference is most of the direct
+    /// path's win.
+    fn charge_submit(&self) {
+        self.node.cpu().reserve(
+            self.engine.now(),
+            SimDuration::from_nanos(self.config.submit_ns),
+        );
+    }
+
+    /// Send `bios` — same-op, sorted, adjacent — to the device as one
+    /// request: one lifecycle context, one latency sample, one
+    /// `requests()` count. Only a lone demand page is polled for.
+    fn submit_run(&self, bios: Vec<Bio>, demand: bool) {
         let now = self.engine.now();
-        let bytes = buf.borrow().len() as u64;
-        let op = match page_op {
-            PageOp::Store => IoOp::Write,
-            PageOp::Load(_) => IoOp::Read,
-        };
-        // Submission cost: trivial next to the block layer's per-bio
-        // charge — that difference is most of the direct path's win.
-        self.node
-            .cpu()
-            .reserve(now, SimDuration::from_nanos(self.config.submit_ns));
-        let demand = page_op == PageOp::Load(LoadKind::Demand);
+        let mut req = IoRequest::from_bios(bios);
+        let op = req.op();
+        let bytes = req.len();
         let polling = demand && self.should_poll(now);
         {
             let mut inner = self.inner.borrow_mut();
-            match page_op {
-                PageOp::Store => inner.stats.page_stores += 1,
-                PageOp::Load(LoadKind::Demand) => inner.stats.page_loads += 1,
-                PageOp::Load(LoadKind::Readahead) => inner.stats.readahead_loads += 1,
-            }
             inner.requests += 1;
             inner.total_bytes += bytes;
         }
-        self.in_flight.set(self.in_flight.get() + 1);
 
-        let mut req = IoRequest::single(Bio::new(op, offset, buf, done));
         let lifecycle = self.engine.lifecycle().begin(
             self.dev.name(),
             op == IoOp::Write,
@@ -338,7 +355,6 @@ impl DirectBackend {
         let engine = self.engine.clone();
         let node = self.node.clone();
         let inner = self.inner.clone();
-        let in_flight = self.in_flight.clone();
         let last_completion = self.last_completion.clone();
         let metrics = self.engine.metrics();
         let poll_budget = self.config.poll_budget_ns;
@@ -346,7 +362,6 @@ impl DirectBackend {
             let done_at = engine.now();
             let elapsed_ns = done_at.since(now).as_nanos();
             let us = done_at.since(now).as_micros_f64();
-            in_flight.set(in_flight.get().saturating_sub(1));
             last_completion.set(Some(done_at));
             {
                 let mut inner = inner.borrow_mut();
@@ -389,6 +404,18 @@ impl DirectBackend {
     }
 }
 
+impl Drop for DirectBackend {
+    fn drop(&mut self) {
+        // A page staged and never reaped is a `PageDone` that never fires
+        // — a task asleep forever. Fail where the `reap` was forgotten.
+        debug_assert!(
+            self.staged.borrow().is_empty() || std::thread::panicking(),
+            "DirectBackend dropped with {} staged pages never reaped",
+            self.staged.borrow().len()
+        );
+    }
+}
+
 impl SwapBackend for DirectBackend {
     fn capacity(&self) -> u64 {
         self.dev.capacity()
@@ -399,16 +426,51 @@ impl SwapBackend for DirectBackend {
     }
 
     fn store(&self, offset: u64, buf: IoBuffer, done: PageDone) {
-        self.submit_page(PageOp::Store, offset, buf, done);
+        self.charge_submit();
+        self.inner.borrow_mut().stats.page_stores += 1;
+        self.staged
+            .borrow_mut()
+            .push(Bio::new(IoOp::Write, offset, buf, done));
     }
 
     fn load(&self, offset: u64, kind: LoadKind, buf: IoBuffer, done: PageDone) {
-        self.submit_page(PageOp::Load(kind), offset, buf, done);
+        self.charge_submit();
+        let bio = Bio::new(IoOp::Read, offset, buf, done);
+        match kind {
+            LoadKind::Demand => {
+                self.inner.borrow_mut().stats.page_loads += 1;
+                self.submit_run(vec![bio], true);
+            }
+            LoadKind::Readahead => {
+                self.inner.borrow_mut().stats.readahead_loads += 1;
+                self.staged.borrow_mut().push(bio);
+            }
+        }
     }
 
+    /// Submit everything staged since the last call: loads before stores,
+    /// each by ascending offset, a run ending at a gap, at the op change
+    /// or at [`DIRECT_MAX_RUN_BYTES`]. No engine event runs between a
+    /// `store` and the VM's `reap`, so the bytes a run carries are the
+    /// bytes at `store` time.
     fn reap(&self) {
-        // Nothing staged: submission already posted the request. The
-        // method exists so the VM core can treat both paths uniformly.
+        let mut staged = self.staged.take();
+        staged.sort_by_key(|bio| (bio.op == IoOp::Write, bio.offset));
+        let mut run: Vec<Bio> = Vec::new();
+        for bio in staged {
+            if let (Some(first), Some(last)) = (run.first(), run.last()) {
+                let joins = bio.op == last.op
+                    && bio.offset == last.end()
+                    && bio.end() - first.offset <= DIRECT_MAX_RUN_BYTES;
+                if !joins {
+                    self.submit_run(std::mem::take(&mut run), false);
+                }
+            }
+            run.push(bio);
+        }
+        if !run.is_empty() {
+            self.submit_run(run, false);
+        }
     }
 
     fn requests(&self) -> u64 {
@@ -443,17 +505,6 @@ mod tests {
         let cal = Rc::new(Calibration::cluster_2005());
         let node = Node::new("client", 0, 2);
         (engine, cal, node)
-    }
-
-    fn ram_direct(engine: &Engine, cal: &Rc<Calibration>, node: &Node) -> Rc<DirectBackend> {
-        let dev = Rc::new(RamDiskDevice::new(
-            engine.clone(),
-            cal.clone(),
-            node.clone(),
-            1 << 20,
-            "ram-direct",
-        ));
-        DirectBackend::new(engine.clone(), node.clone(), dev, DirectConfig::default())
     }
 
     #[test]
@@ -498,33 +549,184 @@ mod tests {
         assert!(done.get());
     }
 
+    /// What the device saw: (op, first page, bios) per request, in
+    /// submission order, logged before forwarding to a RAM disk.
+    struct Recorder {
+        dev: RamDiskDevice,
+        log: RefCell<Vec<(IoOp, u64, usize)>>,
+    }
+
+    impl BlockDevice for Recorder {
+        fn capacity(&self) -> u64 {
+            self.dev.capacity()
+        }
+        fn name(&self) -> &str {
+            self.dev.name()
+        }
+        fn submit(&self, req: IoRequest) {
+            self.log
+                .borrow_mut()
+                .push((req.op(), req.offset() / PAGE, req.bio_count()));
+            self.dev.submit(req);
+        }
+    }
+
+    const PAGE: u64 = 4096;
+
+    fn recorded_direct(
+        engine: &Engine,
+        cal: &Rc<Calibration>,
+        node: &Node,
+    ) -> (Rc<Recorder>, Rc<DirectBackend>) {
+        let dev = Rc::new(Recorder {
+            dev: RamDiskDevice::new(
+                engine.clone(),
+                cal.clone(),
+                node.clone(),
+                1 << 20,
+                "ram-direct",
+            ),
+            log: RefCell::new(Vec::new()),
+        });
+        let backend = DirectBackend::new(
+            engine.clone(),
+            node.clone(),
+            dev.clone(),
+            DirectConfig::default(),
+        );
+        (dev, backend)
+    }
+
+    /// A page callback that checks the result and bumps `done`.
+    fn counting(done: &Rc<Cell<u32>>) -> PageDone {
+        let d = done.clone();
+        Box::new(move |r| {
+            r.unwrap();
+            d.set(d.get() + 1);
+        })
+    }
+
+    fn store_page(backend: &DirectBackend, page: u64, done: &Rc<Cell<u32>>) {
+        backend.store(page * PAGE, new_buffer(PAGE as usize), counting(done));
+    }
+
+    fn load_page(backend: &DirectBackend, page: u64, kind: LoadKind, done: &Rc<Cell<u32>>) {
+        backend.load(page * PAGE, kind, new_buffer(PAGE as usize), counting(done));
+    }
+
     #[test]
-    fn direct_backend_needs_no_reap_and_counts_pages() {
+    fn direct_stores_wait_for_reap_and_go_out_as_one_request() {
         let (engine, cal, node) = fixture();
-        let backend = ram_direct(&engine, &cal, &node);
+        let (dev, backend) = recorded_direct(&engine, &cal, &node);
         let done = Rc::new(Cell::new(0u32));
-        for i in 0..4u64 {
-            let d = done.clone();
-            backend.store(
-                i * 4096,
-                new_buffer(4096),
-                Box::new(move |r| {
-                    r.unwrap();
-                    d.set(d.get() + 1);
-                }),
-            );
+        for page in 0..4 {
+            store_page(&backend, page, &done);
         }
         engine.run_until_idle();
-        assert_eq!(done.get(), 4, "stores complete without any reap call");
+        assert!(dev.log.borrow().is_empty(), "staged stores wait for reap");
+        assert_eq!((done.get(), backend.requests()), (0, 0));
+        backend.reap();
+        engine.run_until_idle();
+        assert_eq!(*dev.log.borrow(), [(IoOp::Write, 0, 4)]);
+        assert_eq!(done.get(), 4, "every page's callback fires");
         assert_eq!(backend.stats().page_stores, 4);
-        assert_eq!(backend.requests(), 4);
-        assert_eq!(backend.mean_request_bytes(), 4096.0);
+        assert_eq!(backend.requests(), 1);
+        assert_eq!(backend.mean_request_bytes(), 16384.0);
+        assert_eq!(backend.write_latency().count(), 1, "one sample per run");
+    }
+
+    #[test]
+    fn reap_sorts_and_ends_a_run_at_a_gap_an_op_change_and_the_cap() {
+        let (engine, cal, node) = fixture();
+        let (dev, backend) = recorded_direct(&engine, &cal, &node);
+        let done = Rc::new(Cell::new(0u32));
+        // Staged out of order; pages 20..30 are one adjacent run longer
+        // than the cap, loads 10..12 touch stores 12..14.
+        for page in (20..30).rev() {
+            store_page(&backend, page, &done);
+        }
+        for page in [13, 3, 12, 1, 0] {
+            store_page(&backend, page, &done);
+        }
+        for page in [11, 10] {
+            load_page(&backend, page, LoadKind::Readahead, &done);
+        }
+        backend.reap();
+        let cap_pages = (DIRECT_MAX_RUN_BYTES / PAGE) as usize;
+        assert_eq!(
+            *dev.log.borrow(),
+            [
+                (IoOp::Read, 10, 2),
+                (IoOp::Write, 0, 2),
+                (IoOp::Write, 3, 1),
+                (IoOp::Write, 12, 2),
+                (IoOp::Write, 20, cap_pages),
+                (IoOp::Write, 20 + cap_pages as u64, 10 - cap_pages),
+            ]
+        );
+        engine.run_until_idle();
+        assert_eq!(done.get(), 17);
+        assert_eq!(backend.requests(), 6);
+        let stats = backend.stats();
+        assert_eq!((stats.page_stores, stats.readahead_loads), (15, 2));
+    }
+
+    #[test]
+    fn direct_demand_load_goes_first_alone_and_is_the_only_one_polled() {
+        let (engine, cal, node) = fixture();
+        let (dev, backend) = recorded_direct(&engine, &cal, &node);
+        let done = Rc::new(Cell::new(0u32));
+        // Warm the recency window so the next demand load polls.
+        load_page(&backend, 64, LoadKind::Demand, &done);
+        engine.run_until_idle();
+        dev.log.borrow_mut().clear();
+
+        load_page(&backend, 1, LoadKind::Readahead, &done);
+        load_page(&backend, 2, LoadKind::Readahead, &done);
+        load_page(&backend, 0, LoadKind::Demand, &done);
+        assert_eq!(
+            *dev.log.borrow(),
+            [(IoOp::Read, 0, 1)],
+            "the demand page is on the device at the call, without its neighbours"
+        );
+        backend.reap();
+        assert_eq!(*dev.log.borrow(), [(IoOp::Read, 0, 1), (IoOp::Read, 1, 2)]);
+        engine.run_until_idle();
+        assert_eq!(done.get(), 4);
+        let stats = backend.stats();
+        assert_eq!((stats.page_loads, stats.readahead_loads), (2, 2));
+        assert_eq!(
+            (stats.polled, stats.event_waits),
+            (1, 1),
+            "the readahead run is never polled for"
+        );
+    }
+
+    #[test]
+    fn direct_reap_on_an_empty_stage_is_a_no_op() {
+        let (engine, cal, node) = fixture();
+        let (dev, backend) = recorded_direct(&engine, &cal, &node);
+        backend.reap();
+        assert_eq!(engine.pending_events(), 0, "nothing was scheduled");
+        assert!(dev.log.borrow().is_empty());
+        assert_eq!(backend.requests(), 0);
+    }
+
+    /// A caller that forgets `reap` fails in debug builds instead of
+    /// stranding the page's callback.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never reaped")]
+    fn direct_backend_dropped_with_staged_pages_panics() {
+        let (engine, cal, node) = fixture();
+        let (_, backend) = recorded_direct(&engine, &cal, &node);
+        backend.store(0, new_buffer(4096), Box::new(|_| {}));
     }
 
     #[test]
     fn direct_demand_load_polls_only_when_stream_is_hot() {
         let (engine, cal, node) = fixture();
-        let backend = ram_direct(&engine, &cal, &node);
+        let (_, backend) = recorded_direct(&engine, &cal, &node);
         // Cold start: the first demand load must take the event path.
         backend.load(0, LoadKind::Demand, new_buffer(4096), Box::new(|_| {}));
         engine.run_until_idle();
@@ -544,6 +746,7 @@ mod tests {
             new_buffer(4096),
             Box::new(|_| {}),
         );
+        backend.reap();
         engine.run_until_idle();
         assert_eq!(backend.stats().polled, 1);
     }

@@ -19,8 +19,9 @@
 //! * [`SwapBackend`] — the storage boundary. The VM submits page-sized
 //!   `store`/`load` operations and reaps completions; [`BlockBackend`]
 //!   routes them through the kernel's merging request queue (the paper's
-//!   path), [`DirectBackend`] is the frontswap-style user-space path with
-//!   busy-poll completion (DESIGN.md §16).
+//!   path), [`DirectBackend`] is the frontswap-style user-space path: the
+//!   demand page alone and busy-polled, bursts coalesced at `reap`
+//!   (DESIGN.md §16).
 //! * [`AddressSpace`] / [`PagedVec`] — how applications live on the
 //!   simulated VM: element accesses fault pages in through the full paging
 //!   path. Accesses come in a *try* flavour (returns the completion
@@ -42,6 +43,7 @@ pub mod vm;
 
 pub use backend::{
     BlockBackend, DirectBackend, DirectConfig, DirectStats, LoadKind, PageDone, SwapBackend,
+    DIRECT_MAX_RUN_BYTES,
 };
 pub use config::VmConfig;
 pub use frames::{FrameId, FramePool};

@@ -929,6 +929,15 @@ mod tests {
         (engine, vm)
     }
 
+    /// One reclaim pass the way every caller in `Vm` makes it: the direct
+    /// path stages its stores until `reap`.
+    fn reclaim_and_reap(vm: &Vm, target: usize) -> usize {
+        let mut inner = vm.inner.borrow_mut();
+        let writes = vm.reclaim(&mut inner, target);
+        inner.swap.reap_all();
+        writes
+    }
+
     fn entry(vm: &Vm, key: PageKey) -> PageEntry {
         vm.inner.borrow().table.get(&key).cloned().expect("mapped")
     }
@@ -948,7 +957,7 @@ mod tests {
             "nothing swept yet: the pinned page takes stores"
         );
         // One pass clears the referenced bit, then starts the write-out.
-        let writes = vm.reclaim(&mut vm.inner.borrow_mut(), 1);
+        let writes = reclaim_and_reap(&vm, 1);
         assert_eq!(writes, 1, "the page's write-out must be in flight");
         assert!(
             v.pinned(|pages| pages.write(0, 2)).is_none(),
@@ -994,7 +1003,7 @@ mod tests {
                 ),
                 "page 0 must never be dirtied or written out"
             );
-            vm.reclaim(&mut vm.inner.borrow_mut(), 1);
+            reclaim_and_reap(&vm, 1);
         }
         assert!(vm.stats().clean_evictions > before.clean_evictions);
         engine.run_until_idle();

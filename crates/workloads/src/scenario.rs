@@ -55,8 +55,9 @@ pub enum SwapPath {
     /// plug/unplug, interrupt-style completion.
     #[default]
     Block,
-    /// User-space direct path: per-page submission straight to the
-    /// device, busy-poll completion with adaptive event fallback
+    /// User-space direct path: the demand page straight to the device,
+    /// alone, with busy-poll completion and adaptive event fallback;
+    /// write-back bursts and readahead clusters coalesced at `reap`
     /// ([`vmsim::DirectBackend`], figU).
     Direct,
 }

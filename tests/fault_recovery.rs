@@ -402,13 +402,33 @@ fn oracle_survives_combined_fault_plan() {
 
 // -- swap-consistency oracle, user-space direct path ----------------------
 
+/// Which device pages the direct oracle writes and reads back.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum DirectLayout {
+    /// 384 pages strided over the whole device: no two are adjacent, so
+    /// every request the backend sends stays a single page.
+    Strided,
+    /// Every page but the first and last four. `reap` coalesces them into
+    /// 32 KiB runs that start at page 4 + 8k, so the runs at pages 508,
+    /// 1020 and 1532 straddle a server extent and the client must split
+    /// them; read-back goes in fault-shaped clusters, a demand page and
+    /// seven pages of readahead.
+    Adjacent,
+}
+
 /// The consistency oracle driven through [`DirectBackend`] instead of raw
-/// device submissions: per-page `store`/`load` with busy-poll completion,
-/// the figU swap path. Write fencing is stamped inside the HPBD client at
-/// submission, so the per-page stream must survive the same crash / loss /
-/// delay / duplicate plans the block path does — stale reissues fenced,
-/// failover reads served from the mirror, never torn or old data.
-fn run_direct_consistency_oracle(name: &str, plan: FaultPlan) -> hpbd_suite::hpbd::ClientStats {
+/// device submissions: `store`/`load` per page, coalesced at `reap`, with
+/// busy-poll completion — the figU swap path. Write fencing is stamped
+/// per block inside the HPBD client at submission, so single pages and
+/// multi-bio runs alike must survive the same crash / loss / delay /
+/// duplicate plans the block path does — runs split at server extents,
+/// mirrored, stale reissues fenced, failover reads served from the mirror,
+/// never torn or old data.
+fn run_direct_consistency_oracle(
+    name: &str,
+    layout: DirectLayout,
+    plan: FaultPlan,
+) -> hpbd_suite::hpbd::ClientStats {
     const GENS: u64 = 6;
     let engine = Engine::new();
     let cal = Rc::new(Calibration::cluster_2005());
@@ -428,9 +448,14 @@ fn run_direct_consistency_oracle(name: &str, plan: FaultPlan) -> hpbd_suite::hpb
         DirectConfig::default(),
     );
     let total_pages = backend.capacity() / PAGE;
-    let slots = total_pages.min(384);
-    let stride = (total_pages / slots).max(1);
-    let page_of = |slot: u64| slot * stride;
+    let (slots, first, stride) = match layout {
+        DirectLayout::Strided => {
+            let slots = total_pages.min(384);
+            (slots, 0, (total_pages / slots).max(1))
+        }
+        DirectLayout::Adjacent => (total_pages - 8, 4, 1),
+    };
+    let page_of = |slot: u64| first + slot * stride;
 
     let mut shadow = vec![0u8; slots as usize];
     let write_failures = Rc::new(Cell::new(0u32));
@@ -455,15 +480,14 @@ fn run_direct_consistency_oracle(name: &str, plan: FaultPlan) -> hpbd_suite::hpb
             );
             submitted.push((p, fill));
         }
-        // The contract says a store may be deferred until reap; the direct
-        // backend forwards immediately, but reap anyway — the call must be
-        // a harmless no-op.
+        // Stores are staged until reap, which sends each run of adjacent
+        // pages as one request; a forgotten reap would strand them all.
         backend.reap();
         engine.run_until_idle();
         assert_eq!(
             write_failures.get(),
             0,
-            "[{name}] gen {gen}: mirrored per-page stores must survive the plan"
+            "[{name}] gen {gen}: mirrored stores must survive the plan"
         );
         for (p, fill) in submitted {
             shadow[p as usize] = fill;
@@ -480,19 +504,26 @@ fn run_direct_consistency_oracle(name: &str, plan: FaultPlan) -> hpbd_suite::hpb
 
     // Demand loads back-to-back: the completion stream stays hot, so the
     // poll model busy-polls for these — the oracle covers the poll path,
-    // not just the event path.
+    // not just the event path. The adjacent layout puts seven readahead
+    // pages behind each, which go out at reap as one request.
     let bufs: Vec<_> = (0..slots)
         .map(|p| {
+            let kind = if layout == DirectLayout::Adjacent && p % 8 != 0 {
+                LoadKind::Readahead
+            } else {
+                LoadKind::Demand
+            };
             let buf = new_buffer(PAGE as usize);
             backend.load(
                 page_of(p) * PAGE,
-                LoadKind::Demand,
+                kind,
                 buf.clone(),
                 Box::new(|r| r.unwrap()),
             );
             buf
         })
         .collect();
+    backend.reap();
     engine.run_until_idle();
     for (p, buf) in bufs.iter().enumerate() {
         let want = shadow[p];
@@ -508,40 +539,91 @@ fn run_direct_consistency_oracle(name: &str, plan: FaultPlan) -> hpbd_suite::hpb
         stats.polled > 0,
         "[{name}] a hot demand-load stream must exercise the poll path: {stats:?}"
     );
-    cluster.client.stats()
+    let pages = stats.page_stores + stats.page_loads + stats.readahead_loads;
+    let client = cluster.client.stats();
+    match layout {
+        DirectLayout::Strided => assert_eq!(backend.requests(), pages),
+        DirectLayout::Adjacent => {
+            assert!(
+                backend.requests() * 2 < pages,
+                "[{name}] adjacent pages must go out coalesced: {} requests, {pages} pages",
+                backend.requests()
+            );
+            assert!(
+                client.split_requests > 0,
+                "[{name}] runs must straddle a server extent: {client:?}"
+            );
+        }
+    }
+    client
+}
+
+/// Run the direct oracle under `plan` once per layout and hold each
+/// run's recovery counters to `check`.
+fn direct_oracle_on_both_layouts(
+    name: &str,
+    plan: FaultPlan,
+    check: impl Fn(&hpbd_suite::hpbd::ClientStats),
+) {
+    for layout in [DirectLayout::Strided, DirectLayout::Adjacent] {
+        let name = format!("{name}, {layout:?}");
+        check(&run_direct_consistency_oracle(&name, layout, plan.clone()));
+    }
 }
 
 #[test]
 fn direct_oracle_survives_server_crash() {
-    let stats = run_direct_consistency_oracle("crash", FaultPlan::new().server_crash(50_000, 0));
-    assert!(stats.failovers > 0, "crash must force failovers: {stats:?}");
+    direct_oracle_on_both_layouts("crash", FaultPlan::new().server_crash(50_000, 0), |stats| {
+        assert!(stats.failovers > 0, "crash must force failovers: {stats:?}")
+    });
 }
 
 #[test]
 fn direct_oracle_survives_message_loss() {
-    let stats = run_direct_consistency_oracle("loss", FaultPlan::new().message_loss(30_000, 2, 4));
-    assert!(
-        stats.timeouts > 0,
-        "losses must surface as timeouts: {stats:?}"
+    direct_oracle_on_both_layouts(
+        "loss",
+        FaultPlan::new().message_loss(30_000, 2, 4),
+        |stats| {
+            assert!(
+                stats.timeouts > 0,
+                "losses must surface as timeouts: {stats:?}"
+            )
+        },
     );
 }
 
 #[test]
 fn direct_oracle_survives_delayed_deliveries() {
-    let stats = run_direct_consistency_oracle(
+    direct_oracle_on_both_layouts(
         "delay",
         FaultPlan::new().message_delay(30_000, 2, 4, 5_000_000),
+        |stats| {
+            assert!(
+                stats.timeouts > 0,
+                "delays must surface as timeouts: {stats:?}"
+            )
+        },
     );
-    assert!(
-        stats.timeouts > 0,
-        "delays must surface as timeouts: {stats:?}"
+}
+
+#[test]
+fn direct_oracle_survives_duplicated_deliveries() {
+    direct_oracle_on_both_layouts(
+        "duplicate",
+        FaultPlan::new().message_duplicate(30_000, 3, 3),
+        |_| {},
     );
 }
 
 #[test]
 fn direct_oracle_survives_combined_fault_plan() {
+    // Strided only: the plan is tuned to leave server 0's buddy reachable,
+    // and under the adjacent layout's 8 MiB of 32 KiB stores it writes off
+    // a second server (`failed_servers: 2` after generation 0), after
+    // which stores with no live copy fail — cleanly, but not survivably.
     let stats = run_direct_consistency_oracle(
         "combined",
+        DirectLayout::Strided,
         FaultPlan::new()
             .server_crash(50_000, 0)
             .message_loss(30_000, 2, 2)
