@@ -38,8 +38,10 @@ impl Default for CommonArgs {
 }
 
 impl CommonArgs {
-    /// Parse `--scale N` and `--seed N` from the process arguments.
-    /// Unknown arguments abort with usage help.
+    /// Parse `--scale N`, `--seed N`, `--trace PATH`, `--metrics`,
+    /// `--lifecycle` and `--threads N` from the process arguments. An
+    /// unknown argument or a missing or malformed value exits 2 with a
+    /// pointer to `--help`.
     pub fn parse() -> CommonArgs {
         let mut out = CommonArgs::default();
         let mut args = std::env::args().skip(1);

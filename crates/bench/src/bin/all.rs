@@ -2,6 +2,7 @@
 //! summary (the source of EXPERIMENTS.md numbers).
 use bench::figures::{fig1, fig10, fig3, fig5, fig6, fig7, fig8, fig9};
 use bench::CommonArgs;
+use simcore::TraceSession;
 
 fn ratios(label: &str, secs: &[f64], names: &[&str]) {
     println!("\n### {label}");
@@ -35,7 +36,7 @@ fn main() {
 
     let names = ["local", "HPBD", "NBD-IPoIB", "NBD-GigE", "disk"];
 
-    let f5: Vec<f64> = fig5::run(&args)
+    let f5: Vec<f64> = fig5::run(&args, &mut TraceSession::disabled())
         .iter()
         .map(|r| r.elapsed.as_secs_f64())
         .collect();
@@ -64,7 +65,7 @@ fn main() {
     ratios("Figure 8: Barnes", &f8, &names);
 
     println!("\n### Figure 9: two concurrent quicksorts");
-    let f9 = fig9::run(&args);
+    let f9 = fig9::run(&args, &mut TraceSession::disabled());
     for r in &f9 {
         println!(
             "  {:<10} makespan={:>8.3}s ({:.2}x of local)  A={:.3}s B={:.3}s",
@@ -77,7 +78,7 @@ fn main() {
     }
 
     println!("\n### Figure 10: quicksort vs server count");
-    let f10 = fig10::run(&args);
+    let f10 = fig10::run(&args, &mut TraceSession::disabled());
     for p in &f10 {
         println!(
             "  {:>2} servers {:>8.3}s ({:.3}x of 1)  ctx-reloads={}",

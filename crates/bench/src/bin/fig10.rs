@@ -11,7 +11,7 @@ fn main() {
         "Figure 10 — Quick Sort Execution Time with Multiple Servers (scale 1/{})",
         args.scale
     );
-    let points = fig10::run_traced(&args, &mut session);
+    let points = fig10::run(&args, &mut session);
     let rows: Vec<Row> = points
         .iter()
         .map(|p| {

@@ -13,7 +13,7 @@ fn main() {
         (1 << 30) / args.scale / (1 << 20),
         (512 << 20) / args.scale / (1 << 20)
     );
-    let reports = fig5::run_traced(&args, &mut session);
+    let reports = fig5::run(&args, &mut session);
     let rows: Vec<Row> = reports
         .iter()
         .map(|r| {

@@ -11,7 +11,7 @@ fn main() {
         "Figure 9 — Quick Sort Execution Time, Two Concurrent Instances (scale 1/{})",
         args.scale
     );
-    let runs = fig9::run_traced(&args, &mut session);
+    let runs = fig9::run(&args, &mut session);
     let rows: Vec<Row> = runs
         .iter()
         .map(|r| {

@@ -6,11 +6,16 @@
 //! with the request-lifecycle flight recorder enabled and post-processes
 //! each cell into a phase-attribution table: per-phase p50/p95/p99, the
 //! share of total swap time each phase consumed, retry/failover cost
-//! accounting, and the protocol's messages-per-page overhead.
+//! accounting, and the protocol's messages-per-page overhead, followed by
+//! the cell's engine event count and device swap-in p99.
 //!
 //! ```text
 //! obsreport [--scale N] [--seed N] [--threads N] [--skip-figr]
 //! ```
+//!
+//! Every printed number is virtual-clock deterministic, at any `--threads`.
+//! The stdout at `--scale 256 --seed 42` is the golden file of
+//! `crates/bench/tests/obsreport_golden.rs`.
 //!
 //! Every cell is also an oracle run: the binary exits 1 if any completed
 //! request's recorded phases do not sum *exactly* to its end-to-end
@@ -19,10 +24,10 @@
 //! the recorder's aggregate mismatch counter, not just the bounded ring.
 
 use bench::figures::{fig10, fig5, fig9, figr, figu};
-use bench::{CommonArgs, Runner};
+use bench::CommonArgs;
 use simcore::{FlightSummary, TraceSession};
-use simtrace::{DeviceFlight, Phase};
-use workloads::SwapPath;
+use simtrace::{DeviceFlight, HistogramSummary, Phase};
+use workloads::{RunReport, SwapPath};
 
 fn main() {
     let mut common = CommonArgs::default();
@@ -51,7 +56,6 @@ fn main() {
         }
     }
     common.lifecycle = true;
-    let runner = Runner::with_threads(common.threads);
 
     println!(
         "obsreport — phase-latency attribution (scale 1/{}, seed {})",
@@ -62,48 +66,46 @@ fn main() {
     let mut violations: u64 = 0;
 
     println!("\n=== fig5: testswap across swap devices ===");
-    for report in fig5::run_parallel(&common, &mut TraceSession::disabled(), &runner) {
+    for report in fig5::run(&common, &mut TraceSession::disabled()) {
         print_cell(
-            &report.label,
-            report.lifecycle.as_ref(),
-            hpbd_msgs_per_page(&report),
+            Cell::of_report(&report.label, &report),
             &mut verified,
             &mut violations,
         );
     }
 
     println!("\n=== fig9: two concurrent quicksorts ===");
-    for run in fig9::run_parallel(&common, &mut TraceSession::disabled(), &runner) {
+    for run in fig9::run(&common, &mut TraceSession::disabled()) {
         print_cell(
-            &run.label,
-            run.report.lifecycle.as_ref(),
-            hpbd_msgs_per_page(&run.report),
+            Cell::of_report(&run.label, &run.report),
             &mut verified,
             &mut violations,
         );
     }
 
     println!("\n=== fig10: quicksort vs memory-server count ===");
-    for point in fig10::run_parallel(&common, &mut TraceSession::disabled(), &runner) {
+    for point in fig10::run(&common, &mut TraceSession::disabled()) {
         print_cell(
-            &format!("HPBD-{}", point.servers),
-            point.report.lifecycle.as_ref(),
-            hpbd_msgs_per_page(&point.report),
+            Cell::of_report(&format!("HPBD-{}", point.servers), &point.report),
             &mut verified,
             &mut violations,
         );
     }
 
     println!("\n=== figU: kernel block path vs user-space direct path ===");
-    for row in figu::run_parallel(&common, &runner).rows {
+    for row in figu::run(&common).rows {
         let path = match row.path {
             SwapPath::Block => "block",
             SwapPath::Direct => "direct",
         };
         print_cell(
-            &format!("{} {path}", row.label),
-            row.lifecycle.as_ref(),
-            Some(row.messages_per_page),
+            Cell {
+                label: &format!("{} {path}", row.label),
+                events: row.events,
+                swap_in: row.device_swap_in_us.as_ref(),
+                lifecycle: row.lifecycle.as_ref(),
+                msgs_per_page: Some(row.messages_per_page),
+            },
             &mut verified,
             &mut violations,
         );
@@ -111,11 +113,15 @@ fn main() {
 
     if !skip_figr {
         println!("\n=== figR: recovery from a memory-server crash ===");
-        for row in figr::run_parallel(&common, &runner).rows {
+        for row in figr::run(&common).rows {
             print_cell(
-                &row.label,
-                row.lifecycle.as_ref(),
-                None,
+                Cell {
+                    label: &row.label,
+                    events: row.events,
+                    swap_in: row.swap_in_latency_us.as_ref(),
+                    lifecycle: row.lifecycle.as_ref(),
+                    msgs_per_page: None,
+                },
                 &mut verified,
                 &mut violations,
             );
@@ -129,31 +135,52 @@ fn main() {
     }
 }
 
-fn hpbd_msgs_per_page(report: &workloads::RunReport) -> Option<f64> {
-    report.hpbd_client.as_ref().map(|c| c.messages_per_page())
+/// What one figure cell contributes to the report.
+struct Cell<'a> {
+    label: &'a str,
+    /// Engine events the cell executed.
+    events: u64,
+    /// The swap device's swap-in latency histogram (request level, µs).
+    swap_in: Option<&'a HistogramSummary>,
+    lifecycle: Option<&'a FlightSummary>,
+    msgs_per_page: Option<f64>,
 }
 
-/// Print one cell's attribution tables and fold its oracle counts into
-/// the run totals.
-fn print_cell(
-    label: &str,
-    summary: Option<&FlightSummary>,
-    msgs_per_page: Option<f64>,
-    verified: &mut u64,
-    violations: &mut u64,
-) {
-    let Some(summary) = summary else {
-        println!("\n[{label}] no flight recorder (lifecycle disabled for this cell)");
-        return;
-    };
-    if summary.devices.is_empty() {
-        println!("\n[{label}] no swap traffic recorded");
-        return;
+impl<'a> Cell<'a> {
+    fn of_report(label: &'a str, report: &'a RunReport) -> Cell<'a> {
+        Cell {
+            label,
+            events: report.events,
+            swap_in: report.metrics.histograms.get("hpbd.swap_in_latency_us"),
+            lifecycle: report.lifecycle.as_ref(),
+            msgs_per_page: report.hpbd_client.as_ref().map(|c| c.messages_per_page()),
+        }
     }
-    for dev in &summary.devices {
-        *verified += dev.total;
-        *violations += dev.sum_mismatches;
-        print_device(label, dev, msgs_per_page);
+}
+
+/// Print one cell's attribution tables, then its event count and swap-in
+/// p99, and fold its oracle counts into the run totals.
+fn print_cell(cell: Cell, verified: &mut u64, violations: &mut u64) {
+    let label = cell.label;
+    match cell.lifecycle {
+        None => println!("\n[{label}] no flight recorder (lifecycle disabled for this cell)"),
+        Some(summary) if summary.devices.is_empty() => {
+            println!("\n[{label}] no swap traffic recorded")
+        }
+        Some(summary) => {
+            for dev in &summary.devices {
+                *verified += dev.total;
+                *violations += dev.sum_mismatches;
+                print_device(label, dev, cell.msgs_per_page);
+            }
+        }
+    }
+    match cell.swap_in.filter(|h| h.count > 0) {
+        Some(h) => println!(
+            "  cell: {} engine events, swap-in p99 {:.1} us",
+            cell.events, h.p99
+        ),
+        None => println!("  cell: {} engine events", cell.events),
     }
 }
 

@@ -8,7 +8,6 @@
 
 use super::paper_sizes;
 use crate::args::CommonArgs;
-use crate::runner::Runner;
 use simcore::{TraceSession, Tracer};
 use workloads::{RunReport, Scenario, ScenarioConfig, SwapKind};
 
@@ -30,23 +29,10 @@ pub fn server_counts() -> Vec<usize> {
     vec![1, 2, 4, 8, 16]
 }
 
-/// Run quicksort for each server count.
-pub fn run(args: &CommonArgs) -> Vec<ServerPoint> {
-    run_traced(args, &mut TraceSession::disabled())
-}
-
-/// Like [`run`], collecting each server count's events into `session`.
-pub fn run_traced(args: &CommonArgs, session: &mut TraceSession) -> Vec<ServerPoint> {
-    run_parallel(args, session, &args.runner())
-}
-
-/// Like [`run_traced`], fanning the server-count cells across the
-/// runner's worker threads; results come back in sweep order.
-pub fn run_parallel(
-    args: &CommonArgs,
-    session: &mut TraceSession,
-    runner: &Runner,
-) -> Vec<ServerPoint> {
+/// Run quicksort for each server count, fanned across `args.threads`
+/// workers. Each server count's events go into `session`; results come
+/// back in sweep order.
+pub fn run(args: &CommonArgs, session: &mut TraceSession) -> Vec<ServerPoint> {
     let elements = args.scaled_elems(paper_sizes::DATASET_ELEMS);
     let local = args.scaled_bytes(paper_sizes::LOCAL_MEM);
     // The swap area must hold the whole dataset (swap-cache slots persist
@@ -54,7 +40,7 @@ pub fn run_parallel(
     let swap = args.scaled_bytes(paper_sizes::DATASET_BYTES + (128 << 20));
     let counts = server_counts();
     let traced = session.is_enabled();
-    let results = runner.run_cells(counts.len(), |i| {
+    let results = args.runner().run_cells(counts.len(), |i| {
         let servers = counts[i];
         let mut config = ScenarioConfig::new(local, swap, SwapKind::Hpbd { servers });
         let tracer = if traced {
@@ -108,7 +94,7 @@ mod tests {
             seed: 13,
             ..CommonArgs::default()
         };
-        let points = run(&args);
+        let points = run(&args, &mut TraceSession::disabled());
         let one = points[0].seconds;
         let eight = points[3].seconds;
         let sixteen = points[4].seconds;

@@ -6,34 +6,20 @@
 
 use super::{paper_sizes, standard_configs};
 use crate::args::CommonArgs;
-use crate::runner::Runner;
 use simcore::{TraceSession, Tracer};
 use workloads::{RunReport, Scenario};
 
-/// Run all five configurations; reports in the paper's order.
-pub fn run(args: &CommonArgs) -> Vec<RunReport> {
-    run_traced(args, &mut TraceSession::disabled())
-}
-
-/// Like [`run`], collecting each configuration's events into `session`
-/// (one Chrome-trace process per configuration).
-pub fn run_traced(args: &CommonArgs, session: &mut TraceSession) -> Vec<RunReport> {
-    run_parallel(args, session, &args.runner())
-}
-
-/// Like [`run_traced`], fanning the five configurations across the
-/// runner's worker threads. Each cell builds its machine inside the
-/// worker; reports and trace buffers are reassembled in the paper's
-/// order, so the output is byte-identical at any thread count.
-pub fn run_parallel(
-    args: &CommonArgs,
-    session: &mut TraceSession,
-    runner: &Runner,
-) -> Vec<RunReport> {
+/// Run all five configurations, fanned across `args.threads` workers,
+/// collecting each configuration's events into `session` (one
+/// Chrome-trace process per configuration; pass
+/// [`TraceSession::disabled`] for none). Each cell builds its machine
+/// inside the worker; reports and trace buffers are reassembled in the
+/// paper's order, so the output is byte-identical at any thread count.
+pub fn run(args: &CommonArgs, session: &mut TraceSession) -> Vec<RunReport> {
     let elements = args.scaled_elems(paper_sizes::DATASET_ELEMS);
     let traced = session.is_enabled();
     let cells = standard_configs(args).len();
-    let results = runner.run_cells(cells, |i| {
+    let results = args.runner().run_cells(cells, |i| {
         let (label, mut config) = standard_configs(args).swap_remove(i);
         let tracer = if traced {
             Tracer::enabled()
@@ -68,7 +54,7 @@ mod tests {
             seed: 7,
             ..CommonArgs::default()
         };
-        let rows = run(&args);
+        let rows = run(&args, &mut TraceSession::disabled());
         let t: Vec<f64> = rows.iter().map(|r| r.elapsed.as_secs_f64()).collect();
         assert!(t[0] < t[1], "local < HPBD");
         assert!(t[1] < t[2], "HPBD < NBD-IPoIB");

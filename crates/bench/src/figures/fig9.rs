@@ -9,7 +9,6 @@
 
 use super::paper_sizes;
 use crate::args::CommonArgs;
-use crate::runner::Runner;
 use simcore::{SimDuration, TraceSession, Tracer};
 use workloads::{RunReport, Scenario, ScenarioConfig, SwapKind};
 
@@ -48,30 +47,17 @@ fn cell_specs(args: &CommonArgs) -> Vec<(&'static str, u64, SwapKind)> {
 }
 
 /// Run the four Figure 9 configurations: local 2 GiB, HPBD at 50 % and
-/// 25 % local memory (4 servers × 512 MiB), and disk at 50 %.
-pub fn run(args: &CommonArgs) -> Vec<PairRun> {
-    run_traced(args, &mut TraceSession::disabled())
-}
-
-/// Like [`run`], collecting each configuration's events into `session`.
-pub fn run_traced(args: &CommonArgs, session: &mut TraceSession) -> Vec<PairRun> {
-    run_parallel(args, session, &args.runner())
-}
-
-/// Like [`run_traced`], fanning the four configurations across the
-/// runner's worker threads; results come back in the figure's order.
-pub fn run_parallel(
-    args: &CommonArgs,
-    session: &mut TraceSession,
-    runner: &Runner,
-) -> Vec<PairRun> {
+/// 25 % local memory (4 servers × 512 MiB), and disk at 50 %, fanned
+/// across `args.threads` workers. Each configuration's events go into
+/// `session`; results come back in the figure's order.
+pub fn run(args: &CommonArgs, session: &mut TraceSession) -> Vec<PairRun> {
     let elements = args.scaled_elems(paper_sizes::DATASET_ELEMS);
     // "each memory server is configured with 512MB swap area"; four servers
     // cover the two datasets.
     let total_swap = args.scaled_bytes(512 << 20) * 4;
     let specs = cell_specs(args);
     let traced = session.is_enabled();
-    let results = runner.run_cells(specs.len(), |i| {
+    let results = args.runner().run_cells(specs.len(), |i| {
         let (label, local_mem, kind) = specs[i].clone();
         let mut config = ScenarioConfig::new(local_mem, total_swap, kind);
         let tracer = if traced {
@@ -122,7 +108,7 @@ mod tests {
             seed: 3,
             ..CommonArgs::default()
         };
-        let rows = run(&args);
+        let rows = run(&args, &mut TraceSession::disabled());
         let local = rows[0].makespan_secs;
         let hpbd50 = rows[1].makespan_secs;
         let hpbd25 = rows[2].makespan_secs;
@@ -149,7 +135,7 @@ mod tests {
             seed: 3,
             ..CommonArgs::default()
         };
-        let rows = run(&args);
+        let rows = run(&args, &mut TraceSession::disabled());
         for r in &rows {
             let spread = (r.a_secs - r.b_secs).abs() / r.makespan_secs;
             assert!(

@@ -29,7 +29,6 @@
 
 use super::paper_sizes;
 use crate::args::CommonArgs;
-use crate::runner::Runner;
 use blockdev::{new_buffer, Bio, BlockDevice, DeviceHealth, FaultKind, IoError, IoOp, IoRequest};
 use netmodel::{Calibration, Node, Transport};
 use simcore::{Engine, Tracer};
@@ -101,6 +100,8 @@ pub struct FigRRow {
     pub migration_retries: u64,
     /// Completed swap bytes per time bin over the run.
     pub timeline: Vec<ThroughputSample>,
+    /// Engine events executed (printed per cell by `obsreport`).
+    pub events: u64,
     /// Flight-recorder snapshot (only when the run was built with
     /// `--lifecycle`; the probe cell never records one).
     pub lifecycle: Option<simcore::FlightSummary>,
@@ -125,14 +126,9 @@ fn hpbd_config(local_mem: u64, total_swap: u64) -> ScenarioConfig {
 }
 
 /// Run the four figR cells. The healthy HPBD cell runs first to fix the
-/// fault instant (40 % of its makespan); the remaining cells then run
-/// through `runner`.
+/// fault instant (40 % of its makespan); the remaining cells then fan
+/// across `args.threads` workers.
 pub fn run(args: &CommonArgs) -> FigR {
-    run_parallel(args, &args.runner())
-}
-
-/// Like [`run`] with an explicit sweep runner for the faulted cells.
-pub fn run_parallel(args: &CommonArgs, runner: &Runner) -> FigR {
     let elements = args.scaled_elems(paper_sizes::DATASET_ELEMS);
     let total_swap = args.scaled_bytes(512 << 20) * 4;
     let local_mem = args.scaled_bytes(1 << 30); // fig9's 50 % row
@@ -141,7 +137,7 @@ pub fn run_parallel(args: &CommonArgs, runner: &Runner) -> FigR {
     let healthy = run_hpbd_cell("HPBD-4-mirror", elements, local_mem, total_swap, None, args);
     let fault_at_ns = ((healthy.elapsed_secs * 1e9) * 0.4) as u64;
 
-    let cells: Vec<FigRRow> = runner.run_cells(3, |i| match i {
+    let cells: Vec<FigRRow> = args.runner().run_cells(3, |i| match i {
         0 => run_hpbd_cell(
             "HPBD-4-mirror+crash",
             elements,
@@ -214,6 +210,7 @@ fn run_hpbd_cell(
         stale_drops: stats.stale_drops,
         migration_retries: stats.migration_retries,
         timeline: timeline_from_spans(&events, "blockdev", elapsed_ns),
+        events: report.events,
         lifecycle: report.lifecycle.clone(),
     }
 }
@@ -260,6 +257,7 @@ fn run_nbd_scenario_cell(
         stale_drops: 0,
         migration_retries: 0,
         timeline: timeline_from_spans(&events, "blockdev", elapsed_ns),
+        events: report.events,
         lifecycle: report.lifecycle.clone(),
     }
 }
@@ -321,6 +319,7 @@ fn run_nbd_reset_cell(label: &str, capacity: u64, fault_at_ns: u64, _args: &Comm
         stale_drops: 0,
         migration_retries: 0,
         timeline: timeline_from_spans(&events, "nbd", elapsed_ns.max(1)),
+        events: engine.events_executed(),
         lifecycle: None,
     }
 }

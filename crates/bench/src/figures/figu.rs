@@ -37,7 +37,6 @@
 
 use super::paper_sizes;
 use crate::args::CommonArgs;
-use crate::runner::Runner;
 use simcore::FlightSummary;
 use simtrace::HistogramSummary;
 use vmsim::DirectStats;
@@ -89,7 +88,7 @@ pub struct FigURow {
     /// Zipf cells: XOR-fold of every value read. Equal across paths ⇒
     /// both swap paths returned identical data.
     pub checksum: Option<u64>,
-    /// Engine events executed (perfbench throughput accounting).
+    /// Engine events executed (printed per cell by `obsreport`).
     pub events: u64,
 }
 
@@ -142,20 +141,16 @@ fn works() -> Vec<Work> {
     ]
 }
 
-/// Run all cells sequentially.
+/// Run all cells, fanned across `args.threads` workers; rows come back in
+/// sweep order.
 pub fn run(args: &CommonArgs) -> FigU {
-    run_parallel(args, &args.runner())
-}
-
-/// Run all cells through `runner`; rows come back in sweep order.
-pub fn run_parallel(args: &CommonArgs, runner: &Runner) -> FigU {
     // The phase-sum oracle is part of the figure: attribution marks only
     // cost host time, never virtual time, so recording is always on here.
     let mut args = args.clone();
     args.lifecycle = true;
     let works = works();
     let cells = works.len() * 2;
-    let rows = runner.run_cells(cells, |i| {
+    let rows = args.runner().run_cells(cells, |i| {
         let work = works[i / 2];
         let path = if i % 2 == 0 {
             SwapPath::Block
@@ -165,13 +160,6 @@ pub fn run_parallel(args: &CommonArgs, runner: &Runner) -> FigU {
         run_cell(work, path, &args)
     });
     FigU { rows }
-}
-
-/// The fig9-style pair cell on one path — perfbench's per-path probe
-/// (lifecycle recording stays off unless `args` asks, keeping the timed
-/// run clean).
-pub fn run_fig9_cell(args: &CommonArgs, path: SwapPath) -> FigURow {
-    run_cell(Work::QsortPair { servers: 4 }, path, args)
 }
 
 fn run_cell(work: Work, path: SwapPath, args: &CommonArgs) -> FigURow {
@@ -372,7 +360,7 @@ mod tests {
             ..CommonArgs::default()
         };
         let p99 = |path| {
-            run_fig9_cell(&args, path)
+            run_cell(Work::QsortPair { servers: 4 }, path, &args)
                 .fault_latency_us
                 .expect("pair cell faults")
                 .p99

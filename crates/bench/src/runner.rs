@@ -30,12 +30,6 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Run cells inline on the calling thread, in order (the default for
-    /// the figure binaries — identical to the pre-runner behaviour).
-    pub fn sequential() -> Runner {
-        Runner { threads: 1 }
-    }
-
     /// Use exactly `threads` workers (0 means auto).
     pub fn with_threads(threads: usize) -> Runner {
         Runner {
@@ -47,11 +41,6 @@ impl Runner {
         }
     }
 
-    /// One worker per available core.
-    pub fn auto() -> Runner {
-        Runner::with_threads(auto_threads())
-    }
-
     /// Worker count this runner will use.
     pub fn threads(&self) -> usize {
         self.threads
@@ -59,8 +48,7 @@ impl Runner {
 
     /// Run `cells` independent cells through `f`, returning results in
     /// cell order. With one thread (or one cell) this is exactly
-    /// `(0..cells).map(f).collect()` — no threads are spawned, so
-    /// thread-local state (e.g. the default scheduler kind) still applies.
+    /// `(0..cells).map(f).collect()` — no threads are spawned.
     pub fn run_cells<T, F>(&self, cells: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -71,22 +59,15 @@ impl Runner {
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..cells).map(|_| Mutex::new(None)).collect();
-        // The default scheduler kind is thread-local: carry the caller's
-        // choice into each worker, or cells would silently run on the
-        // built-in default.
-        let sched = simcore::default_scheduler();
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(cells) {
-                scope.spawn(|| {
-                    simcore::set_default_scheduler(sched);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells {
-                            break;
-                        }
-                        let value = f(i);
-                        *slots[i].lock().unwrap() = Some(value);
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= cells {
+                        break;
                     }
+                    let value = f(i);
+                    *slots[i].lock().unwrap() = Some(value);
                 });
             }
         });
@@ -109,10 +90,9 @@ mod tests {
     fn sequential_runs_inline_in_order() {
         let seen = Mutex::new(Vec::new());
         let caller = std::thread::current().id();
-        let out = Runner::sequential().run_cells(4, |i| {
+        let out = Runner::with_threads(1).run_cells(4, |i| {
             // Running on the caller's thread proves no workers were
-            // spawned (thread-local state like the default scheduler
-            // kind must keep applying).
+            // spawned.
             assert_eq!(std::thread::current().id(), caller);
             seen.lock().unwrap().push(i);
             i * 10
@@ -142,19 +122,8 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let f = |i: usize| (i as u64 + 1) * 7;
-        let seq = Runner::sequential().run_cells(13, f);
+        let seq = Runner::with_threads(1).run_cells(13, f);
         let par = Runner::with_threads(3).run_cells(13, f);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn workers_inherit_the_callers_scheduler_kind() {
-        use simcore::{default_scheduler, set_default_scheduler, SchedulerKind};
-        for kind in [SchedulerKind::ReferenceHeap, SchedulerKind::TimingWheel] {
-            let prev = set_default_scheduler(kind);
-            let seen = Runner::with_threads(2).run_cells(4, |_| default_scheduler());
-            set_default_scheduler(prev);
-            assert_eq!(seen, vec![kind; 4]);
-        }
     }
 }

@@ -8,10 +8,7 @@
 //! The queue itself is a hierarchical timing wheel (see [`crate::sched`]):
 //! near-future events live in 1 ns slots found through a two-level occupancy
 //! bitmap, far-future events in an overflow heap, and event nodes come from
-//! a recycling slab. The seed `BinaryHeap` implementation is retained as a
-//! differential oracle — call [`set_default_scheduler`] or
-//! [`Engine::with_scheduler`] to run on it and compare traces event for
-//! event.
+//! a recycling slab.
 //!
 //! Two driving styles are supported, matching how the paging workloads use
 //! the simulator:
@@ -25,47 +22,20 @@
 //!   what lets background page-out traffic overlap application compute, the
 //!   paper's "asynchrony of page prefetching and flushing".
 
-use crate::sched::{EventQueue, ReferenceHeap, TimingWheel};
+use crate::sched::TimingWheel;
 use crate::signal::Signal;
 use crate::time::{SimDuration, SimTime};
 use simtrace::{LifecycleHub, MetricsRegistry, Tracer};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
 pub use crate::sched::EventId;
 
-/// Which event-queue implementation an [`Engine`] runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The production timing-wheel scheduler (slab nodes, overflow heap).
-    TimingWheel,
-    /// The seed `BinaryHeap` scheduler, kept as a differential oracle.
-    ReferenceHeap,
-}
-
-thread_local! {
-    static DEFAULT_SCHED: Cell<SchedulerKind> = const { Cell::new(SchedulerKind::TimingWheel) };
-}
-
-/// The scheduler new engines on this thread will use.
-pub fn default_scheduler() -> SchedulerKind {
-    DEFAULT_SCHED.with(|c| c.get())
-}
-
-/// Override the scheduler for engines subsequently created on this thread
-/// (including those built deep inside scenario constructors). Returns the
-/// previous default so tests can restore it. The process-wide default is the
-/// timing wheel.
-pub fn set_default_scheduler(kind: SchedulerKind) -> SchedulerKind {
-    DEFAULT_SCHED.with(|c| c.replace(kind))
-}
-
 struct Inner {
     now: SimTime,
     seq: u64,
-    queue: EventQueue,
-    kind: SchedulerKind,
+    queue: TimingWheel,
     executed: u64,
     /// Peak queue length observed (diagnostics / metrics).
     max_pending: usize,
@@ -88,24 +58,13 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Create a fresh engine with the clock at [`SimTime::ZERO`], on the
-    /// thread's default scheduler (see [`set_default_scheduler`]).
+    /// Create a fresh engine with the clock at [`SimTime::ZERO`].
     pub fn new() -> Engine {
-        Engine::with_scheduler(default_scheduler())
-    }
-
-    /// Create a fresh engine on a specific scheduler implementation.
-    pub fn with_scheduler(kind: SchedulerKind) -> Engine {
-        let queue = match kind {
-            SchedulerKind::TimingWheel => EventQueue::Wheel(TimingWheel::new()),
-            SchedulerKind::ReferenceHeap => EventQueue::Heap(ReferenceHeap::new()),
-        };
         Engine {
             inner: Rc::new(RefCell::new(Inner {
                 now: SimTime::ZERO,
                 seq: 0,
-                queue,
-                kind,
+                queue: TimingWheel::new(),
                 executed: 0,
                 max_pending: 0,
                 tracer: Tracer::disabled(),
@@ -113,11 +72,6 @@ impl Engine {
                 lifecycle: LifecycleHub::disabled(),
             })),
         }
-    }
-
-    /// Which scheduler this engine runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.inner.borrow().kind
     }
 
     /// Current virtual time.
@@ -371,57 +325,47 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Run the test body on both schedulers so every engine-level invariant
-    /// is checked against the oracle too.
-    fn on_both(body: impl Fn(Engine)) {
-        body(Engine::with_scheduler(SchedulerKind::TimingWheel));
-        body(Engine::with_scheduler(SchedulerKind::ReferenceHeap));
-    }
-
     #[test]
     fn events_run_in_time_order() {
-        on_both(|eng| {
-            let log: Rc<RefCell<Vec<u64>>> = Rc::default();
-            for &t in &[30u64, 10, 20] {
-                let log = log.clone();
-                eng.schedule_at(SimTime(t), move || log.borrow_mut().push(t));
-            }
-            eng.run_until_idle();
-            assert_eq!(*log.borrow(), vec![10, 20, 30]);
-            assert_eq!(eng.now(), SimTime(30));
-        });
+        let eng = Engine::new();
+        let log: Rc<RefCell<Vec<u64>>> = Rc::default();
+        for &t in &[30u64, 10, 20] {
+            let log = log.clone();
+            eng.schedule_at(SimTime(t), move || log.borrow_mut().push(t));
+        }
+        eng.run_until_idle();
+        assert_eq!(*log.borrow(), vec![10, 20, 30]);
+        assert_eq!(eng.now(), SimTime(30));
     }
 
     #[test]
     fn ties_break_by_submission_order() {
-        on_both(|eng| {
-            let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-            for i in 0..5u32 {
-                let log = log.clone();
-                eng.schedule_at(SimTime(42), move || log.borrow_mut().push(i));
-            }
-            eng.run_until_idle();
-            assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
-        });
+        let eng = Engine::new();
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        for i in 0..5u32 {
+            let log = log.clone();
+            eng.schedule_at(SimTime(42), move || log.borrow_mut().push(i));
+        }
+        eng.run_until_idle();
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn events_can_schedule_events() {
-        on_both(|eng| {
-            let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
-            {
-                let eng2 = eng.clone();
-                let log = log.clone();
-                eng.schedule_at(SimTime(10), move || {
-                    log.borrow_mut().push("first");
-                    let log2 = log.clone();
-                    eng2.schedule_in(SimDuration(5), move || log2.borrow_mut().push("second"));
-                });
-            }
-            eng.run_until_idle();
-            assert_eq!(*log.borrow(), vec!["first", "second"]);
-            assert_eq!(eng.now(), SimTime(15));
-        });
+        let eng = Engine::new();
+        let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+        {
+            let eng2 = eng.clone();
+            let log = log.clone();
+            eng.schedule_at(SimTime(10), move || {
+                log.borrow_mut().push("first");
+                let log2 = log.clone();
+                eng2.schedule_in(SimDuration(5), move || log2.borrow_mut().push("second"));
+            });
+        }
+        eng.run_until_idle();
+        assert_eq!(*log.borrow(), vec!["first", "second"]);
+        assert_eq!(eng.now(), SimTime(15));
     }
 
     #[test]
@@ -435,46 +379,43 @@ mod tests {
 
     #[test]
     fn advance_moves_clock_past_empty_queue() {
-        on_both(|eng| {
-            eng.advance(SimDuration::from_micros(7));
-            assert_eq!(eng.now(), SimTime(7_000));
-        });
+        let eng = Engine::new();
+        eng.advance(SimDuration::from_micros(7));
+        assert_eq!(eng.now(), SimTime(7_000));
     }
 
     #[test]
     fn advance_executes_only_events_within_span() {
-        on_both(|eng| {
-            let log: Rc<RefCell<Vec<u64>>> = Rc::default();
-            for &t in &[5u64, 15] {
-                let log = log.clone();
-                eng.schedule_at(SimTime(t), move || log.borrow_mut().push(t));
-            }
-            eng.advance(SimDuration(10));
-            assert_eq!(*log.borrow(), vec![5]);
-            assert_eq!(eng.now(), SimTime(10));
-            eng.run_until_idle();
-            assert_eq!(*log.borrow(), vec![5, 15]);
-        });
+        let eng = Engine::new();
+        let log: Rc<RefCell<Vec<u64>>> = Rc::default();
+        for &t in &[5u64, 15] {
+            let log = log.clone();
+            eng.schedule_at(SimTime(t), move || log.borrow_mut().push(t));
+        }
+        eng.advance(SimDuration(10));
+        assert_eq!(*log.borrow(), vec![5]);
+        assert_eq!(eng.now(), SimTime(10));
+        eng.run_until_idle();
+        assert_eq!(*log.borrow(), vec![5, 15]);
     }
 
     #[test]
     fn run_until_signal_jumps_to_completion() {
-        on_both(|eng| {
-            let sig = Signal::new("io-done");
-            {
-                let sig = sig.clone();
-                eng.schedule_at(SimTime(1_000), move || sig.set());
-            }
-            // A later unrelated event must not run.
-            let ran_late: Rc<RefCell<bool>> = Rc::default();
-            {
-                let ran_late = ran_late.clone();
-                eng.schedule_at(SimTime(2_000), move || *ran_late.borrow_mut() = true);
-            }
-            eng.run_until_signal(&sig);
-            assert_eq!(eng.now(), SimTime(1_000));
-            assert!(!*ran_late.borrow());
-        });
+        let eng = Engine::new();
+        let sig = Signal::new("io-done");
+        {
+            let sig = sig.clone();
+            eng.schedule_at(SimTime(1_000), move || sig.set());
+        }
+        // A later unrelated event must not run.
+        let ran_late: Rc<RefCell<bool>> = Rc::default();
+        {
+            let ran_late = ran_late.clone();
+            eng.schedule_at(SimTime(2_000), move || *ran_late.borrow_mut() = true);
+        }
+        eng.run_until_signal(&sig);
+        assert_eq!(eng.now(), SimTime(1_000));
+        assert!(!*ran_late.borrow());
     }
 
     #[test]
@@ -487,74 +428,60 @@ mod tests {
 
     #[test]
     fn executed_counter_counts() {
-        on_both(|eng| {
-            for i in 0..10u64 {
-                eng.schedule_at(SimTime(i), || {});
-            }
-            eng.run_until_idle();
-            assert_eq!(eng.events_executed(), 10);
-            assert_eq!(eng.pending_events(), 0);
-        });
+        let eng = Engine::new();
+        for i in 0..10u64 {
+            eng.schedule_at(SimTime(i), || {});
+        }
+        eng.run_until_idle();
+        assert_eq!(eng.events_executed(), 10);
+        assert_eq!(eng.pending_events(), 0);
     }
 
     #[test]
     fn cancelled_event_never_runs() {
-        on_both(|eng| {
-            let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-            let id = {
-                let log = log.clone();
-                eng.schedule_cancellable_at(SimTime(10), move || log.borrow_mut().push(1))
-            };
-            {
-                let log = log.clone();
-                eng.schedule_at(SimTime(20), move || log.borrow_mut().push(2));
-            }
-            assert_eq!(eng.pending_events(), 2);
-            assert!(eng.cancel(id));
-            assert!(!eng.cancel(id), "cancel must be idempotent-false");
-            assert_eq!(eng.pending_events(), 1);
-            eng.run_until_idle();
-            assert_eq!(*log.borrow(), vec![2]);
-            assert_eq!(eng.events_executed(), 1);
-        });
+        let eng = Engine::new();
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let id = {
+            let log = log.clone();
+            eng.schedule_cancellable_at(SimTime(10), move || log.borrow_mut().push(1))
+        };
+        {
+            let log = log.clone();
+            eng.schedule_at(SimTime(20), move || log.borrow_mut().push(2));
+        }
+        assert_eq!(eng.pending_events(), 2);
+        assert!(eng.cancel(id));
+        assert!(!eng.cancel(id), "cancel must be idempotent-false");
+        assert_eq!(eng.pending_events(), 1);
+        eng.run_until_idle();
+        assert_eq!(*log.borrow(), vec![2]);
+        assert_eq!(eng.events_executed(), 1);
     }
 
     #[test]
     fn cancel_after_fire_is_a_noop() {
-        on_both(|eng| {
-            let id = eng.schedule_cancellable_at(SimTime(5), || {});
-            eng.run_until_idle();
-            assert!(!eng.cancel(id));
-        });
+        let eng = Engine::new();
+        let id = eng.schedule_cancellable_at(SimTime(5), || {});
+        eng.run_until_idle();
+        assert!(!eng.cancel(id));
     }
 
     #[test]
     fn cancel_drops_closure_immediately() {
-        on_both(|eng| {
-            struct DropFlag(Rc<RefCell<bool>>);
-            impl Drop for DropFlag {
-                fn drop(&mut self) {
-                    *self.0.borrow_mut() = true;
-                }
+        let eng = Engine::new();
+        struct DropFlag(Rc<RefCell<bool>>);
+        impl Drop for DropFlag {
+            fn drop(&mut self) {
+                *self.0.borrow_mut() = true;
             }
-            let dropped: Rc<RefCell<bool>> = Rc::default();
-            let flag = DropFlag(dropped.clone());
-            let id = eng.schedule_cancellable_at(SimTime(1_000), move || {
-                let _keep = &flag;
-            });
-            assert!(!*dropped.borrow());
-            eng.cancel(id);
-            assert!(*dropped.borrow(), "cancel must release captured state");
+        }
+        let dropped: Rc<RefCell<bool>> = Rc::default();
+        let flag = DropFlag(dropped.clone());
+        let id = eng.schedule_cancellable_at(SimTime(1_000), move || {
+            let _keep = &flag;
         });
-    }
-
-    #[test]
-    fn thread_default_override_applies_to_new_engines() {
-        let prev = set_default_scheduler(SchedulerKind::ReferenceHeap);
-        let eng = Engine::new();
-        assert_eq!(eng.scheduler_kind(), SchedulerKind::ReferenceHeap);
-        set_default_scheduler(prev);
-        let eng = Engine::new();
-        assert_eq!(eng.scheduler_kind(), prev);
+        assert!(!*dropped.borrow());
+        eng.cancel(id);
+        assert!(*dropped.borrow(), "cancel must release captured state");
     }
 }

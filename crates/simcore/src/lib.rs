@@ -39,7 +39,7 @@ pub mod signal;
 pub mod stats;
 pub mod time;
 
-pub use engine::{default_scheduler, set_default_scheduler, Engine, EventId, SchedulerKind};
+pub use engine::{Engine, EventId};
 pub use resource::{MultiResource, Resource};
 pub use rng::SimRng;
 pub use signal::{Counter, Latch, Signal};

@@ -1,22 +1,16 @@
-//! Event-queue implementations behind [`Engine`](crate::Engine).
+//! The event queue behind [`Engine`](crate::Engine).
 //!
-//! Two interchangeable schedulers live here, both maintaining the same
-//! contract — events pop in strict `(time, seq)` order, where `seq` is the
-//! submission counter, so ties break by submission order:
+//! Events pop in strict `(time, seq)` order, where `seq` is the engine's
+//! submission counter, so ties break by submission order.
 //!
-//! * [`TimingWheel`] — the production scheduler. A flat window of
-//!   `WHEEL_SLOTS` one-nanosecond slots starting at `base`, backed by a
-//!   two-level occupancy bitmap for O(1) earliest-slot lookup, with a
-//!   slab of reusable event nodes (no per-event heap allocation beyond the
-//!   boxed closure itself) and an overflow binary heap for events beyond
-//!   the window. When the window drains, the wheel *re-anchors* at the
-//!   overflow minimum and promotes every overflow event inside the new
-//!   window, in heap order — which is exactly `(time, seq)` order, so slot
-//!   FIFOs stay sequence-sorted.
-//! * [`ReferenceHeap`] — the seed implementation (a plain
-//!   `BinaryHeap<Scheduled>`), kept as a differential oracle that
-//!   `Engine::with_scheduler` / `set_default_scheduler` select at run time
-//!   so any run can be replayed against it.
+//! [`TimingWheel`] is a flat window of `WHEEL_SLOTS` one-nanosecond slots
+//! starting at `base`, backed by a two-level occupancy bitmap for O(1)
+//! earliest-slot lookup, with a slab of reusable event nodes (no per-event
+//! heap allocation beyond the boxed closure itself) and an overflow binary
+//! heap for events beyond the window. When the window drains, the wheel
+//! *re-anchors* at the overflow minimum and promotes every overflow event
+//! inside the new window, in heap order — which is exactly `(time, seq)`
+//! order, so slot FIFOs stay sequence-sorted.
 //!
 //! ## Determinism argument
 //!
@@ -26,8 +20,8 @@
 //! wheel and arrive in heap-sorted `(time, seq)` order). The overflow heap
 //! orders by `(time, seq)` directly. The pop path compares the wheel head
 //! and the overflow head by `(time, seq)` and takes the smaller, so the
-//! merged stream is a stable sort by `(time, seq)` — identical, event for
-//! event, to the reference heap.
+//! merged stream is a stable sort by `(time, seq)`. The sorted-vec model in
+//! `tests/sched_model.rs` holds the engine to exactly that order.
 //!
 //! Cancellation is lazy: cancelling drops the closure immediately (so
 //! captured resources release deterministically) and leaves a tombstone
@@ -63,19 +57,6 @@ const NIL: u32 = u32::MAX;
 pub struct EventId {
     idx: u32,
     gen: u32,
-}
-
-impl EventId {
-    fn from_seq(seq: u64) -> EventId {
-        EventId {
-            idx: seq as u32,
-            gen: (seq >> 32) as u32,
-        }
-    }
-
-    fn to_seq(self) -> u64 {
-        (self.gen as u64) << 32 | self.idx as u64
-    }
 }
 
 /// Slab node: one scheduled event. `next` links the slot FIFO.
@@ -380,132 +361,6 @@ impl TimingWheel {
     }
 }
 
-/// The seed scheduler: a plain binary heap of boxed events, kept as the
-/// differential oracle.
-pub(crate) struct ReferenceHeap {
-    heap: BinaryHeap<Scheduled>,
-    /// Actions of still-pending events, keyed by seq. Cancel removes the
-    /// entry (dropping the closure immediately, matching the wheel); the
-    /// heap entry becomes a tombstone skimmed off lazily.
-    actions: std::collections::BTreeMap<u64, Action>,
-}
-
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-impl ReferenceHeap {
-    pub(crate) fn new() -> ReferenceHeap {
-        ReferenceHeap {
-            heap: BinaryHeap::new(),
-            actions: std::collections::BTreeMap::new(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, action: Action) -> EventId {
-        self.heap.push(Scheduled { at, seq });
-        self.actions.insert(seq, action);
-        EventId::from_seq(seq)
-    }
-
-    pub(crate) fn cancel(&mut self, id: EventId) -> bool {
-        self.actions.remove(&id.to_seq()).is_some()
-    }
-
-    fn prune(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.actions.contains_key(&top.seq) {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
-    pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Action)> {
-        self.prune();
-        match self.heap.peek() {
-            Some(top) if top.at <= deadline => {
-                let ev = self.heap.pop().expect("peeked event");
-                let action = self.actions.remove(&ev.seq).expect("pruned tombstone");
-                Some((ev.at, action))
-            }
-            _ => None,
-        }
-    }
-
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        self.prune();
-        self.heap.peek().map(|s| s.at)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.actions.len()
-    }
-}
-
-/// Runtime dispatch between the two schedulers. An enum (not a trait
-/// object) so the hot pop path stays monomorphic and branch-predictable.
-pub(crate) enum EventQueue {
-    Wheel(TimingWheel),
-    Heap(ReferenceHeap),
-}
-
-impl EventQueue {
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, action: Action) -> EventId {
-        match self {
-            EventQueue::Wheel(w) => w.push(at, seq, action),
-            EventQueue::Heap(h) => h.push(at, seq, action),
-        }
-    }
-
-    pub(crate) fn cancel(&mut self, id: EventId) -> bool {
-        match self {
-            EventQueue::Wheel(w) => w.cancel(id),
-            EventQueue::Heap(h) => h.cancel(id),
-        }
-    }
-
-    pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Action)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_due(deadline),
-            EventQueue::Heap(h) => h.pop_due(deadline),
-        }
-    }
-
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_time(),
-            EventQueue::Heap(h) => h.peek_time(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,36 +489,26 @@ mod tests {
     }
 
     #[test]
-    fn reference_heap_matches_on_interleaved_ops() {
-        let mut w = TimingWheel::new();
-        let mut h = ReferenceHeap::new();
-        let wlog: Rc<RefCell<Vec<u64>>> = Rc::default();
-        let hlog: Rc<RefCell<Vec<u64>>> = Rc::default();
+    fn window_edge_and_overflow_events_interleave_in_time_then_seq_order() {
+        let mut q = TimingWheel::new();
+        let log: Rc<RefCell<Vec<u64>>> = Rc::default();
+        // Slots 65_535 (last in the window) and 65_536 (first overflow
+        // entry), duplicates on both sides, and one cancelled duplicate.
         let times = [70_000u64, 3, 70_000, 500, 3, 1_000_000, 0, 65_535, 65_536];
-        let mut wids = Vec::new();
-        let mut hids = Vec::new();
-        for (seq, &t) in times.iter().enumerate() {
-            wids.push(tagged(&mut w, t, seq as u64, &wlog));
-            let hlog2 = hlog.clone();
-            let s = seq as u64;
-            hids.push(h.push(SimTime(t), s, Box::new(move || hlog2.borrow_mut().push(s))));
+        let ids: Vec<EventId> = times
+            .iter()
+            .enumerate()
+            .map(|(seq, &t)| tagged(&mut q, t, seq as u64, &log))
+            .collect();
+        assert!(q.cancel(ids[2]));
+        let mut popped = Vec::new();
+        while let Some(at) = q.peek_time() {
+            let (t, a) = q.pop_due(MAX).unwrap();
+            assert_eq!(t, at, "peek and pop must agree");
+            popped.push(t.0);
+            a();
         }
-        assert!(w.cancel(wids[2]));
-        assert!(h.cancel(hids[2]));
-        loop {
-            let wt = w.peek_time();
-            let ht = h.peek_time();
-            assert_eq!(wt, ht);
-            match (w.pop_due(MAX), h.pop_due(MAX)) {
-                (Some((wa, wf)), Some((ha, hf))) => {
-                    assert_eq!(wa, ha);
-                    wf();
-                    hf();
-                }
-                (None, None) => break,
-                other => panic!("divergence: {:?}", other.0.is_some()),
-            }
-        }
-        assert_eq!(*wlog.borrow(), *hlog.borrow());
+        assert_eq!(popped, [0, 3, 3, 500, 65_535, 65_536, 70_000, 1_000_000]);
+        assert_eq!(*log.borrow(), [6, 1, 4, 3, 7, 8, 0, 5]);
     }
 }

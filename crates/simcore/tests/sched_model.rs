@@ -1,16 +1,19 @@
-//! Model-based property test for the event schedulers.
+//! Model-based property test for the event scheduler.
 //!
-//! Drives an [`Engine`] through a long random mix of schedule / cancel /
-//! advance operations and mirrors every operation in a trivially-correct
-//! sorted-vec model. The observable execution log (which event ran, in
-//! what order, at what clock reading) must match the model exactly —
-//! including FIFO order among events scheduled for the same tick, and
-//! children spawned *during* execution at the parent's own timestamp.
+//! Drives an [`Engine`] and a trivially-correct sorted-vec model in
+//! lockstep through a long random mix of schedule / cancel / advance /
+//! step operations. After every operation the two must agree on the
+//! clock, the pending-event count, the next event's timestamp, the return
+//! value of `cancel`, and the execution log (which event ran, in what
+//! order, at what clock reading) — including FIFO order among events
+//! scheduled for the same tick, and children spawned *during* execution at
+//! the parent's own timestamp.
 //!
-//! Both scheduler implementations are checked, so the test is
-//! simultaneously a wheel-vs-model and heap-vs-model oracle.
+//! This model is the scheduler's only oracle: the timing wheel's window,
+//! overflow heap, re-anchoring and tombstones have no second
+//! implementation to be compared against.
 
-use simcore::{Engine, EventId, SchedulerKind, SimDuration, SimRng};
+use simcore::{Engine, EventId, SimDuration, SimRng};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -29,6 +32,8 @@ struct Model {
     pending: Vec<ModelEvent>,
     next_seq: u64,
     now: u64,
+    /// `(id, clock)` of every event executed so far.
+    log: Vec<(u64, u64)>,
 }
 
 impl Model {
@@ -51,28 +56,44 @@ impl Model {
         }
     }
 
-    /// Execute everything due by `deadline` in `(time, seq)` order,
-    /// appending `(id, clock)` to `log`. Events whose id is divisible by
+    /// Timestamp of the earliest pending event (mirrors
+    /// [`Engine::peek_next_time`]).
+    fn peek(&self) -> Option<u64> {
+        self.pending.iter().map(|e| e.time).min()
+    }
+
+    /// Execute the earliest `(time, seq)` event if it is due by
+    /// `deadline`; true if one ran. Events whose id is divisible by
     /// [`SPAWN_DIVISOR`] spawn one child at their own timestamp — the
     /// same rule the engine-side closures implement.
-    fn advance(&mut self, span: u64, log: &mut Vec<(u64, u64)>) {
-        let deadline = self.now + span;
-        loop {
-            let due = self
-                .pending
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.time <= deadline)
-                .min_by_key(|(_, e)| (e.time, e.seq))
-                .map(|(i, _)| i);
-            let Some(i) = due else { break };
-            let ev = self.pending.remove(i);
-            self.now = ev.time;
-            log.push((ev.id, self.now));
-            if ev.id.is_multiple_of(SPAWN_DIVISOR) {
-                self.schedule(ev.time, ev.id + CHILD_OFFSET);
-            }
+    fn step_due(&mut self, deadline: u64) -> bool {
+        let due = self
+            .pending
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.time <= deadline)
+            .min_by_key(|(_, e)| (e.time, e.seq))
+            .map(|(i, _)| i);
+        let Some(i) = due else { return false };
+        let ev = self.pending.remove(i);
+        self.now = ev.time;
+        self.log.push((ev.id, self.now));
+        if ev.id.is_multiple_of(SPAWN_DIVISOR) {
+            self.schedule(ev.time, ev.id + CHILD_OFFSET);
         }
+        true
+    }
+
+    /// Mirrors [`Engine::step_one`]: the next event, whenever it is.
+    fn step(&mut self) -> bool {
+        self.step_due(u64::MAX)
+    }
+
+    /// Mirrors [`Engine::advance`]: everything due within `span`, then
+    /// the clock rests on the deadline.
+    fn advance(&mut self, span: u64) {
+        let deadline = self.now + span;
+        while self.step_due(deadline) {}
         self.now = deadline;
     }
 }
@@ -82,8 +103,11 @@ const SPAWN_DIVISOR: u64 = 7;
 /// Child ids are offset far above parent ids so they never collide.
 const CHILD_OFFSET: u64 = 1 << 32;
 
-/// One operation of the random script, pre-generated so both the engine
-/// and the model see the identical sequence.
+/// The wheel's window: 65 536 one-nanosecond slots.
+const WHEEL_WINDOW_NS: u64 = 1 << 16;
+
+/// One operation of the random script, pre-generated so it depends on the
+/// seed alone.
 enum Op {
     /// Schedule event `id` at `delay` ns from the current clock.
     Schedule { id: u64, delay: u64 },
@@ -91,146 +115,179 @@ enum Op {
     Cancel { nth: usize },
     /// Advance the clock by `span` ns, running everything due.
     Advance { span: u64 },
+    /// Run the single next event, however far away it is.
+    Step,
 }
 
 fn random_script(seed: u64, len: usize) -> Vec<Op> {
     let mut rng = SimRng::new(seed);
     let mut next_id = 1u64;
     (0..len)
-        .map(|_| match rng.below(10) {
-            0..=5 => {
+        .map(|_| match rng.below(12) {
+            0..=6 => {
                 let id = next_id;
                 next_id += 1;
                 Op::Schedule {
                     id,
                     // Skewed toward small delays (and often zero) so many
-                    // events collide on the same tick and wheel slot.
-                    delay: match rng.below(4) {
+                    // events collide on the same tick and wheel slot. Two
+                    // classes land beyond the 65.5 µs window, one of them by
+                    // milliseconds (where request timeouts and the server's
+                    // idle timer live), so the overflow heap stays populated
+                    // across many re-anchors. The last class sits on the
+                    // window's edges: whole windows apart, and one tick
+                    // short of that.
+                    delay: match rng.below(6) {
                         0 => 0,
                         1 => rng.below(8),
                         2 => rng.below(300),
-                        _ => rng.below(200_000),
+                        3 => rng.below(200_000),
+                        4 => rng.below(5_000_000),
+                        _ => WHEEL_WINDOW_NS * (1 + rng.below(4)) - rng.below(2),
                     },
                 }
             }
-            6..=7 => Op::Cancel {
-                nth: rng.below(64) as usize,
+            7..=8 => Op::Cancel {
+                nth: rng.below(1 << 20) as usize,
             },
-            _ => Op::Advance {
-                span: rng.below(5_000),
+            9..=10 => Op::Advance {
+                // Mostly inside one window; sometimes across several.
+                span: match rng.below(8) {
+                    0 => rng.below(400_000),
+                    _ => rng.below(5_000),
+                },
             },
+            _ => Op::Step,
         })
         .collect()
 }
 
-/// Run the script against a real engine; returns the `(id, clock)` log.
-fn run_engine(kind: SchedulerKind, script: &[Op]) -> Vec<(u64, u64)> {
-    let engine = Engine::with_scheduler(kind);
-    let log: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-
-    fn fire(engine: &Engine, log: &Rc<RefCell<Vec<(u64, u64)>>>, id: u64) {
-        log.borrow_mut().push((id, engine.now().as_nanos()));
-        if id.is_multiple_of(SPAWN_DIVISOR) {
-            let child = id + CHILD_OFFSET;
-            let engine2 = engine.clone();
-            let log2 = log.clone();
-            engine.schedule_at(engine.now(), move || fire(&engine2, &log2, child));
-        }
+fn fire(engine: &Engine, log: &Rc<RefCell<Vec<(u64, u64)>>>, id: u64) {
+    log.borrow_mut().push((id, engine.now().as_nanos()));
+    if id.is_multiple_of(SPAWN_DIVISOR) {
+        let child = id + CHILD_OFFSET;
+        let engine2 = engine.clone();
+        let log2 = log.clone();
+        engine.schedule_at(engine.now(), move || fire(&engine2, &log2, child));
     }
+}
 
+/// Everything observable about the engine must equal the model. `seen` is
+/// how much of the execution log earlier calls already compared.
+fn assert_in_step(
+    engine: &Engine,
+    log: &RefCell<Vec<(u64, u64)>>,
+    model: &Model,
+    seen: &mut usize,
+    at: &str,
+) {
+    assert_eq!(engine.now().as_nanos(), model.now, "{at}: clock");
+    assert_eq!(
+        engine.pending_events(),
+        model.pending.len(),
+        "{at}: pending_events"
+    );
+    assert_eq!(
+        engine.peek_next_time().map(|t| t.as_nanos()),
+        model.peek(),
+        "{at}: peek_next_time"
+    );
+    let log = log.borrow();
+    assert_eq!(log.len(), model.log.len(), "{at}: executed-event count");
+    for i in *seen..log.len() {
+        assert_eq!(
+            log[i], model.log[i],
+            "{at}: event #{i}: engine fired {:?}, model {:?}",
+            log[i], model.log[i]
+        );
+    }
+    *seen = log.len();
+}
+
+/// Run one random script through the engine and the model in lockstep.
+///
+/// Cancel bookkeeping: a cancelled handle leaves the tracking list, a
+/// fired one stays, so the script cancels pending, fired and (through slab
+/// reuse) recycled handles alike; the model answers each from `pending`.
+fn check(seed: u64, len: usize) {
+    let engine = Engine::new();
+    let log: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
+    let mut model = Model::default();
     let mut cancellable: Vec<(u64, EventId)> = Vec::new();
-    for op in script {
-        match op {
+    let mut seen = 0;
+    let mut max_pending = 0;
+    for (n, op) in random_script(seed, len).iter().enumerate() {
+        match *op {
             Op::Schedule { id, delay } => {
                 let engine2 = engine.clone();
                 let log2 = log.clone();
-                let id = *id;
                 let handle = engine
-                    .schedule_cancellable_in(SimDuration::from_nanos(*delay), move || {
+                    .schedule_cancellable_in(SimDuration::from_nanos(delay), move || {
                         fire(&engine2, &log2, id)
                     });
+                model.schedule(model.now + delay, id);
                 cancellable.push((id, handle));
             }
             Op::Cancel { nth } => {
                 if !cancellable.is_empty() {
-                    let (_, handle) = cancellable.remove(nth % cancellable.len());
-                    engine.cancel(handle);
+                    let (id, handle) = cancellable.remove(nth % cancellable.len());
+                    assert_eq!(
+                        engine.cancel(handle),
+                        model.cancel(id),
+                        "seed {seed} op #{n}: cancel of event {id}"
+                    );
                 }
             }
-            Op::Advance { span } => engine.advance(SimDuration::from_nanos(*span)),
+            Op::Advance { span } => {
+                engine.advance(SimDuration::from_nanos(span));
+                model.advance(span);
+            }
+            Op::Step => {
+                assert_eq!(
+                    engine.step_one(),
+                    model.step(),
+                    "seed {seed} op #{n}: step_one"
+                );
+            }
         }
+        assert_in_step(
+            &engine,
+            &log,
+            &model,
+            &mut seen,
+            &format!("seed {seed} op #{n}"),
+        );
+        max_pending = max_pending.max(model.pending.len());
     }
     engine.run_until_idle();
-    Rc::try_unwrap(log).unwrap().into_inner()
-}
-
-/// Run the script against the sorted-vec model; returns the same log.
-fn run_model(script: &[Op]) -> Vec<(u64, u64)> {
-    let mut model = Model::default();
-    let mut log = Vec::new();
-    let mut cancellable: Vec<u64> = Vec::new();
-    for op in script {
-        match op {
-            Op::Schedule { id, delay } => {
-                model.schedule(model.now + delay, *id);
-                cancellable.push(*id);
-            }
-            Op::Cancel { nth } => {
-                if !cancellable.is_empty() {
-                    let id = cancellable.remove(nth % cancellable.len());
-                    model.cancel(id);
-                }
-            }
-            Op::Advance { span } => model.advance(*span, &mut log),
-        }
-    }
-    // run_until_idle: everything left, regardless of time.
-    model.advance(u64::MAX - model.now, &mut log);
-    log
-}
-
-/// Note the cancel bookkeeping difference: the engine removes handles from
-/// its tracking list on cancel but `Engine::cancel` of an already-fired
-/// event is a no-op, while the model drops fired events from `pending`
-/// naturally. Both sides pick "the nth tracked entry", and entries are
-/// pushed in identical order, so the choices line up.
-fn check(kind: SchedulerKind, seed: u64) {
-    let script = random_script(seed, 4_000);
-    let expect = run_model(&script);
-    let got = run_engine(kind, &script);
-    assert_eq!(
-        got.len(),
-        expect.len(),
-        "{kind:?} seed {seed}: executed-event count diverged"
+    while model.step() {}
+    assert_in_step(
+        &engine,
+        &log,
+        &model,
+        &mut seen,
+        &format!("seed {seed} drain"),
     );
-    for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-        assert_eq!(
-            g, e,
-            "{kind:?} seed {seed}: divergence at event #{i}: engine fired {g:?}, model {e:?}"
-        );
-    }
+    assert_eq!(engine.max_pending_events(), max_pending, "seed {seed}");
+    // The script must have exercised what it claims to: re-anchors need
+    // virtual time to cross many windows with far events still queued.
+    assert!(
+        model.now > 20 * WHEEL_WINDOW_NS,
+        "seed {seed}: only {}ns",
+        model.now
+    );
 }
 
 #[test]
 fn wheel_matches_sorted_vec_model() {
     for seed in [1, 2, 3, 0xDEAD_BEEF] {
-        check(SchedulerKind::TimingWheel, seed);
+        check(seed, 4_000);
     }
 }
 
 #[test]
-fn reference_heap_matches_sorted_vec_model() {
-    for seed in [1, 2, 3, 0xDEAD_BEEF] {
-        check(SchedulerKind::ReferenceHeap, seed);
-    }
-}
-
-#[test]
-fn wheel_and_heap_agree_on_long_mixed_scripts() {
+fn wheel_matches_sorted_vec_model_on_long_scripts() {
     for seed in [11, 12] {
-        let script = random_script(seed, 8_000);
-        let wheel = run_engine(SchedulerKind::TimingWheel, &script);
-        let heap = run_engine(SchedulerKind::ReferenceHeap, &script);
-        assert_eq!(wheel, heap, "seed {seed}");
+        check(seed, 8_000);
     }
 }

@@ -233,10 +233,10 @@ mod tests {
 roots = ["crates", "src"]
 exclude = ["crates/bench"]
 
-[rule.D001]
+[rule.D004]
 enabled = true
 allow = [
-    "crates/bench/src/bin/perfbench.rs",  # wall timing
+    "crates/bench/src/runner.rs",  # cell fan-out
 ]
 
 [rule.A002]
@@ -246,12 +246,9 @@ severity = "warn"
         .unwrap();
         assert_eq!(cfg.roots, ["crates", "src"]);
         assert_eq!(cfg.exclude, ["crates/bench"]);
-        assert_eq!(
-            cfg.rule("D001").allow,
-            ["crates/bench/src/bin/perfbench.rs"]
-        );
+        assert_eq!(cfg.rule("D004").allow, ["crates/bench/src/runner.rs"]);
         assert!(cfg.rule("A002").warn);
-        assert!(!cfg.rule("D001").warn);
+        assert!(!cfg.rule("D004").warn);
     }
 
     #[test]

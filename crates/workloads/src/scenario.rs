@@ -152,8 +152,9 @@ pub struct RunReport {
     /// Metrics registry snapshot at report time (counters, gauges,
     /// latency histograms — see `simtrace`).
     pub metrics: MetricsSnapshot,
-    /// Simulation events executed by the engine over this run (the
-    /// denominator for events/sec in `perfbench`).
+    /// Simulation events executed by the engine over this run
+    /// (deterministic; `obsreport` prints it per cell and its golden file
+    /// pins it).
     pub events: u64,
     /// Flight-recorder snapshot: per-device phase attribution over every
     /// completed swap request. None unless the scenario was built with
