@@ -37,14 +37,59 @@ impl Default for CommonArgs {
     }
 }
 
+/// The flags beyond `--scale` and `--seed`, which every binary takes: each
+/// binary names the ones it honours, and the parser refuses the rest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// `--trace PATH`
+    Trace,
+    /// `--metrics`
+    Metrics,
+    /// `--lifecycle`
+    Lifecycle,
+    /// `--threads N`
+    Threads,
+}
+
+impl Flag {
+    /// Every flag: the figures that run their cells through a
+    /// `TraceSession` and the sweep runner honour them all.
+    pub const ALL: &'static [Flag] = &[Flag::Trace, Flag::Metrics, Flag::Lifecycle, Flag::Threads];
+
+    /// `(usage, description)` for `--help`.
+    fn help(self) -> (&'static str, &'static str) {
+        match self {
+            Flag::Trace => (
+                "--trace PATH",
+                "write a Chrome trace-event JSON (load in Perfetto)",
+            ),
+            Flag::Metrics => ("--metrics", "print per-configuration metrics summaries"),
+            Flag::Lifecycle => (
+                "--lifecycle",
+                "record per-request phase attribution (flight recorder)",
+            ),
+            Flag::Threads => (
+                "--threads N",
+                "sweep worker threads (0 = one per core, default 1)",
+            ),
+        }
+    }
+}
+
 impl CommonArgs {
-    /// Parse `--scale N`, `--seed N`, `--trace PATH`, `--metrics`,
-    /// `--lifecycle` and `--threads N` from the process arguments. An
-    /// unknown argument or a missing or malformed value exits 2 with a
-    /// pointer to `--help`.
-    pub fn parse() -> CommonArgs {
+    /// Parse the process arguments: `--scale N`, `--seed N` and the
+    /// `honoured` flags. Anything else — a flag this binary would ignore
+    /// included — or a missing or malformed value exits 2 with a pointer
+    /// to `--help`.
+    pub fn parse(honoured: &[Flag]) -> CommonArgs {
+        CommonArgs::parse_from(std::env::args().skip(1), honoured)
+    }
+
+    /// [`CommonArgs::parse`] over `args` (a binary that takes positional
+    /// arguments first hands over the rest).
+    pub fn parse_from(args: impl IntoIterator<Item = String>, honoured: &[Flag]) -> CommonArgs {
         let mut out = CommonArgs::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             let mut take = |name: &str| -> u64 {
                 args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -52,44 +97,46 @@ impl CommonArgs {
                     std::process::exit(2);
                 })
             };
-            match arg.as_str() {
-                "--scale" => {
-                    out.scale = take("--scale").max(1);
-                }
-                "--seed" => {
-                    out.seed = take("--seed");
-                }
-                "--trace" => {
-                    let path = args.next().unwrap_or_else(|| {
-                        eprintln!("--trace requires a file path");
-                        std::process::exit(2);
-                    });
-                    out.trace = Some(PathBuf::from(path));
-                }
-                "--metrics" => {
-                    out.metrics = true;
-                }
-                "--lifecycle" => {
-                    out.lifecycle = true;
-                }
-                "--threads" => {
-                    out.threads = take("--threads") as usize;
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: [--scale N] [--seed N] [--trace PATH] [--metrics] [--lifecycle] [--threads N]"
-                    );
+            let flag = match arg.as_str() {
+                "--trace" => Some(Flag::Trace),
+                "--metrics" => Some(Flag::Metrics),
+                "--lifecycle" => Some(Flag::Lifecycle),
+                "--threads" => Some(Flag::Threads),
+                _ => None,
+            };
+            match (arg.as_str(), flag) {
+                ("--scale", _) => out.scale = take("--scale").max(1),
+                ("--seed", _) => out.seed = take("--seed"),
+                ("--help" | "-h", _) => {
+                    let usage: String = honoured
+                        .iter()
+                        .map(|f| format!(" [{}]", f.help().0))
+                        .collect();
+                    eprintln!("usage: [--scale N] [--seed N]{usage}");
                     eprintln!("  --scale N    divide the paper's sizes by N (default 16)");
                     eprintln!("  --seed N     workload RNG seed (default 42)");
-                    eprintln!("  --trace PATH write a Chrome trace-event JSON (load in Perfetto)");
-                    eprintln!("  --metrics    print per-configuration metrics summaries");
-                    eprintln!(
-                        "  --lifecycle  record per-request phase attribution (flight recorder)"
-                    );
-                    eprintln!("  --threads N  sweep worker threads (0 = one per core, default 1)");
+                    for (usage, what) in honoured.iter().map(|f| f.help()) {
+                        eprintln!("  {usage:<12} {what}");
+                    }
                     std::process::exit(0);
                 }
-                other => {
+                (_, Some(flag)) if honoured.contains(&flag) => match flag {
+                    Flag::Trace => {
+                        let path = args.next().unwrap_or_else(|| {
+                            eprintln!("--trace requires a file path");
+                            std::process::exit(2);
+                        });
+                        out.trace = Some(PathBuf::from(path));
+                    }
+                    Flag::Metrics => out.metrics = true,
+                    Flag::Lifecycle => out.lifecycle = true,
+                    Flag::Threads => out.threads = take("--threads") as usize,
+                },
+                (other, Some(_)) => {
+                    eprintln!("{other} has no effect on this binary (try --help)");
+                    std::process::exit(2);
+                }
+                (other, None) => {
                     eprintln!("unknown argument: {other} (try --help)");
                     std::process::exit(2);
                 }

@@ -25,7 +25,7 @@ fn run_one(args: &CommonArgs, label: &str, hpbd: HpbdConfig, servers: usize) -> 
 }
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[]);
     println!(
         "Ablation study — quicksort over HPBD variants (scale 1/{})",
         args.scale

@@ -1,7 +1,7 @@
 //! Run every figure at the given scale and print a compact paper-vs-measured
 //! summary (the source of EXPERIMENTS.md numbers).
 use bench::figures::{fig1, fig10, fig3, fig5, fig6, fig7, fig8, fig9};
-use bench::CommonArgs;
+use bench::{CommonArgs, Flag};
 use simcore::TraceSession;
 
 fn ratios(label: &str, secs: &[f64], names: &[&str]) {
@@ -12,7 +12,7 @@ fn ratios(label: &str, secs: &[f64], names: &[&str]) {
 }
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[Flag::Threads]);
     println!(
         "# HPBD reproduction — full experiment sweep (scale 1/{})",
         args.scale
@@ -52,13 +52,13 @@ fn main() {
         profile.write_mean
     );
 
-    let f7: Vec<f64> = fig7::run(&args)
+    let f7: Vec<f64> = fig7::run(&args, &mut TraceSession::disabled())
         .iter()
         .map(|r| r.elapsed.as_secs_f64())
         .collect();
     ratios("Figure 7: quicksort", &f7, &names);
 
-    let f8: Vec<f64> = fig8::run(&args)
+    let f8: Vec<f64> = fig8::run(&args, &mut TraceSession::disabled())
         .iter()
         .map(|r| r.elapsed.as_secs_f64())
         .collect();

@@ -1,11 +1,11 @@
 //! Figure 10: quicksort execution time with 1-16 memory servers.
 use bench::figures::fig10;
 use bench::report::{hpbd_note, print_metrics, print_paper_note, print_rows, write_trace, Row};
-use bench::CommonArgs;
+use bench::{CommonArgs, Flag};
 use simcore::TraceSession;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(Flag::ALL);
     let mut session = TraceSession::new(args.trace.is_some());
     println!(
         "Figure 10 — Quick Sort Execution Time with Multiple Servers (scale 1/{})",

@@ -1,11 +1,11 @@
 //! Figure 5: testswap execution time across swap devices.
 use bench::figures::fig5;
 use bench::report::{hpbd_note, print_metrics, print_paper_note, print_rows, write_trace, Row};
-use bench::CommonArgs;
+use bench::{CommonArgs, Flag};
 use simcore::TraceSession;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(Flag::ALL);
     let mut session = TraceSession::new(args.trace.is_some());
     println!(
         "Figure 5 — Testswap Execution Time (scale 1/{}: {} MiB dataset, {} MiB local)",

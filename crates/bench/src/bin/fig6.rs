@@ -4,7 +4,7 @@ use bench::report::print_paper_note;
 use bench::CommonArgs;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[]);
     println!(
         "Figure 6 — Testswap Average Request Size per Request Cluster (scale 1/{})",
         args.scale

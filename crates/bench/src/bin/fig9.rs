@@ -1,11 +1,11 @@
 //! Figure 9: two concurrent quicksort instances, multi-server HPBD.
 use bench::figures::fig9;
 use bench::report::{hpbd_note, print_metrics, print_paper_note, print_rows, write_trace, Row};
-use bench::CommonArgs;
+use bench::{CommonArgs, Flag};
 use simcore::TraceSession;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(Flag::ALL);
     let mut session = TraceSession::new(args.trace.is_some());
     println!(
         "Figure 9 — Quick Sort Execution Time, Two Concurrent Instances (scale 1/{})",

@@ -2,10 +2,10 @@
 //! HPBD (mirrored writes, timeout + failover) vs the NBD baseline.
 use bench::figures::figr;
 use bench::report::{print_paper_note, print_rows, Row};
-use bench::CommonArgs;
+use bench::{CommonArgs, Flag};
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[Flag::Lifecycle, Flag::Threads]);
     println!(
         "Figure R — Recovery From a Memory-Server Failure (scale 1/{})",
         args.scale

@@ -2,11 +2,11 @@
 //! swap path across the fig9/fig10 workloads plus a zipfian-access variant.
 use bench::figures::figu;
 use bench::report::{print_paper_note, ratio};
-use bench::CommonArgs;
+use bench::{CommonArgs, Flag};
 use workloads::SwapPath;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[Flag::Lifecycle, Flag::Threads]);
     println!(
         "Figure U — Kernel Block Path vs User-Space Direct Path (scale 1/{})",
         args.scale

@@ -10,7 +10,7 @@ use workloads::kvstore::KvParams;
 use workloads::Scenario;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[]);
     // Table ≈ 1.5x local memory, skewed popularity: the hot set mostly
     // fits, the tail pages — the out-of-core database regime.
     let records = (args.scaled_bytes(768 << 20) / 80) as usize; // ~40B/slot at 50% load

@@ -124,20 +124,7 @@ fn main() {
     let mut argv = std::env::args().skip(1);
     let mode = argv.next().unwrap_or_default();
     let path = argv.next().unwrap_or_else(|| "/tmp/hpbd.trace".to_string());
-    // Remaining args go through the common parser (hack: rebuild argv).
-    let rest: Vec<String> = argv.collect();
-    let args = {
-        let mut a = CommonArgs::default();
-        let mut it = rest.iter();
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--scale" => a.scale = it.next().and_then(|v| v.parse().ok()).unwrap_or(a.scale),
-                "--seed" => a.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(a.seed),
-                _ => {}
-            }
-        }
-        a
-    };
+    let args = CommonArgs::parse_from(argv, &[]);
     match mode.as_str() {
         "record" => record(&path, &args),
         "replay" => replay(&path, &args),

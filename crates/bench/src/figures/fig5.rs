@@ -4,42 +4,16 @@
 //! 2.2× faster than disk, 1.45× faster than NBD-GigE, 1.29× faster than
 //! NBD-IPoIB.
 
-use super::{paper_sizes, standard_configs};
+use super::{paper_sizes, run_standard};
 use crate::args::CommonArgs;
-use simcore::{TraceSession, Tracer};
-use workloads::{RunReport, Scenario};
+use simcore::TraceSession;
+use workloads::RunReport;
 
-/// Run all five configurations, fanned across `args.threads` workers,
-/// collecting each configuration's events into `session` (one
-/// Chrome-trace process per configuration; pass
-/// [`TraceSession::disabled`] for none). Each cell builds its machine
-/// inside the worker; reports and trace buffers are reassembled in the
-/// paper's order, so the output is byte-identical at any thread count.
+/// Run all five configurations (see [`run_standard`]); reports in the
+/// paper's order.
 pub fn run(args: &CommonArgs, session: &mut TraceSession) -> Vec<RunReport> {
     let elements = args.scaled_elems(paper_sizes::DATASET_ELEMS);
-    let traced = session.is_enabled();
-    let cells = standard_configs(args).len();
-    let results = args.runner().run_cells(cells, |i| {
-        let (label, mut config) = standard_configs(args).swap_remove(i);
-        let tracer = if traced {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
-        config.tracer = Some(tracer.clone());
-        config.record_lifecycle = args.lifecycle;
-        let scenario = Scenario::build(&config);
-        let mut report = scenario.run_testswap(elements);
-        report.label = label;
-        (report, tracer.snapshot())
-    });
-    results
-        .into_iter()
-        .map(|(report, events)| {
-            session.push_run(&report.label, events);
-            report
-        })
-        .collect()
+    run_standard(args, session, |scenario| scenario.run_testswap(elements))
 }
 
 #[cfg(test)]

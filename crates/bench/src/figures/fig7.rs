@@ -4,22 +4,18 @@
 //! 4.5× faster than local disk, 1.36× faster than NBD-GigE and 1.13×
 //! faster than NBD-IPoIB.
 
-use super::{paper_sizes, standard_configs};
+use super::{paper_sizes, run_standard};
 use crate::args::CommonArgs;
-use workloads::{RunReport, Scenario};
+use simcore::TraceSession;
+use workloads::RunReport;
 
-/// Run all five configurations; reports in the paper's order.
-pub fn run(args: &CommonArgs) -> Vec<RunReport> {
+/// Run all five configurations (see [`run_standard`]); reports in the
+/// paper's order.
+pub fn run(args: &CommonArgs, session: &mut TraceSession) -> Vec<RunReport> {
     let elements = args.scaled_elems(paper_sizes::DATASET_ELEMS);
-    standard_configs(args)
-        .into_iter()
-        .map(|(label, config)| {
-            let scenario = Scenario::build(&config);
-            let mut report = scenario.run_qsort(elements, args.seed);
-            report.label = label;
-            report
-        })
-        .collect()
+    run_standard(args, session, |scenario| {
+        scenario.run_qsort(elements, args.seed)
+    })
 }
 
 #[cfg(test)]
@@ -33,7 +29,7 @@ mod tests {
             seed: 11,
             ..CommonArgs::default()
         };
-        let rows = run(&args);
+        let rows = run(&args, &mut TraceSession::disabled());
         let t: Vec<f64> = rows.iter().map(|r| r.elapsed.as_secs_f64()).collect();
         assert!(t[0] < t[1], "local < HPBD");
         assert!(t[1] < t[2], "HPBD < NBD-IPoIB");

@@ -5,28 +5,24 @@
 //! far less intensively than quicksort, and the gaps between devices are
 //! correspondingly smaller ("the improvement is less evident").
 
-use super::{paper_sizes, standard_configs};
+use super::{paper_sizes, run_standard};
 use crate::args::CommonArgs;
+use simcore::TraceSession;
 use workloads::barnes::BarnesParams;
-use workloads::{RunReport, Scenario};
+use workloads::RunReport;
 
-/// Run all five configurations; reports in the paper's order.
-pub fn run(args: &CommonArgs) -> Vec<RunReport> {
+/// Run all five configurations (see [`run_standard`]); reports in the
+/// paper's order.
+pub fn run(args: &CommonArgs, session: &mut TraceSession) -> Vec<RunReport> {
     let bodies = (paper_sizes::BARNES_BODIES / args.scale).max(2048) as usize;
-    standard_configs(args)
-        .into_iter()
-        .map(|(label, config)| {
-            let scenario = Scenario::build(&config);
-            let mut report = scenario.run_barnes(BarnesParams {
-                bodies,
-                iterations: 2,
-                seed: args.seed,
-                ..BarnesParams::default()
-            });
-            report.label = label;
-            report
+    run_standard(args, session, |scenario| {
+        scenario.run_barnes(BarnesParams {
+            bodies,
+            iterations: 2,
+            seed: args.seed,
+            ..BarnesParams::default()
         })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -40,7 +36,7 @@ mod tests {
             seed: 5,
             ..CommonArgs::default()
         };
-        let rows = run(&args);
+        let rows = run(&args, &mut TraceSession::disabled());
         let t: Vec<f64> = rows.iter().map(|r| r.elapsed.as_secs_f64()).collect();
         // Same winner ordering as the other figures...
         assert!(t[0] <= t[1], "local <= HPBD");

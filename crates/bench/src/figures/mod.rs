@@ -15,7 +15,8 @@ pub mod figr;
 pub mod figu;
 
 use crate::args::CommonArgs;
-use workloads::{Scenario, ScenarioConfig, SwapKind};
+use simcore::{TraceSession, Tracer};
+use workloads::{RunReport, Scenario, ScenarioConfig, SwapKind};
 
 /// The paper's dataset and memory sizes (scale = 1).
 pub mod paper_sizes {
@@ -75,7 +76,37 @@ pub fn standard_configs(args: &CommonArgs) -> Vec<(String, ScenarioConfig)> {
     ]
 }
 
-/// Build one scenario (helper for single-configuration figures).
-pub fn build(config: &ScenarioConfig) -> Scenario {
-    Scenario::build(config)
+/// Run `workload` on each of the [`standard_configs`], fanned across
+/// `args.threads` workers, collecting each configuration's events into
+/// `session` (one Chrome-trace process per configuration; pass
+/// [`TraceSession::disabled`] for none). Each cell builds its machine
+/// inside the worker; reports and trace buffers are reassembled in the
+/// paper's order, so the output is byte-identical at any thread count.
+pub fn run_standard(
+    args: &CommonArgs,
+    session: &mut TraceSession,
+    workload: impl Fn(&Scenario) -> RunReport + Sync,
+) -> Vec<RunReport> {
+    let traced = session.is_enabled();
+    let cells = standard_configs(args).len();
+    let results = args.runner().run_cells(cells, |i| {
+        let (label, mut config) = standard_configs(args).swap_remove(i);
+        let tracer = if traced {
+            Tracer::enabled()
+        } else {
+            Tracer::disabled()
+        };
+        config.tracer = Some(tracer.clone());
+        config.record_lifecycle = args.lifecycle;
+        let mut report = workload(&Scenario::build(&config));
+        report.label = label;
+        (report, tracer.snapshot())
+    });
+    results
+        .into_iter()
+        .map(|(report, events)| {
+            session.push_run(&report.label, events);
+            report
+        })
+        .collect()
 }

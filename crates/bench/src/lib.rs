@@ -28,6 +28,6 @@ pub mod figures;
 pub mod report;
 pub mod runner;
 
-pub use args::CommonArgs;
+pub use args::{CommonArgs, Flag};
 pub use report::{print_rows, ratio, Row};
 pub use runner::Runner;

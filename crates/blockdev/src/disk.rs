@@ -95,24 +95,15 @@ impl BlockDevice for SimDisk {
         let service = self.params.service_time(req.len(), sequential);
         let (_, end) = self.head.reserve(engine.now(), service);
 
-        // Move the bytes at completion time.
-        let offset = req.offset() as usize;
-        let len = req.len() as usize;
+        // The bytes move at submission — the platter is written, or a read
+        // takes its snapshot, in queue order — and only the completion waits
+        // for the head: a bio buffer is unobservable before its callback.
+        let span = req.offset() as usize..req.end() as usize;
         match req.op() {
-            IoOp::Write => {
-                let data = req.gather();
-                let bytes = &self.bytes;
-                bytes.borrow_mut()[offset..offset + len].copy_from_slice(&data);
-                engine.schedule_at(end, move || req.complete(Ok(())));
-            }
-            IoOp::Read => {
-                let data = self.bytes.borrow()[offset..offset + len].to_vec();
-                engine.schedule_at(end, move || {
-                    req.scatter(&data);
-                    req.complete(Ok(()));
-                });
-            }
+            IoOp::Write => req.gather_range_into(0, &mut self.bytes.borrow_mut()[span]),
+            IoOp::Read => req.scatter_range(0, &self.bytes.borrow()[span]),
         }
+        engine.schedule_at(end, move || req.complete(Ok(())));
     }
 
     fn shutdown(&self) {
@@ -208,6 +199,33 @@ mod tests {
         )));
         engine.run_until_idle();
         assert!(rbuf.borrow().iter().all(|&b| b == 0x3C));
+    }
+
+    #[test]
+    fn read_ahead_of_a_write_in_flight_returns_the_old_bytes() {
+        // Both wait for the head, the read first: it must not see the write
+        // queued behind it, and the write must not be lost.
+        let (engine, disk) = setup();
+        let page = |fill: u8| {
+            let buf = new_buffer(4096);
+            buf.borrow_mut().fill(fill);
+            buf
+        };
+        let submit = |op, buf| {
+            disk.submit(IoRequest::single(Bio::new(op, 8192, buf, |r| {
+                assert!(r.is_ok())
+            })))
+        };
+        submit(IoOp::Write, page(0x11));
+        engine.run_until_idle();
+        let (first, second) = (page(0), page(0));
+        submit(IoOp::Read, first.clone());
+        submit(IoOp::Write, page(0x22));
+        engine.run_until_idle();
+        submit(IoOp::Read, second.clone());
+        engine.run_until_idle();
+        assert!(first.borrow().iter().all(|&b| b == 0x11));
+        assert!(second.borrow().iter().all(|&b| b == 0x22));
     }
 
     #[test]

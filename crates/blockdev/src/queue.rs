@@ -67,23 +67,12 @@ impl RequestQueue {
         node: Node,
         device: Rc<dyn BlockDevice>,
     ) -> RequestQueue {
-        RequestQueue::with_cap(engine, cal, node, device, MAX_REQUEST_BYTES)
-    }
-
-    /// Create a queue with a custom merge cap (ablation experiments).
-    pub fn with_cap(
-        engine: Engine,
-        cal: Rc<Calibration>,
-        node: Node,
-        device: Rc<dyn BlockDevice>,
-        max_request: u64,
-    ) -> RequestQueue {
         RequestQueue::with_limits(
             engine,
             cal,
             node,
             device,
-            max_request,
+            MAX_REQUEST_BYTES,
             DEFAULT_FLUSH_BACKSTOP,
         )
     }

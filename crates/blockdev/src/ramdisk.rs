@@ -44,13 +44,6 @@ impl Storage {
         out.copy_from_slice(&bytes[at..at + out.len()]);
     }
 
-    /// Append `len` bytes at `offset` to `out`. Panics if out of range
-    /// (callers validate).
-    pub fn read_append(&self, offset: u64, len: u64, out: &mut Vec<u8>) {
-        let at = offset as usize;
-        out.extend_from_slice(&self.bytes.borrow()[at..at + len as usize]);
-    }
-
     /// Copy into the store. Panics if out of range (callers validate).
     pub fn write_at(&self, offset: u64, data: &[u8]) {
         let mut bytes = self.bytes.borrow_mut();
@@ -118,13 +111,10 @@ impl BlockDevice for RamDiskDevice {
         let (_, end) = self.node.cpu().reserve(engine.now(), dur);
         let storage = self.storage.clone();
         engine.schedule_at(end, move || {
+            let span = req.offset() as usize..req.end() as usize;
             match req.op() {
-                IoOp::Write => storage.write_at(req.offset(), &req.gather()),
-                IoOp::Read => {
-                    let mut data = vec![0u8; req.len() as usize];
-                    storage.read_at(req.offset(), &mut data);
-                    req.scatter(&data);
-                }
+                IoOp::Write => req.gather_range_into(0, &mut storage.bytes.borrow_mut()[span]),
+                IoOp::Read => req.scatter_range(0, &storage.bytes.borrow()[span]),
             }
             req.complete(Ok(()));
         });

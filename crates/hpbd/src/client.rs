@@ -25,8 +25,7 @@ use crate::proto::{
 };
 use blockdev::{new_buffer, Bio, BlockDevice, DeviceHealth, FaultKind, IoError, IoOp, IoRequest};
 use ibsim::{
-    CompletionQueue, Cq, IbNode, MemoryRegion, Mr, Opcode, Pd, Qp, QueuePair, WcStatus, WorkKind,
-    WorkRequest,
+    CompletionQueue, IbNode, MemoryRegion, Opcode, Qp, QueuePair, WcStatus, WorkKind, WorkRequest,
 };
 use simcore::{Engine, EventId, SimDuration, SimTime};
 use simtrace::{intern, Counter, Histogram, LazyCounter, MarkKind, RequestCtx};
@@ -358,7 +357,7 @@ struct ServerConn {
     /// High-water mark of the credit-stall queue, published as the
     /// per-server queue-depth gauge at stats time (never on the hot path).
     peak_queued: Cell<usize>,
-    recv_region: Mr,
+    recv_region: MemoryRegion,
     extent_len: u64,
     /// Marked on the first request timeout; all traffic re-routes to the
     /// buddy afterwards.
@@ -373,6 +372,11 @@ struct ServerConn {
     batch: RefCell<Vec<PendingPart>>,
     /// A flush event is already scheduled; dedups arming per window.
     batch_armed: Cell<bool>,
+    /// Store extents `(offset, len)` of the parts issued to this server
+    /// that have not reached `enqueue_send` yet: waiting for pool space or
+    /// inside the staging delay, so in none of `batch`, `queued` and
+    /// `outstanding`, but on their way to the store all the same.
+    staging_extents: RefCell<Vec<(u64, u64)>>,
 }
 
 /// One entry of the device-to-server mapping (dynamic-memory indirection).
@@ -392,12 +396,10 @@ struct ClientInner {
     engine: Engine,
     config: HpbdConfig,
     ibnode: IbNode,
-    /// Protection domain scoping the client's registrations and CQs.
-    pd: Pd,
-    pool_mr: Mr,
+    pool_mr: MemoryRegion,
     pool: SimBufferPool,
-    send_cq: Cq,
-    recv_cq: Cq,
+    send_cq: CompletionQueue,
+    recv_cq: CompletionQueue,
     conns: RefCell<Vec<ServerConn>>,
     qp_to_conn: RefCell<BTreeMap<u32, usize>>,
     outstanding: RefCell<BTreeMap<u64, Phys>>,
@@ -421,12 +423,6 @@ struct ClientInner {
     name: String,
     /// Set by [`BlockDevice::shutdown`]: new submissions fail cleanly.
     shut_down: Cell<bool>,
-    /// Scratch for decoding one reply off a receive buffer (reused — the
-    /// receiver burst never allocates per message).
-    wire_scratch: RefCell<Vec<u8>>,
-    /// Freelist of swap-in data buffers (filled from the pool MR, scattered
-    /// back to the page frames, then recycled).
-    data_pool: RefCell<Vec<Vec<u8>>>,
     /// Flush-scoped doorbell spool: `(conn index, work request)` pairs
     /// collected while a batch flush is on the stack, posted as chained
     /// WRs — one doorbell per server per flush — when it unwinds.
@@ -471,17 +467,15 @@ impl HpbdClient {
             .calibration()
             .registration_time(config.pool_size);
         ibnode.node().cpu().reserve(engine.now(), reg);
-        let pd = Pd::new(ibnode.clone());
-        let pool_mr = pd.register(config.pool_size as usize);
+        let pool_mr = ibnode.hca().register(config.pool_size as usize);
         let pool = SimBufferPool::new(config.pool_size);
-        let send_cq = pd.create_cq();
-        let recv_cq = pd.create_cq();
+        let send_cq = ibnode.create_cq();
+        let recv_cq = ibnode.create_cq();
         let client = HpbdClient {
             inner: Rc::new(ClientInner {
                 engine,
                 config,
                 ibnode,
-                pd,
                 pool_mr,
                 pool,
                 send_cq,
@@ -500,8 +494,6 @@ impl HpbdClient {
                 deferred: RefCell::new(Vec::new()),
                 name: "hpbd0".to_string(),
                 shut_down: Cell::new(false),
-                wire_scratch: RefCell::new(Vec::new()),
-                data_pool: RefCell::new(Vec::new()),
                 spool: RefCell::new(None),
                 ctr_credit_stalls,
                 hist_swap_in,
@@ -525,7 +517,7 @@ impl HpbdClient {
     /// CQs for the cluster builder to wire server QPs to:
     /// (send CQ, recv CQ) — shared among the QPs to all servers (paper §5).
     pub fn cqs(&self) -> (&CompletionQueue, &CompletionQueue) {
-        (self.inner.send_cq.raw(), self.inner.recv_cq.raw())
+        (&self.inner.send_cq, &self.inner.recv_cq)
     }
 
     /// Number of attached servers.
@@ -564,7 +556,7 @@ impl HpbdClient {
         // server-initiated notices (revocations).
         let recvs = credits + 2;
         let wire = REPLY_WIRE_SIZE as u64 + 4;
-        let recv_region = inner.pd.register((recvs as u64 * wire) as usize);
+        let recv_region = inner.ibnode.hca().register((recvs as u64 * wire) as usize);
         for i in 0..recvs {
             qp.post_recv(i as u64, recv_region.slice(i as u64 * wire, wire))
                 // simlint: allow(I001): connection setup posts into an empty receive queue sized for exactly these buffers
@@ -585,6 +577,7 @@ impl HpbdClient {
             generation: Cell::new(generation),
             batch: RefCell::new(Vec::new()),
             batch_armed: Cell::new(false),
+            staging_extents: RefCell::new(Vec::new()),
         });
         inner.capacity.set(base + extent_len);
         // Device-chunk map entries for the new extent.
@@ -788,6 +781,10 @@ impl HpbdClient {
         let inner = &self.inner;
         let req_id = inner.next_req_id.replace(inner.next_req_id.get() + 1);
         let len: u64 = segs.iter().map(|s| s.len).sum();
+        inner.conns.borrow()[server_idx]
+            .staging_extents
+            .borrow_mut()
+            .extend(segs.iter().map(|s| (s.server_offset, s.len)));
         let phys = move |staging| Phys {
             req_id,
             op,
@@ -827,7 +824,7 @@ impl HpbdClient {
     /// The registered region a request stages through, and where in it.
     fn staging_span<'a>(&'a self, phys: &'a Phys) -> (&'a MemoryRegion, u64) {
         match &phys.staging {
-            Staging::Pool(buf) => (self.inner.pool_mr.region(), buf.offset),
+            Staging::Pool(buf) => (&self.inner.pool_mr, buf.offset),
             Staging::Ephemeral(mr) => (mr, 0),
         }
     }
@@ -856,7 +853,7 @@ impl HpbdClient {
             }
         }
         let ready = match (&phys.staging, phys.op) {
-            (Staging::Pool(_), PageOp::Read) => return self.enqueue_send(phys),
+            (Staging::Pool(_), PageOp::Read) => return self.staged(phys),
             (Staging::Pool(_), PageOp::Write) => {
                 // The paper's copy-instead-of-register decision.
                 let copy = inner.ibnode.memory_model().memcpy_time(len);
@@ -880,9 +877,23 @@ impl HpbdClient {
             }
         };
         let this = self.clone();
-        inner
-            .engine
-            .schedule_at(ready, move || this.enqueue_send(phys));
+        inner.engine.schedule_at(ready, move || this.staged(phys));
+    }
+
+    /// Staging is over: `phys` leaves its server's `staging_extents` and
+    /// goes to the sender.
+    fn staged(&self, phys: Phys) {
+        {
+            let conns = self.inner.conns.borrow();
+            let mut extents = conns[phys.server_idx].staging_extents.borrow_mut();
+            for seg in phys.segs.iter() {
+                let extent = (seg.server_offset, seg.len);
+                if let Some(at) = extents.iter().position(|&e| e == extent) {
+                    extents.remove(at);
+                }
+            }
+        }
+        self.enqueue_send(phys);
     }
 
     fn enqueue_send(&self, phys: Phys) {
@@ -1157,11 +1168,11 @@ impl HpbdClient {
         let decoded = {
             let conns = inner.conns.borrow();
             let conn = &conns[conn_idx];
-            let mut raw = inner.wire_scratch.borrow_mut();
-            raw.clear();
-            conn.recv_region
-                .read_append((buf_idx * wire) as usize, wire as usize, &mut raw);
-            let decoded = ServerMessage::decode_slice(&raw);
+            let decoded = conn.recv_region.read_with(
+                (buf_idx * wire) as usize,
+                wire as usize,
+                ServerMessage::decode_slice,
+            );
             // Re-post the consumed receive buffer.
             conn.qp
                 .post_recv(buf_idx, conn.recv_region.slice(buf_idx * wire, wire))
@@ -1252,13 +1263,23 @@ impl HpbdClient {
                 inner.stats.borrow_mut().bytes_out += len;
             }
             (ReplyStatus::Ok, PageOp::Read) => {
-                // Swap-in data was RDMA-WRITTEN into the staging buffer;
-                // copy it out to the page frames (no copy in the
-                // register-on-the-fly mode — the MR is the page memory).
+                // Swap-in data was RDMA-WRITTEN into the staging span.
+                // Scatter each carried part out of it at its running offset,
+                // now: the bio buffers are unobservable until the parts
+                // finish, and what the copy costs is charged below. (On the
+                // fly the MR *is* the page memory: no copy charge.)
                 inner.stats.borrow_mut().bytes_in += len;
-                let mut data = self.take_data_buf(len as usize);
-                let (region, at) = self.staging_span(&phys);
-                region.read_append(at as usize, len as usize, &mut data);
+                let (region, start) = self.staging_span(&phys);
+                region.read_with(start as usize, len as usize, |span| {
+                    let mut at = 0usize;
+                    for seg in phys.segs.iter() {
+                        let parent = seg.parent.req.borrow();
+                        // simlint: allow(I001): the Parent holds its request until the last part finishes; this part has not finished
+                        let parent = parent.as_ref().expect("parent alive");
+                        parent.scatter_range(seg.parent_off, &span[at..at + seg.len as usize]);
+                        at += seg.len as usize;
+                    }
+                });
                 let t_data = match &phys.staging {
                     Staging::Pool(_) => {
                         let copy = inner.ibnode.memory_model().memcpy_time(len);
@@ -1276,22 +1297,6 @@ impl HpbdClient {
                 };
                 let this = self.clone();
                 inner.engine.schedule_at(t_data, move || {
-                    // Scatter each carried part out of the contiguous span
-                    // at its running offset, then complete them all.
-                    let mut at = 0usize;
-                    for seg in phys.segs.iter() {
-                        let chunk = &data[at..at + seg.len as usize];
-                        {
-                            let parent = seg.parent.req.borrow();
-                            parent
-                                .as_ref()
-                                // simlint: allow(I001): the Parent holds its request until the last part finishes; this part has not finished
-                                .expect("parent alive")
-                                .scatter_range(seg.parent_off, chunk);
-                        }
-                        at += seg.len as usize;
-                    }
-                    this.recycle_data_buf(data);
                     this.release_staging(&phys);
                     phys.finish_parts(&this.inner.engine);
                 });
@@ -1318,24 +1323,6 @@ impl HpbdClient {
             }
         }
         self.complete_at(phys, t_proc);
-    }
-
-    /// Pop a recycled swap-in data buffer (or a fresh one): empty, with
-    /// room for `len` bytes.
-    fn take_data_buf(&self, len: usize) -> Vec<u8> {
-        let mut buf = self.inner.data_pool.borrow_mut().pop().unwrap_or_default();
-        buf.clear();
-        buf.reserve(len);
-        buf
-    }
-
-    /// Return a swap-in data buffer to the freelist (bounded so an I/O
-    /// burst cannot pin memory forever).
-    fn recycle_data_buf(&self, buf: Vec<u8>) {
-        let mut pool = self.inner.data_pool.borrow_mut();
-        if pool.len() < 64 {
-            pool.push(buf);
-        }
     }
 
     /// Return staging resources: pool spans back to the allocator (waking
@@ -1552,6 +1539,7 @@ impl HpbdClient {
         let busy = {
             let outstanding = self.inner.outstanding.borrow();
             let conns = self.inner.conns.borrow();
+            let touches = |offset: u64, len: u64| offset < hi && lo < offset + len;
             let queued_busy = conns[server]
                 .queued
                 .borrow()
@@ -1563,9 +1551,18 @@ impl HpbdClient {
                 .batch
                 .borrow()
                 .iter()
-                .any(|p| p.seg.server_offset < hi && lo < p.seg.server_offset + p.seg.len);
+                .any(|p| touches(p.seg.server_offset, p.seg.len));
+            // So are parts still staging: a write that waits for pool space
+            // or sits in its copy delay posts after a migration read issued
+            // now, and would land on the old home behind it.
+            let staging_busy = conns[server]
+                .staging_extents
+                .borrow()
+                .iter()
+                .any(|&(offset, len)| touches(offset, len));
             queued_busy
                 || batch_busy
+                || staging_busy
                 || outstanding
                     .values()
                     .any(|p| p.server_idx == server && p.touches_store(lo, hi))

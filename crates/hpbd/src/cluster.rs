@@ -353,7 +353,10 @@ mod tests {
         }
         engine.run_until_idle();
         assert!(done.get(), "write completed");
+        assert_reads_back(engine, dev, offset, len, fill);
+    }
 
+    fn assert_reads_back(engine: &Engine, dev: &HpbdClient, offset: u64, len: usize, fill: u8) {
         let rbuf = new_buffer(len);
         dev.submit(IoRequest::single(Bio::new(
             IoOp::Read,
@@ -615,10 +618,13 @@ mod tests {
                 .per_server_capacity(8 << 20)
                 .build(&engine, cal);
             let t0 = engine.now();
-            // 16 sequential 64K writes.
+            // 16 sequential 64K writes, no two bytes of a page alike.
+            let pattern = |i: u64, j: usize| (i as usize * 31 + j + j / 4096) as u8;
             for i in 0..16u64 {
                 let buf = new_buffer(64 * 1024);
-                buf.borrow_mut().fill(3);
+                for (j, b) in buf.borrow_mut().iter_mut().enumerate() {
+                    *b = pattern(i, j);
+                }
                 cluster.client.submit(IoRequest::single(Bio::new(
                     IoOp::Write,
                     i * 64 * 1024,
@@ -627,16 +633,27 @@ mod tests {
                 )));
             }
             engine.run_until_idle();
-            // Read one back for integrity.
-            let buf = new_buffer(64 * 1024);
-            cluster.client.submit(IoRequest::single(Bio::new(
-                IoOp::Read,
-                0,
-                buf.clone(),
-                |r| r.unwrap(),
-            )));
+            // Read two back as one request of two bios: byte-exact, each
+            // part scattered to its own buffer.
+            let bufs = [new_buffer(64 * 1024), new_buffer(64 * 1024)];
+            cluster.client.submit(IoRequest::from_bios(
+                (0..2u64)
+                    .map(|i| {
+                        let buf = bufs[i as usize].clone();
+                        Bio::new(IoOp::Read, i * 64 * 1024, buf, |r| r.unwrap())
+                    })
+                    .collect(),
+            ));
             engine.run_until_idle();
-            assert!(buf.borrow().iter().all(|&b| b == 3));
+            for (i, buf) in bufs.iter().enumerate() {
+                let buf = buf.borrow();
+                assert!(
+                    buf.iter()
+                        .enumerate()
+                        .all(|(j, &b)| b == pattern(i as u64, j)),
+                    "bio {i} read back other bytes than were written"
+                );
+            }
             (engine.now() - t0).as_nanos()
         };
         let copy = run(StagingMode::CopyToPool);
@@ -923,6 +940,91 @@ mod tests {
         )));
         engine.run_until_idle();
         assert!(buf.borrow().iter().all(|&b| b == 0x22));
+    }
+
+    /// A write to a chunk is on its way — issued, but not yet queued or
+    /// posted — when the chunk's revocation lands: the migration must wait
+    /// for it, or its read overtakes the write, which then lands on the old
+    /// home and is lost. `blockers` 128 KiB writes to the other server fill
+    /// the pool first, so 0 catches the write inside its staging copy and
+    /// more catch it in the pool's wait queue.
+    fn write_in_flight_when_revocation_lands(chunk: u64, pool: u64, blockers: u64) {
+        const LEN: usize = 128 << 10;
+        let engine = Engine::new();
+        let cal = Rc::new(Calibration::cluster_2005());
+        let cluster = ClusterBuilder::new()
+            .chunk_bytes(chunk)
+            .spare_chunks(4)
+            .pool_size(pool)
+            .servers(2)
+            .per_server_capacity(1 << 20)
+            .build(&engine, cal);
+        let dev = &cluster.client;
+        let write = |offset: u64, fill: u8| {
+            let buf = new_buffer(LEN);
+            buf.borrow_mut().fill(fill);
+            dev.submit(IoRequest::single(Bio::new(IoOp::Write, offset, buf, |r| {
+                r.unwrap()
+            })));
+        };
+        write(0, 0x11);
+        engine.run_until_idle();
+        for i in 0..blockers {
+            write((1 << 20) + i * LEN as u64, 0x33);
+        }
+        cluster.servers[0].revoke(0, chunk);
+        write(0, 0x20);
+        engine.run_until_idle();
+        let cs = dev.stats();
+        assert_eq!(cs.migrations, 1, "the revoked chunk moved");
+        assert_eq!(
+            cs.deferred_requests, 0,
+            "the write was in before the notice"
+        );
+        assert_eq!(cs.pool_waits > 0, blockers > 0);
+        // The migration must not have copied the chunk before the write in
+        // flight reached it.
+        assert_reads_back(&engine, dev, 0, LEN, 0x20);
+    }
+
+    #[test]
+    fn migration_waits_for_a_write_inside_its_staging_copy() {
+        write_in_flight_when_revocation_lands(128 << 10, 1 << 20, 0);
+    }
+
+    #[test]
+    fn migration_waits_for_a_write_waiting_for_pool_space() {
+        // One blocker holds all of the pool but a page; the write queues
+        // for space, and the 4 KiB migration read queues right behind it —
+        // granted in the same `free`, and posted 80 us ahead of the write.
+        write_in_flight_when_revocation_lands(4096, (128 << 10) + 4096, 1);
+    }
+
+    #[test]
+    fn read_ahead_of_a_write_in_flight_returns_the_old_bytes() {
+        // The read's snapshot of the store is taken when the server serves
+        // it, not when its bytes reach the bio buffer: a write of the first
+        // page submitted right behind a 128 KiB read (served while the read
+        // still pays its 80 us staging copy) must not show in it.
+        let (engine, cluster) = cluster(1, 1 << 20);
+        write_read_roundtrip(&engine, &cluster.client, 0, 128 << 10, 0x11);
+        let rbuf = new_buffer(128 << 10);
+        cluster.client.submit(IoRequest::single(Bio::new(
+            IoOp::Read,
+            0,
+            rbuf.clone(),
+            |r| r.unwrap(),
+        )));
+        let wbuf = new_buffer(4096);
+        wbuf.borrow_mut().fill(0x22);
+        cluster
+            .client
+            .submit(IoRequest::single(Bio::new(IoOp::Write, 0, wbuf, |r| {
+                r.unwrap()
+            })));
+        engine.run_until_idle();
+        assert!(rbuf.borrow().iter().all(|&b| b == 0x11));
+        assert_reads_back(&engine, &cluster.client, 0, 4096, 0x22);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::proto::{
 };
 use blockdev::Storage;
 use ibsim::{
-    CompletionQueue, Cq, Fabric, IbNode, Mr, Opcode, Pd, Qp, QueuePair, RemoteSlice, WcStatus,
+    CompletionQueue, Fabric, IbNode, MemoryRegion, Opcode, Qp, QueuePair, RemoteSlice, WcStatus,
     WorkKind, WorkRequest,
 };
 use simcore::{Engine, SimDuration, SimTime};
@@ -115,7 +115,7 @@ struct Conn {
     qp: Qp,
     /// Control-message receive buffers (slices of one registration),
     /// indexed by recv wr_id.
-    recv_region: Mr,
+    recv_region: MemoryRegion,
 }
 
 /// Server statistics.
@@ -163,12 +163,10 @@ struct ServerInner {
     config: HpbdConfig,
     ibnode: IbNode,
     storage: Storage,
-    /// Protection domain scoping the server's registrations and CQs.
-    pd: Pd,
-    staging_mr: Mr,
+    staging_mr: MemoryRegion,
     staging_pool: SimBufferPool,
-    send_cq: Cq,
-    recv_cq: Cq,
+    send_cq: CompletionQueue,
+    recv_cq: CompletionQueue,
     conns: RefCell<Vec<Conn>>,
     qp_to_conn: RefCell<BTreeMap<u32, usize>>,
     pending: RefCell<BTreeMap<u64, PendingRdma>>,
@@ -192,10 +190,6 @@ struct ServerInner {
     /// High-water mark of concurrently pending RDMA operations, published
     /// as a per-server gauge at stats time (never on the hot path).
     peak_pending: Cell<usize>,
-    /// Scratch for decoding one control message (reused per request).
-    wire_scratch: RefCell<Vec<u8>>,
-    /// Freelist of staging-copy data buffers.
-    data_pool: RefCell<Vec<Vec<u8>>>,
     ctr_wakeups: LazyCounter,
     ctr_requests: LazyCounter,
 }
@@ -215,22 +209,18 @@ impl HpbdServer {
         // registration against the server CPU.
         let reg_cost = fabric.calibration().registration_time(SERVER_STAGING_SIZE);
         ibnode.node().cpu().reserve(engine.now(), reg_cost);
-        let pd = Pd::new(ibnode.clone());
-        let staging_mr = pd.register(SERVER_STAGING_SIZE as usize);
+        let staging_mr = ibnode.hca().register(SERVER_STAGING_SIZE as usize);
         let staging_pool = SimBufferPool::new(SERVER_STAGING_SIZE);
-        let send_cq = pd.create_cq();
-        let recv_cq = pd.create_cq();
+        let send_cq = ibnode.create_cq();
+        let recv_cq = ibnode.create_cq();
         let server = HpbdServer {
             inner: Rc::new(ServerInner {
-                wire_scratch: RefCell::new(Vec::new()),
-                data_pool: RefCell::new(Vec::new()),
                 ctr_wakeups: engine.metrics().lazy_counter("hpbd_server.wakeups"),
                 ctr_requests: engine.metrics().lazy_counter("hpbd_server.requests"),
                 engine,
                 config,
                 ibnode,
                 storage: Storage::new(capacity),
-                pd,
                 staging_mr,
                 staging_pool,
                 send_cq,
@@ -260,12 +250,12 @@ impl HpbdServer {
 
     /// The receive CQ (the cluster builder wires QPs to it).
     pub fn recv_cq(&self) -> &CompletionQueue {
-        self.inner.recv_cq.raw()
+        &self.inner.recv_cq
     }
 
     /// The send CQ.
     pub fn send_cq(&self) -> &CompletionQueue {
-        self.inner.send_cq.raw()
+        &self.inner.send_cq
     }
 
     /// Exported page-store capacity in bytes.
@@ -434,7 +424,10 @@ impl HpbdServer {
         // Buffers are sized for the largest control message — a maximally
         // merged request — so plain and merged requests share the pool.
         let wire = MERGED_MAX_WIRE_SIZE as u64;
-        let recv_region = inner.pd.register((credits as u64 * wire) as usize);
+        let recv_region = inner
+            .ibnode
+            .hca()
+            .register((credits as u64 * wire) as usize);
         for i in 0..credits {
             qp.post_recv(i as u64, recv_region.slice(i as u64 * wire, wire))
                 // simlint: allow(I001): connection setup posts into an empty receive queue sized for exactly these buffers
@@ -513,11 +506,11 @@ impl HpbdServer {
         let decoded: Result<ClientMessage, ProtoError> = {
             let conns = inner.conns.borrow();
             let conn = &conns[conn_idx];
-            let mut raw = inner.wire_scratch.borrow_mut();
-            raw.clear();
-            conn.recv_region
-                .read_append((buf_idx * wire) as usize, wire as usize, &mut raw);
-            ClientMessage::decode_slice(&raw)
+            conn.recv_region.read_with(
+                (buf_idx * wire) as usize,
+                wire as usize,
+                ClientMessage::decode_slice,
+            )
         };
         // Buffer consumed: re-post it for the next request.
         {
@@ -644,15 +637,22 @@ impl HpbdServer {
         };
         let local = inner.staging_mr.slice(staging.offset, job.len);
         let (req_id, op, len) = (job.req_id, job.op, job.len);
-        // Swap-in gathers store extents into one contiguous data buffer in
-        // staging order (merged segments may be scattered on the store).
-        let read_data = (op == PageOp::Read).then(|| {
-            let mut data = self.take_data_buf(len as usize);
-            for (offset, seg_len, _) in job.spans() {
-                inner.storage.read_append(offset, seg_len, &mut data);
-            }
-            data
-        });
+        if op == PageOp::Read {
+            // Swap-in gathers the store extents into the staging span in
+            // staging order (merged segments may be scattered on the store),
+            // now: the span is this request's alone until its token leaves
+            // `pending`, and what the copy costs is charged below.
+            let fill = |mut span: &mut [u8]| {
+                for (offset, seg_len, _) in job.spans() {
+                    let (seg, rest) = span.split_at_mut(seg_len as usize);
+                    inner.storage.read_at(offset, seg);
+                    span = rest;
+                }
+            };
+            inner
+                .staging_mr
+                .fill_with(staging.offset as usize, len as usize, fill);
+        }
         {
             let mut pending = inner.pending.borrow_mut();
             pending.insert(
@@ -688,9 +688,8 @@ impl HpbdServer {
                 );
             }
             PageOp::Read => {
-                // Swap-in: copy store -> staging, then push with RDMA WRITE.
-                // simlint: allow(I001): populated above for every Read op
-                let data = read_data.expect("gathered above for reads");
+                // Swap-in: once the store -> staging copy is paid for, push
+                // with RDMA WRITE.
                 let copy = inner.ibnode.memory_model().memcpy_time(len);
                 let (_, t_copy) = inner.ibnode.node().cpu().reserve(inner.engine.now(), copy);
                 inner.engine.span(
@@ -705,11 +704,8 @@ impl HpbdServer {
                     if this.inner.crashed.get() {
                         // Crash landed mid-copy; the staging buffer is in
                         // `pending`, which the crash already reclaimed.
-                        this.recycle_data_buf(data);
                         return;
                     }
-                    this.inner.staging_mr.write(staging.offset as usize, &data);
-                    this.recycle_data_buf(data);
                     this.inner.stats.borrow_mut().rdma_writes += 1;
                     this.inner.engine.lifecycle().mark_phys(
                         req_id,
@@ -802,10 +798,6 @@ impl HpbdServer {
             self.send_reply(conn, job.req_id, ReplyStatus::TransferError, job.version);
             return;
         }
-        let mut data = self.take_data_buf(job.len as usize);
-        inner
-            .staging_mr
-            .read_append(staging.offset as usize, job.len as usize, &mut data);
         let copy = inner.ibnode.memory_model().memcpy_time(job.len);
         let (_, t_copy) = inner.ibnode.node().cpu().reserve(inner.engine.now(), copy);
         inner.engine.span(
@@ -820,15 +812,20 @@ impl HpbdServer {
             if this.inner.crashed.get() {
                 // Crash landed mid-copy; this request already left
                 // `pending`, so its staging buffer is ours to return.
-                this.recycle_data_buf(data);
                 this.inner.staging_pool.free(staging);
                 return;
             }
             // The apply-time fence: the authoritative check. A newer write
             // may have been applied while this pull was on the wire, so
             // each page is re-checked at the moment it would be written.
-            let applied = this.apply_versioned(&job, &data);
-            this.recycle_data_buf(data);
+            // The span still holds what the pull placed: it is ours until
+            // the `free` below, and the completed RDMA READ was its only
+            // writer.
+            let applied = this.inner.staging_mr.read_with(
+                staging.offset as usize,
+                job.len as usize,
+                |data| this.apply_versioned(&job, data),
+            );
             this.inner.staging_pool.free(staging);
             if applied {
                 this.inner.stats.borrow_mut().bytes_in += job.len;
@@ -911,23 +908,6 @@ impl HpbdServer {
         self.send_reply(conn, job.req_id, ReplyStatus::Ok, job.version);
     }
 
-    /// Pop a recycled data buffer (or a fresh one): empty, with room for
-    /// `len` bytes.
-    fn take_data_buf(&self, len: usize) -> Vec<u8> {
-        let mut buf = self.inner.data_pool.borrow_mut().pop().unwrap_or_default();
-        buf.clear();
-        buf.reserve(len);
-        buf
-    }
-
-    /// Return a data buffer to the freelist (bounded).
-    fn recycle_data_buf(&self, buf: Vec<u8>) {
-        let mut pool = self.inner.data_pool.borrow_mut();
-        if pool.len() < 64 {
-            pool.push(buf);
-        }
-    }
-
     /// Emit the request-arrival -> reply trace span for one served request.
     fn serve_span(&self, job: &Job, started: SimTime, ok: bool) {
         let engine = &self.inner.engine;
@@ -962,5 +942,108 @@ impl HpbdServer {
         let mut chain = conns[conn_idx].qp.chain();
         chain.send(req_id, reply.encode(), true);
         let _ = chain.post();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{ClusterBuilder, HpbdCluster};
+    use blockdev::{new_buffer, Bio, BlockDevice, IoOp, IoRequest};
+    use netmodel::Calibration;
+
+    const LEN: usize = 128 << 10;
+
+    /// One server whose store starts with `LEN` bytes of 0x11, and a client
+    /// pool that holds a whole-staging-pool request beside a `LEN` one that
+    /// is never answered.
+    fn rig() -> (Engine, HpbdCluster) {
+        let engine = Engine::new();
+        let cluster = ClusterBuilder::new()
+            .servers(1)
+            .per_server_capacity(4 << 20)
+            .pool_size(SERVER_STAGING_SIZE + LEN as u64)
+            .build(&engine, Rc::new(Calibration::cluster_2005()));
+        cluster.servers[0].inner.storage.write_at(0, &[0x11; LEN]);
+        (engine, cluster)
+    }
+
+    fn submit(cluster: &HpbdCluster, op: IoOp, len: usize) {
+        let buf = new_buffer(len);
+        buf.borrow_mut().fill(0x22);
+        cluster
+            .client
+            .submit(IoRequest::single(Bio::new(op, 0, buf, |_| {})));
+    }
+
+    /// Whether the copy between store and staging is being paid for: the
+    /// request is served (swap-in) or pulled (swap-out), and its `t_copy`
+    /// event has not run.
+    fn in_copy(server: &HpbdServer, op: IoOp) -> bool {
+        let (pending, stats) = (server.inner.pending.borrow().len(), server.stats());
+        match op {
+            IoOp::Read => pending == 1 && stats.rdma_writes == 0,
+            IoOp::Write => pending == 0 && stats.rdma_reads == 1 && stats.bytes_in == 0,
+        }
+    }
+
+    /// The server died with a `LEN`-byte `op` inside its copy: nothing
+    /// left it and nothing was applied afterwards, and a restart serves a
+    /// request that needs the whole staging pool.
+    fn assert_died_clean(engine: &Engine, cluster: &HpbdCluster) {
+        let server = &cluster.servers[0];
+        engine.run_until_idle();
+        assert_eq!(cluster.client.stats().replies, 0, "a dead daemon replied");
+        let stats = server.stats();
+        assert_eq!((stats.rdma_writes, stats.bytes_in), (0, 0));
+        let mut store = vec![0xFF; LEN];
+        server.inner.storage.read_at(0, &mut store);
+        assert!(store.iter().all(|&b| b == 0), "the wiped store was written");
+        assert!(server.inner.versions.borrow().is_empty());
+        assert!(server.inner.pending.borrow().is_empty());
+        assert_eq!(server.inner.staging_pool.free_bytes(), SERVER_STAGING_SIZE);
+        server.restart();
+        submit(cluster, IoOp::Write, SERVER_STAGING_SIZE as usize);
+        engine.run_until_idle();
+        assert_eq!(server.stats().bytes_in, SERVER_STAGING_SIZE);
+    }
+
+    #[test]
+    fn crash_inside_the_copy_applies_nothing_and_leaks_no_staging() {
+        for op in [IoOp::Read, IoOp::Write] {
+            let (engine, cluster) = rig();
+            submit(&cluster, op, LEN);
+            while !in_copy(&cluster.servers[0], op) {
+                assert!(engine.step_one(), "{op:?} never reached its copy");
+            }
+            cluster.servers[0].crash();
+            assert_died_clean(&engine, &cluster);
+        }
+    }
+
+    #[test]
+    fn crash_in_the_instant_of_the_copy_event_applies_nothing() {
+        for op in [IoOp::Read, IoOp::Write] {
+            // A dry run finds the instant of the `t_copy` event...
+            let (engine, cluster) = rig();
+            submit(&cluster, op, LEN);
+            while !in_copy(&cluster.servers[0], op) {
+                engine.step_one();
+            }
+            while in_copy(&cluster.servers[0], op) {
+                engine.step_one();
+            }
+            let t_copy = engine.now();
+            // ...and the crash is scheduled there ahead of the request, so
+            // of the two events of that instant it runs first.
+            let (engine, cluster) = rig();
+            let server = cluster.servers[0].clone();
+            engine.schedule_at(t_copy, move || {
+                assert!(in_copy(&server, op), "the copy event ran first");
+                server.crash()
+            });
+            submit(&cluster, op, LEN);
+            assert_died_clean(&engine, &cluster);
+        }
     }
 }

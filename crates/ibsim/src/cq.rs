@@ -139,11 +139,6 @@ impl CompletionQueue {
         self.inner.borrow().queue.len()
     }
 
-    /// How many completion events have been delivered to the handler.
-    pub fn events_delivered(&self) -> u64 {
-        self.inner.borrow().delivered_events
-    }
-
     /// Push a completion into the CQ at the current instant, triggering the
     /// event handler if the CQ is armed and the completion qualifies.
     /// Called by the QP engine at completion instants.
@@ -249,7 +244,6 @@ mod tests {
         cq.push(completion(true)); // disarmed: no trigger
         eng.run_until_idle();
         assert_eq!(fired.get(), 1);
-        assert_eq!(cq.events_delivered(), 1);
         assert_eq!(cq.depth(), 3, "completions stay queued for draining");
     }
 

@@ -47,11 +47,7 @@ impl IbNode {
 
     /// A memory model charging copies against this node's CPUs.
     pub fn memory_model(&self) -> MemoryModel {
-        MemoryModel::new(
-            self.engine.clone(),
-            self.cal.clone(),
-            self.node.cpu().clone(),
-        )
+        MemoryModel::new(self.cal.clone(), self.node.cpu().clone())
     }
 }
 

@@ -47,4 +47,4 @@ pub use fault::LinkFaults;
 pub use hca::Hca;
 pub use mr::{MemoryRegion, MrSlice, RemoteSlice};
 pub use qp::{PostError, QueuePair, WorkKind, WorkRequest};
-pub use types::{Cq, Mr, Pd, Qp, WrChain};
+pub use types::{Qp, WrChain};

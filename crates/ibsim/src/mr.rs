@@ -65,10 +65,10 @@ impl MemoryRegion {
         out.copy_from_slice(&buf[offset..offset + out.len()]);
     }
 
-    /// Append `len` bytes starting at `offset` to `out`: an owned snapshot
-    /// in one pass, with no zero-fill of the destination first. Panics on
-    /// out-of-bounds, as [`MemoryRegion::read`] does.
-    pub fn read_append(&self, offset: usize, len: usize, out: &mut Vec<u8>) {
+    /// Append `len` bytes starting at `offset` to `out`: the owned snapshot
+    /// a transfer carries while it is on the wire. Panics on out-of-bounds,
+    /// as [`MemoryRegion::read`] does.
+    pub(crate) fn read_append(&self, offset: usize, len: usize, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.inner.buf.borrow()[offset..offset + len]);
     }
 
@@ -76,6 +76,12 @@ impl MemoryRegion {
     /// Panics on out-of-bounds.
     pub fn fill_with(&self, offset: usize, len: usize, f: impl FnOnce(&mut [u8])) {
         f(&mut self.inner.buf.borrow_mut()[offset..offset + len]);
+    }
+
+    /// Run `f` over `offset..offset+len` of the region, to read it in place.
+    /// Panics on out-of-bounds.
+    pub fn read_with<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&self.inner.buf.borrow()[offset..offset + len])
     }
 
     /// Copy `data` into the region at `offset`. Panics on out-of-bounds.

@@ -1,16 +1,15 @@
-//! Typed, owned verb handles.
+//! The typed send side of a queue pair.
 //!
 //! The raw verb objects ([`QueuePair`], [`CompletionQueue`],
-//! [`MemoryRegion`]) are deliberately thin — they mirror the VAPI calls the
-//! paper's implementation uses. Protocol code built directly on them has to
-//! get two things right at every call site: which node's HCA a resource
-//! belongs to, and how work requests are linked into a chain before the
-//! doorbell rings. This module packages those rules into owned handles in
-//! the style of mond77's `ibv` crate (`src/types/`): a [`Pd`] scopes
-//! resource creation to one node, a [`Qp`] only emits work requests through
-//! a [`WrChain`] builder, and the chain — not the caller — decides whether
-//! the post is a single `post_send` or a doorbell-batched
-//! `post_send_many`.
+//! [`crate::MemoryRegion`]) are deliberately thin — they mirror the VAPI
+//! calls the paper's implementation uses, and completion queues and memory
+//! regions are used as they are. Protocol code built directly on a
+//! [`QueuePair`] has to get one more thing right at every call site: how
+//! work requests are linked into a chain before the doorbell rings. This
+//! module packages that rule in the style of mond77's `ibv` crate
+//! (`src/types/`): a [`Qp`] only emits work requests through a [`WrChain`]
+//! builder, and the chain — not the caller — decides whether the post is a
+//! single `post_send` or a doorbell-batched `post_send_many`.
 //!
 //! Ownership rules (see DESIGN.md §15):
 //!
@@ -22,99 +21,11 @@
 //! * A chain of one posts through the exact single-WR path — same CPU
 //!   charge, same event sequence — so wrapping a lone request in a chain is
 //!   free and batching-off runs stay byte-identical.
-//! * [`Mr`] does **not** deregister on drop: registrations are shared
-//!   (clones of the same region live in staging descriptors and in-flight
-//!   work requests), so teardown stays explicit via [`Hca::deregister`],
-//!   exactly as before. The handle adds typed creation, not RAII teardown.
 
 use crate::cq::CompletionQueue;
-use crate::fabric::IbNode;
-use crate::hca::Hca;
-use crate::mr::{MemoryRegion, MrSlice, RemoteSlice};
+use crate::mr::{MrSlice, RemoteSlice};
 use crate::qp::{PostError, QueuePair, WorkKind, WorkRequest};
 use bytes::Bytes;
-use std::ops::Deref;
-
-/// Protection-domain analogue: scopes CQ and MR creation to one node's HCA.
-#[derive(Clone)]
-pub struct Pd {
-    node: IbNode,
-}
-
-impl Pd {
-    /// Create a protection domain on `node`.
-    pub fn new(node: IbNode) -> Pd {
-        Pd { node }
-    }
-
-    /// The node this domain lives on.
-    pub fn node(&self) -> &IbNode {
-        &self.node
-    }
-
-    /// Register a `len`-byte memory region with this domain's HCA.
-    pub fn register(&self, len: usize) -> Mr {
-        Mr {
-            mr: self.node.hca().register(len),
-        }
-    }
-
-    /// Create a completion queue on this domain's node.
-    pub fn create_cq(&self) -> Cq {
-        Cq {
-            cq: self.node.create_cq(),
-        }
-    }
-
-    /// The HCA behind this domain (for explicit deregistration).
-    pub fn hca(&self) -> &Hca {
-        self.node.hca()
-    }
-}
-
-/// An owned registered-region handle created through a [`Pd`].
-///
-/// Derefs to [`MemoryRegion`], so reads/writes/slices work unchanged. Does
-/// not deregister on drop — see the module docs.
-#[derive(Clone)]
-pub struct Mr {
-    mr: MemoryRegion,
-}
-
-impl Mr {
-    /// A shared handle to the underlying region (for descriptors that store
-    /// `MemoryRegion` directly).
-    pub fn region(&self) -> &MemoryRegion {
-        &self.mr
-    }
-}
-
-impl Deref for Mr {
-    type Target = MemoryRegion;
-    fn deref(&self) -> &MemoryRegion {
-        &self.mr
-    }
-}
-
-/// An owned completion-queue handle created through a [`Pd`].
-#[derive(Clone)]
-pub struct Cq {
-    cq: CompletionQueue,
-}
-
-impl Cq {
-    /// The underlying raw CQ (for fabric connection calls).
-    pub fn raw(&self) -> &CompletionQueue {
-        &self.cq
-    }
-}
-
-impl Deref for Cq {
-    type Target = CompletionQueue;
-    fn deref(&self) -> &CompletionQueue {
-        &self.cq
-    }
-}
 
 /// A typed RC queue-pair handle.
 ///
@@ -277,15 +188,15 @@ impl WrChain<'_> {
 mod tests {
     use super::*;
     use crate::cq::{Opcode, WcStatus};
-    use crate::fabric::Fabric;
+    use crate::fabric::{Fabric, IbNode};
     use netmodel::Calibration;
     use simcore::Engine;
     use std::rc::Rc;
 
     struct Rig {
         engine: Engine,
-        a: Pd,
-        b: Pd,
+        a: IbNode,
+        b: IbNode,
         qp_a: Qp,
         qp_b: Qp,
     }
@@ -294,17 +205,10 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let fabric = Fabric::new(engine.clone(), cal);
-        let a = Pd::new(fabric.add_node("a"));
-        let b = Pd::new(fabric.add_node("b"));
+        let a = fabric.add_node("a");
+        let b = fabric.add_node("b");
         let (acq, arcq, bcq, brcq) = (a.create_cq(), a.create_cq(), b.create_cq(), b.create_cq());
-        let (qp_a, qp_b) = fabric.connect(
-            a.node(),
-            acq.raw(),
-            arcq.raw(),
-            b.node(),
-            bcq.raw(),
-            brcq.raw(),
-        );
+        let (qp_a, qp_b) = fabric.connect(&a, &acq, &arcq, &b, &bcq, &brcq);
         Rig {
             engine,
             a,
@@ -317,7 +221,7 @@ mod tests {
     #[test]
     fn chain_of_one_behaves_like_plain_post() {
         let r = rig();
-        let rbuf = r.b.register(64);
+        let rbuf = r.b.hca().register(64);
         r.qp_b.post_recv(1, rbuf.slice(0, 64)).unwrap();
         let mut c = r.qp_a.chain();
         c.send(7, Bytes::from_static(b"one"), true);
@@ -342,8 +246,8 @@ mod tests {
     #[test]
     fn chained_rdma_writes_all_complete_with_data_intact() {
         let r = rig();
-        let src = r.a.register(4 * 4096);
-        let dst = r.b.register(4 * 4096);
+        let src = r.a.hca().register(4 * 4096);
+        let dst = r.b.hca().register(4 * 4096);
         for i in 0..4u8 {
             src.write(i as usize * 4096, &vec![i + 1; 4096]);
         }
@@ -395,22 +299,13 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let fabric = Fabric::new(engine.clone(), cal);
-        let a = Pd::new(fabric.add_node("a"));
-        let b = Pd::new(fabric.add_node("b"));
+        let a = fabric.add_node("a");
+        let b = fabric.add_node("b");
         let (acq, arcq, bcq, brcq) = (a.create_cq(), a.create_cq(), b.create_cq(), b.create_cq());
-        let (qp_a, _qp_b) = fabric.connect_with_depth(
-            a.node(),
-            acq.raw(),
-            arcq.raw(),
-            b.node(),
-            bcq.raw(),
-            brcq.raw(),
-            3,
-            3,
-        );
+        let (qp_a, _qp_b) = fabric.connect_with_depth(&a, &acq, &arcq, &b, &bcq, &brcq, 3, 3);
         let qp_a = Qp::from(qp_a);
-        let src = a.register(4 * 64);
-        let dst = b.register(4 * 64);
+        let src = a.hca().register(4 * 64);
+        let dst = b.hca().register(4 * 64);
         let mut c = qp_a.chain();
         for i in 0..4u64 {
             c.rdma_write(
@@ -449,9 +344,9 @@ mod tests {
     #[test]
     fn mixed_chain_send_and_rdma_complete_in_order() {
         let r = rig();
-        let rbuf = r.b.register(64);
-        let src = r.a.register(4096);
-        let dst = r.b.register(4096);
+        let rbuf = r.b.hca().register(64);
+        let src = r.a.hca().register(4096);
+        let dst = r.b.hca().register(4096);
         r.qp_b.post_recv(5, rbuf.slice(0, 64)).unwrap();
         src.write(0, &[0xCD; 4096]);
         let mut c = r.qp_a.chain();
@@ -472,20 +367,5 @@ mod tests {
         assert_eq!(comps[0].opcode, Opcode::RdmaWrite);
         assert_eq!(comps[1].opcode, Opcode::Send);
         assert!(dst.to_vec().iter().all(|&b| b == 0xCD));
-    }
-
-    #[test]
-    fn pd_scopes_mr_and_cq_creation() {
-        let r = rig();
-        let mr = r.a.register(256);
-        assert_eq!(mr.len(), 256);
-        mr.write(0, &[1, 2, 3]);
-        let mut out = [0u8; 3];
-        mr.region().read(0, &mut out);
-        assert_eq!(out, [1, 2, 3]);
-        let cq = r.a.create_cq();
-        assert!(cq.poll().is_none());
-        // The registration is visible to the owning HCA for RDMA targeting.
-        assert!(r.a.hca().lookup_rkey(mr.rkey()).is_some());
     }
 }

@@ -101,12 +101,6 @@ impl TransportModel {
         self.segment_startup(len) + self.propagation() + bottleneck + self.segment_startup(len)
     }
 
-    /// Effective bandwidth implied by `one_way_latency` at size `len`
-    /// (bytes/ns) — useful for sanity checks.
-    pub fn effective_bandwidth(&self, len: u64) -> f64 {
-        len as f64 / self.one_way_latency(len).as_nanos() as f64
-    }
-
     /// A copy of this model describing a degraded link: `added_latency_ns`
     /// extra one-way latency and bandwidth multiplied by `bandwidth_factor`.
     /// Fault plans use this to model cable/switch trouble without touching
@@ -183,14 +177,6 @@ mod tests {
         let c = Calibration::cluster_2005();
         let lat = c.ib.one_way_latency(8).as_nanos();
         assert!((4_000..12_000).contains(&lat), "got {lat}ns");
-    }
-
-    #[test]
-    fn effective_bandwidth_below_wire_rate() {
-        let c = Calibration::cluster_2005();
-        let bw = c.ib.effective_bandwidth(1 << 20);
-        assert!(bw < c.ib.bytes_per_ns);
-        assert!(bw > c.ib.bytes_per_ns * 0.9, "1MB should amortise latency");
     }
 
     #[test]

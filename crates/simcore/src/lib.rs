@@ -14,12 +14,11 @@
 //! * [`Resource`] — a serially-reusable timing resource (a CPU core, a DMA
 //!   engine, a wire). Reserving a duration returns the start/end times after
 //!   FIFO queueing, which is how contention and overlap are modeled.
-//! * [`Signal`] / [`Latch`] — completion flags that the driver loop can run
-//!   the engine against ("run until this swap-in finished").
+//! * [`Signal`] — a completion flag that the driver loop can run the engine
+//!   against ("run until this swap-in finished").
 //! * [`rng`] — a small deterministic RNG so identical seeds give identical
 //!   simulations.
-//! * [`stats`] — online statistics and histograms used by the experiment
-//!   harness.
+//! * [`stats`] — online statistics used by the experiment harness.
 //!
 //! The engine also carries the suite's observability handles: a
 //! [`simtrace::Tracer`] (disabled by default, installed by harnesses
@@ -42,9 +41,9 @@ pub mod time;
 pub use engine::{Engine, EventId};
 pub use resource::{MultiResource, Resource};
 pub use rng::SimRng;
-pub use signal::{Counter, Latch, Signal};
+pub use signal::{Counter, Signal};
 pub use simtrace::{
     FlightSummary, LifecycleHub, MetricsRegistry, MetricsSnapshot, TraceSession, Tracer,
 };
-pub use stats::{Histogram, OnlineStats};
+pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

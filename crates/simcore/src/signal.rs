@@ -2,10 +2,8 @@
 //!
 //! A [`Signal`] is a one-shot boolean flag shared between the code that posts
 //! asynchronous work and the loop that runs the engine waiting for it — the
-//! simulation analogue of a kernel completion. [`Latch`] waits for N events
-//! (e.g. a block request split into several physical requests, which is
-//! exactly what HPBD's multi-server splitting produces). [`Counter`] is a
-//! shared monotonically adjustable integer used for credits and statistics.
+//! simulation analogue of a kernel completion. [`Counter`] is a shared
+//! monotonically adjustable integer used for credits and statistics.
 
 use std::cell::Cell;
 use std::fmt;
@@ -48,59 +46,6 @@ impl Signal {
 impl fmt::Debug for Signal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Signal({}={})", self.name, self.is_set())
-    }
-}
-
-/// Counts down from N; `is_set` once it reaches zero. Used when one logical
-/// operation fans out into several asynchronous completions.
-#[derive(Clone)]
-pub struct Latch {
-    remaining: Rc<Cell<u64>>,
-    signal: Signal,
-}
-
-impl Latch {
-    /// A latch that completes after `count` calls to [`Latch::count_down`].
-    /// A zero count is already complete.
-    pub fn new(name: &'static str, count: u64) -> Latch {
-        let signal = Signal::new(name);
-        if count == 0 {
-            signal.set();
-        }
-        Latch {
-            remaining: Rc::new(Cell::new(count)),
-            signal,
-        }
-    }
-
-    /// Record one completion. Panics on underflow — counting down a finished
-    /// latch means an I/O completed twice, which is a protocol bug.
-    pub fn count_down(&self) {
-        let r = self.remaining.get();
-        assert!(
-            r > 0,
-            "latch `{}` counted down below zero",
-            self.signal.name()
-        );
-        self.remaining.set(r - 1);
-        if r == 1 {
-            self.signal.set();
-        }
-    }
-
-    /// Completions still outstanding.
-    pub fn remaining(&self) -> u64 {
-        self.remaining.get()
-    }
-
-    /// The underlying signal, for `Engine::run_until_signal`.
-    pub fn signal(&self) -> &Signal {
-        &self.signal
-    }
-
-    /// Whether all completions have arrived.
-    pub fn is_complete(&self) -> bool {
-        self.signal.is_set()
     }
 }
 
@@ -176,31 +121,6 @@ mod tests {
         s.set();
         s.set();
         assert!(s.is_set());
-    }
-
-    #[test]
-    fn latch_fires_after_n() {
-        let l = Latch::new("io", 3);
-        assert!(!l.is_complete());
-        l.count_down();
-        l.count_down();
-        assert!(!l.is_complete());
-        assert_eq!(l.remaining(), 1);
-        l.count_down();
-        assert!(l.is_complete());
-    }
-
-    #[test]
-    fn zero_latch_is_complete() {
-        assert!(Latch::new("none", 0).is_complete());
-    }
-
-    #[test]
-    #[should_panic(expected = "counted down below zero")]
-    fn latch_underflow_panics() {
-        let l = Latch::new("io", 1);
-        l.count_down();
-        l.count_down();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Online statistics and histograms for the experiment harness.
+//! Online statistics for the experiment harness.
 
 use std::fmt;
 
@@ -117,123 +117,6 @@ impl fmt::Display for OnlineStats {
     }
 }
 
-/// Fixed-width linear histogram over `[0, bucket_width * buckets)`, with an
-/// overflow bucket. Used for the Figure 6 request-size profile.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    bucket_width: u64,
-    counts: Vec<u64>,
-    overflow: u64,
-    stats: OnlineStats,
-}
-
-impl Histogram {
-    /// `buckets` buckets of `bucket_width` each.
-    ///
-    /// # Panics
-    /// Panics if either parameter is zero.
-    pub fn new(bucket_width: u64, buckets: usize) -> Histogram {
-        assert!(bucket_width > 0 && buckets > 0);
-        Histogram {
-            bucket_width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            stats: OnlineStats::new(),
-        }
-    }
-
-    /// Record a sample.
-    pub fn record(&mut self, x: u64) {
-        let idx = (x / self.bucket_width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.stats.record(x as f64);
-    }
-
-    /// Count in bucket `i` (samples in `[i*w, (i+1)*w)`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Number of regular buckets.
-    pub fn buckets(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Samples beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Mean of all recorded samples.
-    pub fn mean(&self) -> f64 {
-        self.stats.mean()
-    }
-
-    /// Iterate `(bucket_lower_bound, count)` over non-empty buckets.
-    pub fn iter_nonempty(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (i as u64 * self.bucket_width, c))
-    }
-
-    /// Estimate the `q`-quantile (`0 < q <= 1`) from the bucket counts:
-    /// the upper bound of the bucket containing the nearest-rank sample.
-    /// Returns `None` when empty; overflow samples report the overflow
-    /// boundary (the histogram cannot resolve beyond its range).
-    ///
-    /// # Panics
-    /// Panics if `q` is outside `(0, 1]`.
-    pub fn percentile(&self, q: f64) -> Option<u64> {
-        assert!(q > 0.0 && q <= 1.0, "quantile out of range: {q}");
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = (q * total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some((i as u64 + 1) * self.bucket_width);
-            }
-        }
-        Some(self.counts.len() as u64 * self.bucket_width)
-    }
-
-    /// Merge another histogram into this one.
-    ///
-    /// # Panics
-    /// Panics if the bucket layouts differ — merged counts would be
-    /// meaningless.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "bucket width mismatch"
-        );
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "bucket count mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.stats.merge(&other.stats);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,28 +141,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10, 4);
-        for x in [0, 9, 10, 35, 39, 40, 1000] {
-            h.record(x);
-        }
-        assert_eq!(h.bucket(0), 2);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(3), 2);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 7);
-    }
-
-    #[test]
-    fn histogram_nonempty_iter() {
-        let mut h = Histogram::new(5, 3);
-        h.record(0);
-        h.record(12);
-        let v: Vec<_> = h.iter_nonempty().collect();
-        assert_eq!(v, vec![(0, 1), (10, 1)]);
     }
 
     #[test]
@@ -320,49 +181,5 @@ mod tests {
         empty.merge(&b);
         assert_eq!(empty.count(), 1);
         assert_eq!(empty.mean(), 7.0);
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new(10, 10);
-        // 100 samples: 1..=100, so bucket i holds values [10i, 10i+10).
-        for x in 1..=100u64 {
-            h.record(x - 1);
-        }
-        assert_eq!(h.percentile(0.5), Some(50));
-        assert_eq!(h.percentile(0.95), Some(100));
-        assert_eq!(h.percentile(1.0), Some(100));
-        assert_eq!(h.percentile(0.01), Some(10));
-    }
-
-    #[test]
-    fn histogram_percentile_empty_and_overflow() {
-        let mut h = Histogram::new(10, 2);
-        assert_eq!(h.percentile(0.5), None);
-        h.record(1000); // overflow
-        assert_eq!(h.percentile(0.5), Some(20), "overflow reports range end");
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = Histogram::new(10, 4);
-        let mut b = Histogram::new(10, 4);
-        a.record(5);
-        b.record(5);
-        b.record(35);
-        b.record(500);
-        a.merge(&b);
-        assert_eq!(a.bucket(0), 2);
-        assert_eq!(a.bucket(3), 1);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.count(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width mismatch")]
-    fn histogram_merge_rejects_layout_mismatch() {
-        let mut a = Histogram::new(10, 4);
-        let b = Histogram::new(20, 4);
-        a.merge(&b);
     }
 }

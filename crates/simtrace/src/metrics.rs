@@ -152,12 +152,6 @@ impl MetricsRegistry {
         self.inner.borrow_mut().gauges.insert(name, v);
     }
 
-    /// Ensure a histogram exists so it renders (as `n=0`) even when no
-    /// sample ever arrives — used for headline latency metrics.
-    pub fn declare_histogram(&self, name: &'static str) {
-        self.inner.borrow_mut().histograms.entry(name).or_default();
-    }
-
     /// Record one sample into a histogram.
     #[inline]
     pub fn observe(&self, name: &'static str, v: f64) {
@@ -291,25 +285,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// CSV summary: `kind,name,count,mean,p50,p95,p99,min,max`.
-    pub fn render_csv(&self) -> String {
-        let mut out = String::from("kind,name,count,mean,p50,p95,p99,min,max\n");
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "counter,{name},{v},,,,,,");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "gauge,{name},,{v:.6},,,,,");
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "histogram,{name},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}",
-                h.count, h.mean, h.p50, h.p95, h.p99, h.min, h.max
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -401,6 +376,5 @@ mod tests {
         let first = a.find("a.first").unwrap();
         let last = a.find("z.last").unwrap();
         assert!(first < last, "counters sorted by name");
-        assert!(m.snapshot().render_csv().starts_with("kind,name,"));
     }
 }

@@ -44,11 +44,6 @@ impl VmConfig {
             kswapd_interval_ns: 1_000_000,
         }
     }
-
-    /// Bytes of application-visible local memory.
-    pub fn memory_bytes(&self) -> u64 {
-        self.total_frames as u64 * self.page_size
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +63,6 @@ mod tests {
     #[test]
     fn memory_roundtrip() {
         let c = VmConfig::for_memory(512 << 20);
-        assert_eq!(c.memory_bytes(), 512 << 20);
         assert_eq!(c.total_frames, 131072);
     }
 
