@@ -324,7 +324,10 @@ fn run_nbd_reset_cell(label: &str, capacity: u64, fault_at_ns: u64, _args: &Comm
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the re-arming probe carries its device, limits and shared counters from one call to the next"
+)]
 fn submit_probe(
     engine: &Engine,
     dev: &nbd::NbdClient,

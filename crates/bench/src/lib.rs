@@ -21,7 +21,6 @@
 //! `scale`. Ratios between configurations are scale-invariant in this
 //! simulation, which is what the reproduction targets — see EXPERIMENTS.md
 //! for paper-vs-measured at the default scale of 16.
-#![forbid(unsafe_code)]
 
 pub mod args;
 pub mod figures;

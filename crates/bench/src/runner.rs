@@ -59,6 +59,10 @@ impl Runner {
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..cells).map(|_| Mutex::new(None)).collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one fan-out site: each worker builds and runs whole cells, and results return in cell order"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(cells) {
                 scope.spawn(|| loop {

@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 //! # blockdev — the block I/O layer of the simulated kernel
 //!
@@ -32,7 +31,9 @@ pub mod trace;
 pub use device::{BlockDevice, DeviceHealth};
 pub use disk::SimDisk;
 pub use elevator::Elevator;
-pub use queue::{DispatchRecord, RequestQueue, DEFAULT_FLUSH_BACKSTOP, MAX_REQUEST_BYTES};
+pub use queue::{
+    for_each_run, DispatchRecord, RequestQueue, DEFAULT_FLUSH_BACKSTOP, MAX_REQUEST_BYTES,
+};
 pub use ramdisk::{RamDiskDevice, Storage};
 pub use request::{new_buffer, Bio, FaultKind, IoBuffer, IoError, IoOp, IoRequest, IoResult};
 pub use trace::{ReplayReport, SwapTrace, TraceEvent};

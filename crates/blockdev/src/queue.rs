@@ -25,6 +25,31 @@ pub const MAX_REQUEST_BYTES: u64 = 128 * 1024;
 /// unboundedly.
 pub const DEFAULT_FLUSH_BACKSTOP: usize = 4096;
 
+/// Cut `bios`, already in the caller's dispatch order, into runs of exactly
+/// adjacent same-op bios of at most `max_bytes`, and hand each run to
+/// `emit` in order. A bio larger than `max_bytes` goes alone.
+pub fn for_each_run(
+    bios: impl IntoIterator<Item = Bio>,
+    max_bytes: u64,
+    mut emit: impl FnMut(Vec<Bio>),
+) {
+    let mut run: Vec<Bio> = Vec::new();
+    let mut run_len = 0;
+    for bio in bios {
+        if let Some(last) = run.last() {
+            if last.op != bio.op || last.end() != bio.offset || run_len + bio.len() > max_bytes {
+                emit(std::mem::take(&mut run));
+                run_len = 0;
+            }
+        }
+        run_len += bio.len();
+        run.push(bio);
+    }
+    if !run.is_empty() {
+        emit(run);
+    }
+}
+
 /// One dispatched request, for instrumentation.
 #[derive(Clone, Copy, Debug)]
 pub struct DispatchRecord {
@@ -164,33 +189,9 @@ impl RequestQueue {
         let bios_per_request = metrics.histogram_handle("blockdev.bios_per_request");
 
         let now = self.engine.now();
-        let mut run: Vec<Bio> = Vec::new();
-        let mut run_len: u64 = 0;
-        for bio in batch.drain(..) {
-            let start_new = match run.last() {
-                Some(last) => {
-                    last.op != bio.op
-                        || last.end() != bio.offset
-                        || run_len + bio.len() > self.max_request
-                }
-                None => false,
-            };
-            if start_new {
-                self.dispatch(
-                    now,
-                    std::mem::take(&mut run),
-                    &requests_ctr,
-                    &bios_ctr,
-                    &bios_per_request,
-                );
-                run_len = 0;
-            }
-            run_len += bio.len();
-            run.push(bio);
-        }
-        if !run.is_empty() {
-            self.dispatch(now, run, &requests_ctr, &bios_ctr, &bios_per_request);
-        }
+        for_each_run(batch.drain(..), self.max_request, |run| {
+            self.dispatch(now, run, &requests_ctr, &bios_ctr, &bios_per_request)
+        });
         self.spare.set(batch);
     }
 

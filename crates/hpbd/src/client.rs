@@ -16,6 +16,7 @@
 //! Flow control (§4.2.4) is a per-server credit water-mark equal to the
 //! pre-posted receive buffers at the server; requests over the water-mark
 //! queue inside the driver.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::config::{Distribution, HpbdConfig, StagingMode, REPLY_PROC_NS, SERVER_STAGING_SIZE};
 use crate::pool::{PoolBuf, SimBufferPool};
@@ -42,7 +43,8 @@ pub struct ClientStats {
     pub requests: u64,
     /// Physical (per-server) requests issued.
     pub phys_requests: u64,
-    /// Requests that had to split across server extents.
+    /// Requests that went out as more than one part: split across server
+    /// extents, or cut to fit the staging pools.
     pub split_requests: u64,
     /// Times a physical request waited for pool space.
     pub pool_waits: u64,
@@ -137,7 +139,10 @@ impl Parent {
         let left = self.remaining.get() - 1;
         self.remaining.set(left);
         if left == 0 {
-            // simlint: allow(I001): `remaining` hitting zero exactly once is the Parent invariant; a second take means simulator corruption, not an I/O error
+            #[expect(
+                clippy::expect_used,
+                reason = "`remaining` hitting zero exactly once is the Parent invariant; a second take means simulator corruption, not an I/O error"
+            )]
             let req = self.req.borrow_mut().take().expect("completed twice");
             let result = match self.error.get() {
                 Some(e) => Err(e),
@@ -558,8 +563,11 @@ impl HpbdClient {
         let wire = REPLY_WIRE_SIZE as u64 + 4;
         let recv_region = inner.ibnode.hca().register((recvs as u64 * wire) as usize);
         for i in 0..recvs {
+            #[expect(
+                clippy::expect_used,
+                reason = "connection setup posts into an empty receive queue sized for exactly these buffers"
+            )]
             qp.post_recv(i as u64, recv_region.slice(i as u64 * wire, wire))
-                // simlint: allow(I001): connection setup posts into an empty receive queue sized for exactly these buffers
                 .expect("pre-posting reply receives");
         }
         let base = inner.capacity.get();
@@ -844,7 +852,10 @@ impl HpbdClient {
             let mut at = start as usize;
             for seg in phys.segs.iter() {
                 let parent = seg.parent.req.borrow();
-                // simlint: allow(I001): the Parent holds its request until the last part finishes; this part has not finished
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the Parent holds its request until the last part finishes; this part has not finished"
+                )]
                 let parent = parent.as_ref().expect("parent alive");
                 region.fill_with(at, seg.len as usize, |span| {
                     parent.gather_range_into(seg.parent_off, span)
@@ -1174,9 +1185,12 @@ impl HpbdClient {
                 ServerMessage::decode_slice,
             );
             // Re-post the consumed receive buffer.
+            #[expect(
+                clippy::expect_used,
+                reason = "re-posting the buffer just consumed cannot overflow the fixed-size receive queue"
+            )]
             conn.qp
                 .post_recv(buf_idx, conn.recv_region.slice(buf_idx * wire, wire))
-                // simlint: allow(I001): re-posting the buffer just consumed cannot overflow the fixed-size receive queue
                 .expect("re-posting reply receive");
             decoded
         };
@@ -1274,7 +1288,10 @@ impl HpbdClient {
                     let mut at = 0usize;
                     for seg in phys.segs.iter() {
                         let parent = seg.parent.req.borrow();
-                        // simlint: allow(I001): the Parent holds its request until the last part finishes; this part has not finished
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the Parent holds its request until the last part finishes; this part has not finished"
+                        )]
                         let parent = parent.as_ref().expect("parent alive");
                         parent.scatter_range(seg.parent_off, &span[at..at + seg.len as usize]);
                         at += seg.len as usize;
@@ -1841,6 +1858,20 @@ impl HpbdClient {
                 self.split_striped(req.offset(), req.len(), stripe_bytes)
             }
         };
+        // Every part must fit the server's staging pool, and the client's
+        // pool too when it stages through it: cut larger parts to fit.
+        let cap = match inner.config.staging {
+            StagingMode::CopyToPool => SERVER_STAGING_SIZE.min(inner.config.pool_size),
+            StagingMode::RegisterOnFly => SERVER_STAGING_SIZE,
+        };
+        let parts: Vec<_> = parts
+            .into_iter()
+            .flat_map(|(server, server_off, parent_off, len)| {
+                (0..len)
+                    .step_by(cap as usize)
+                    .map(move |at| (server, server_off + at, parent_off + at, cap.min(len - at)))
+            })
+            .collect();
         if parts.len() > 1 {
             inner.stats.borrow_mut().split_requests += 1;
             engine.metrics().inc("hpbd.split_requests");

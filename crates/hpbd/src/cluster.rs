@@ -10,6 +10,7 @@
 //! that arms a deterministic [`simfault::FaultPlan`] against the built
 //! cluster — server crashes/restarts and per-link degradation, loss, and
 //! completion errors, all scheduled on the virtual clock.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::client::HpbdClient;
 use crate::config::{Distribution, HpbdConfig, StagingMode};
@@ -496,6 +497,39 @@ mod tests {
             cluster.client.stats().pool_waits > 0,
             "pool must have queued"
         );
+    }
+
+    #[test]
+    fn request_larger_than_the_pool_is_cut_to_fit() {
+        let engine = Engine::new();
+        let cal = Rc::new(Calibration::cluster_2005());
+        let cluster = ClusterBuilder::new()
+            .pool_size(128 << 10)
+            .servers(1)
+            .build(&engine, cal);
+        write_read_roundtrip(&engine, &cluster.client, 0, 256 << 10, 0x5A);
+        let s = cluster.client.stats();
+        assert_eq!(s.phys_requests, 4, "each 256 KiB request goes as two parts");
+        assert_eq!(s.split_requests, 2);
+    }
+
+    #[test]
+    fn migration_of_a_chunk_larger_than_the_pool_is_cut_to_fit() {
+        let engine = Engine::new();
+        let cal = Rc::new(Calibration::cluster_2005());
+        let cluster = ClusterBuilder::new()
+            .chunk_bytes(2 << 20)
+            .spare_chunks(2)
+            .servers(2)
+            .per_server_capacity(4 << 20)
+            .build(&engine, cal);
+        write_read_roundtrip(&engine, &cluster.client, 4096, 4096, 0x6B);
+        // The whole-chunk read and write are 2 MiB each, twice both the
+        // client pool and the server's staging pool.
+        cluster.servers[0].revoke(0, 2 << 20);
+        engine.run_until_idle();
+        assert_eq!(cluster.client.stats().migrations, 1);
+        assert_reads_back(&engine, &cluster.client, 4096, 4096, 0x6B);
     }
 
     #[test]

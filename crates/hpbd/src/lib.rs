@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 //! # hpbd — the High Performance network Block Device (the paper's system)
 //!

@@ -9,6 +9,7 @@
 //! Every message carries a signature (magic + additive checksum over the
 //! header fields), validated on receipt: "message signature is used to
 //! validate requests and responses" (paper §4.1).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use bytes::{BufMut, Bytes, BytesMut};
 

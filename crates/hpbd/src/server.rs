@@ -17,6 +17,7 @@
 //! Replies are sent with the solicited-event bit so the client's sleeping
 //! receiver thread wakes (paper §5). The server itself sleeps after 200 µs
 //! of idling and is woken by the completion event of the next request.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::config::{HpbdConfig, REQUEST_PROC_NS, SERVER_IDLE_NS, SERVER_STAGING_SIZE};
 use crate::pool::{PoolBuf, SimBufferPool};
@@ -370,9 +371,12 @@ impl HpbdServer {
             let conns = inner.conns.borrow();
             for (conn_idx, buf_idx) in lost {
                 let conn = &conns[conn_idx];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "restart re-posts only buffers the crash drained, so the fixed-size receive queue cannot overflow"
+                )]
                 conn.qp
                     .post_recv(buf_idx, conn.recv_region.slice(buf_idx * wire, wire))
-                    // simlint: allow(I001): restart re-posts only buffers the crash drained, so the fixed-size receive queue cannot overflow
                     .expect("re-posting receives at restart");
             }
         }
@@ -429,8 +433,11 @@ impl HpbdServer {
             .hca()
             .register((credits as u64 * wire) as usize);
         for i in 0..credits {
+            #[expect(
+                clippy::expect_used,
+                reason = "connection setup posts into an empty receive queue sized for exactly these buffers"
+            )]
             qp.post_recv(i as u64, recv_region.slice(i as u64 * wire, wire))
-                // simlint: allow(I001): connection setup posts into an empty receive queue sized for exactly these buffers
                 .expect("pre-posting control receives");
         }
         let idx = inner.conns.borrow().len();
@@ -516,9 +523,12 @@ impl HpbdServer {
         {
             let conns = inner.conns.borrow();
             let conn = &conns[conn_idx];
+            #[expect(
+                clippy::expect_used,
+                reason = "re-posting the buffer just consumed cannot overflow the fixed-size receive queue"
+            )]
             conn.qp
                 .post_recv(buf_idx, conn.recv_region.slice(buf_idx * wire, wire))
-                // simlint: allow(I001): re-posting the buffer just consumed cannot overflow the fixed-size receive queue
                 .expect("re-posting control receive");
         }
         let job = match decoded {

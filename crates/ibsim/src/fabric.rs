@@ -120,7 +120,10 @@ impl Fabric {
     }
 
     /// [`Fabric::connect`] with explicit send/recv queue capacities.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each endpoint's node and two CQs, plus both queue depths, as ibv_create_qp takes them"
+    )]
     pub fn connect_with_depth(
         &self,
         a: &IbNode,
@@ -168,6 +171,10 @@ impl Fabric {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the verb layer's own tests post raw work requests"
+)]
 mod tests {
     use super::*;
     use crate::cq::{Opcode, WcStatus};
@@ -592,7 +599,7 @@ mod tests {
             3,
             "one completion per QP on the shared CQ"
         );
-        let qp_nums: std::collections::HashSet<u32> =
+        let qp_nums: std::collections::BTreeSet<u32> =
             completions.iter().map(|c| c.qp_num).collect();
         assert_eq!(qp_nums.len(), 3, "distinguishable by qp_num");
     }

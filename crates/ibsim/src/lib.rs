@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! # ibsim — a simulated InfiniBand verbs layer
 //!

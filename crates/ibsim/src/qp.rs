@@ -114,7 +114,10 @@ pub struct QueuePair {
 }
 
 impl QueuePair {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fabric hands over every part of the QP it wired"
+    )]
     pub(crate) fn new(
         engine: Engine,
         qp_num: u32,
@@ -417,7 +420,6 @@ impl QueuePair {
         rx_end
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn do_send(
         &self,
         peer: Rc<QpInner>,
@@ -549,7 +551,6 @@ impl QueuePair {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn do_rdma_write(
         &self,
         peer: Rc<QpInner>,
@@ -615,7 +616,6 @@ impl QueuePair {
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn do_rdma_read(
         &self,
         peer: Rc<QpInner>,

@@ -32,7 +32,7 @@ use bytes::Bytes;
 /// Receive-side and introspection methods pass straight through; the send
 /// side is only reachable by building a [`WrChain`] with [`Qp::chain`],
 /// which is what makes doorbell batching an explicit, visible decision at
-/// every post site (simlint rule A003 enforces this outside ibsim).
+/// every post site (`crates/clippy.toml` disallows the raw posts).
 pub struct Qp {
     qp: QueuePair,
 }
@@ -175,6 +175,10 @@ impl WrChain<'_> {
     /// event sequence to a bare post). Longer chains pay the doorbell once
     /// plus the cheaper chained descriptor cost per extra WQE. On error
     /// nothing was posted. Returns the number of WQEs posted.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the chain is the one sanctioned submit path, and this is where it reaches the QP"
+    )]
     pub fn post(self) -> Result<usize, PostError> {
         match self.wrs {
             ChainWrs::None => Ok(0),

@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 //! # netmodel — calibrated cost models for the HPBD testbed
 //!

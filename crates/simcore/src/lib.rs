@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 //! # simcore — deterministic discrete-event simulation engine
 //!

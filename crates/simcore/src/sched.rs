@@ -18,9 +18,11 @@
 //! FIFOs only ever receive events in increasing `seq` (direct pushes are
 //! sequenced by the engine's counter; promotions happen only into an empty
 //! wheel and arrive in heap-sorted `(time, seq)` order). The overflow heap
-//! orders by `(time, seq)` directly. The pop path compares the wheel head
-//! and the overflow head by `(time, seq)` and takes the smaller, so the
-//! merged stream is a stable sort by `(time, seq)`. The sorted-vec model in
+//! orders by `(time, seq)` directly, and every overflow entry lies at or
+//! past `base + WHEEL_SLOTS`: `push` routes only those there, and
+//! `reanchor` promotes every entry inside the new window. So while the
+//! wheel holds an event its head is the earliest, and the popped stream is
+//! a stable sort by `(time, seq)`. The sorted-vec model in
 //! `tests/sched_model.rs` holds the engine to exactly that order.
 //!
 //! Cancellation is lazy: cancelling drops the closure immediately (so
@@ -59,10 +61,9 @@ pub struct EventId {
     gen: u32,
 }
 
-/// Slab node: one scheduled event. `next` links the slot FIFO.
+/// Slab node: one scheduled event. Its time is its slot's, or its overflow
+/// entry's. `next` links the slot FIFO.
 struct Node {
-    at: u64,
-    seq: u64,
     gen: u32,
     next: u32,
     action: Option<Action>,
@@ -132,21 +133,17 @@ impl TimingWheel {
         }
     }
 
-    fn alloc_node(&mut self, at: u64, seq: u64, action: Action) -> u32 {
+    fn alloc_node(&mut self, action: Action) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
             let node = &mut self.nodes[idx as usize];
             self.free_head = node.next;
-            node.at = at;
-            node.seq = seq;
             node.next = NIL;
             node.action = Some(action);
             idx
         } else {
             let idx = self.nodes.len() as u32;
             self.nodes.push(Node {
-                at,
-                seq,
                 gen: 0,
                 next: NIL,
                 action: Some(action),
@@ -234,6 +231,11 @@ impl TimingWheel {
                 self.insert_slot((entry.at - at) as usize, entry.node);
             }
         }
+        // The heap minimum bounds every entry.
+        debug_assert!(
+            self.overflow.peek().is_none_or(|top| top.at >= horizon),
+            "overflow entry left inside the window"
+        );
     }
 
     /// Drop tombstoned (cancelled) nodes sitting at the head of either
@@ -257,7 +259,7 @@ impl TimingWheel {
     }
 
     pub(crate) fn push(&mut self, at: SimTime, seq: u64, action: Action) -> EventId {
-        let idx = self.alloc_node(at.0, seq, action);
+        let idx = self.alloc_node(action);
         let id = EventId {
             idx,
             gen: self.nodes[idx as usize].gen,
@@ -268,6 +270,10 @@ impl TimingWheel {
         if offset < WHEEL_SLOTS as u64 {
             self.insert_slot(offset as usize, idx);
         } else {
+            debug_assert!(
+                at.0 >= self.base + WHEEL_SLOTS as u64,
+                "overflow entry inside the window"
+            );
             self.overflow.push(OflEntry {
                 at: at.0,
                 seq,
@@ -295,40 +301,24 @@ impl TimingWheel {
     pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Action)> {
         loop {
             self.prune();
-            let wheel = self.min_slot().map(|slot| {
-                let idx = self.slots[slot].head;
-                let seq = self.nodes[idx as usize].seq;
-                (self.base + slot as u64, seq, slot, idx)
-            });
-            match (wheel, self.overflow.peek()) {
-                (Some((wt, wseq, slot, idx)), ofl) => {
-                    // The overflow head wins only in the rare case where the
-                    // window advanced past an old overflow event's time.
-                    if let Some(top) = ofl {
-                        if (top.at, top.seq) < (wt, wseq) {
-                            if top.at > deadline.0 {
-                                return None;
-                            }
-                            let entry = self.overflow.pop().expect("peeked entry");
-                            return Some((SimTime(entry.at), self.take_action(entry.node)));
-                        }
-                    }
-                    if wt > deadline.0 {
-                        return None;
-                    }
-                    self.pop_slot_head(slot);
-                    return Some((SimTime(wt), self.take_action(idx)));
+            // Every overflow entry lies past the window, so a non-empty
+            // wheel's head is the earliest event.
+            if let Some(slot) = self.min_slot() {
+                let at = self.base + slot as u64;
+                if at > deadline.0 {
+                    return None;
                 }
-                (None, Some(top)) => {
-                    if top.at > deadline.0 {
-                        return None;
-                    }
-                    // Window drained: re-anchor at the overflow minimum and
-                    // retry — the promoted events now sit in the wheel.
+                let idx = self.pop_slot_head(slot);
+                return Some((SimTime(at), self.take_action(idx)));
+            }
+            match self.overflow.peek() {
+                // Window drained: re-anchor at the overflow minimum and
+                // retry — the promoted events now sit in the wheel.
+                Some(top) if top.at <= deadline.0 => {
                     let at = top.at;
                     self.reanchor(at);
                 }
-                (None, None) => return None,
+                _ => return None,
             }
         }
     }
@@ -346,13 +336,9 @@ impl TimingWheel {
     /// Timestamp of the earliest live event, pruning tombstones on the way.
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         self.prune();
-        let wheel = self.min_slot().map(|slot| self.base + slot as u64);
-        let ofl = self.overflow.peek().map(|e| e.at);
-        match (wheel, ofl) {
-            (Some(w), Some(o)) => Some(SimTime(w.min(o))),
-            (Some(w), None) => Some(SimTime(w)),
-            (None, Some(o)) => Some(SimTime(o)),
-            (None, None) => None,
+        match self.min_slot() {
+            Some(slot) => Some(SimTime(self.base + slot as u64)),
+            None => self.overflow.peek().map(|e| SimTime(e.at)),
         }
     }
 

@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 //! # simfault — deterministic fault plans for the simulated cluster
 //!

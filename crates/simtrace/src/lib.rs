@@ -23,7 +23,6 @@
 //! [`simcore::Engine`]-held tracer is reachable from every layer.
 //!
 //! [`simcore::Engine`]: ../simcore/struct.Engine.html
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;

@@ -22,7 +22,8 @@
 //! engine events, never synchronously from the submission call.
 
 use blockdev::{
-    Bio, BlockDevice, IoBuffer, IoOp, IoRequest, IoResult, RamDiskDevice, RequestQueue,
+    for_each_run, Bio, BlockDevice, IoBuffer, IoOp, IoRequest, IoResult, RamDiskDevice,
+    RequestQueue,
 };
 use netmodel::{Calibration, Node};
 use simcore::{Engine, OnlineStats, SimDuration, SimTime};
@@ -456,21 +457,9 @@ impl SwapBackend for DirectBackend {
     fn reap(&self) {
         let mut staged = self.staged.take();
         staged.sort_by_key(|bio| (bio.op == IoOp::Write, bio.offset));
-        let mut run: Vec<Bio> = Vec::new();
-        for bio in staged {
-            if let (Some(first), Some(last)) = (run.first(), run.last()) {
-                let joins = bio.op == last.op
-                    && bio.offset == last.end()
-                    && bio.end() - first.offset <= DIRECT_MAX_RUN_BYTES;
-                if !joins {
-                    self.submit_run(std::mem::take(&mut run), false);
-                }
-            }
-            run.push(bio);
-        }
-        if !run.is_empty() {
-            self.submit_run(run, false);
-        }
+        for_each_run(staged, DIRECT_MAX_RUN_BYTES, |run| {
+            self.submit_run(run, false)
+        });
     }
 
     fn requests(&self) -> u64 {

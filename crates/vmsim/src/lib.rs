@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 //! # vmsim — the Linux 2.4-style virtual memory and swap subsystem
 //!

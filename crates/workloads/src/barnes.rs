@@ -256,7 +256,10 @@ impl Barnes {
         }
     }
 
-    #[allow(clippy::needless_range_loop)] // indexing c[d] alongside per-dim scans is clearest
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "indexing c[d] alongside per-dim scans is clearest"
+    )]
     fn bounding_box(&self) -> (f64, f64, f64, f64) {
         let n = self.params.bodies;
         let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -341,7 +344,10 @@ impl Barnes {
         tree
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the body's coordinates travel unpacked down the descent loop"
+    )]
     fn insert_body(
         &mut self,
         tree: &mut Tree,

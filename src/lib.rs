@@ -3,7 +3,6 @@
 //! Re-exports every crate in the workspace so examples and integration tests
 //! can use one dependency. See `README.md` for the tour and `DESIGN.md` for
 //! the system inventory.
-#![forbid(unsafe_code)]
 
 pub use blockdev;
 pub use hpbd;
