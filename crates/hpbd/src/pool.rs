@@ -28,23 +28,15 @@ pub struct PoolBuf {
 /// Pure first-fit allocator with merge-on-free. No interior mutability —
 /// wrap it for sharing.
 ///
-/// Both hot scans are binary searches over the sorted free list:
-///
-/// * `alloc` keeps a running *prefix maximum* of extent lengths
-///   (`prefix_max[i] = max(len[0..=i])`, non-decreasing by construction),
-///   so `partition_point(|&m| m < len)` lands exactly on the first extent
-///   that fits — first-fit semantics in O(log n) instead of a linear scan.
-/// * `free` locates its insertion point (and therefore both merge
-///   neighbours) with `partition_point` by offset, then merges in place
-///   with at most one list mutation.
+/// `alloc` scans the sorted free list for the first extent that fits.
+/// `free` locates its insertion point (and therefore both merge
+/// neighbours) with `partition_point` by offset, then merges in place with
+/// at most one list mutation.
 #[derive(Clone, Debug)]
 pub struct PoolAllocator {
     size: u64,
     /// Free extents, sorted by offset, always coalesced.
     free: Vec<(u64, u64)>,
-    /// `prefix_max[i] == max(free[0..=i].len)` — maintained alongside
-    /// `free` so first-fit is a binary search.
-    prefix_max: Vec<u64>,
     free_bytes: u64,
 }
 
@@ -55,24 +47,7 @@ impl PoolAllocator {
         PoolAllocator {
             size,
             free: vec![(0, size)],
-            prefix_max: vec![size],
             free_bytes: size,
-        }
-    }
-
-    /// Recompute `prefix_max[from..]` after a mutation at index `from`.
-    /// O(n − from), matching the `Vec` shift the mutation already paid;
-    /// the win is on the alloc *search* side, which becomes O(log n).
-    fn refresh_prefix_max(&mut self, from: usize) {
-        self.prefix_max.resize(self.free.len(), 0);
-        let mut running = if from == 0 {
-            0
-        } else {
-            self.prefix_max[from - 1]
-        };
-        for i in from..self.free.len() {
-            running = running.max(self.free[i].1);
-            self.prefix_max[i] = running;
         }
     }
 
@@ -104,21 +79,13 @@ impl PoolAllocator {
     /// need contiguous registered memory).
     pub fn alloc(&mut self, len: u64) -> Option<PoolBuf> {
         assert!(len > 0, "zero-length pool allocation");
-        // `prefix_max` is non-decreasing, so the partition point is the
-        // first index whose running max reaches `len` — which is exactly
-        // the first extent with `flen >= len` (first-fit).
-        let idx = self.prefix_max.partition_point(|&m| m < len);
-        if idx == self.free.len() {
-            return None;
-        }
+        let idx = self.free.iter().position(|&(_, l)| l >= len)?;
         let (off, flen) = self.free[idx];
-        debug_assert!(flen >= len, "partition point missed the first fit");
         if flen == len {
             self.free.remove(idx);
         } else {
             self.free[idx] = (off + len, flen - len);
         }
-        self.refresh_prefix_max(idx);
         self.free_bytes -= len;
         self.debug_check();
         Some(PoolBuf { offset: off, len })
@@ -145,46 +112,31 @@ impl PoolAllocator {
             assert!(buf.offset + buf.len <= noff, "double free (right overlap)");
             buf.offset + buf.len == noff
         };
-        let refresh_from = match (merge_left, merge_right) {
+        match (merge_left, merge_right) {
             (true, true) => {
                 // Bridge: left extent absorbs the span and the right extent.
                 let (_, nlen) = self.free[idx];
                 self.free[idx - 1].1 += buf.len + nlen;
                 self.free.remove(idx);
-                idx - 1
             }
-            (true, false) => {
-                self.free[idx - 1].1 += buf.len;
-                idx - 1
-            }
+            (true, false) => self.free[idx - 1].1 += buf.len,
             (false, true) => {
                 let (_, nlen) = self.free[idx];
                 self.free[idx] = (buf.offset, buf.len + nlen);
-                idx
             }
-            (false, false) => {
-                self.free.insert(idx, (buf.offset, buf.len));
-                idx
-            }
-        };
-        self.refresh_prefix_max(refresh_from);
+            (false, false) => self.free.insert(idx, (buf.offset, buf.len)),
+        }
         self.free_bytes += buf.len;
         self.debug_check();
     }
 
     /// Validate internal invariants (used by property tests and, in debug
-    /// builds, after every op): sorted, non-overlapping, coalesced,
-    /// accounted, and `prefix_max` consistent with the free list.
+    /// builds, after every op): sorted, non-overlapping, coalesced and
+    /// accounted.
     pub fn check_invariants(&self) {
         let mut total = 0;
         let mut prev_end: Option<u64> = None;
-        let mut running_max = 0;
-        assert_eq!(
-            self.prefix_max.len(),
-            self.free.len(),
-            "prefix_max out of step with free list"
-        );
-        for (i, &(off, len)) in self.free.iter().enumerate() {
+        for &(off, len) in &self.free {
             assert!(len > 0, "empty free extent");
             assert!(off + len <= self.size, "extent beyond pool");
             if let Some(pe) = prev_end {
@@ -193,8 +145,6 @@ impl PoolAllocator {
             }
             prev_end = Some(off + len);
             total += len;
-            running_max = running_max.max(len);
-            assert_eq!(self.prefix_max[i], running_max, "stale prefix_max[{i}]");
         }
         assert_eq!(total, self.free_bytes, "free byte accounting");
     }

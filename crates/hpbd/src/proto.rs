@@ -6,12 +6,14 @@
 //! in a message; it moves by server-initiated RDMA between the client's
 //! registered pool and the server's staging buffers.
 //!
-//! Every message carries a signature (magic + additive checksum over the
-//! header fields), validated on receipt: "message signature is used to
-//! validate requests and responses" (paper §4.1).
+//! Every message carries a signature (magic + a `sum * 31 + word` checksum
+//! over the fields), validated on receipt: "message signature is used to
+//! validate requests and responses" (paper §4.1). One private
+//! `Encoder`/`Decoder` pair writes and reads every message: each field is
+//! named once per direction and folded into the checksum as it passes.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Magic tag on every HPBD message.
 pub const HPBD_MAGIC: u32 = 0x4850_4244; // "HPBD"
@@ -84,6 +86,98 @@ pub enum ProtoError {
     BadChecksum,
     /// Field out of range.
     BadField(&'static str),
+}
+
+/// The magic a message starts with; `Truncated` if it is shorter than one.
+fn magic(b: &[u8]) -> Result<u32, ProtoError> {
+    let w = b.first_chunk().ok_or(ProtoError::Truncated)?;
+    Ok(u32::from_le_bytes(*w))
+}
+
+/// The signature's step: every 32-bit word after the magic is folded in
+/// as `sum * 31 + word`.
+fn fold(sum: u32, word: u32) -> u32 {
+    sum.wrapping_mul(31).wrapping_add(word)
+}
+
+/// Writes one message: the magic, then each field little-endian, folding
+/// it into the signature as it goes (a `u64` folds its low word, then its
+/// high word), then the signature.
+struct Encoder {
+    b: Vec<u8>,
+    sum: u32,
+}
+
+impl Encoder {
+    fn new(magic: u32, size: usize) -> Encoder {
+        let mut b = Vec::with_capacity(size);
+        b.extend_from_slice(&magic.to_le_bytes());
+        Encoder { b, sum: 0 }
+    }
+
+    fn u32(&mut self, w: u32) {
+        self.b.extend_from_slice(&w.to_le_bytes());
+        self.sum = fold(self.sum, w);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.b.extend_from_slice(&v.to_le_bytes());
+        self.sum = fold(fold(self.sum, v as u32), (v >> 32) as u32);
+    }
+
+    fn finish(mut self) -> Bytes {
+        self.b.extend_from_slice(&self.sum.to_le_bytes());
+        Bytes::from(self.b)
+    }
+}
+
+/// Reads what an [`Encoder`] wrote, field by field in the same order,
+/// folding the same signature; [`Decoder::close`] checks it.
+struct Decoder<'a> {
+    rest: &'a [u8],
+    sum: u32,
+}
+
+impl<'a> Decoder<'a> {
+    /// `Truncated` when `b` is shorter than `size`, then `BadMagic`.
+    fn open(b: &'a [u8], want: u32, size: usize) -> Result<Decoder<'a>, ProtoError> {
+        if b.len() < size {
+            return Err(ProtoError::Truncated);
+        }
+        if magic(b)? != want {
+            return Err(ProtoError::BadMagic);
+        }
+        Ok(Decoder {
+            rest: &b[4..],
+            sum: 0,
+        })
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
+        let (head, rest) = self.rest.split_first_chunk().ok_or(ProtoError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    fn u32(&mut self) -> Result<u32, ProtoError> {
+        let w = u32::from_le_bytes(self.take()?);
+        self.sum = fold(self.sum, w);
+        Ok(w)
+    }
+
+    fn u64(&mut self) -> Result<u64, ProtoError> {
+        let v = u64::from_le_bytes(self.take()?);
+        self.sum = fold(fold(self.sum, v as u32), (v >> 32) as u32);
+        Ok(v)
+    }
+
+    /// `BadChecksum` unless the signature that follows the fields matches.
+    fn close(mut self) -> Result<(), ProtoError> {
+        if u32::from_le_bytes(self.take()?) != self.sum {
+            return Err(ProtoError::BadChecksum);
+        }
+        Ok(())
+    }
 }
 
 /// A page request: client → server control message.
@@ -163,6 +257,41 @@ impl PageRequest {
     /// would undo a newer write to the same block. Reads carry 0.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Serialise with magic and checksum.
+    pub fn encode(&self) -> Bytes {
+        let mut e = Encoder::new(HPBD_MAGIC, REQUEST_WIRE_SIZE + 4);
+        e.u64(self.req_id);
+        e.u32(self.op.code());
+        e.u64(self.server_offset);
+        e.u64(self.len);
+        e.u32(self.client_rkey);
+        e.u64(self.client_offset);
+        e.u64(self.version);
+        e.finish()
+    }
+
+    /// Parse and validate from a borrowed buffer (no `Bytes` needed).
+    pub fn decode_slice(b: &[u8]) -> Result<PageRequest, ProtoError> {
+        let mut d = Decoder::open(b, HPBD_MAGIC, REQUEST_WIRE_SIZE + 4)?;
+        let req_id = d.u64()?;
+        let op = d.u32()?;
+        let server_offset = d.u64()?;
+        let len = d.u64()?;
+        let client_rkey = d.u32()?;
+        let client_offset = d.u64()?;
+        let version = d.u64()?;
+        d.close()?;
+        Ok(PageRequest {
+            req_id,
+            op: PageOp::from_code(op)?,
+            server_offset,
+            len,
+            client_rkey,
+            client_offset,
+            version,
+        })
     }
 }
 
@@ -249,6 +378,32 @@ impl PageReply {
     pub fn generation(&self) -> u64 {
         self.generation
     }
+
+    /// Serialise with magic and checksum.
+    pub fn encode(&self) -> Bytes {
+        let mut e = Encoder::new(HPBD_MAGIC, REPLY_WIRE_SIZE);
+        e.u64(self.req_id);
+        e.u32(self.status.code());
+        e.u64(self.version);
+        e.u64(self.generation);
+        e.finish()
+    }
+
+    /// Parse and validate from a borrowed buffer (no `Bytes` needed).
+    pub fn decode_slice(b: &[u8]) -> Result<PageReply, ProtoError> {
+        let mut d = Decoder::open(b, HPBD_MAGIC, REPLY_WIRE_SIZE)?;
+        let req_id = d.u64()?;
+        let status = d.u32()?;
+        let version = d.u64()?;
+        let generation = d.u64()?;
+        d.close()?;
+        Ok(PageReply {
+            req_id,
+            status: ReplyStatus::from_code(status)?,
+            version,
+            generation,
+        })
+    }
 }
 
 /// Server-initiated notice: the server is reclaiming part of its exported
@@ -285,18 +440,10 @@ impl RevokeNotice {
     /// Serialise: 24 bytes, smaller than a [`PageReply`]'s wire size, so
     /// notices fit the client's pre-posted reply buffers.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(NOTICE_WIRE_SIZE);
-        b.put_u32_le(NOTICE_MAGIC);
-        b.put_u64_le(self.offset);
-        b.put_u64_le(self.len);
-        let sum = checksum(&[
-            self.offset as u32,
-            (self.offset >> 32) as u32,
-            self.len as u32,
-            (self.len >> 32) as u32,
-        ]);
-        b.put_u32_le(sum);
-        b.freeze()
+        let mut e = Encoder::new(NOTICE_MAGIC, NOTICE_WIRE_SIZE);
+        e.u64(self.offset);
+        e.u64(self.len);
+        e.finish()
     }
 
     /// Parse a full 24-byte notice (magic, range, checksum). The reply
@@ -304,24 +451,10 @@ impl RevokeNotice {
     /// public and symmetric with [`PageReply::decode_slice`] so the notice
     /// wire form can be roundtrip-tested on its own.
     pub fn decode_slice(b: &[u8]) -> Result<RevokeNotice, ProtoError> {
-        if b.len() < NOTICE_WIRE_SIZE {
-            return Err(ProtoError::Truncated);
-        }
-        if read_u32(b, 0)? != NOTICE_MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let offset = read_u64(b, 4)?;
-        let len = read_u64(b, 12)?;
-        let sum = read_u32(b, 20)?;
-        let expect = checksum(&[
-            offset as u32,
-            (offset >> 32) as u32,
-            len as u32,
-            (len >> 32) as u32,
-        ]);
-        if sum != expect {
-            return Err(ProtoError::BadChecksum);
-        }
+        let mut d = Decoder::open(b, NOTICE_MAGIC, NOTICE_WIRE_SIZE)?;
+        let offset = d.u64()?;
+        let len = d.u64()?;
+        d.close()?;
         Ok(RevokeNotice { offset, len })
     }
 }
@@ -336,136 +469,15 @@ pub enum ServerMessage {
 }
 
 impl ServerMessage {
-    /// Parse either message kind by its magic.
-    pub fn decode(b: Bytes) -> Result<ServerMessage, ProtoError> {
-        ServerMessage::decode_slice(&b)
-    }
-
-    /// Parse from a borrowed buffer — the hot receive path reuses one
-    /// scratch buffer per connection instead of allocating a `Bytes` per
-    /// message.
+    /// Parse either message kind by its magic, from a borrowed buffer —
+    /// the hot receive path reuses one scratch buffer per connection
+    /// instead of allocating a `Bytes` per message.
     pub fn decode_slice(b: &[u8]) -> Result<ServerMessage, ProtoError> {
-        if b.len() < 4 {
-            return Err(ProtoError::Truncated);
-        }
-        match read_u32(b, 0)? {
+        match magic(b)? {
             HPBD_MAGIC => Ok(ServerMessage::Reply(PageReply::decode_slice(b)?)),
             NOTICE_MAGIC => Ok(ServerMessage::Revoke(RevokeNotice::decode_slice(b)?)),
             _ => Err(ProtoError::BadMagic),
         }
-    }
-}
-
-#[inline]
-fn read_u32(b: &[u8], at: usize) -> Result<u32, ProtoError> {
-    let Some(s) = b.get(at..at + 4) else {
-        return Err(ProtoError::Truncated);
-    };
-    let mut a = [0u8; 4];
-    a.copy_from_slice(s);
-    Ok(u32::from_le_bytes(a))
-}
-
-#[inline]
-fn read_u64(b: &[u8], at: usize) -> Result<u64, ProtoError> {
-    let Some(s) = b.get(at..at + 8) else {
-        return Err(ProtoError::Truncated);
-    };
-    let mut a = [0u8; 8];
-    a.copy_from_slice(s);
-    Ok(u64::from_le_bytes(a))
-}
-
-fn checksum(words: &[u32]) -> u32 {
-    words
-        .iter()
-        .fold(0u32, |acc, &w| acc.wrapping_mul(31).wrapping_add(w))
-}
-
-/// Extend a running [`checksum`] by one word — variable-length messages
-/// fold their tail segments without collecting a word vector.
-#[inline]
-fn checksum_push(acc: u32, w: u32) -> u32 {
-    acc.wrapping_mul(31).wrapping_add(w)
-}
-
-impl PageRequest {
-    /// Serialise with magic and checksum.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(REQUEST_WIRE_SIZE + 4);
-        b.put_u32_le(HPBD_MAGIC);
-        b.put_u64_le(self.req_id);
-        b.put_u32_le(self.op.code());
-        b.put_u64_le(self.server_offset);
-        b.put_u64_le(self.len);
-        b.put_u32_le(self.client_rkey);
-        b.put_u64_le(self.client_offset);
-        b.put_u64_le(self.version);
-        let sum = checksum(&[
-            self.req_id as u32,
-            (self.req_id >> 32) as u32,
-            self.op.code(),
-            self.server_offset as u32,
-            (self.server_offset >> 32) as u32,
-            self.len as u32,
-            (self.len >> 32) as u32,
-            self.client_rkey,
-            self.client_offset as u32,
-            (self.client_offset >> 32) as u32,
-            self.version as u32,
-            (self.version >> 32) as u32,
-        ]);
-        b.put_u32_le(sum);
-        b.freeze()
-    }
-
-    /// Parse and validate.
-    pub fn decode(b: Bytes) -> Result<PageRequest, ProtoError> {
-        PageRequest::decode_slice(&b)
-    }
-
-    /// Parse and validate from a borrowed buffer (no `Bytes` needed).
-    pub fn decode_slice(b: &[u8]) -> Result<PageRequest, ProtoError> {
-        if b.len() < REQUEST_WIRE_SIZE + 4 {
-            return Err(ProtoError::Truncated);
-        }
-        if read_u32(b, 0)? != HPBD_MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let req_id = read_u64(b, 4)?;
-        let op_code = read_u32(b, 12)?;
-        let server_offset = read_u64(b, 16)?;
-        let len = read_u64(b, 24)?;
-        let client_rkey = read_u32(b, 32)?;
-        let client_offset = read_u64(b, 36)?;
-        let version = read_u64(b, 44)?;
-        let sum = read_u32(b, 52)?;
-        let expect = checksum(&[
-            req_id as u32,
-            (req_id >> 32) as u32,
-            op_code,
-            server_offset as u32,
-            (server_offset >> 32) as u32,
-            len as u32,
-            (len >> 32) as u32,
-            client_rkey,
-            client_offset as u32,
-            (client_offset >> 32) as u32,
-            version as u32,
-            (version >> 32) as u32,
-        ]);
-        if sum != expect {
-            return Err(ProtoError::BadChecksum);
-        }
-        Ok(PageRequest {
-            req_id,
-            op: PageOp::from_code(op_code)?,
-            server_offset,
-            len,
-            client_rkey,
-            client_offset,
-            version,
-        })
     }
 }
 
@@ -596,93 +608,47 @@ impl MergedRequest {
 
     /// Serialise with magic and checksum.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(merged_wire_size(self.segs.len()));
-        b.put_u32_le(MERGED_MAGIC);
-        b.put_u64_le(self.req_id);
-        b.put_u32_le(self.op.code());
-        b.put_u32_le(self.client_rkey);
-        b.put_u64_le(self.client_offset);
-        b.put_u32_le(self.segs.len() as u32);
-        let mut sum = checksum(&[
-            self.req_id as u32,
-            (self.req_id >> 32) as u32,
-            self.op.code(),
-            self.client_rkey,
-            self.client_offset as u32,
-            (self.client_offset >> 32) as u32,
-            self.segs.len() as u32,
-        ]);
+        let mut e = Encoder::new(MERGED_MAGIC, merged_wire_size(self.segs.len()));
+        e.u64(self.req_id);
+        e.u32(self.op.code());
+        e.u32(self.client_rkey);
+        e.u64(self.client_offset);
+        e.u32(self.segs.len() as u32);
         for s in &self.segs {
-            b.put_u64_le(s.server_offset);
-            b.put_u64_le(s.len);
-            b.put_u64_le(s.version);
-            sum = checksum_push(sum, s.server_offset as u32);
-            sum = checksum_push(sum, (s.server_offset >> 32) as u32);
-            sum = checksum_push(sum, s.len as u32);
-            sum = checksum_push(sum, (s.len >> 32) as u32);
-            sum = checksum_push(sum, s.version as u32);
-            sum = checksum_push(sum, (s.version >> 32) as u32);
+            e.u64(s.server_offset);
+            e.u64(s.len);
+            e.u64(s.version);
         }
-        b.put_u32_le(sum);
-        b.freeze()
+        e.finish()
     }
 
-    /// Parse and validate.
-    pub fn decode(b: Bytes) -> Result<MergedRequest, ProtoError> {
-        MergedRequest::decode_slice(&b)
-    }
-
-    /// Parse and validate from a borrowed buffer.
+    /// Parse and validate from a borrowed buffer. The segment count and
+    /// the length it implies are checked before any segment is read.
     pub fn decode_slice(b: &[u8]) -> Result<MergedRequest, ProtoError> {
-        if b.len() < merged_wire_size(1) {
-            return Err(ProtoError::Truncated);
-        }
-        if read_u32(b, 0)? != MERGED_MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let req_id = read_u64(b, 4)?;
-        let op_code = read_u32(b, 12)?;
-        let client_rkey = read_u32(b, 16)?;
-        let client_offset = read_u64(b, 20)?;
-        let count = read_u32(b, 28)? as usize;
+        let mut d = Decoder::open(b, MERGED_MAGIC, merged_wire_size(1))?;
+        let req_id = d.u64()?;
+        let op = d.u32()?;
+        let client_rkey = d.u32()?;
+        let client_offset = d.u64()?;
+        let count = d.u32()? as usize;
         if !(1..=MAX_MERGE_SEGMENTS).contains(&count) {
             return Err(ProtoError::BadField("seg_count"));
         }
         if b.len() < merged_wire_size(count) {
             return Err(ProtoError::Truncated);
         }
-        let mut sum = checksum(&[
-            req_id as u32,
-            (req_id >> 32) as u32,
-            op_code,
-            client_rkey,
-            client_offset as u32,
-            (client_offset >> 32) as u32,
-            count as u32,
-        ]);
         let mut segs = Vec::with_capacity(count);
-        for k in 0..count {
-            let server_offset = read_u64(b, 32 + 24 * k)?;
-            let len = read_u64(b, 40 + 24 * k)?;
-            let version = read_u64(b, 48 + 24 * k)?;
-            sum = checksum_push(sum, server_offset as u32);
-            sum = checksum_push(sum, (server_offset >> 32) as u32);
-            sum = checksum_push(sum, len as u32);
-            sum = checksum_push(sum, (len >> 32) as u32);
-            sum = checksum_push(sum, version as u32);
-            sum = checksum_push(sum, (version >> 32) as u32);
+        for _ in 0..count {
             segs.push(MergedSeg {
-                server_offset,
-                len,
-                version,
+                server_offset: d.u64()?,
+                len: d.u64()?,
+                version: d.u64()?,
             });
         }
-        if read_u32(b, 32 + 24 * count)? != sum {
-            return Err(ProtoError::BadChecksum);
-        }
+        d.close()?;
         Ok(MergedRequest {
             req_id,
-            op: PageOp::from_code(op_code)?,
+            op: PageOp::from_code(op)?,
             client_rkey,
             client_offset,
             segs,
@@ -702,75 +668,11 @@ pub enum ClientMessage {
 impl ClientMessage {
     /// Parse either request kind by its magic.
     pub fn decode_slice(b: &[u8]) -> Result<ClientMessage, ProtoError> {
-        if b.len() < 4 {
-            return Err(ProtoError::Truncated);
-        }
-        match read_u32(b, 0)? {
+        match magic(b)? {
             HPBD_MAGIC => Ok(ClientMessage::Request(PageRequest::decode_slice(b)?)),
             MERGED_MAGIC => Ok(ClientMessage::Merged(MergedRequest::decode_slice(b)?)),
             _ => Err(ProtoError::BadMagic),
         }
-    }
-}
-
-impl PageReply {
-    /// Serialise with magic and checksum.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(REPLY_WIRE_SIZE);
-        b.put_u32_le(HPBD_MAGIC);
-        b.put_u64_le(self.req_id);
-        b.put_u32_le(self.status.code());
-        b.put_u64_le(self.version);
-        b.put_u64_le(self.generation);
-        let sum = checksum(&[
-            self.req_id as u32,
-            (self.req_id >> 32) as u32,
-            self.status.code(),
-            self.version as u32,
-            (self.version >> 32) as u32,
-            self.generation as u32,
-            (self.generation >> 32) as u32,
-        ]);
-        b.put_u32_le(sum);
-        b.freeze()
-    }
-
-    /// Parse and validate.
-    pub fn decode(b: Bytes) -> Result<PageReply, ProtoError> {
-        PageReply::decode_slice(&b)
-    }
-
-    /// Parse and validate from a borrowed buffer (no `Bytes` needed).
-    pub fn decode_slice(b: &[u8]) -> Result<PageReply, ProtoError> {
-        if b.len() < REPLY_WIRE_SIZE {
-            return Err(ProtoError::Truncated);
-        }
-        if read_u32(b, 0)? != HPBD_MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let req_id = read_u64(b, 4)?;
-        let status_code = read_u32(b, 12)?;
-        let version = read_u64(b, 16)?;
-        let generation = read_u64(b, 24)?;
-        let sum = read_u32(b, 32)?;
-        let expect = checksum(&[
-            req_id as u32,
-            (req_id >> 32) as u32,
-            status_code,
-            version as u32,
-            (version >> 32) as u32,
-            generation as u32,
-            (generation >> 32) as u32,
-        ]);
-        if sum != expect {
-            return Err(ProtoError::BadChecksum);
-        }
-        Ok(PageReply {
-            req_id,
-            status: ReplyStatus::from_code(status_code)?,
-            version,
-            generation,
-        })
     }
 }
 
@@ -793,7 +695,7 @@ mod tests {
     #[test]
     fn request_roundtrip() {
         let r = request();
-        assert_eq!(PageRequest::decode(r.encode()).unwrap(), r);
+        assert_eq!(PageRequest::decode_slice(&r.encode()).unwrap(), r);
     }
 
     #[test]
@@ -810,7 +712,7 @@ mod tests {
                 version: 17,
                 generation: 3,
             };
-            assert_eq!(PageReply::decode(r.encode()).unwrap(), r);
+            assert_eq!(PageReply::decode_slice(&r.encode()).unwrap(), r);
         }
     }
 
@@ -820,7 +722,7 @@ mod tests {
         // Flip a byte in the middle of the header (not the magic).
         raw[10] ^= 0xFF;
         assert_eq!(
-            PageRequest::decode(Bytes::from(raw)),
+            PageRequest::decode_slice(&raw),
             Err(ProtoError::BadChecksum)
         );
     }
@@ -829,16 +731,13 @@ mod tests {
     fn bad_magic_rejected() {
         let mut raw = request().encode().to_vec();
         raw[0] ^= 0xFF;
-        assert_eq!(
-            PageRequest::decode(Bytes::from(raw)),
-            Err(ProtoError::BadMagic)
-        );
+        assert_eq!(PageRequest::decode_slice(&raw), Err(ProtoError::BadMagic));
     }
 
     #[test]
     fn truncation_rejected() {
         let raw = request().encode().slice(0..10);
-        assert_eq!(PageRequest::decode(raw), Err(ProtoError::Truncated));
+        assert_eq!(PageRequest::decode_slice(&raw), Err(ProtoError::Truncated));
     }
 
     #[test]
@@ -852,10 +751,7 @@ mod tests {
         .encode()
         .to_vec();
         raw[12] = 1; // status byte: Ok -> OutOfRange
-        assert_eq!(
-            PageReply::decode(Bytes::from(raw)),
-            Err(ProtoError::BadChecksum)
-        );
+        assert_eq!(PageReply::decode_slice(&raw), Err(ProtoError::BadChecksum));
     }
 
     #[test]
@@ -869,10 +765,7 @@ mod tests {
         .encode()
         .to_vec();
         raw[16] = 9; // version low byte: 5 -> 9
-        assert_eq!(
-            PageReply::decode(Bytes::from(raw)),
-            Err(ProtoError::BadChecksum)
-        );
+        assert_eq!(PageReply::decode_slice(&raw), Err(ProtoError::BadChecksum));
     }
 
     #[test]
@@ -886,10 +779,70 @@ mod tests {
         .encode()
         .to_vec();
         raw[24] = 7; // generation low byte: 2 -> 7
-        assert_eq!(
-            PageReply::decode(Bytes::from(raw)),
-            Err(ProtoError::BadChecksum)
+        assert_eq!(PageReply::decode_slice(&raw), Err(ProtoError::BadChecksum));
+    }
+
+    // ---- the wire format, pinned byte for byte ----
+
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// One message of each type with a distinct non-zero value in every
+    /// field, against the bytes the encoder produced before it was last
+    /// rewritten. A layout or signature change fails here first.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let req = PageRequest::new(
+            0x1122_3344_5566_7788,
+            PageOp::Read,
+            0x0000_0012_3450_0000,
+            0x0002_0000,
+            0xA1B2_C3D4,
+            0x0000_0003_0000_1000,
+            0x0102_0304_0506_0708,
         );
+        const REQ: &str = "4442504888776655443322110200000000005034120000000000020000000000d4c3b2a100100000030000000807060504030201bb8d9839";
+        assert_eq!(hex(&req.encode()), REQ);
+        assert_eq!(PageRequest::decode_slice(&unhex(REQ)), Ok(req));
+
+        let rep = PageReply::new(
+            0x8877_6655_4433_2211,
+            ReplyStatus::StaleWrite,
+            0x0F0E_0D0C_0B0A_0908,
+            0x0000_0000_0000_0007,
+        );
+        const REP: &str =
+            "4442504811223344556677880300000008090a0b0c0d0e0f07000000000000007c131a1b";
+        assert_eq!(hex(&rep.encode()), REP);
+        assert_eq!(PageReply::decode_slice(&unhex(REP)), Ok(rep));
+
+        let notice = RevokeNotice::new(0x0000_0040_0000_0000, 0x0000_0000_0020_0000);
+        const NOTICE: &str = "544e50480000000040000000000020000000000040f0e003";
+        assert_eq!(hex(&notice.encode()), NOTICE);
+        assert_eq!(RevokeNotice::decode_slice(&unhex(NOTICE)), Ok(notice));
+
+        let merged = MergedRequest::new(
+            0x0A0B_0C0D_0E0F_1011,
+            PageOp::Write,
+            0x5566_7788,
+            0x0000_0001_0000_2000,
+            vec![
+                MergedSeg::new(0x1000, 0x2000, 11),
+                MergedSeg::new(0x0000_0005_0000_8000, 0x1000, 12),
+                MergedSeg::new(0x20000, 0x3000, 13),
+            ],
+        );
+        const MERGED: &str = "4d42504811100f0e0d0c0b0a0100000088776655002000000100000003000000001000000000000000200000000000000b00000000000000008000000500000000100000000000000c00000000000000000002000000000000300000000000000d0000000000000060f8539c";
+        assert_eq!(hex(&merged.encode()), MERGED);
+        assert_eq!(MergedRequest::decode_slice(&unhex(MERGED)), Ok(merged));
     }
 
     // ---- deterministic property loops over the versioned wire format ----
@@ -938,7 +891,7 @@ mod tests {
     fn prop_request_roundtrip_preserves_version() {
         for_cases(512, |rng| {
             let r = random_request(rng);
-            let back = PageRequest::decode(r.encode()).unwrap();
+            let back = PageRequest::decode_slice(&r.encode()).unwrap();
             assert_eq!(back, r);
             assert_eq!(back.version(), r.version);
         });
@@ -948,7 +901,7 @@ mod tests {
     fn prop_reply_roundtrip_preserves_version() {
         for_cases(512, |rng| {
             let r = random_reply(rng);
-            let back = PageReply::decode(r.encode()).unwrap();
+            let back = PageReply::decode_slice(&r.encode()).unwrap();
             assert_eq!(back, r);
             assert_eq!(back.version(), r.version);
             assert_eq!(back.generation(), r.generation);
@@ -1061,7 +1014,7 @@ mod tests {
             let m = MergedRequest::new(5, PageOp::Write, 42, 8192, segs);
             let raw = m.encode();
             assert_eq!(raw.len(), merged_wire_size(count));
-            assert_eq!(MergedRequest::decode(raw).unwrap(), m);
+            assert_eq!(MergedRequest::decode_slice(&raw).unwrap(), m);
         }
     }
 
@@ -1135,7 +1088,7 @@ mod tests {
     fn prop_merged_roundtrip() {
         for_cases(256, |rng| {
             let m = random_merged(rng);
-            let back = MergedRequest::decode(m.encode()).unwrap();
+            let back = MergedRequest::decode_slice(&m.encode()).unwrap();
             assert_eq!(back, m);
             assert_eq!(back.total_len(), m.total_len());
             assert_eq!(back.max_version(), m.max_version());

@@ -686,6 +686,8 @@ mod tests {
             })
             .unwrap();
         p.engine.run_until_idle();
-        assert_eq!(p.qp_a.op_counts(), (0, 1, 1));
+        let m = p.engine.metrics();
+        let counts = ["ibsim.sends", "ibsim.rdma_reads", "ibsim.rdma_writes"].map(|c| m.counter(c));
+        assert_eq!(counts, [0, 1, 1]);
     }
 }

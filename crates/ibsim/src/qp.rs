@@ -96,9 +96,6 @@ pub(crate) struct QpInner {
     outstanding_send: Cell<usize>,
     max_send_wr: usize,
     max_recv_wr: usize,
-    sends_posted: Cell<u64>,
-    rdma_reads: Cell<u64>,
-    rdma_writes: Cell<u64>,
     /// Injected link faults; `None` (the default) keeps the hot path free
     /// of any fault arithmetic so unfaulted runs stay bit-identical.
     faults: RefCell<Option<LinkFaults>>,
@@ -146,9 +143,6 @@ impl QueuePair {
                 outstanding_send: Cell::new(0),
                 max_send_wr,
                 max_recv_wr,
-                sends_posted: Cell::new(0),
-                rdma_reads: Cell::new(0),
-                rdma_writes: Cell::new(0),
                 faults: RefCell::new(None),
             }),
         }
@@ -188,15 +182,6 @@ impl QueuePair {
     /// Posted receives not yet consumed.
     pub fn recv_queue_depth(&self) -> usize {
         self.inner.recv_queue.borrow().len()
-    }
-
-    /// (sends, rdma reads, rdma writes) posted so far.
-    pub fn op_counts(&self) -> (u64, u64, u64) {
-        (
-            self.inner.sends_posted.get(),
-            self.inner.rdma_reads.get(),
-            self.inner.rdma_writes.get(),
-        )
     }
 
     /// Install a shared fault handle for this QP's link. Fault plans set
@@ -330,7 +315,6 @@ impl QueuePair {
 
         match wr.kind {
             WorkKind::Send { ref payload } => {
-                inner.sends_posted.set(inner.sends_posted.get() + 1);
                 inner.ctr_sends.inc();
                 self.do_send(peer, wr.wr_id, payload.clone(), wr.solicited, posted, t_hca);
             }
@@ -338,7 +322,6 @@ impl QueuePair {
                 ref local,
                 ref remote,
             } => {
-                inner.rdma_writes.set(inner.rdma_writes.get() + 1);
                 inner.ctr_rdma_writes.inc();
                 self.do_rdma_write(peer, wr.wr_id, local.clone(), *remote, posted, t_hca);
             }
@@ -346,7 +329,6 @@ impl QueuePair {
                 ref local,
                 ref remote,
             } => {
-                inner.rdma_reads.set(inner.rdma_reads.get() + 1);
                 inner.ctr_rdma_reads.inc();
                 self.do_rdma_read(peer, wr.wr_id, local.clone(), *remote, posted, t_hca);
             }
@@ -494,25 +476,9 @@ impl QueuePair {
                         0,
                     );
                 }
-                Some((recv_wr_id, slice)) => {
-                    let status = if len > slice.len {
-                        WcStatus::LocalLengthError
-                    } else {
-                        slice.mr.write(slice.offset as usize, &payload);
-                        WcStatus::Success
-                    };
+                Some(recv) => {
                     this.complete_send(posted, ack, wr_id, Opcode::Send, WcStatus::Success, len);
-                    let peer3 = peer2.clone();
-                    peer2.engine.schedule_at(t_placed, move || {
-                        peer3.recv_cq.push(Completion {
-                            wr_id: recv_wr_id,
-                            opcode: Opcode::Recv,
-                            status,
-                            byte_len: len,
-                            qp_num: peer3.qp_num,
-                            solicited,
-                        });
-                    });
+                    place_recv(&peer2, recv, &payload, solicited, t_placed);
                 }
             }
         });
@@ -528,24 +494,8 @@ impl QueuePair {
             inner.engine.schedule_at(delivered, move || {
                 let t_placed = peer.hca.process_wqe(peer.engine.now(), peer.qp_num);
                 let entry = peer.recv_queue.borrow_mut().pop_front();
-                if let Some((recv_wr_id, slice)) = entry {
-                    let status = if len > slice.len {
-                        WcStatus::LocalLengthError
-                    } else {
-                        slice.mr.write(slice.offset as usize, &ghost);
-                        WcStatus::Success
-                    };
-                    let peer2 = peer.clone();
-                    peer.engine.schedule_at(t_placed, move || {
-                        peer2.recv_cq.push(Completion {
-                            wr_id: recv_wr_id,
-                            opcode: Opcode::Recv,
-                            status,
-                            byte_len: len,
-                            qp_num: peer2.qp_num,
-                            solicited,
-                        });
-                    });
+                if let Some(recv) = entry {
+                    place_recv(&peer, recv, &ghost, solicited, t_placed);
                 }
             });
         }
@@ -705,6 +655,37 @@ impl fmt::Debug for QueuePair {
             .field("recv_depth", &self.recv_queue_depth())
             .finish()
     }
+}
+
+/// Place a delivered `payload` in the receive buffer `recv` popped from
+/// `peer`'s receive queue, and complete that receive at `t_placed`: a
+/// payload longer than the buffer completes with `LocalLengthError` and
+/// writes nothing.
+fn place_recv(
+    peer: &Rc<QpInner>,
+    (recv_wr_id, slice): (u64, MrSlice),
+    payload: &[u8],
+    solicited: bool,
+    t_placed: SimTime,
+) {
+    let len = payload.len() as u64;
+    let status = if len > slice.len {
+        WcStatus::LocalLengthError
+    } else {
+        slice.mr.write(slice.offset as usize, payload);
+        WcStatus::Success
+    };
+    let peer2 = peer.clone();
+    peer.engine.schedule_at(t_placed, move || {
+        peer2.recv_cq.push(Completion {
+            wr_id: recv_wr_id,
+            opcode: Opcode::Recv,
+            status,
+            byte_len: len,
+            qp_num: peer2.qp_num,
+            solicited,
+        });
+    });
 }
 
 /// Saturating `SimTime - SimDuration` helper (never goes below zero).

@@ -77,11 +77,6 @@ impl Qp {
         self.qp.recv_queue_depth()
     }
 
-    /// `(sends, rdma_writes, rdma_reads)` posted over the QP lifetime.
-    pub fn op_counts(&self) -> (u64, u64, u64) {
-        self.qp.op_counts()
-    }
-
     /// Arm link-level fault injection on this QP.
     pub fn set_link_faults(&self, faults: crate::fault::LinkFaults) {
         self.qp.set_link_faults(faults)
@@ -326,7 +321,7 @@ mod tests {
         assert_eq!(c.post(), Err(PostError::SendQueueFull));
         engine.run_until_idle();
         assert!(qp_a.send_cq().poll().is_none());
-        assert_eq!(qp_a.op_counts(), (0, 0, 0));
+        assert_eq!(engine.metrics().counter("ibsim.rdma_writes"), 0);
         // A fitting chain still goes through afterwards.
         let mut c = qp_a.chain();
         for i in 0..3u64 {

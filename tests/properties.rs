@@ -160,7 +160,7 @@ fn hpbd_request_roundtrip() {
             rng.next_u64(),
             rng.next_u64(),
         );
-        assert_eq!(PageRequest::decode(req.encode()), Ok(req));
+        assert_eq!(PageRequest::decode_slice(&req.encode()), Ok(req));
     });
 }
 
@@ -181,7 +181,7 @@ fn hpbd_request_detects_any_single_byte_corruption() {
         for flip_bit in 0u8..8 {
             let mut raw = req.encode().to_vec();
             raw[flip_byte] ^= 1 << flip_bit;
-            let decoded = PageRequest::decode(raw.into());
+            let decoded = PageRequest::decode_slice(&raw);
             assert!(
                 decoded.is_err(),
                 "byte {flip_byte} bit {flip_bit}: checksum must catch the flip"
