@@ -46,6 +46,6 @@ pub use backend::{
 };
 pub use config::VmConfig;
 pub use frames::{FrameId, FramePool};
-pub use paged::{AddressSpace, Element, PagedVec, Pinned};
+pub use paged::{AddressSpace, Element, Lent, PagedVec, Pinned};
 pub use swap::{Slot, SwapManager};
 pub use vm::{Stamps, Vm, VmStats};

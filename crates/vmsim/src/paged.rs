@@ -6,7 +6,7 @@
 //! workloads (testswap, quicksort, Barnes-Hut) "run on" the simulated
 //! machine while remaining ordinary Rust code.
 //!
-//! Accesses come in three flavours:
+//! Accesses come in four flavours:
 //! * `try_get`/`try_set` return `Err(Signal)` instead of blocking, which
 //!   lets a scheduler interleave multiple application instances (Figure 9).
 //! * `get`/`set` run the engine until the fault resolves (single-instance
@@ -15,6 +15,11 @@
 //!   for a run of accesses that need no VM call at all; an access it cannot
 //!   prove to be one of those answers `None` and is made through
 //!   `try_get`/`try_set` instead.
+//! * [`Pinned::lend`] goes one step further when both pages were last
+//!   touched with write intent and nothing was swept since: every access to
+//!   them is then a repeat, so a [`Lent`] reads and writes their bytes with
+//!   no lookaside bookkeeping, and [`Pinned::hand_back`] afterwards leaves
+//!   the lookaside where the run's last access would have.
 //!
 //! # The lookaside, and why it is exact
 //!
@@ -441,6 +446,85 @@ impl<T: Element> Pinned<'_, T> {
         value.store(&mut self.page[slot][off..off + T::SIZE]);
         Some(())
     }
+
+    /// Lend the pages holding elements `a` and `b` (one page if they share
+    /// it) for a run of loads and stores with no bookkeeping at all. Only a
+    /// page in a slot whose stamp is current with write intent is lent: any
+    /// access to it, load or store, hit or logical miss, is then a repeat of
+    /// that slot's last touch. The run leaves the logical lookaside as it
+    /// was; [`Pinned::hand_back`] moves it afterwards.
+    pub fn lend(&mut self, a: usize, b: usize) -> Option<Lent<'_, T>> {
+        let slot = |index| {
+            let (vpn, _) = self.vec.locate(index);
+            (0..2).find(|&k| self.vpn[k] == vpn && self.elidable[k] == Some(true))
+        };
+        let slot = [slot(a)?, slot(b)?];
+        let per_page = 1 << self.vec.per_page_shift;
+        let first = [a, b].map(|index| index & !(per_page - 1));
+        let count = first.map(|first| per_page.min(self.vec.len - first));
+        let [p0, p1] = &mut self.page;
+        Some(Lent {
+            page: [&mut **p0, &mut **p1],
+            slot,
+            first,
+            count,
+            _marker: std::marker::PhantomData,
+        })
+    }
+
+    /// Leave the logical lookaside and the most recent slot where an access
+    /// to element `index` with intent `write` would have left them. A run
+    /// over [`Pinned::lend`]'s pages hands back an access to the page it
+    /// ended on, a store if it stored there since it last came from the
+    /// other page — and, if it came from there at all, an access to the
+    /// other page first. Panics if the access would have been refused.
+    pub fn hand_back(&mut self, index: usize, write: bool) {
+        self.access(index, write)
+            .expect("a run's accesses are to lent pages");
+    }
+}
+
+/// The pages [`Pinned::lend`] lent: page 0 holds its `a`, page 1 its `b`
+/// (the same page if they share one). Elements on them are read and written
+/// directly, with nothing recorded. Naming the page at each access, rather
+/// than finding it from the index, lets a loop keep both pages in registers.
+pub struct Lent<'p, T: Element> {
+    /// Both slots' pages; only the two named by `slot` are lent.
+    page: [&'p mut [u8]; 2],
+    /// Slot, first element index and element count of lent page 0 and 1.
+    slot: [usize; 2],
+    first: [usize; 2],
+    count: [usize; 2],
+    _marker: std::marker::PhantomData<T>,
+}
+
+impl<T: Element> Lent<'_, T> {
+    /// One past the last element lent page `of` holds.
+    pub fn end(&self, of: usize) -> usize {
+        self.first[of] + self.count[of]
+    }
+
+    /// The slot and byte offset of element `index` on lent page `of`.
+    #[inline]
+    fn at(&self, of: usize, index: usize) -> (usize, usize) {
+        let d = index.wrapping_sub(self.first[of]);
+        assert!(d < self.count[of], "element not on its lent page");
+        (self.slot[of], d * T::SIZE)
+    }
+
+    /// Element `index`, on lent page `of`.
+    #[inline]
+    pub fn get(&self, of: usize, index: usize) -> T {
+        let (slot, off) = self.at(of, index);
+        T::load(&self.page[slot][off..off + T::SIZE])
+    }
+
+    /// Store element `index`, on lent page `of`.
+    #[inline]
+    pub fn set(&mut self, of: usize, index: usize, value: T) {
+        let (slot, off) = self.at(of, index);
+        value.store(&mut self.page[slot][off..off + T::SIZE]);
+    }
 }
 
 #[cfg(test)]
@@ -626,6 +710,143 @@ mod tests {
         }
         for i in 0..v.len() {
             assert_eq!(v.get(i), 3);
+        }
+    }
+
+    /// A 4-page array whose pages 0 and 1 were both last touched with write
+    /// intent and nothing swept since.
+    fn two_written_pages(vm: &Vm) -> PagedVec<i32> {
+        let v = PagedVec::new(&AddressSpace::new(vm), 4 * 1024);
+        v.set(0, 1);
+        // Faulting page 1 in sweeps, so page 0's stamp goes stale...
+        v.set(1024, 2);
+        // ...until a real touch of it again.
+        v.set(1, 3);
+        v
+    }
+
+    #[test]
+    fn lend_serves_both_written_pages() {
+        let (_engine, vm) = vm_fixture(64, 64);
+        let v = two_written_pages(&vm);
+        v.pinned(|pages| {
+            let mut lent = pages.lend(1, 1024).expect("both pages written, none swept");
+            assert_eq!((lent.end(0), lent.end(1)), (1024, 2048));
+            assert_eq!(
+                (lent.get(0, 0), lent.get(0, 1), lent.get(1, 1024)),
+                (1, 3, 2)
+            );
+            lent.set(1, 2047, 9);
+            // One page lent for both elements.
+            let lent = pages.lend(5, 7).expect("page 0 is written");
+            assert_eq!((lent.end(0), lent.end(1)), (1024, 1024));
+        });
+        assert_eq!(v.get(2047), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "not on its lent page")]
+    fn lent_access_off_its_page_panics() {
+        let (_engine, vm) = vm_fixture(64, 64);
+        let v = two_written_pages(&vm);
+        v.pinned(|pages| pages.lend(0, 0).map(|lent| lent.get(0, 1024)));
+    }
+
+    #[test]
+    fn lend_refuses_a_page_touched_to_read_only() {
+        let (_engine, vm) = vm_fixture(64, 64);
+        let v = PagedVec::<i32>::new(&AddressSpace::new(&vm), 4 * 1024);
+        v.set(0, 1);
+        v.set(1024, 2);
+        // A real touch with read intent restamps page 0.
+        v.get(0);
+        v.pinned(|pages| {
+            assert!(pages.lend(0, 1024).is_none());
+            assert!(pages.lend(0, 0).is_none());
+            assert!(pages.lend(1024, 1025).is_some());
+        });
+    }
+
+    #[test]
+    fn lend_refuses_a_stale_stamp() {
+        let (_engine, vm) = vm_fixture(64, 64);
+        let v = two_written_pages(&vm);
+        // Removing a page that was never mapped sweeps and moves nothing:
+        // page 0 is still the lookaside's, but its stamp is stale.
+        vm.release_range(AddressSpace::new(&vm).asid(), 0, 1);
+        v.pinned(|pages| {
+            assert!(pages.lend(0, 0).is_none());
+            assert_eq!(pages.read(1), Some(3), "a lookaside hit needs no stamp");
+        });
+        // A real touch restamps page 0; faulting page 2 in then evicts page
+        // 1 from its slot and leaves page 0's stamp stale again.
+        v.set(1, 3);
+        v.set(2048, 4);
+        v.pinned(|pages| {
+            assert!(pages.lend(0, 2048).is_none());
+            assert!(pages.lend(2048, 2048).is_some());
+        });
+    }
+
+    #[test]
+    fn lend_refuses_a_page_in_neither_slot() {
+        let (_engine, vm) = vm_fixture(64, 64);
+        let v = two_written_pages(&vm);
+        v.pinned(|pages| {
+            assert!(pages.lend(3 * 1024, 0).is_none());
+            assert!(pages.lend(0, 2048).is_none());
+        });
+    }
+
+    /// Loads and stores made through a [`Lent`] and then handed back leave
+    /// the lookaside, the most recent slot and the data where the same
+    /// accesses made one by one through [`Pinned`] leave them.
+    #[test]
+    fn hand_back_matches_element_wise_accesses() {
+        // Runs of (index, store?) from a lookaside on page 0 with write
+        // intent, each with its hand-back: the last page, with write intent
+        // if the final accesses to it stored any, after an access to the
+        // other page if the run went there.
+        type Accesses = &'static [(usize, bool)];
+        let runs: [(Accesses, Accesses); 5] = [
+            (&[(1024, false), (1025, false)], &[(1024, false)]),
+            (&[(1024, false), (5, true), (1024, true)], &[(1024, true)]),
+            (&[(5, false), (1024, false)], &[(5, false), (1024, false)]),
+            (&[(2, true), (3, false)], &[(3, true)]),
+            // Back on page 0 with a load only: its write intent is gone.
+            (&[(1024, false), (5, false)], &[(1024, false), (5, false)]),
+        ];
+        for (accesses, hand_back) in runs {
+            let lent_side = vm_fixture(64, 64);
+            let wise_side = vm_fixture(64, 64);
+            let [lent_vec, wise_vec] = [&lent_side.1, &wise_side.1].map(two_written_pages);
+            lent_vec.pinned(|pages| {
+                let mut lent = pages.lend(0, 1024).expect("both pages written");
+                for &(index, store) in accesses {
+                    let of = usize::from(index >= 1024);
+                    match store {
+                        true => lent.set(of, index, index as i32),
+                        false => drop(lent.get(of, index)),
+                    }
+                }
+                for &(index, write) in hand_back {
+                    pages.hand_back(index, write);
+                }
+            });
+            wise_vec.pinned(|pages| {
+                for &(index, store) in accesses {
+                    match store {
+                        true => pages.write(index, index as i32),
+                        false => pages.read(index).map(drop),
+                    }
+                    .expect("written pages serve every access");
+                }
+            });
+            let state = |v: &PagedVec<i32>| {
+                let l = v.lookaside.get();
+                (l.vpn, l.write, v.mru.get(), v.get(2), v.get(1024))
+            };
+            assert_eq!(state(&lent_vec), state(&wise_vec), "{accesses:?}");
         }
     }
 

@@ -13,7 +13,7 @@
 
 use crate::task::{Step, Task};
 use simcore::{Signal, SimRng};
-use vmsim::{AddressSpace, PagedVec, Pinned};
+use vmsim::{AddressSpace, Lent, PagedVec, Pinned};
 
 /// Ranges at or below this length use insertion sort.
 const INSERTION_CUTOFF: u64 = 16;
@@ -26,6 +26,17 @@ trait Mem {
     type Stop;
     fn read(&mut self, index: u64) -> Result<i32, Self::Stop>;
     fn write(&mut self, index: u64, value: i32) -> Result<(), Self::Stop>;
+    /// Lend `run` the pages of elements `a` and `b`, if this memory can.
+    /// `run` returns the access its run's lookaside is handed back as, or
+    /// `None` if it made none. True if it made any.
+    fn with_lent(
+        &mut self,
+        _a: u64,
+        _b: u64,
+        _run: impl FnOnce(&mut Lent<'_, i32>) -> Option<(u64, bool)>,
+    ) -> bool {
+        false
+    }
 }
 
 /// The pinned pages cannot serve this access without a VM call.
@@ -40,6 +51,22 @@ impl Mem for Pinned<'_, i32> {
     #[inline]
     fn write(&mut self, index: u64, value: i32) -> Result<(), Unpinned> {
         Pinned::write(self, index as usize, value).ok_or(Unpinned)
+    }
+    #[inline]
+    fn with_lent(
+        &mut self,
+        a: u64,
+        b: u64,
+        run: impl FnOnce(&mut Lent<'_, i32>) -> Option<(u64, bool)>,
+    ) -> bool {
+        let Some(mut pages) = self.lend(a as usize, b as usize) else {
+            return false;
+        };
+        let last = run(&mut pages);
+        if let Some((index, write)) = last {
+            self.hand_back(index as usize, write);
+        }
+        last.is_some()
     }
 }
 
@@ -76,6 +103,19 @@ impl Scan {
         while *budget > 0 {
             if self.j == self.hi {
                 return Ok(true);
+            }
+            // At a visit boundary (`vj` empty implies `vi` empty and
+            // `!wrote_i`) with budget for a whole visit, try the tight loop.
+            // Every visit loads `a[j]`, on `j`'s page throughout; after a
+            // swap the lookaside stays where the store to `a[j]` left it.
+            if self.vj.is_none()
+                && *budget >= 4
+                && mem.with_lent(self.i, self.j, |pages| {
+                    let j = self.j;
+                    Some((j, self.visits(pages, budget)))
+                })
+            {
+                continue;
             }
             let Some(vj) = self.vj else {
                 self.vj = Some(mem.read(self.j)?);
@@ -115,6 +155,75 @@ impl Scan {
         }
         Ok(false)
     }
+
+    /// Whole visits over lent pages, charging what the element-wise path
+    /// charges (1 op to load `a[j]`, 3 more to swap), while a full visit's
+    /// 4 ops are left and `i` and `j` stay on their pages. Starts at a visit
+    /// boundary with `j < hi` and budget for one visit, so makes at least
+    /// one. True if any visit swapped.
+    #[inline]
+    fn visits(&mut self, pages: &mut Lent<'_, i32>, budget: &mut i64) -> bool {
+        // Lent page 0 holds `a[i]`, page 1 `a[j]`.
+        let (mut i, mut j, mut left) = (self.i as usize, self.j as usize, *budget);
+        let (i_end, j_end) = (pages.end(0), pages.end(1).min(self.hi as usize));
+        let mut swapped = false;
+        while i < i_end && j < j_end && left >= 4 {
+            let vj = pages.get(1, j);
+            left -= 1;
+            if vj <= self.pivot {
+                if i != j {
+                    let vi = pages.get(0, i);
+                    pages.set(0, i, vj);
+                    pages.set(1, j, vi);
+                    left -= 3;
+                    swapped = true;
+                }
+                i += 1;
+            }
+            j += 1;
+        }
+        (self.i, self.j, *budget) = (i as u64, j as u64, left);
+        swapped
+    }
+}
+
+/// Insertion sort of `lo..=hi` from outer element `i`, over a lent page
+/// that holds the whole range: the `InsOuter`/`InsInner` transitions, each
+/// charged as the element-wise path charges it, while `*budget > 0`. Returns
+/// the phase they leave and whether any stored.
+fn insert_lent(
+    pages: &mut Lent<'_, i32>,
+    lo: u64,
+    hi: u64,
+    mut i: u64,
+    budget: &mut i64,
+) -> (Phase, bool) {
+    let at = |index: u64| index as usize;
+    let mut stored = false;
+    while *budget > 0 && i <= hi {
+        let key = pages.get(0, at(i));
+        *budget -= 1;
+        let mut j = i;
+        loop {
+            if *budget <= 0 {
+                return (Phase::InsInner { lo, hi, i, j, key }, stored);
+            }
+            *budget -= 2;
+            stored = true;
+            if j > lo {
+                let prev = pages.get(0, at(j - 1));
+                if prev > key {
+                    pages.set(0, at(j), prev);
+                    j -= 1;
+                    continue;
+                }
+            }
+            pages.set(0, at(j), key);
+            break;
+        }
+        i += 1;
+    }
+    (Phase::InsOuter { lo, hi, i }, stored)
 }
 
 /// Micro-state of the quicksort state machine. Indices are element
@@ -281,6 +390,19 @@ impl Sorter {
                     let (lo, hi, i) = (*lo, *hi, *i);
                     if i > hi {
                         self.phase = Phase::Next;
+                        continue;
+                    }
+                    // When one page holds the whole range, every access is
+                    // to it: the lookaside ends as one access to it leaves it,
+                    // a store if any was made.
+                    let phase = &mut self.phase;
+                    if mem.with_lent(lo, lo, |pages| {
+                        (pages.end(0) > hi as usize).then(|| {
+                            let (next, stored) = insert_lent(pages, lo, hi, i, budget);
+                            *phase = next;
+                            (lo, stored)
+                        })
+                    }) {
                         continue;
                     }
                     let key = mem.read(i)?;
@@ -482,6 +604,96 @@ mod tests {
         let fast = run(256);
         let slow = run(16);
         assert!(slow > fast, "pressure {slow} vs in-memory {fast}");
+    }
+
+    /// Pinned pages that lend nothing: the element-wise path alone.
+    struct ElementWise<'a, 'p>(&'a mut Pinned<'p, i32>);
+
+    impl Mem for ElementWise<'_, '_> {
+        type Stop = Unpinned;
+        fn read(&mut self, index: u64) -> Result<i32, Unpinned> {
+            Mem::read(self.0, index)
+        }
+        fn write(&mut self, index: u64, value: i32) -> Result<(), Unpinned> {
+            Mem::write(self.0, index, value)
+        }
+    }
+
+    /// A step of `budget` ops as `step_counting` makes it, with or without
+    /// lent pages, waiting out any fault in place.
+    fn step(task: &mut QsortTask, engine: &Engine, mut budget: i64, lend: bool) {
+        while budget > 0 && task.sorter.phase != Phase::Finished {
+            let sorter = &mut task.sorter;
+            let ran = task.data.pinned(|pages| match lend {
+                true => sorter.advance(pages, &mut budget),
+                false => sorter.advance(&mut ElementWise(pages), &mut budget),
+            });
+            if ran.is_err() {
+                let mut one = 1;
+                while let Err(sig) = sorter.advance(&mut &task.data, &mut one) {
+                    engine.run_until_signal(&sig);
+                }
+                budget -= 1 - one;
+            }
+        }
+    }
+
+    /// The logical lookaside as accesses see it. After a sweep that moves
+    /// nothing no slot proves a touch a repeat, so an access is served
+    /// without the VM only on a lookaside hit: a load on its page, a store
+    /// too if it has write intent.
+    fn lookaside(task: &QsortTask, vm: &Vm) -> Vec<(bool, bool)> {
+        vm.release_range(AddressSpace::new(vm).asid(), 0, 1);
+        task.data.pinned(|pages| {
+            (0..task.data.len())
+                .step_by(1024)
+                .map(|x| {
+                    let load = pages.read(x);
+                    (
+                        load.is_some(),
+                        load.and_then(|v| pages.write(x, v)).is_some(),
+                    )
+                })
+                .collect()
+        })
+    }
+
+    /// Runs over lent pages hand back the lookaside the element-wise path
+    /// leaves, for the scan and insertion sort alike: after every step the
+    /// same phase and the same accesses served without a VM call.
+    #[test]
+    fn lent_runs_hand_back_the_element_wise_lookaside() {
+        for budget in [5, 64, 4545] {
+            let mut twins = [true, false].map(|lend| {
+                let (engine, vm) = vm_with_ram_swap(64, 64);
+                let task = QsortTask::new(&AddressSpace::new(&vm), 5000, 9, 11, "t");
+                (lend, engine, vm, task)
+            });
+            for n in 0.. {
+                for (lend, engine, _, task) in &mut twins {
+                    step(task, engine, budget, *lend);
+                }
+                let [(_, _, vm, lent), (_, _, twin_vm, wise)] = &twins;
+                assert_eq!(
+                    lent.sorter.phase, wise.sorter.phase,
+                    "budget {budget} step {n}"
+                );
+                assert_eq!(
+                    lookaside(lent, vm),
+                    lookaside(wise, twin_vm),
+                    "budget {budget} step {n}"
+                );
+                if lent.sorter.phase == Phase::Finished {
+                    break;
+                }
+            }
+            let [(_, _, vm, lent), (_, _, twin_vm, wise)] = &twins;
+            assert_eq!(
+                format!("{:?}", vm.stats()),
+                format!("{:?}", twin_vm.stats())
+            );
+            assert!(lent.is_sorted() && wise.is_sorted());
+        }
     }
 
     #[test]

@@ -451,12 +451,66 @@ fn pair_matches_reference_over_hpbd_direct_path() {
     pair_matches_reference(Swap::HpbdDirect);
 }
 
+/// Serve accesses from `ops[got.len()..]` through the pages lent for the
+/// next one and the next other page the burst goes to, then hand the
+/// lookaside back: to the last page, with write intent if the final
+/// accesses to it stored any, after an access to the other page if the run
+/// went there. False if those pages are not lendable.
+fn serve_lent(
+    pages: &mut Pinned<'_, i32>,
+    ops: &[(usize, Option<i32>)],
+    got: &mut Vec<i32>,
+) -> bool {
+    let page = |index: usize| index / PER_PAGE;
+    let start = got.len();
+    let first = ops[start].0;
+    let other = ops[start..]
+        .iter()
+        .map(|&(index, _)| index)
+        .find(|&index| page(index) != page(first))
+        .unwrap_or(first);
+    let Some(mut lent) = pages.lend(first, other) else {
+        return false;
+    };
+    while let Some(&(index, store)) = ops.get(got.len()) {
+        let Some(of) = [first, other].iter().position(|&x| page(x) == page(index)) else {
+            break;
+        };
+        got.push(match store {
+            Some(v) => {
+                lent.set(of, index, v);
+                v
+            }
+            None => lent.get(of, index),
+        });
+    }
+    let served = &ops[start..got.len()];
+    let last = served[served.len() - 1].0;
+    let tail = served
+        .iter()
+        .rev()
+        .take_while(|op| page(op.0) == page(last))
+        .count();
+    if tail < served.len() {
+        pages.hand_back(served[served.len() - tail - 1].0, false);
+    }
+    pages.hand_back(
+        last,
+        served[served.len() - tail..]
+            .iter()
+            .any(|op| op.1.is_some()),
+    );
+    true
+}
+
 /// Random loads and stores from two address spaces under reclaim pressure,
-/// some through `try_get`/`try_set` and some through `pinned` with the
-/// refused ones made the blocking way: same values, same machine.
+/// some through `try_get`/`try_set`, some through `pinned` and some through
+/// the pages it lends, with the refused ones made the blocking way: same
+/// values, same machine.
 #[test]
 fn random_accesses_match_reference() {
     const LEN: usize = 40 * PER_PAGE;
+    let mut lent_served = 0;
     for seed in 0..24u64 {
         let new = Machine::new(Swap::Ramdisk, 32);
         let spaces = [AddressSpace::new(&new.vm), AddressSpace::new(&new.vm)];
@@ -495,7 +549,8 @@ fn random_accesses_match_reference() {
 
             let vec = &vecs[which];
             let mut got = Vec::with_capacity(ops.len());
-            if rng.below(2) == 0 {
+            let mode = rng.below(3);
+            if mode == 0 {
                 for &(index, store) in &ops {
                     got.push(match store {
                         Some(v) => {
@@ -509,6 +564,11 @@ fn random_accesses_match_reference() {
                 while got.len() < ops.len() {
                     vec.pinned(|pages| {
                         while let Some(&(index, store)) = ops.get(got.len()) {
+                            let before = got.len();
+                            if mode == 2 && serve_lent(pages, &ops, &mut got) {
+                                lent_served += got.len() - before;
+                                continue;
+                            }
                             let served = match store {
                                 Some(v) => pages.write(index, v).map(|()| v),
                                 None => pages.read(index),
@@ -535,6 +595,7 @@ fn random_accesses_match_reference() {
         }
         assert!(new.vm.stats().swap_outs > 0, "the run must page");
     }
+    assert!(lent_served > 10_000, "only {lent_served} accesses lent");
 }
 
 /// Step for step: same ops charged, same outcome, same `Phase` — so a
@@ -545,6 +606,10 @@ fn steps_match_reference_at_every_budget() {
         (1, 20 * PER_PAGE, 16),
         (2, 20 * PER_PAGE, 16),
         (3, 20 * PER_PAGE, 16),
+        // Around the scan's whole-visit guard of 4 ops.
+        (4, 20 * PER_PAGE, 16),
+        (5, 20 * PER_PAGE, 16),
+        (7, 20 * PER_PAGE, 16),
         (4545, 128 * PER_PAGE, 32),
     ] {
         let new = Machine::new(Swap::Ramdisk, frames);
