@@ -178,8 +178,10 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::cq::{Opcode, WcStatus};
+    use crate::mr::MemoryRegion;
     use crate::qp::{PostError, WorkKind, WorkRequest};
     use bytes::Bytes;
+    use simcore::SimTime;
 
     struct Pair {
         engine: Engine,
@@ -411,6 +413,7 @@ mod tests {
             p.qp_a.send_cq().poll().unwrap().status,
             WcStatus::RemoteAccessError
         );
+        assert_eq!(src.snapshot_counts(), (0, 0), "refused: no reader left");
     }
 
     #[test]
@@ -439,6 +442,86 @@ mod tests {
         );
         // Destination untouched.
         assert!(dst.to_vec().iter().all(|&b| b == 0));
+        assert_eq!(src.snapshot_counts(), (0, 0), "refused: no reader left");
+    }
+
+    /// Post an RDMA on `p.qp_a` between all of `local` and all of the peer
+    /// region `remote`: a WRITE into it, or a READ from it.
+    fn post_rdma(p: &Pair, write: bool, local: &MemoryRegion, remote: &MemoryRegion) {
+        let len = local.len() as u64;
+        let (local, remote) = (
+            local.slice(0, len),
+            crate::RemoteSlice {
+                rkey: remote.rkey(),
+                offset: 0,
+                len,
+            },
+        );
+        let kind = if write {
+            WorkKind::RdmaWrite { local, remote }
+        } else {
+            WorkKind::RdmaRead { local, remote }
+        };
+        p.qp_a
+            .post_send(WorkRequest {
+                wr_id: 1,
+                kind,
+                solicited: false,
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn rdma_write_lands_the_bytes_of_its_post() {
+        for overwrite in [0..4096, 1024..2048] {
+            let p = pair();
+            let src = p.a.hca().register(4096);
+            let dst = p.b.hca().register(4096);
+            src.write(0, &[7; 4096]);
+            post_rdma(&p, true, &src, &dst);
+            p.engine.run_until(p.engine.peek_next_time().unwrap());
+            assert!(dst.to_vec().iter().all(|&b| b == 0), "still in flight");
+            src.fill_with(overwrite.start, overwrite.len(), |s| s.fill(9));
+            p.engine.run_until_idle();
+            assert_eq!(p.qp_a.send_cq().poll().unwrap().status, WcStatus::Success);
+            assert!(dst.to_vec().iter().all(|&b| b == 7), "{overwrite:?}");
+            assert_eq!(src.snapshot_counts(), (0, 0));
+        }
+    }
+
+    /// An RDMA READ of a span of 1s whose source is overwritten with 2s at
+    /// `at`: the bytes that land, and the instant the request reached the
+    /// responder.
+    fn read_overwritten_at(at: u64) -> (Vec<u8>, u64) {
+        let p = pair();
+        let dst = p.a.hca().register(1024);
+        let src = p.b.hca().register(1024);
+        src.write(0, &[1; 1024]);
+        post_rdma(&p, false, &dst, &src);
+        let src2 = src.clone();
+        p.engine
+            .schedule_at(SimTime(at), move || src2.write(0, &[2; 1024]));
+        let mut arrival = None;
+        while let Some(t) = p.engine.peek_next_time() {
+            p.engine.run_until(t);
+            if arrival.is_none() && src.snapshot_counts().0 == 1 {
+                arrival = Some(t.as_nanos());
+            }
+        }
+        assert_eq!(p.qp_a.send_cq().poll().unwrap().status, WcStatus::Success);
+        assert_eq!(src.snapshot_counts(), (0, 0));
+        (dst.to_vec(), arrival.unwrap())
+    }
+
+    #[test]
+    fn rdma_read_lands_the_bytes_its_request_found() {
+        let (landed, arrival) = read_overwritten_at(1_000_000_000);
+        assert!(landed.iter().all(|&b| b == 1));
+        // Scheduled after the request's arrival event at the same instant.
+        let (landed, _) = read_overwritten_at(arrival);
+        assert!(landed.iter().all(|&b| b == 1), "overwritten after arrival");
+        let (landed, _) = read_overwritten_at(arrival - 1);
+        assert!(landed.iter().all(|&b| b == 2), "overwritten before arrival");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::mr::MemoryRegion;
 use netmodel::HcaParams;
 use simcore::{MetricsRegistry, Resource, SimDuration, SimTime};
+use simtrace::LazyCounter;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,8 +30,9 @@ struct HcaInner {
     connected_qps: usize,
     ctx_reloads: u64,
     ctx_hits: u64,
-    /// Shared metrics sink, installed by the fabric at node creation.
-    metrics: Option<MetricsRegistry>,
+    /// `ibsim.qp_ctx_hits` and `ibsim.qp_ctx_reloads` in the shared metrics
+    /// sink, installed by the fabric at node creation.
+    ctx_ctrs: Option<[LazyCounter; 2]>,
 }
 
 /// Per-node host channel adapter.
@@ -53,7 +55,7 @@ impl Hca {
                 connected_qps: 0,
                 ctx_reloads: 0,
                 ctx_hits: 0,
-                metrics: None,
+                ctx_ctrs: None,
             })),
         }
     }
@@ -61,7 +63,10 @@ impl Hca {
     /// Install the shared metrics registry so context-cache hits/misses
     /// are recorded (done by the fabric when the node is created).
     pub fn set_metrics(&self, metrics: MetricsRegistry) {
-        self.inner.borrow_mut().metrics = Some(metrics);
+        self.inner.borrow_mut().ctx_ctrs = Some([
+            metrics.lazy_counter("ibsim.qp_ctx_hits"),
+            metrics.lazy_counter("ibsim.qp_ctx_reloads"),
+        ]);
     }
 
     /// Calibrated parameters.
@@ -126,17 +131,14 @@ impl Hca {
                 }
                 false
             };
+            if let Some([hits, reloads]) = &inner.ctx_ctrs {
+                if hit { hits } else { reloads }.inc();
+            }
             if hit {
                 inner.ctx_hits += 1;
-                if let Some(m) = &inner.metrics {
-                    m.inc("ibsim.qp_ctx_hits");
-                }
                 inner.params.per_wqe_ns + sched
             } else {
                 inner.ctx_reloads += 1;
-                if let Some(m) = &inner.metrics {
-                    m.inc("ibsim.qp_ctx_reloads");
-                }
                 inner.params.per_wqe_ns + inner.params.qp_ctx_reload_ns + sched
             }
         };

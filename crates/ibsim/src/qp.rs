@@ -19,8 +19,17 @@
 //! ([`netmodel::Node::cpu`]), the local HCA's WQE pipeline (with QP-context
 //! cache effects), the sender's tx port for the serialisation time, and the
 //! receiver's rx port (cut-through, so an idle path costs `wire + α`).
-//! RDMA READ adds a request propagation before the data flows back. Data
-//! bytes move at the simulated placement instants.
+//! RDMA READ adds a request propagation before the data flows back.
+//!
+//! ## Bytes
+//!
+//! An RDMA's bytes are those its source span holds when the operation
+//! reads it: at post for an RDMA WRITE, when the request reaches the
+//! responder for an RDMA READ. They land when the target HCA has processed
+//! the arriving data, copied once, straight from the source region into
+//! the target ([`crate::mr`]'s snapshot; a source rewritten in between has
+//! saved its old bytes first). A `Send` payload is an owned `Bytes`, copied
+//! into the receive buffer on delivery.
 
 use crate::cq::{Completion, CompletionQueue, Opcode, WcStatus};
 use crate::fault::LinkFaults;
@@ -524,10 +533,7 @@ impl QueuePair {
             return;
         }
         let len = local.len;
-        let mut data = Vec::new();
-        local
-            .mr
-            .read_append(local.offset as usize, len as usize, &mut data);
+        let data = local.mr.snapshot(local.offset as usize, len as usize);
 
         let placed = self.wire_transfer(&peer, t_hca, len);
         let this = self.clone();
@@ -539,7 +545,7 @@ impl QueuePair {
                     let peer2 = peer.clone();
                     let this2 = this.clone();
                     peer.engine.schedule_at(t_done, move || {
-                        region.write(remote.offset as usize, &data);
+                        data.place(&region, remote.offset as usize);
                         let _ = peer2;
                         // Ack travels back; requester completion after it.
                         this2.complete_send(
@@ -553,6 +559,8 @@ impl QueuePair {
                     });
                 }
                 _ => {
+                    // Refused: the snapshot is never placed.
+                    drop(data);
                     this.complete_send(
                         posted,
                         t_done + prop,
@@ -596,8 +604,7 @@ impl QueuePair {
             let t_srv = peer.hca.process_wqe(peer.engine.now(), peer.qp_num);
             match peer.hca.lookup_rkey(remote.rkey) {
                 Some(region) if region.contains(remote.offset, len) => {
-                    let mut data = Vec::new();
-                    region.read_append(remote.offset as usize, len as usize, &mut data);
+                    let data = region.snapshot(remote.offset as usize, len as usize);
                     // Data streams back: peer tx -> our rx. READ responses
                     // are limited by the Tavor HCA's read bandwidth.
                     let read_bw = this
@@ -618,9 +625,8 @@ impl QueuePair {
                             .hca
                             .process_wqe(this2.inner.engine.now(), this2.inner.qp_num);
                         let this3 = this2.clone();
-                        let local2 = local.clone();
                         this2.inner.engine.schedule_at(t_done, move || {
-                            local2.mr.write(local2.offset as usize, &data);
+                            data.place(&local.mr, local.offset as usize);
                             this3.complete_send(
                                 posted,
                                 this3.inner.engine.now(),

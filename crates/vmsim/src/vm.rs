@@ -26,7 +26,7 @@ use crate::swap::{PageKey, Slot, SwapManager};
 use blockdev::IoBuffer;
 use netmodel::{Calibration, Node};
 use simcore::{Engine, Signal, SimDuration, SimTime};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -257,6 +257,7 @@ struct VmCounters {
     readahead_hits: simtrace::LazyCounter,
     throttles: simtrace::LazyCounter,
     kswapd_batches: simtrace::LazyCounter,
+    fault_latency_us: OnceCell<simtrace::Histogram>,
 }
 
 /// The simulated VM subsystem of one node. Clone shares the instance.
@@ -283,6 +284,7 @@ impl Vm {
                 readahead_hits: engine.metrics().lazy_counter("vmsim.readahead_hits"),
                 throttles: engine.metrics().lazy_counter("vmsim.throttles"),
                 kswapd_batches: engine.metrics().lazy_counter("vmsim.kswapd_batches"),
+                fault_latency_us: OnceCell::new(),
             }),
             engine,
             cal,
@@ -627,9 +629,14 @@ impl Vm {
                     &[("vpn", key.1), ("dev", slot.dev as u64)],
                 );
                 if major {
-                    self.engine
-                        .metrics()
-                        .observe("vmsim.fault_latency_us", now.since(started).as_micros_f64());
+                    self.ctrs
+                        .fault_latency_us
+                        .get_or_init(|| {
+                            self.engine
+                                .metrics()
+                                .histogram_handle("vmsim.fault_latency_us")
+                        })
+                        .observe(now.since(started).as_micros_f64());
                 }
                 inner.table.insert(
                     key,
