@@ -30,7 +30,7 @@ use ibsim::{
 };
 use simcore::{Engine, EventId, SimDuration, SimTime};
 use simtrace::{intern, Counter, Histogram, LazyCounter, MarkKind, RequestCtx};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::{Deref, DerefMut};
@@ -144,10 +144,7 @@ impl Parent {
                 reason = "`remaining` hitting zero exactly once is the Parent invariant; a second take means simulator corruption, not an I/O error"
             )]
             let req = self.req.borrow_mut().take().expect("completed twice");
-            let result = match self.error.get() {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
+            let result = self.error.get().map_or(Ok(()), Err);
             engine.span(
                 "hpbd",
                 match req.op() {
@@ -234,18 +231,34 @@ impl FromIterator<Segment> for Segs {
     }
 }
 
-/// One physical request in flight or awaiting credits.
+/// Where a physical request waits between `issue` and its reply (paper
+/// §4.2.3–4.2.4). Only [`HpbdClient::note`] moves it.
+#[derive(Clone, Copy, Debug)]
+enum State {
+    /// For its staging span (an ephemeral registration is granted at once).
+    PoolWait,
+    /// Inside the staging copy (or the ephemeral registration).
+    Staging,
+    /// At the credit water-mark, in its server's `queued`.
+    CreditWait,
+    /// For its reply, with the request timeout `timer` armed.
+    Posted { timer: Option<EventId> },
+    /// Its attempt was just lost. It is routed again before the losing
+    /// event returns, so no other event sees this state.
+    Lost,
+}
+
+/// One physical request: a row of `ClientInner::requests`.
 struct Phys {
     req_id: u64,
     op: PageOp,
     server_idx: usize,
-    staging: Staging,
+    state: State,
+    /// The staging span; `None` only while in `PoolWait`.
+    staging: Option<Staging>,
     /// Mirror copies do not scatter data back on reads and are counted
     /// separately in the stats.
     is_mirror: bool,
-    /// Armed timeout timer, cancelled when the reply lands (so an
-    /// answered request costs no stray wakeup event).
-    timer: Cell<Option<EventId>>,
     /// Delivery attempts so far; drives the retry backoff.
     attempts: u32,
     /// Lifecycle attempt counter: bumped on retries AND failover
@@ -271,15 +284,6 @@ impl Phys {
     /// merged one (matching `MergedRequest::max_version`).
     fn reply_version(&self) -> u64 {
         self.segs.iter().map(|s| s.version).max().unwrap_or(0)
-    }
-
-    /// Whether any carried segment overlaps the store range `[lo, hi)`.
-    /// Merged requests may span gaps, so the head offset plus the total
-    /// length would understate (and sometimes overstate) the touched extent.
-    fn touches_store(&self, lo: u64, hi: u64) -> bool {
-        self.segs
-            .iter()
-            .any(|s| s.server_offset < hi && lo < s.server_offset + s.len)
     }
 
     /// The lifecycle contexts of the carried parts that have one (none
@@ -321,14 +325,18 @@ impl Phys {
 }
 
 /// What can happen to a physical request on its way through the driver.
-/// Each is noted at exactly one protocol site; [`HpbdClient::note`] renders
-/// it into the `ClientStats` bump, the registry counter, the trace instant
-/// and the per-part lifecycle marks that belong to it.
+/// Each is noted at exactly one protocol site; [`HpbdClient::note`] moves
+/// the request's [`State`] and renders the event into the `ClientStats`
+/// bump, the registry counter, the trace instant and the per-part
+/// lifecycle marks that belong to it.
+#[derive(Debug)]
 enum Event {
+    /// Its staging span was granted.
+    PoolGranted,
     /// Hit the credit water-mark (§4.2.4).
     CreditStall,
-    /// Its control message went to the send queue.
-    Posted,
+    /// Its control message went to the send queue, with `timer` armed.
+    Posted { timer: Option<EventId> },
     /// Its reply arrived.
     ReplyReceived,
     /// The server fenced the write off as stale.
@@ -358,7 +366,8 @@ struct PendingPart {
 struct ServerConn {
     qp: Qp,
     credits: Cell<usize>,
-    queued: RefCell<VecDeque<Phys>>,
+    /// Requests in `CreditWait` on this server, by id, in FIFO order.
+    queued: RefCell<VecDeque<u64>>,
     /// High-water mark of the credit-stall queue, published as the
     /// per-server queue-depth gauge at stats time (never on the hot path).
     peak_queued: Cell<usize>,
@@ -377,11 +386,6 @@ struct ServerConn {
     batch: RefCell<Vec<PendingPart>>,
     /// A flush event is already scheduled; dedups arming per window.
     batch_armed: Cell<bool>,
-    /// Store extents `(offset, len)` of the parts issued to this server
-    /// that have not reached `enqueue_send` yet: waiting for pool space or
-    /// inside the staging delay, so in none of `batch`, `queued` and
-    /// `outstanding`, but on their way to the store all the same.
-    staging_extents: RefCell<Vec<(u64, u64)>>,
 }
 
 /// One entry of the device-to-server mapping (dynamic-memory indirection).
@@ -407,7 +411,9 @@ struct ClientInner {
     recv_cq: CompletionQueue,
     conns: RefCell<Vec<ServerConn>>,
     qp_to_conn: RefCell<BTreeMap<u32, usize>>,
-    outstanding: RefCell<BTreeMap<u64, Phys>>,
+    /// Every physical request from `issue` until its reply or failure
+    /// takes it out, keyed (and so iterated) by request id.
+    requests: RefCell<BTreeMap<u64, Phys>>,
     next_req_id: Cell<u64>,
     /// Write-fencing version source: one fresh stamp per block-layer
     /// write, shared by every physical part (primary and mirror replica)
@@ -487,7 +493,7 @@ impl HpbdClient {
                 recv_cq,
                 conns: RefCell::new(Vec::new()),
                 qp_to_conn: RefCell::new(BTreeMap::new()),
-                outstanding: RefCell::new(BTreeMap::new()),
+                requests: RefCell::new(BTreeMap::new()),
                 next_req_id: Cell::new(1),
                 next_version: Cell::new(1),
                 migration_attempts: RefCell::new(BTreeMap::new()),
@@ -573,7 +579,6 @@ impl HpbdClient {
         let base = inner.capacity.get();
         let idx = inner.conns.borrow().len();
         inner.qp_to_conn.borrow_mut().insert(qp.qp_num(), idx);
-        let idx_new = inner.conns.borrow().len();
         inner.conns.borrow_mut().push(ServerConn {
             qp,
             credits: Cell::new(credits),
@@ -585,39 +590,30 @@ impl HpbdClient {
             generation: Cell::new(generation),
             batch: RefCell::new(Vec::new()),
             batch_armed: Cell::new(false),
-            staging_extents: RefCell::new(Vec::new()),
         });
         inner.capacity.set(base + extent_len);
-        // Device-chunk map entries for the new extent.
-        {
-            let chunk = inner.config.chunk_bytes.max(4096);
-            let mut map = inner.chunk_map.borrow_mut();
-            let mut at = 0;
-            while at < extent_len {
-                let len = chunk.min(extent_len - at);
-                map.push(Chunk {
-                    device_base: base + at,
-                    len,
-                    server: idx_new,
-                    server_offset: at,
-                });
-                at += len;
-            }
+        // Device-chunk map entries for the new extent, then its spare
+        // chunks: past the extent (and past the mirror replica region when
+        // both features are on).
+        let chunk = inner.config.chunk_bytes.max(4096);
+        let mut map = inner.chunk_map.borrow_mut();
+        let mut at = 0;
+        while at < extent_len {
+            let len = chunk.min(extent_len - at);
+            map.push(Chunk {
+                device_base: base + at,
+                len,
+                server: idx,
+                server_offset: at,
+            });
+            at += len;
         }
-        // Spare chunks live past the extent (and past the mirror replica
-        // region when both features are on).
-        {
-            let chunk = inner.config.chunk_bytes.max(4096);
-            let spare_base = if inner.config.mirror_writes {
-                extent_len * 2
-            } else {
-                extent_len
-            };
-            let spares: Vec<u64> = (0..inner.config.spare_chunks as u64)
-                .map(|i| spare_base + i * chunk)
-                .collect();
-            inner.spares.borrow_mut().push(spares);
-        }
+        let spare_base = match inner.config.mirror_writes {
+            true => extent_len * 2,
+            false => extent_len,
+        };
+        let spares = (0..inner.config.spare_chunks as u64).map(|i| spare_base + i * chunk);
+        inner.spares.borrow_mut().push(spares.collect());
     }
 
     // -- sender path ---------------------------------------------------------
@@ -653,20 +649,15 @@ impl HpbdClient {
 
     /// Does `[offset, offset+len)` touch a chunk that is mid-migration?
     fn touches_migrating(&self, offset: u64, len: u64) -> bool {
-        if self.inner.migrating.borrow().is_empty() {
+        let migrating = self.inner.migrating.borrow();
+        if migrating.is_empty() {
             return false;
         }
         let map = self.inner.chunk_map.borrow();
-        let migrating = self.inner.migrating.borrow();
-        let mut idx = map.partition_point(|c| c.device_base + c.len <= offset);
-        let end = offset + len;
-        while idx < map.len() && map[idx].device_base < end {
-            if migrating.contains(&idx) {
-                return true;
-            }
-            idx += 1;
-        }
-        false
+        let first = map.partition_point(|c| c.device_base + c.len <= offset);
+        (first..map.len())
+            .take_while(|&i| map[i].device_base < offset + len)
+            .any(|i| migrating.contains(&i))
     }
 
     /// Round-robin striping: stripe `k` lives on server `k % n` at
@@ -692,13 +683,44 @@ impl HpbdClient {
         parts
     }
 
-    /// Render one request event everywhere it is observed. The
+    /// Move `phys` to its next [`State`] on `ev`, then render the event
+    /// everywhere it is observed. The first `match` is the table of legal
+    /// moves; any other (state, event) pair is a driver bug. The
     /// `ClientStats` field and its registry twin move together here and
     /// nowhere else. Every emit self-guards, so with observation off an
     /// event costs its counter bumps and a few not-taken branches.
-    fn note(&self, phys: &Phys, ev: Event) {
+    fn note(&self, phys: &mut Phys, ev: Event) {
         let inner = &self.inner;
         let engine = &inner.engine;
+        phys.state = match (phys.state, &ev) {
+            (State::PoolWait, Event::PoolGranted) => State::Staging,
+            (State::Staging | State::CreditWait | State::Lost, Event::CreditStall) => {
+                State::CreditWait
+            }
+            (State::Staging | State::CreditWait | State::Lost, &Event::Posted { timer }) => {
+                State::Posted { timer }
+            }
+            (State::Posted { timer }, Event::ReplyReceived | Event::Timeout) => {
+                if let Some(timer) = timer {
+                    engine.cancel(timer);
+                }
+                match ev {
+                    Event::Timeout => State::Lost,
+                    // An answered request leaves the table as it is: a
+                    // stale-write verdict may still be noted on it.
+                    _ => State::Posted { timer: None },
+                }
+            }
+            (state @ State::Posted { .. }, Event::StaleDrop | Event::EpochWipe) => state,
+            (State::Lost, Event::Retry) => State::Lost,
+            // A re-route keeps the state it routes from; a dropped mirror
+            // leaves the table.
+            (
+                state @ (State::Staging | State::CreditWait | State::Lost),
+                Event::Failover { .. } | Event::MirrorDropped,
+            ) => state,
+            (state, ev) => unreachable!("request {}: {ev:?} in {state:?}", phys.req_id),
+        };
         let now_ns = engine.now().as_nanos();
         let mut stats = inner.stats.borrow_mut();
         // The recovery-path instants all name the request and one detail.
@@ -706,6 +728,7 @@ impl HpbdClient {
             engine.instant("hpbd", name, &[("req", phys.req_id), (key, val)]);
         };
         match ev {
+            Event::PoolGranted => {}
             Event::CreditStall => {
                 stats.flow_stalls += 1;
                 inner.ctr_credit_stalls.inc();
@@ -719,7 +742,7 @@ impl HpbdClient {
                     ],
                 );
             }
-            Event::Posted => {
+            Event::Posted { .. } => {
                 stats.phys_requests += 1;
                 stats.messages += 1;
                 inner.ctr_phys_requests.inc();
@@ -782,28 +805,25 @@ impl HpbdClient {
         }
     }
 
-    /// Give one (possibly merged) group of parts a request id and staging,
-    /// then stage it. Serves batching off (one part), batching on (a flush
-    /// group) and the register-on-the-fly ablation alike.
+    /// Give one (possibly merged) group of parts a request id and a row in
+    /// the table, then stage it. Serves batching off (one part), batching
+    /// on (a flush group) and the register-on-the-fly ablation alike.
     fn issue(&self, server_idx: usize, op: PageOp, is_mirror: bool, segs: Segs) {
         let inner = &self.inner;
         let req_id = inner.next_req_id.replace(inner.next_req_id.get() + 1);
         let len: u64 = segs.iter().map(|s| s.len).sum();
-        inner.conns.borrow()[server_idx]
-            .staging_extents
-            .borrow_mut()
-            .extend(segs.iter().map(|s| (s.server_offset, s.len)));
-        let phys = move |staging| Phys {
+        let phys = Phys {
             req_id,
             op,
             server_idx,
-            staging,
+            state: State::PoolWait,
+            staging: None,
             is_mirror,
-            timer: Cell::new(None),
             attempts: 0,
             trace_attempt: 0,
             segs,
         };
+        inner.requests.borrow_mut().insert(req_id, phys);
         match inner.config.staging {
             StagingMode::CopyToPool => {
                 if inner.pool.free_bytes() < len || inner.pool.queued_waiters() != 0 {
@@ -816,7 +836,7 @@ impl HpbdClient {
                 let this = self.clone();
                 inner
                     .pool
-                    .alloc(len, move |buf| this.stage(phys(Staging::Pool(buf))));
+                    .alloc(len, move |buf| this.stage(req_id, Staging::Pool(buf)));
             }
             // The page buffers become an ephemeral MR — no staging copy,
             // but the registration cost sits on the critical path of every
@@ -824,24 +844,38 @@ impl HpbdClient {
             // swap-sized transfers.
             StagingMode::RegisterOnFly => {
                 let mr = inner.ibnode.hca().register(len as usize);
-                self.stage(phys(Staging::Ephemeral(mr)));
+                self.stage(req_id, Staging::Ephemeral(mr));
             }
         }
+    }
+
+    /// The table row of a request that must be in it. Drop the borrow
+    /// before calling anything that may free pool space (a freed span runs
+    /// the pool's waiters, which look themselves up).
+    fn request(&self, req_id: u64) -> RefMut<'_, Phys> {
+        RefMut::map(self.inner.requests.borrow_mut(), |rows| {
+            let row = rows.get_mut(&req_id);
+            row.unwrap_or_else(|| unreachable!("request {req_id} is not in the table"))
+        })
     }
 
     /// The registered region a request stages through, and where in it.
     fn staging_span<'a>(&'a self, phys: &'a Phys) -> (&'a MemoryRegion, u64) {
         match &phys.staging {
-            Staging::Pool(buf) => (&self.inner.pool_mr, buf.offset),
-            Staging::Ephemeral(mr) => (mr, 0),
+            Some(Staging::Pool(buf)) => (&self.inner.pool_mr, buf.offset),
+            Some(Staging::Ephemeral(mr)) => (mr, 0),
+            None => unreachable!("request {} has no staging span yet", phys.req_id),
         }
     }
 
-    /// Fill the staging span of a write and charge what staging costs,
-    /// then hand the request to the sender.
-    fn stage(&self, phys: Phys) {
+    /// `span` is granted: fill it if the request is a write, charge what
+    /// staging costs, then hand the request to the sender.
+    fn stage(&self, req_id: u64, span: Staging) {
         let inner = &self.inner;
         let now = inner.engine.now();
+        let mut phys = self.request(req_id);
+        phys.staging = Some(span);
+        self.note(&mut phys, Event::PoolGranted);
         let len = phys.len();
         if phys.op == PageOp::Write {
             // A merged request packs its segments back-to-back so the
@@ -864,8 +898,17 @@ impl HpbdClient {
             }
         }
         let ready = match (&phys.staging, phys.op) {
-            (Staging::Pool(_), PageOp::Read) => return self.staged(phys),
-            (Staging::Pool(_), PageOp::Write) => {
+            (Some(Staging::Ephemeral(_)), _) => {
+                let model = inner.ibnode.memory_model();
+                let reg = model.calibration().registration_time(len);
+                inner.ibnode.node().cpu().reserve(now, reg).1
+            }
+            // A pool read has nothing to copy: straight to the sender.
+            (_, PageOp::Read) => {
+                drop(phys);
+                return self.enqueue_send(req_id);
+            }
+            (_, PageOp::Write) => {
                 // The paper's copy-instead-of-register decision.
                 let copy = inner.ibnode.memory_model().memcpy_time(len);
                 let (_, t_copy) = inner.ibnode.node().cpu().reserve(now, copy);
@@ -874,68 +917,51 @@ impl HpbdClient {
                     "stage_copy",
                     now.as_nanos(),
                     t_copy.as_nanos(),
-                    &[("req", phys.req_id), ("bytes", len)],
+                    &[("req", req_id), ("bytes", len)],
                 );
                 t_copy
             }
-            (Staging::Ephemeral(_), _) => {
-                let reg = inner
-                    .ibnode
-                    .memory_model()
-                    .calibration()
-                    .registration_time(len);
-                inner.ibnode.node().cpu().reserve(now, reg).1
-            }
         };
         let this = self.clone();
-        inner.engine.schedule_at(ready, move || this.staged(phys));
+        inner
+            .engine
+            .schedule_at(ready, move || this.enqueue_send(req_id));
     }
 
-    /// Staging is over: `phys` leaves its server's `staging_extents` and
-    /// goes to the sender.
-    fn staged(&self, phys: Phys) {
-        {
-            let conns = self.inner.conns.borrow();
-            let mut extents = conns[phys.server_idx].staging_extents.borrow_mut();
-            for seg in phys.segs.iter() {
-                let extent = (seg.server_offset, seg.len);
-                if let Some(at) = extents.iter().position(|&e| e == extent) {
-                    extents.remove(at);
-                }
-            }
-        }
-        self.enqueue_send(phys);
-    }
-
-    fn enqueue_send(&self, phys: Phys) {
-        // A server known to be dead gets no traffic: re-target the buddy's
-        // replica region up front (requires mirroring).
-        if self.inner.conns.borrow()[phys.server_idx].dead.get() {
-            return self.fail_over(phys, FaultKind::ServerDead);
-        }
+    /// Route a request that has left staging, or is being routed again:
+    /// post it if its server has a credit, else queue it at the water-mark.
+    fn enqueue_send(&self, req_id: u64) {
+        let mut phys = self.request(req_id);
         let conns = self.inner.conns.borrow();
         let conn = &conns[phys.server_idx];
+        // A server known to be dead gets no traffic: re-target the buddy's
+        // replica region up front (requires mirroring).
+        if conn.dead.get() {
+            drop((phys, conns));
+            return self.fail_over(req_id, FaultKind::ServerDead);
+        }
         if conn.credits.get() == 0 {
             // Water-mark reached: queue until credits return (§4.2.4).
-            self.note(&phys, Event::CreditStall);
+            self.note(&mut phys, Event::CreditStall);
             let mut queued = conn.queued.borrow_mut();
-            queued.push_back(phys);
+            queued.push_back(req_id);
             conn.peak_queued
                 .set(conn.peak_queued.get().max(queued.len()));
             return;
         }
         conn.credits.set(conn.credits.get() - 1);
-        self.post_request(conn, phys);
+        self.post_request(conn, &mut phys);
     }
 
-    fn post_request(&self, conn: &ServerConn, phys: Phys) {
-        let (region, client_offset) = self.staging_span(&phys);
+    fn post_request(&self, conn: &ServerConn, phys: &mut Phys) {
+        let req_id = phys.req_id;
+        let (region, client_offset) = self.staging_span(phys);
         let client_rkey = region.rkey();
         // The one place the merge layer shows: a lone segment travels as
         // the paper's plain request, several as one merged message.
         let payload = if let [seg] = &*phys.segs {
             PageRequest::new(
-                phys.req_id,
+                req_id,
                 phys.op,
                 seg.server_offset,
                 seg.len,
@@ -946,7 +972,7 @@ impl HpbdClient {
             .encode()
         } else {
             MergedRequest::new(
-                phys.req_id,
+                req_id,
                 phys.op,
                 client_rkey,
                 client_offset,
@@ -957,18 +983,17 @@ impl HpbdClient {
             )
             .encode()
         };
-        self.note(&phys, Event::Posted);
         // Bind the message id to the lifecycle contexts of every part it
         // carries, so the netmodel wire/server marks fan out to each one.
         self.inner.engine.lifecycle().register_phys(
-            phys.req_id,
+            req_id,
             phys.segs.iter().filter_map(|s| {
                 let ctx = s.parent.ctx.clone()?;
                 Some((ctx, s.part, phys.trace_attempt))
             }),
         );
         let wr = WorkRequest {
-            wr_id: phys.req_id,
+            wr_id: req_id,
             kind: WorkKind::Send { payload },
             // Solicited so the (possibly sleeping) server wakes.
             solicited: true,
@@ -985,126 +1010,120 @@ impl HpbdClient {
             chain.post()
         };
         if posted.is_err() {
-            self.fail_sends_later(vec![phys.req_id]);
+            self.fail_sends_later(vec![req_id]);
         }
-        if let Some(timeout_ns) = self.inner.config.request_timeout_ns {
+        let timer = self.inner.config.request_timeout_ns.map(|timeout_ns| {
             // Exponential backoff: each retry of this request waits twice
             // as long for its answer, capped at 8x the base timeout.
             let scaled = timeout_ns << phys.attempts.min(3);
             let this = self.clone();
-            let req_id = phys.req_id;
-            let timer = self.inner.engine.schedule_cancellable_in(
-                SimDuration::from_nanos(scaled),
-                move || {
-                    this.on_timeout(req_id);
-                },
-            );
-            phys.timer.set(Some(timer));
-        }
-        self.inner
-            .outstanding
-            .borrow_mut()
-            .insert(phys.req_id, phys);
+            self.inner
+                .engine
+                .schedule_cancellable_in(SimDuration::from_nanos(scaled), move || {
+                    this.retire(req_id);
+                })
+        });
+        self.note(phys, Event::Posted { timer });
     }
 
-    /// `phys` targets a dead server: decide what becomes of it. `why` is
-    /// the error it ends with if nothing can take it over: `ServerDead` for
-    /// a pre-post re-route (it keeps its delivery attempt), `Timeout` when
-    /// it had been posted and lost (a re-route is then a new attempt).
-    fn fail_over(&self, mut phys: Phys, why: FaultKind) {
+    /// Request `req_id` targets a dead server: decide what becomes of it.
+    /// `why` is the error it ends with if nothing can take it over:
+    /// `ServerDead` for a pre-post re-route (it keeps its delivery
+    /// attempt), `Timeout` when it had been posted and lost (a re-route is
+    /// then a new attempt).
+    fn fail_over(&self, req_id: u64, why: FaultKind) {
         let reissue = why == FaultKind::Timeout;
-        let now = self.inner.engine.now();
-        if phys.is_mirror {
-            // A mirror replica has nowhere safe to go: its home server is
-            // dead, and the buddy's replica region is a *different*
-            // extent's replica namespace — re-routing there would alias two
-            // device pages onto one slot and corrupt whichever loses the
-            // race. Drop the copy instead: the write keeps its primary, and
-            // the device runs with degraded redundancy until the server
-            // returns.
-            self.note(&phys, Event::MirrorDropped);
-            return self.complete_at(phys, now);
-        }
-        // A primary re-routes to the buddy's replica region, if the
-        // deployment mirrors writes and the buddy is alive.
-        let buddy = (phys.server_idx + 1) % self.server_count();
-        if !self.inner.config.mirror_writes
-            || self.server_count() < 2
-            || self.inner.conns.borrow()[buddy].dead.get()
         {
-            // Nowhere to fail over to: every carried part's parent sees
-            // the error.
-            phys.set_error(IoError::Fault(why));
-            self.inner.engine.lifecycle().unregister_phys(phys.req_id);
-            return self.complete_at(phys, now);
+            let mut phys = self.request(req_id);
+            let buddy = (phys.server_idx + 1) % self.server_count();
+            if phys.is_mirror {
+                // A mirror replica has nowhere safe to go: its home server
+                // is dead, and the buddy's replica region is a *different*
+                // extent's replica namespace — re-routing there would alias
+                // two device pages onto one slot and corrupt whichever
+                // loses the race. Drop the copy instead: the write keeps its
+                // primary, and the device runs with degraded redundancy
+                // until the server returns.
+                self.note(&mut phys, Event::MirrorDropped);
+            } else if !self.inner.config.mirror_writes
+                || self.server_count() < 2
+                || self.inner.conns.borrow()[buddy].dead.get()
+            {
+                // A primary re-routes to the buddy's replica region only if
+                // the deployment mirrors writes and the buddy is alive.
+                // Nowhere to fail over to: every carried part's parent sees
+                // the error.
+                phys.set_error(IoError::Fault(why));
+                self.inner.engine.lifecycle().unregister_phys(req_id);
+            } else {
+                if reissue {
+                    phys.trace_attempt += 1;
+                }
+                self.note(&mut phys, Event::Failover { buddy, reissue });
+                // Replicas live in the upper half of the buddy's store;
+                // every carried segment gets the same extent transform, so
+                // merged requests land each extent on its own replica slot.
+                let extent_len = self.inner.conns.borrow()[buddy].extent_len;
+                phys.server_idx = buddy;
+                for seg in phys.segs.iter_mut() {
+                    // `% extent_len` strips a previous failover re-route
+                    // (replica offsets live past the extent), yielding the
+                    // primary offset.
+                    seg.server_offset = extent_len + (seg.server_offset % extent_len);
+                }
+                drop(phys);
+                return self.enqueue_send(req_id);
+            }
         }
-        if reissue {
-            phys.trace_attempt += 1;
-        }
-        self.note(&phys, Event::Failover { buddy, reissue });
-        // Replicas live in the upper half of the buddy's store; every
-        // carried segment gets the same extent transform, so merged
-        // requests land each extent on its own replica slot.
-        let extent_len = self.inner.conns.borrow()[buddy].extent_len;
-        phys.server_idx = buddy;
-        for seg in phys.segs.iter_mut() {
-            // `% extent_len` strips a previous failover re-route (replica
-            // offsets live past the extent), yielding the primary offset.
-            seg.server_offset = extent_len + (seg.server_offset % extent_len);
-        }
-        self.enqueue_send(phys);
-    }
-
-    /// A request's timer expired, or its send errored in the fabric
-    /// (injected link fault, send-queue overflow, or RNR against a crashed
-    /// server that stopped consuming — the server never saw it, so recovery
-    /// starts right away instead of waiting out the timer). A no-op when
-    /// the request was answered in the meantime.
-    fn on_timeout(&self, req_id: u64) {
-        let lost = self.inner.outstanding.borrow_mut().remove(&req_id);
-        if let Some(phys) = lost {
-            self.retire(phys);
+        let phys = self.inner.requests.borrow_mut().remove(&req_id);
+        if let Some(phys) = phys {
+            self.complete_at(phys, self.inner.engine.now());
         }
     }
 
-    /// The delivery attempt `phys` (already out of `outstanding`) is lost:
-    /// retry with backoff while attempts remain, else presume the server
-    /// dead and re-route to the replica or fail the I/O.
-    fn retire(&self, mut phys: Phys) {
-        if let Some(timer) = phys.timer.take() {
-            // Still armed when we got here via a send failure.
-            self.inner.engine.cancel(timer);
-        }
-        self.note(&phys, Event::Timeout);
-        {
+    /// The attempt of `Posted` request `req_id` is lost: its timer expired,
+    /// its send failed in the fabric (recovery starts at once: the server
+    /// never saw it), its server failed the transfer, or its epoch was
+    /// wiped. Retry with backoff while attempts remain, else presume the
+    /// server dead and re-route to the replica or fail the I/O. A no-op if
+    /// the request was answered or routed again in the meantime.
+    fn retire(&self, req_id: u64) {
+        let stranded = {
+            let mut requests = self.inner.requests.borrow_mut();
+            let Some(phys) = requests
+                .get_mut(&req_id)
+                .filter(|p| matches!(p.state, State::Posted { .. }))
+            else {
+                return;
+            };
+            self.note(phys, Event::Timeout);
             // The credit consumed by the lost request never returns via a
             // reply; restore it so accounting stays consistent.
             let conns = self.inner.conns.borrow();
             let conn = &conns[phys.server_idx];
             conn.credits.set(conn.credits.get() + 1);
-        }
-        if phys.attempts < self.inner.config.max_retries {
-            // Transient-fault tolerance: give the same server another
-            // chance (with a backed-off timeout) before declaring it dead.
-            phys.attempts += 1;
-            phys.trace_attempt += 1;
-            self.note(&phys, Event::Retry);
-            self.enqueue_send(phys);
-            return;
-        }
-        let stranded = {
-            let conns = self.inner.conns.borrow();
-            let conn = &conns[phys.server_idx];
-            conn.dead.set(true);
-            // Requests still queued for the dead server will never get
-            // credits back: pull them out for re-routing.
-            let stranded = std::mem::take(&mut *conn.queued.borrow_mut());
-            stranded
+            if phys.attempts < self.inner.config.max_retries {
+                // Transient-fault tolerance: give the same server another
+                // chance (with a backed-off timeout) before declaring it
+                // dead.
+                phys.attempts += 1;
+                phys.trace_attempt += 1;
+                self.note(phys, Event::Retry);
+                None
+            } else {
+                conn.dead.set(true);
+                // Requests still queued for the dead server will never get
+                // credits back: pull them out for re-routing.
+                Some(std::mem::take(&mut *conn.queued.borrow_mut()))
+            }
+        };
+        let Some(stranded) = stranded else {
+            return self.enqueue_send(req_id);
         };
         for queued in stranded {
             self.enqueue_send(queued);
         }
-        self.fail_over(phys, FaultKind::Timeout);
+        self.fail_over(req_id, FaultKind::Timeout);
     }
 
     /// Return the staging resources now and schedule the parent
@@ -1119,11 +1138,21 @@ impl HpbdClient {
 
     // -- receiver path --------------------------------------------------------
 
+    /// Install the two CQ event handlers. The client owns its CQs, so each
+    /// handler holds the client weakly: a strong capture would be a cycle
+    /// that keeps the client alive after its last user lets go.
     fn install_receiver(&self) {
-        let this = self.clone();
+        let on_event = |body: fn(&HpbdClient)| {
+            let weak = Rc::downgrade(&self.inner);
+            move || {
+                if let Some(inner) = weak.upgrade() {
+                    body(&HpbdClient { inner });
+                }
+            }
+        };
         self.inner
             .recv_cq
-            .set_event_handler(move || this.on_replies());
+            .set_event_handler(on_event(HpbdClient::on_replies));
         self.inner.recv_cq.req_notify(true);
 
         // The send CQ is normally drained opportunistically from the reply
@@ -1131,11 +1160,10 @@ impl HpbdClient {
         // qualify regardless of the solicited flag — wake the driver at
         // once; send successes are unsolicited and never trigger it, so a
         // healthy run schedules no extra events through this path.
-        let this = self.clone();
-        self.inner.send_cq.set_event_handler(move || {
+        self.inner.send_cq.set_event_handler(on_event(|this| {
             this.drain_send_cq();
             this.inner.send_cq.req_notify(true);
-        });
+        }));
         self.inner.send_cq.req_notify(true);
     }
 
@@ -1146,7 +1174,7 @@ impl HpbdClient {
         while let Some(c) = self.inner.send_cq.poll() {
             match c.status {
                 WcStatus::Success => {}
-                WcStatus::RetryExceeded | WcStatus::RnrRetryExceeded => self.on_timeout(c.wr_id),
+                WcStatus::RetryExceeded | WcStatus::RnrRetryExceeded => self.retire(c.wr_id),
                 other => panic!("request send failed: {other:?}"),
             }
         }
@@ -1209,51 +1237,56 @@ impl HpbdClient {
                 return;
             }
         };
-        // A reply may arrive after its request timed out (and was
-        // re-routed or failed), or from a server the request no longer
-        // targets after a failover reissue (the live request still awaits
-        // its buddy's answer). Either way the timeout path already restored
-        // the credit; drop the stale reply.
-        let phys = match inner.outstanding.borrow_mut().entry(reply.req_id()) {
-            Entry::Occupied(e) if e.get().server_idx == conn_idx => e.remove(),
-            _ => return,
+        // A reply is stale unless its request is `Posted` to this server:
+        // it timed out and was re-routed or failed, or a failover reissue
+        // awaits the buddy's answer. The timeout path restored the credit.
+        // A fresh reply stamped with a generation other than the one
+        // learned at connect time means the server restarted, losing every
+        // page, inside this request's window (server epochs, DESIGN.md
+        // §13). Adopt the new generation, so detection fires once.
+        let req_id = reply.req_id();
+        let posted_here =
+            |p: &Phys| p.server_idx == conn_idx && matches!(p.state, State::Posted { .. });
+        let (answered, wiped) = {
+            let mut requests = inner.requests.borrow_mut();
+            let Entry::Occupied(row) = requests.entry(req_id) else {
+                return;
+            };
+            if !posted_here(row.get()) {
+                return;
+            }
+            let expected = inner.conns.borrow()[conn_idx]
+                .generation
+                .replace(reply.generation());
+            let wiped = expected != reply.generation();
+            let lost = wiped || reply.status() == ReplyStatus::TransferError;
+            ((!lost).then(|| row.remove()), wiped)
         };
-        if let Some(timer) = phys.timer.take() {
-            inner.engine.cancel(timer);
-        }
-        // Server epochs (DESIGN.md §13): a reply stamped with a generation
-        // other than the one learned at connect time means the server
-        // restarted — and lost every page — within this request's window.
-        // Whatever this reply claims, the store behind it is empty. Adopt
-        // the new generation (so detection fires once, not per reply) and
-        // force the request down the timeout path with its retry budget
-        // exhausted: the server is dead-marked and the mirror/buddy serves
-        // the data, exactly as if the restart had been noticed by a timer.
-        let expected = inner.conns.borrow()[conn_idx]
-            .generation
-            .replace(reply.generation());
-        if expected != reply.generation() {
-            self.note(&phys, Event::EpochWipe);
-            // Every other in-flight request to this conn is equally doomed:
-            // now that the expected generation is updated, their replies
-            // would pass the check and a read could hand back stale-empty
-            // pages. Retire them all with this one, in req-id order (so
-            // the outcome is deterministic).
-            let mut doomed: Vec<Phys> = inner
-                .outstanding
-                .borrow_mut()
-                .extract_if(.., |_, p| p.server_idx == conn_idx)
-                .map(|(_, p)| p)
+        let Some(mut phys) = answered else {
+            if !wiped {
+                // The server's RDMA to or from our span failed on the wire:
+                // a lost attempt, recovered like a timed-out one.
+                return self.retire(req_id);
+            }
+            self.note(&mut self.request(req_id), Event::EpochWipe);
+            // Every request posted to this conn is as doomed: its reply
+            // would now pass the check and could hand back stale-empty
+            // pages. Retire them all, this one included, in req-id order,
+            // with the retry budget spent: the server is dead-marked and
+            // the mirror serves the data, as if a timer had noticed.
+            let doomed: Vec<u64> = inner
+                .requests
+                .borrow()
+                .iter()
+                .filter_map(|(&id, p)| posted_here(p).then_some(id))
                 .collect();
-            doomed.push(phys);
-            doomed.sort_by_key(|p| p.req_id);
-            for mut phys in doomed {
-                phys.attempts = inner.config.max_retries;
-                self.retire(phys);
+            for req_id in doomed {
+                self.request(req_id).attempts = inner.config.max_retries;
+                self.retire(req_id);
             }
             return;
-        }
-        self.note(&phys, Event::ReplyReceived);
+        };
+        self.note(&mut phys, Event::ReplyReceived);
         // Receiver-thread CPU cost per reply.
         let proc = SimDuration::from_nanos(REPLY_PROC_NS);
         let (_, t_proc) = inner.ibnode.node().cpu().reserve(inner.engine.now(), proc);
@@ -1266,7 +1299,7 @@ impl HpbdClient {
             let next = conn.queued.borrow_mut().pop_front();
             if let Some(next) = next {
                 conn.credits.set(conn.credits.get() - 1);
-                self.post_request(conn, next);
+                self.post_request(conn, &mut self.request(next));
             }
         }
 
@@ -1298,7 +1331,8 @@ impl HpbdClient {
                     }
                 });
                 let t_data = match &phys.staging {
-                    Staging::Pool(_) => {
+                    Some(Staging::Ephemeral(_)) => t_proc,
+                    _ => {
                         let copy = inner.ibnode.memory_model().memcpy_time(len);
                         let (_, t_copy) = inner.ibnode.node().cpu().reserve(t_proc, copy);
                         inner.engine.span(
@@ -1310,7 +1344,6 @@ impl HpbdClient {
                         );
                         t_copy
                     }
-                    Staging::Ephemeral(_) => t_proc,
                 };
                 let this = self.clone();
                 inner.engine.schedule_at(t_data, move || {
@@ -1329,12 +1362,9 @@ impl HpbdClient {
                 // its own mirror copy.
                 debug_assert_eq!(phys.op, PageOp::Write);
                 debug_assert_eq!(reply.version(), phys.reply_version());
-                self.note(&phys, Event::StaleDrop);
+                self.note(&mut phys, Event::StaleDrop);
             }
-            // The server's RDMA to/from our pool failed on the wire.
-            (ReplyStatus::TransferError, _) => {
-                phys.set_error(IoError::Fault(FaultKind::LinkDown));
-            }
+            (ReplyStatus::TransferError, _) => unreachable!("a failed transfer is retired above"),
             (ReplyStatus::OutOfRange, _) => {
                 phys.set_error(IoError::DeviceError("hpbd server error"));
             }
@@ -1345,22 +1375,16 @@ impl HpbdClient {
     /// Return staging resources: pool spans back to the allocator (waking
     /// its wait queue), ephemeral MRs deregistered with the cost charged.
     fn release_staging(&self, phys: &Phys) {
+        let inner = &self.inner;
         match &phys.staging {
-            Staging::Pool(buf) => self.inner.pool.free(*buf),
-            Staging::Ephemeral(mr) => {
-                let dereg = self
-                    .inner
-                    .ibnode
-                    .memory_model()
-                    .calibration()
-                    .deregistration_time(phys.len());
-                self.inner
-                    .ibnode
-                    .node()
-                    .cpu()
-                    .reserve(self.inner.engine.now(), dereg);
-                self.inner.ibnode.hca().deregister(mr);
+            Some(Staging::Pool(buf)) => inner.pool.free(*buf),
+            Some(Staging::Ephemeral(mr)) => {
+                let model = inner.ibnode.memory_model();
+                let dereg = model.calibration().deregistration_time(phys.len());
+                inner.ibnode.node().cpu().reserve(inner.engine.now(), dereg);
+                inner.ibnode.hca().deregister(mr);
             }
+            None => unreachable!("request {} released before its pool grant", phys.req_id),
         }
     }
 
@@ -1438,8 +1462,8 @@ impl HpbdClient {
 
     /// Post the spooled WRs, one chained doorbell per run of same-server
     /// entries. A rejected chain is all-or-nothing: every WR in it already
-    /// sits in `outstanding` with its timer armed, so each one routes
-    /// through the ordinary send-failure recovery.
+    /// belongs to a `Posted` request with its timer armed, so each one
+    /// routes through the ordinary send-failure recovery.
     fn drain_spool(&self) {
         let entries = self.inner.spool.borrow_mut().take().unwrap_or_default();
         let conns = self.inner.conns.borrow();
@@ -1459,16 +1483,16 @@ impl HpbdClient {
     }
 
     /// The send queue rejected these requests: treat them like lost sends.
-    /// The recovery runs from the event loop, once each request sits in
-    /// `outstanding` with its timer armed, and enters the same
-    /// timeout/retry path as a wire-level send failure.
+    /// The recovery runs from the event loop, once each request is
+    /// `Posted` with its timer armed, and enters the same timeout/retry
+    /// path as a wire-level send failure.
     fn fail_sends_later(&self, req_ids: Vec<u64>) {
         let this = self.clone();
         self.inner
             .engine
             .schedule_in(SimDuration::from_nanos(0), move || {
                 for req_id in req_ids {
-                    this.on_timeout(req_id);
+                    this.retire(req_id);
                 }
             });
     }
@@ -1553,36 +1577,21 @@ impl HpbdClient {
             let c = map[chunk_idx];
             (c.server, c.server_offset, c.server_offset + c.len)
         };
+        // A part is live from `issue` until its reply or failure takes it
+        // out of the table: waiting for pool space, inside its staging
+        // copy, at the credit water-mark or on the wire, it reaches the old
+        // location after a migration read issued now. So does a part parked
+        // in the merge accumulator, once its window closes.
         let busy = {
-            let outstanding = self.inner.outstanding.borrow();
+            let requests = self.inner.requests.borrow();
             let conns = self.inner.conns.borrow();
-            let touches = |offset: u64, len: u64| offset < hi && lo < offset + len;
-            let queued_busy = conns[server]
-                .queued
-                .borrow()
-                .iter()
-                .any(|p| p.server_idx == server && p.touches_store(lo, hi));
-            // Parts parked in the merge accumulator are in flight too: they
-            // will hit the old location once their window closes.
-            let batch_busy = conns[server]
-                .batch
-                .borrow()
-                .iter()
-                .any(|p| touches(p.seg.server_offset, p.seg.len));
-            // So are parts still staging: a write that waits for pool space
-            // or sits in its copy delay posts after a migration read issued
-            // now, and would land on the old home behind it.
-            let staging_busy = conns[server]
-                .staging_extents
-                .borrow()
-                .iter()
-                .any(|&(offset, len)| touches(offset, len));
-            queued_busy
-                || batch_busy
-                || staging_busy
-                || outstanding
-                    .values()
-                    .any(|p| p.server_idx == server && p.touches_store(lo, hi))
+            let batch = conns[server].batch.borrow();
+            let mut live = requests
+                .values()
+                .filter(|p| p.server_idx == server)
+                .flat_map(|p| p.segs.iter())
+                .chain(batch.iter().map(|p| &p.seg));
+            live.any(|s| s.server_offset < hi && lo < s.server_offset + s.len)
         };
         if busy {
             let this = self.clone();
@@ -1642,21 +1651,13 @@ impl HpbdClient {
         let target = {
             let conns = self.inner.conns.borrow();
             let mut spares = self.inner.spares.borrow_mut();
-            let mut pick = None;
-            for s in 0..spares.len() {
-                if s == old_server || conns[s].dead.get() {
-                    continue;
-                }
-                if let Some(offset) = spares[s].pop() {
-                    pick = Some((s, offset));
-                    break;
-                }
-            }
-            pick
+            (0..spares.len())
+                .filter(|&s| s != old_server && !conns[s].dead.get())
+                .find_map(|s| Some((s, spares[s].pop()?)))
         };
         let Some((new_server, new_offset)) = target else {
             panic!(
-                "revocation of chunk at device offset {device_base}: no spare                  capacity anywhere — pages would be lost"
+                "revocation of chunk at device offset {device_base}: no spare capacity anywhere — pages would be lost"
             );
         };
 
@@ -1674,21 +1675,20 @@ impl HpbdClient {
                     // data right now. Nothing has been repointed yet:
                     // return the spare and re-enqueue the migration.
                     this.inner.spares.borrow_mut()[new_server].push(new_offset);
-                    this.retry_migration(chunk_idx);
-                    return;
+                    return this.retry_migration(chunk_idx);
                 }
                 // Repoint the chunk, then write the data to the new home.
-                {
-                    let mut map = this.inner.chunk_map.borrow_mut();
-                    map[chunk_idx].server = new_server;
-                    map[chunk_idx].server_offset = new_offset;
-                }
+                let mut map = this.inner.chunk_map.borrow_mut();
+                map[chunk_idx].server = new_server;
+                map[chunk_idx].server_offset = new_offset;
+                drop(map);
                 let this2 = this.clone();
                 this.submit_internal(IoRequest::single(Bio::new(
                     IoOp::Write,
                     device_base,
                     buf.clone(),
                     move |result| {
+                        let inner = &this2.inner;
                         if result.is_err() {
                             // The new home failed the write: point the
                             // chunk back at its source (whose data is
@@ -1697,24 +1697,18 @@ impl HpbdClient {
                             // re-enqueue the migration. The dead-marking
                             // done by the failed write steers the next
                             // attempt to a different target.
-                            {
-                                let mut map = this2.inner.chunk_map.borrow_mut();
-                                map[chunk_idx].server = old_server;
-                                map[chunk_idx].server_offset = old_offset;
-                            }
-                            this2.inner.spares.borrow_mut()[new_server].push(new_offset);
-                            this2.retry_migration(chunk_idx);
-                            return;
+                            let mut map = inner.chunk_map.borrow_mut();
+                            map[chunk_idx].server = old_server;
+                            map[chunk_idx].server_offset = old_offset;
+                            drop(map);
+                            inner.spares.borrow_mut()[new_server].push(new_offset);
+                            return this2.retry_migration(chunk_idx);
                         }
-                        this2
-                            .inner
-                            .migration_attempts
-                            .borrow_mut()
-                            .remove(&chunk_idx);
-                        this2.inner.migrating.borrow_mut().remove(&chunk_idx);
-                        this2.inner.stats.borrow_mut().migrations += 1;
-                        this2.inner.engine.metrics().inc("hpbd.migrations");
-                        this2.inner.engine.instant(
+                        inner.migration_attempts.borrow_mut().remove(&chunk_idx);
+                        inner.migrating.borrow_mut().remove(&chunk_idx);
+                        inner.stats.borrow_mut().migrations += 1;
+                        inner.engine.metrics().inc("hpbd.migrations");
+                        inner.engine.instant(
                             "hpbd",
                             "migration_done",
                             &[("chunk", chunk_idx as u64), ("server", new_server as u64)],
@@ -1774,15 +1768,16 @@ impl HpbdClient {
         }
         for (server_idx, server_offset, parent_off, len) in parts {
             let primary = (server_idx, false, server_offset);
-            let mirror_replica = if mirror {
+            let mirror_replica = mirror.then(|| {
                 let buddy = (server_idx + 1) % self.server_count();
-                let buddy_extent = inner.conns.borrow()[buddy].extent_len;
                 // Note: both replicas are staged independently; a real
                 // implementation would share one staged buffer.
-                Some((buddy, true, buddy_extent + server_offset))
-            } else {
-                None
-            };
+                (
+                    buddy,
+                    true,
+                    inner.conns.borrow()[buddy].extent_len + server_offset,
+                )
+            });
             for (target, is_mirror, server_offset) in std::iter::once(primary).chain(mirror_replica)
             {
                 let parent = parent.clone();

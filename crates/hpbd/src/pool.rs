@@ -180,7 +180,9 @@ impl SimBufferPool {
         );
         let satisfiable_now = self.waiters.borrow().is_empty();
         if satisfiable_now {
-            if let Some(buf) = self.inner.borrow_mut().alloc(len) {
+            // Bound first: `ready` may free a span, which borrows `inner`.
+            let granted = self.inner.borrow_mut().alloc(len);
+            if let Some(buf) = granted {
                 ready(buf);
                 return;
             }

@@ -445,20 +445,29 @@ impl HpbdServer {
         inner.conns.borrow_mut().push(Conn { qp, recv_region });
     }
 
+    /// Install the two CQ event handlers. The server owns its CQs, so each
+    /// handler holds the server weakly: a strong capture would be a cycle
+    /// that keeps the server alive after its last user lets go.
     fn install_handlers(&self) {
+        let on_event = |body: fn(&HpbdServer)| {
+            let weak = Rc::downgrade(&self.inner);
+            move || {
+                if let Some(inner) = weak.upgrade() {
+                    body(&HpbdServer { inner });
+                }
+            }
+        };
         // Receiver: woken by the solicited event of an incoming request,
         // drains every available request (bursty processing), re-arms.
-        let this = self.clone();
         self.inner
             .recv_cq
-            .set_event_handler(move || this.on_recv_event());
+            .set_event_handler(on_event(HpbdServer::on_recv_event));
         self.inner.recv_cq.req_notify(true);
 
         // Sender-side completions: RDMA finishes drive the protocol.
-        let this = self.clone();
         self.inner
             .send_cq
-            .set_event_handler(move || this.on_send_event());
+            .set_event_handler(on_event(HpbdServer::on_send_event));
         self.inner.send_cq.req_notify(false);
     }
 

@@ -219,6 +219,14 @@ impl Engine {
         self.inner.borrow_mut().queue.cancel(id)
     }
 
+    /// Drop every pending event unrun. Components hold the engine, so a
+    /// queued closure that captures one keeps it, and through it the
+    /// engine, alive: call this when the simulation is over.
+    pub fn discard_pending(&self) {
+        let actions = self.inner.borrow_mut().queue.take_all();
+        drop(actions);
+    }
+
     /// Pop and execute the next event, if any. Returns whether one ran.
     /// Public so schedulers can interleave event processing with task
     /// scheduling decisions.
@@ -464,6 +472,22 @@ mod tests {
         let id = eng.schedule_cancellable_at(SimTime(5), || {});
         eng.run_until_idle();
         assert!(!eng.cancel(id));
+    }
+
+    #[test]
+    fn discarded_events_never_run_and_release_their_captures() {
+        let eng = Engine::new();
+        let held = Rc::new(());
+        for i in 0..3u64 {
+            let held = held.clone();
+            eng.schedule_at(SimTime(i), move || drop(held));
+        }
+        eng.discard_pending();
+        assert_eq!(Rc::strong_count(&held), 1, "closures must be dropped");
+        assert_eq!(eng.pending_events(), 0);
+        eng.schedule_at(SimTime(5), || {});
+        eng.run_until_idle();
+        assert_eq!(eng.events_executed(), 1, "only the later event runs");
     }
 
     #[test]

@@ -284,6 +284,16 @@ impl TimingWheel {
         id
     }
 
+    /// Cancel every pending event, handing the closures back so the
+    /// caller drops them outside its borrow of the wheel.
+    pub(crate) fn take_all(&mut self) -> Vec<Action> {
+        self.live = 0;
+        self.nodes
+            .iter_mut()
+            .filter_map(|n| n.action.take())
+            .collect()
+    }
+
     pub(crate) fn cancel(&mut self, id: EventId) -> bool {
         match self.nodes.get_mut(id.idx as usize) {
             Some(node) if node.gen == id.gen && node.action.is_some() => {

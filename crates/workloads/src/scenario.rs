@@ -467,6 +467,16 @@ impl Scenario {
     }
 }
 
+/// A finished machine frees itself. Events still queued (a timer, a
+/// revoke notice) capture the components that scheduled them, and the
+/// components hold the engine: without this, that cycle outlives the
+/// scenario.
+impl Drop for Scenario {
+    fn drop(&mut self) {
+        self.engine.discard_pending();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,8 @@ use hpbd_suite::hpbd::ClusterBuilder;
 use hpbd_suite::netmodel::{Calibration, Transport};
 use hpbd_suite::simcore::Engine;
 use hpbd_suite::vmsim::{AddressSpace, PagedVec};
-use hpbd_suite::workloads::{Scenario, ScenarioConfig, SwapKind};
+use hpbd_suite::workloads::kvstore::KvParams;
+use hpbd_suite::workloads::{Scenario, ScenarioConfig, SwapKind, SwapPath};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -254,4 +255,34 @@ fn quicksort_survives_memory_revocation_mid_run() {
     let stats = cluster.client.stats();
     assert_eq!(stats.revocations, 1);
     assert_eq!(stats.migrations, 2, "two 512K chunks in the revoked 1MB");
+}
+
+/// A finished HPBD machine frees itself on both swap paths. Every fabric
+/// node holds the calibration, so once the `Scenario` is dropped a count of
+/// one means the client, both servers and the fabric are gone. Each CQ
+/// handler used to capture its own owner, and the event a run leaves
+/// queued held the client through the engine it schedules on.
+#[test]
+fn hpbd_machines_free_themselves_on_drop() {
+    for path in [SwapPath::Block, SwapPath::Direct] {
+        let cal = Rc::new(Calibration::cluster_2005());
+        let mut config = ScenarioConfig::new(MB, 8 * MB, SwapKind::Hpbd { servers: 2 });
+        config.swap_path = path;
+        let scenario = Scenario::build_with(&config, cal.clone());
+        scenario.run_kvstore(KvParams {
+            records: 20_000,
+            operations: 5_000,
+            ..KvParams::default()
+        });
+        assert!(scenario
+            .hpbd
+            .as_ref()
+            .is_some_and(|c| c.client.stats().replies > 0));
+        drop(scenario);
+        assert_eq!(
+            Rc::strong_count(&cal),
+            1,
+            "{path:?}: a dropped HPBD machine must free every node it built"
+        );
+    }
 }
