@@ -36,9 +36,40 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// A validated unit of service: one wire message, one staging span, one
-/// RDMA operation, one reply — possibly carrying several independently
-/// write-fenced segments (a merged request).
+/// Where an accepted request is between its arrival and its reply (paper
+/// §4.2.1). A job holds its staging span exactly in the last three. Only
+/// [`HpbdServer::note`] moves it.
+#[derive(Clone, Copy, Debug)]
+enum State {
+    /// Its parse is being charged on the server CPU.
+    Parsing,
+    /// For its staging span.
+    PoolWait,
+    /// Swap-in: the store → staging copy is being charged.
+    StoreCopy(PoolBuf),
+    /// Its one RDMA operation is on the wire.
+    Rdma(PoolBuf),
+    /// Swap-out: the staging → store copy is being charged.
+    Apply(PoolBuf),
+}
+
+/// What moves a job to its next [`State`].
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Its parse is paid for and it is neither out of range nor fenced off.
+    Parsed,
+    /// The staging pool granted its span.
+    Granted(PoolBuf),
+    /// Swap-in: the store → staging copy is paid for.
+    Copied,
+    /// Swap-out: the RDMA READ placed the data in staging.
+    Pulled,
+}
+
+/// An accepted request: one row of `ServerInner::jobs` from its arrival
+/// until its reply is sent or a crash discards it. One wire message, one
+/// staging span, one RDMA operation, one reply — possibly carrying several
+/// independently write-fenced segments (a merged request).
 struct Job {
     req_id: u64,
     op: PageOp,
@@ -57,10 +88,15 @@ struct Job {
     /// Version echoed in the reply: the segment's own stamp for a plain
     /// request, the maximum across segments for a merged one.
     version: u64,
+    /// The connection it arrived on and is answered on.
+    conn: usize,
+    /// Arrival instant (trace span start).
+    started: SimTime,
+    state: State,
 }
 
 impl Job {
-    fn from_request(r: &PageRequest) -> Job {
+    fn from_request(r: &PageRequest, conn: usize, started: SimTime) -> Job {
         Job {
             req_id: r.req_id(),
             op: r.op(),
@@ -70,10 +106,13 @@ impl Job {
             len: r.len(),
             segs: None,
             version: r.version(),
+            conn,
+            started,
+            state: State::Parsing,
         }
     }
 
-    fn from_merged(m: &MergedRequest) -> Job {
+    fn from_merged(m: &MergedRequest, conn: usize, started: SimTime) -> Job {
         Job {
             req_id: m.req_id(),
             op: m.op(),
@@ -88,6 +127,9 @@ impl Job {
                     .collect(),
             ),
             version: m.max_version(),
+            conn,
+            started,
+            state: State::Parsing,
         }
     }
 
@@ -101,15 +143,14 @@ impl Job {
         let many = self.segs.as_deref().unwrap_or(&[]).iter().copied();
         single.into_iter().chain(many)
     }
-}
 
-/// Per-request state while its RDMA is in flight.
-struct PendingRdma {
-    job: Job,
-    staging: PoolBuf,
-    conn: usize,
-    /// Request arrival instant (trace span start).
-    started: SimTime,
+    /// The staging span it holds, if granted one.
+    fn staging(&self) -> Option<PoolBuf> {
+        match self.state {
+            State::StoreCopy(span) | State::Rdma(span) | State::Apply(span) => Some(span),
+            State::Parsing | State::PoolWait => None,
+        }
+    }
 }
 
 struct Conn {
@@ -170,7 +211,9 @@ struct ServerInner {
     recv_cq: CompletionQueue,
     conns: RefCell<Vec<Conn>>,
     qp_to_conn: RefCell<BTreeMap<u32, usize>>,
-    pending: RefCell<BTreeMap<u64, PendingRdma>>,
+    /// Every job the live daemon accepted and has not answered, by the
+    /// token drawn at its arrival (also the wr_id of its RDMA).
+    jobs: RefCell<BTreeMap<u64, Job>>,
     /// Write fence: highest version applied per store page. A write whose
     /// version is not newer than what a page holds is dropped for that
     /// page — stale retries, failover reissues, and duplicate deliveries
@@ -188,8 +231,8 @@ struct ServerInner {
     generation: Cell<u64>,
     stats: RefCell<ServerStats>,
     name: String,
-    /// High-water mark of concurrently pending RDMA operations, published
-    /// as a per-server gauge at stats time (never on the hot path).
+    /// High-water mark of jobs between staging grant and RDMA completion,
+    /// published as a per-server gauge at stats time.
     peak_pending: Cell<usize>,
     ctr_wakeups: LazyCounter,
     ctr_requests: LazyCounter,
@@ -228,7 +271,7 @@ impl HpbdServer {
                 recv_cq,
                 conns: RefCell::new(Vec::new()),
                 qp_to_conn: RefCell::new(BTreeMap::new()),
-                pending: RefCell::new(BTreeMap::new()),
+                jobs: RefCell::new(BTreeMap::new()),
                 versions: RefCell::new(BTreeMap::new()),
                 lost_recvs: RefCell::new(Vec::new()),
                 next_token: Cell::new(1),
@@ -313,9 +356,10 @@ impl HpbdServer {
     }
 
     /// Failure injection: the server process dies. Every request from now
-    /// on is silently dropped (a dead daemon sends nothing); in-flight
-    /// RDMA data may still land, but no acknowledgement follows. The
-    /// stored chunks are GONE — the process's memory is reclaimed by its
+    /// on is silently dropped (a dead daemon sends nothing). Every job it
+    /// accepted leaves the job table, so none resumes, even if the daemon
+    /// restarts before the job's next event: its in-flight RDMA data may
+    /// still land, but nothing follows it. The stored chunks are GONE — the process's memory is reclaimed by its
     /// host — so a later [`HpbdServer::restart`] comes back empty, exactly
     /// why the client must mirror writes to survive a crash. The client's
     /// timeout/failover machinery (when configured) is what keeps the swap
@@ -329,16 +373,12 @@ impl HpbdServer {
         // matching its empty store.
         self.inner.storage.wipe();
         self.inner.versions.borrow_mut().clear();
-        // In-flight RDMA state machines die with the daemon. Their staging
-        // buffers return to the pool wholesale (the restart would rebuild
-        // the pool; freeing models that without a pool reset). Late wire
-        // completions for these tokens are dropped in finish_pull/push.
-        let pending: Vec<PendingRdma> = {
-            let mut map = self.inner.pending.borrow_mut();
-            std::mem::take(&mut *map).into_values().collect()
-        };
-        for p in pending {
-            self.inner.staging_pool.free(p.staging);
+        // Staging returns to the pool (a restart would rebuild the pool;
+        // freeing models that without a pool reset). A continuation that
+        // finds its row gone stops, returning any span it was granted.
+        let jobs = std::mem::take(&mut *self.inner.jobs.borrow_mut());
+        for span in jobs.values().filter_map(Job::staging) {
+            self.inner.staging_pool.free(span);
         }
         self.inner.engine.instant("hpbd_server", "crash", &[]);
     }
@@ -386,7 +426,10 @@ impl HpbdServer {
         inner.generation.set(inner.generation.get() + 1);
         inner.crashed.set(false);
         inner.last_activity.set(inner.engine.now());
+        // Both CQs re-arm: a completion the dead daemon drained disarmed
+        // its CQ, and a disarmed send CQ would strand every RDMA.
         inner.recv_cq.req_notify(true);
+        inner.send_cq.req_notify(false);
         inner.engine.instant("hpbd_server", "restart", &[]);
     }
 
@@ -540,11 +583,12 @@ impl HpbdServer {
                 .post_recv(buf_idx, conn.recv_region.slice(buf_idx * wire, wire))
                 .expect("re-posting control receive");
         }
+        let started = inner.engine.now();
         let job = match decoded {
-            Ok(ClientMessage::Request(r)) => Job::from_request(&r),
+            Ok(ClientMessage::Request(r)) => Job::from_request(&r, conn_idx, started),
             Ok(ClientMessage::Merged(m)) => {
                 self.inner.stats.borrow_mut().merged_requests += 1;
-                Job::from_merged(&m)
+                Job::from_merged(&m, conn_idx, started)
             }
             Err(_) => {
                 inner.stats.borrow_mut().bad_messages += 1;
@@ -553,41 +597,89 @@ impl HpbdServer {
         };
         inner.stats.borrow_mut().requests += 1;
         inner.ctr_requests.inc();
-        let started = inner.engine.now();
         // Route the mark back to the client-side span context by the
         // physical request id; a merged id fans out to every carried
         // part. Unknown ids (e.g. the context completed after a
         // timeout) are a silent no-op.
-        inner.engine.lifecycle().mark_phys(
-            job.req_id,
-            MarkKind::ServerReceived,
-            started.as_nanos(),
-        );
+        self.mark(job.req_id, MarkKind::ServerReceived);
         // CPU cost of parsing + dispatching the message — paid once per
         // wire message, which is exactly the overhead merging amortises.
         let proc = SimDuration::from_nanos(REQUEST_PROC_NS);
         let (_, t_proc) = inner.ibnode.node().cpu().reserve(started, proc);
-
-        if !self.validate(&job) {
-            let this = self.clone();
-            inner.engine.schedule_at(t_proc, move || {
-                this.send_reply(conn_idx, job.req_id, ReplyStatus::OutOfRange, job.version);
-            });
-            return;
-        }
-
+        let token = inner.next_token.get();
+        inner.next_token.set(token + 1);
+        inner.jobs.borrow_mut().insert(token, job);
         let this = self.clone();
-        inner.engine.schedule_at(t_proc, move || {
-            this.serve(conn_idx, job, started);
-        });
+        inner.engine.schedule_at(t_proc, move || this.parsed(token));
     }
 
-    fn validate(&self, job: &Job) -> bool {
-        job.len > 0
-            && job.len <= SERVER_STAGING_SIZE
+    /// Mark physical request `req_id`'s client-side lifecycle context now.
+    fn mark(&self, req_id: u64, kind: MarkKind) {
+        let now_ns = self.inner.engine.now().as_nanos();
+        self.inner
+            .engine
+            .lifecycle()
+            .mark_phys(req_id, kind, now_ns);
+    }
+
+    /// Take job `token`'s row out to work on it; `None` if it died.
+    fn take(&self, token: u64) -> Option<Job> {
+        self.inner.jobs.borrow_mut().remove(&token)
+    }
+
+    /// Move `job` to its next [`State`] on `step` and put its row back.
+    /// The `match` is the table of legal moves; any other (state, step)
+    /// pair is a bug. A job leaves the table by `take` or with a crash.
+    fn note(&self, token: u64, mut job: Job, step: Step) {
+        job.state = match (job.state, step) {
+            (State::Parsing, Step::Parsed) => State::PoolWait,
+            (State::PoolWait, Step::Granted(span)) => match job.op {
+                PageOp::Read => State::StoreCopy(span),
+                PageOp::Write => State::Rdma(span),
+            },
+            (State::StoreCopy(span), Step::Copied) => State::Rdma(span),
+            (State::Rdma(span), Step::Pulled) => State::Apply(span),
+            (state, step) => unreachable!("job {}: {step:?} in {state:?}", job.req_id),
+        };
+        let mut jobs = self.inner.jobs.borrow_mut();
+        jobs.insert(token, job);
+        if let Step::Granted(_) = step {
+            let staged = jobs
+                .values()
+                .filter(|j| matches!(j.state, State::StoreCopy(_) | State::Rdma(_)))
+                .count();
+            let peak = &self.inner.peak_pending;
+            peak.set(peak.get().max(staged));
+        }
+    }
+
+    /// The parse is paid for: answer a job that is out of range or fenced
+    /// off, else queue it for staging.
+    fn parsed(&self, token: u64) {
+        let Some(job) = self.take(token) else {
+            return;
+        };
+        let valid = (1..=SERVER_STAGING_SIZE).contains(&job.len)
             && job
                 .spans()
-                .all(|(offset, len, _)| len > 0 && self.inner.storage.in_range(offset, len))
+                .all(|(offset, len, _)| len > 0 && self.inner.storage.in_range(offset, len));
+        if !valid {
+            self.finish(job, ReplyStatus::OutOfRange);
+        } else if self.write_fully_stale(&job) {
+            // Fenced before staging: a newer write already covers every
+            // page; skip the staging wait and the RDMA pull entirely.
+            self.finish(job, ReplyStatus::StaleWrite);
+        } else {
+            let len = job.len;
+            self.note(token, job, Step::Parsed);
+            // Staging allocation may wait for in-flight requests to release
+            // buffers (the staging pool is its own wait queue). One span
+            // per message, merged or not.
+            let this = self.clone();
+            self.inner
+                .staging_pool
+                .alloc(len, move |span| this.granted(token, span));
+        }
     }
 
     /// Fencing check: true when every page every segment covers already
@@ -606,169 +698,117 @@ impl HpbdServer {
         })
     }
 
-    /// A write lost the fence race: acknowledge with `StaleWrite` so the
-    /// client can retire it, without touching the store (and, when caught
-    /// before the pull, without spending any RDMA).
-    fn drop_stale(&self, conn_idx: usize, job: &Job, started: SimTime) {
-        self.inner.stats.borrow_mut().stale_writes += 1;
-        self.serve_span(job, started, true);
-        self.send_reply(conn_idx, job.req_id, ReplyStatus::StaleWrite, job.version);
-    }
-
-    /// Dispatch a validated request: allocate staging, then drive the
-    /// server-initiated RDMA state machine.
-    fn serve(&self, conn_idx: usize, job: Job, started: SimTime) {
-        if self.write_fully_stale(&job) {
-            // Fenced before staging: a newer write already covers every
-            // page; skip the staging wait and the RDMA pull entirely.
-            self.drop_stale(conn_idx, &job, started);
-            return;
-        }
-        let this = self.clone();
-        // Staging allocation may wait for in-flight requests to release
-        // buffers (the staging pool is its own wait queue). One span per
-        // message, merged or not.
-        self.inner.staging_pool.alloc(job.len, move |staging| {
-            this.serve_with_staging(conn_idx, job, staging, started);
-        });
-    }
-
-    fn serve_with_staging(&self, conn_idx: usize, job: Job, staging: PoolBuf, started: SimTime) {
+    /// Staging granted: pull into it (swap-out), or fill it from the store
+    /// and charge that copy (swap-in).
+    fn granted(&self, token: u64, span: PoolBuf) {
         let inner = &self.inner;
-        if inner.crashed.get() {
-            // The daemon died while this request waited for staging.
-            inner.staging_pool.free(staging);
+        let Some(job) = self.take(token) else {
+            // The job died with its process while it waited.
+            inner.staging_pool.free(span);
             return;
-        }
+        };
         if self.write_fully_stale(&job) {
             // A newer write to every covered page landed while this one
             // waited for staging; fence it off before spending RDMA.
-            inner.staging_pool.free(staging);
-            self.drop_stale(conn_idx, &job, started);
+            inner.staging_pool.free(span);
+            self.finish(job, ReplyStatus::StaleWrite);
             return;
         }
-        let token = inner.next_token.get();
-        inner.next_token.set(token + 1);
-        let remote = RemoteSlice {
-            rkey: job.client_rkey,
-            offset: job.client_offset,
-            len: job.len,
+        let len = job.len;
+        if job.op == PageOp::Write {
+            self.note(token, job, Step::Granted(span));
+            self.post_rdma(token);
+            return;
+        }
+        // Swap-in gathers the store extents into the staging span in
+        // staging order (merged segments may be scattered on the store),
+        // now: the span is this job's alone while its row holds it, and
+        // what the copy costs is charged below.
+        let fill = |mut staging: &mut [u8]| {
+            for (offset, seg_len, _) in job.spans() {
+                let (seg, rest) = staging.split_at_mut(seg_len as usize);
+                inner.storage.read_at(offset, seg);
+                staging = rest;
+            }
         };
-        let local = inner.staging_mr.slice(staging.offset, job.len);
-        let (req_id, op, len) = (job.req_id, job.op, job.len);
-        if op == PageOp::Read {
-            // Swap-in gathers the store extents into the staging span in
-            // staging order (merged segments may be scattered on the store),
-            // now: the span is this request's alone until its token leaves
-            // `pending`, and what the copy costs is charged below.
-            let fill = |mut span: &mut [u8]| {
-                for (offset, seg_len, _) in job.spans() {
-                    let (seg, rest) = span.split_at_mut(seg_len as usize);
-                    inner.storage.read_at(offset, seg);
-                    span = rest;
-                }
-            };
-            inner
-                .staging_mr
-                .fill_with(staging.offset as usize, len as usize, fill);
-        }
-        {
-            let mut pending = inner.pending.borrow_mut();
-            pending.insert(
-                token,
-                PendingRdma {
-                    job,
-                    staging,
-                    conn: conn_idx,
-                    started,
-                },
-            );
-            inner
-                .peak_pending
-                .set(inner.peak_pending.get().max(pending.len()));
-        }
-        match op {
-            PageOp::Write => {
-                // Swap-out: pull the page data from the client — ONE
-                // scatter-gather read for the whole merged span.
-                inner.stats.borrow_mut().rdma_reads += 1;
-                inner.engine.lifecycle().mark_phys(
-                    req_id,
-                    MarkKind::RdmaPosted,
-                    inner.engine.now().as_nanos(),
-                );
-                self.post_rdma(
-                    conn_idx,
-                    WorkRequest {
-                        wr_id: token,
-                        kind: WorkKind::RdmaRead { local, remote },
-                        solicited: false,
-                    },
-                );
-            }
-            PageOp::Read => {
-                // Swap-in: once the store -> staging copy is paid for, push
-                // with RDMA WRITE.
-                let copy = inner.ibnode.memory_model().memcpy_time(len);
-                let (_, t_copy) = inner.ibnode.node().cpu().reserve(inner.engine.now(), copy);
-                inner.engine.span(
-                    "hpbd_server",
-                    "store_to_staging",
-                    inner.engine.now().as_nanos(),
-                    t_copy.as_nanos(),
-                    &[("bytes", len)],
-                );
-                let this = self.clone();
-                inner.engine.schedule_at(t_copy, move || {
-                    if this.inner.crashed.get() {
-                        // Crash landed mid-copy; the staging buffer is in
-                        // `pending`, which the crash already reclaimed.
-                        return;
-                    }
-                    this.inner.stats.borrow_mut().rdma_writes += 1;
-                    this.inner.engine.lifecycle().mark_phys(
-                        req_id,
-                        MarkKind::RdmaPosted,
-                        this.inner.engine.now().as_nanos(),
-                    );
-                    this.post_rdma(
-                        conn_idx,
-                        WorkRequest {
-                            wr_id: token,
-                            kind: WorkKind::RdmaWrite {
-                                local: this.inner.staging_mr.slice(staging.offset, len),
-                                remote,
-                            },
-                            solicited: false,
-                        },
-                    );
-                });
-            }
+        inner
+            .staging_mr
+            .fill_with(span.offset as usize, len as usize, fill);
+        self.note(token, job, Step::Granted(span));
+        self.charge_copy("store_to_staging", len, token, HpbdServer::copied);
+    }
+
+    /// Charge a `len`-byte memcpy on the server CPU as trace span `name`,
+    /// overlapping any other job's RDMA, then run `next` on job `token`.
+    fn charge_copy(&self, name: &'static str, len: u64, token: u64, next: fn(&Self, u64)) {
+        let inner = &self.inner;
+        let now = inner.engine.now();
+        let copy = inner.ibnode.memory_model().memcpy_time(len);
+        let (_, t_copy) = inner.ibnode.node().cpu().reserve(now, copy);
+        inner.engine.span(
+            "hpbd_server",
+            name,
+            now.as_nanos(),
+            t_copy.as_nanos(),
+            &[("bytes", len)],
+        );
+        let this = self.clone();
+        inner.engine.schedule_at(t_copy, move || next(&this, token));
+    }
+
+    /// Swap-in: the store → staging copy is paid for; push it.
+    fn copied(&self, token: u64) {
+        // A missing row died with its process, whose crash freed its span.
+        if let Some(job) = self.take(token) {
+            self.note(token, job, Step::Copied);
+            self.post_rdma(token);
         }
     }
 
-    fn post_rdma(&self, conn_idx: usize, wr: WorkRequest) {
-        let token = wr.wr_id;
+    /// Post job `token`'s one RDMA operation from its `Rdma` row: a READ
+    /// pulling swap-out data from the client (one scatter-gather read for
+    /// a whole merged span), or a WRITE pushing swap-in data to it.
+    fn post_rdma(&self, token: u64) {
+        let inner = &self.inner;
+        let (conn, req_id, wr) = {
+            let jobs = inner.jobs.borrow();
+            let job = &jobs[&token];
+            let State::Rdma(span) = job.state else {
+                unreachable!("job {}: RDMA posted in {:?}", job.req_id, job.state)
+            };
+            let local = inner.staging_mr.slice(span.offset, job.len);
+            let remote = RemoteSlice {
+                rkey: job.client_rkey,
+                offset: job.client_offset,
+                len: job.len,
+            };
+            let kind = match job.op {
+                PageOp::Write => WorkKind::RdmaRead { local, remote },
+                PageOp::Read => WorkKind::RdmaWrite { local, remote },
+            };
+            let wr = WorkRequest {
+                wr_id: token,
+                kind,
+                solicited: false,
+            };
+            (job.conn, job.req_id, wr)
+        };
+        match wr.kind {
+            WorkKind::RdmaRead { .. } => inner.stats.borrow_mut().rdma_reads += 1,
+            _ => inner.stats.borrow_mut().rdma_writes += 1,
+        }
+        self.mark(req_id, MarkKind::RdmaPosted);
         let posted = {
-            let conns = self.inner.conns.borrow();
-            let mut chain = conns[conn_idx].qp.chain();
+            let conns = inner.conns.borrow();
+            let mut chain = conns[conn].qp.chain();
             chain.push(wr);
             chain.post()
         };
-        if posted.is_err() {
-            // Send-queue overflow: fail the request instead of wedging it.
-            // Its staging returns to the pool and the client gets a typed
-            // TransferError to drive its own retry machinery.
-            let dropped = self.inner.pending.borrow_mut().remove(&token);
-            if let Some(p) = dropped {
-                self.inner.staging_pool.free(p.staging);
-                self.send_reply(
-                    p.conn,
-                    p.job.req_id,
-                    ReplyStatus::TransferError,
-                    p.job.version,
-                );
-            }
+        // Send-queue overflow: fail the request instead of wedging it. Its
+        // staging returns to the pool and the client gets a typed
+        // TransferError to drive its own retry machinery.
+        if let Some(job) = posted.err().and_then(|_| self.take(token)) {
+            self.finish(job, ReplyStatus::TransferError);
         }
     }
 
@@ -778,91 +818,69 @@ impl HpbdServer {
             return;
         }
         self.note_activity();
-        while let Some(completion) = self.inner.send_cq.poll() {
-            match completion.opcode {
-                Opcode::Send => {
-                    // A reply left the node; nothing further to do. An
-                    // injected link fault may have errored it — the client's
-                    // timeout machinery recovers, not us.
-                }
-                Opcode::RdmaRead => self.finish_pull(completion.wr_id, completion.status),
-                Opcode::RdmaWrite => self.finish_push(completion.wr_id, completion.status),
+        while let Some(wc) = self.inner.send_cq.poll() {
+            match wc.opcode {
+                // A reply left the node; nothing further to do. An injected
+                // link fault may have errored it — the client's timeout
+                // machinery recovers, not us.
+                Opcode::Send => {}
+                Opcode::RdmaRead | Opcode::RdmaWrite => self.rdma_done(wc.wr_id, wc.status),
                 Opcode::Recv => unreachable!("recv completion on send CQ"),
             }
         }
         self.inner.send_cq.req_notify(false);
     }
 
-    /// RDMA READ done: the swap-out data is in staging; memcpy it into the
-    /// store (overlapping any other in-flight RDMA), then acknowledge.
-    fn finish_pull(&self, token: u64, status: WcStatus) {
-        let inner = &self.inner;
-        let Some(PendingRdma {
-            job,
-            staging,
-            conn,
-            started,
-        }) = inner.pending.borrow_mut().remove(&token)
-        else {
-            return; // state dropped by a crash between post and completion
-        };
-        inner.engine.lifecycle().mark_phys(
-            job.req_id,
-            MarkKind::RdmaDone,
-            inner.engine.now().as_nanos(),
-        );
-        if status != WcStatus::Success {
-            inner.staging_pool.free(staging);
-            self.serve_span(&job, started, false);
-            self.send_reply(conn, job.req_id, ReplyStatus::TransferError, job.version);
+    /// Job `token`'s RDMA completed. A swap-in's data is placed in the
+    /// client: answer. A swap-out's data is in staging: copy it into the
+    /// store (overlapping any other job's RDMA), then answer.
+    fn rdma_done(&self, token: u64, status: WcStatus) {
+        // A missing row died with its process: a late completion.
+        let Some(job) = self.take(token) else {
             return;
+        };
+        self.mark(job.req_id, MarkKind::RdmaDone);
+        if status != WcStatus::Success {
+            self.finish(job, ReplyStatus::TransferError);
+        } else if job.op == PageOp::Read {
+            self.finish(job, ReplyStatus::Ok);
+        } else {
+            let len = job.len;
+            self.note(token, job, Step::Pulled);
+            self.charge_copy("staging_to_store", len, token, HpbdServer::applied);
         }
-        let copy = inner.ibnode.memory_model().memcpy_time(job.len);
-        let (_, t_copy) = inner.ibnode.node().cpu().reserve(inner.engine.now(), copy);
-        inner.engine.span(
-            "hpbd_server",
-            "staging_to_store",
-            inner.engine.now().as_nanos(),
-            t_copy.as_nanos(),
-            &[("bytes", job.len)],
-        );
-        let this = self.clone();
-        inner.engine.schedule_at(t_copy, move || {
-            if this.inner.crashed.get() {
-                // Crash landed mid-copy; this request already left
-                // `pending`, so its staging buffer is ours to return.
-                this.inner.staging_pool.free(staging);
-                return;
-            }
-            // The apply-time fence: the authoritative check. A newer write
-            // may have been applied while this pull was on the wire, so
-            // each page is re-checked at the moment it would be written.
-            // The span still holds what the pull placed: it is ours until
-            // the `free` below, and the completed RDMA READ was its only
-            // writer.
-            let applied = this.inner.staging_mr.read_with(
-                staging.offset as usize,
-                job.len as usize,
-                |data| this.apply_versioned(&job, data),
-            );
-            this.inner.staging_pool.free(staging);
-            if applied {
-                this.inner.stats.borrow_mut().bytes_in += job.len;
-                this.serve_span(&job, started, true);
-                this.send_reply(conn, job.req_id, ReplyStatus::Ok, job.version);
-            } else {
-                this.drop_stale(conn, &job, started);
-            }
-        });
+    }
+
+    /// Swap-out: the staging → store copy is paid for. The apply-time
+    /// fence is the authoritative check: a newer write may have been
+    /// applied while this pull was on the wire, so each page is re-checked
+    /// at the moment it would be written.
+    fn applied(&self, token: u64) {
+        // A missing row died with its process, whose crash freed its span.
+        let Some(job) = self.take(token) else {
+            return;
+        };
+        let State::Apply(span) = job.state else {
+            unreachable!("job {}: applied in {:?}", job.req_id, job.state)
+        };
+        // The span still holds what the pull placed: the row held it, and
+        // the completed RDMA READ was its only writer.
+        let status =
+            self.inner
+                .staging_mr
+                .read_with(span.offset as usize, job.len as usize, |data| {
+                    self.apply_versioned(&job, data)
+                });
+        self.finish(job, status);
     }
 
     /// Apply pulled swap-out data page-by-page under the write fence: a
     /// page is written only when the incoming version is newer than the
     /// version it holds. Each merged segment fences independently with its
     /// own version, so a merged message carrying one stale and one live
-    /// write applies exactly the live one. Returns whether any page was
-    /// applied.
-    fn apply_versioned(&self, job: &Job, data: &[u8]) -> bool {
+    /// write applies exactly the live one. The reply is `Ok` when any page
+    /// was applied, else `StaleWrite`.
+    fn apply_versioned(&self, job: &Job, data: &[u8]) -> ReplyStatus {
         let inner = &self.inner;
         let mut applied_any = false;
         let mut data_base = 0usize;
@@ -895,71 +913,53 @@ impl HpbdServer {
                 applied_any = true;
             }
         }
-        applied_any
+        match applied_any {
+            true => ReplyStatus::Ok,
+            false => ReplyStatus::StaleWrite,
+        }
     }
 
-    /// RDMA WRITE done: the swap-in data is placed in the client;
-    /// acknowledge and release staging.
-    fn finish_push(&self, token: u64, status: WcStatus) {
+    /// Answer a job that has left the table. Its staging returns to the
+    /// pool first (the free may grant a waiting job its span), then its
+    /// arrival → reply trace span is emitted and the reply is sent.
+    fn finish(&self, job: Job, status: ReplyStatus) {
         let inner = &self.inner;
-        let Some(PendingRdma {
-            job,
-            staging,
-            conn,
-            started,
-        }) = inner.pending.borrow_mut().remove(&token)
-        else {
-            return; // state dropped by a crash between post and completion
-        };
-        inner.engine.lifecycle().mark_phys(
-            job.req_id,
-            MarkKind::RdmaDone,
-            inner.engine.now().as_nanos(),
-        );
-        inner.staging_pool.free(staging);
-        if status != WcStatus::Success {
-            self.serve_span(&job, started, false);
-            self.send_reply(conn, job.req_id, ReplyStatus::TransferError, job.version);
-            return;
+        if let Some(span) = job.staging() {
+            inner.staging_pool.free(span);
         }
-        inner.stats.borrow_mut().bytes_out += job.len;
-        self.serve_span(&job, started, true);
-        self.send_reply(conn, job.req_id, ReplyStatus::Ok, job.version);
-    }
-
-    /// Emit the request-arrival -> reply trace span for one served request.
-    fn serve_span(&self, job: &Job, started: SimTime, ok: bool) {
-        let engine = &self.inner.engine;
-        engine.span(
-            "hpbd_server",
-            match job.op {
-                PageOp::Write => "serve_write",
-                PageOp::Read => "serve_read",
-            },
-            started.as_nanos(),
-            engine.now().as_nanos(),
-            &[("req", job.req_id), ("bytes", job.len), ("ok", ok as u64)],
-        );
-    }
-
-    fn send_reply(&self, conn_idx: usize, req_id: u64, status: ReplyStatus, version: u64) {
-        if self.inner.crashed.get() {
-            return; // a dead daemon sends nothing
+        match (status, job.op) {
+            (ReplyStatus::Ok, PageOp::Write) => inner.stats.borrow_mut().bytes_in += job.len,
+            (ReplyStatus::Ok, PageOp::Read) => inner.stats.borrow_mut().bytes_out += job.len,
+            (ReplyStatus::StaleWrite, _) => inner.stats.borrow_mut().stale_writes += 1,
+            _ => {}
         }
-        self.inner.engine.lifecycle().mark_phys(
-            req_id,
-            MarkKind::ReplyPosted,
-            self.inner.engine.now().as_nanos(),
-        );
-        let reply = PageReply::new(req_id, status, version, self.inner.generation.get());
-        let conns = self.inner.conns.borrow();
+        if status != ReplyStatus::OutOfRange {
+            let now_ns = inner.engine.now().as_nanos();
+            inner.engine.span(
+                "hpbd_server",
+                match job.op {
+                    PageOp::Write => "serve_write",
+                    PageOp::Read => "serve_read",
+                },
+                job.started.as_nanos(),
+                now_ns,
+                &[
+                    ("req", job.req_id),
+                    ("bytes", job.len),
+                    ("ok", (status != ReplyStatus::TransferError) as u64),
+                ],
+            );
+        }
+        self.mark(job.req_id, MarkKind::ReplyPosted);
+        let reply = PageReply::new(job.req_id, status, job.version, inner.generation.get());
+        let conns = inner.conns.borrow();
         // Best-effort: a reply squeezed out by a full send queue is
         // indistinguishable from a lost ack, and the client's timeout
         // machinery already recovers from that. Solicited so the client's
         // sleeping receiver thread wakes (paper §5: the server sets the
         // solicitation control field of the send descriptor).
-        let mut chain = conns[conn_idx].qp.chain();
-        chain.send(req_id, reply.encode(), true);
+        let mut chain = conns[job.conn].qp.chain();
+        chain.send(job.req_id, reply.encode(), true);
         let _ = chain.post();
     }
 }
@@ -974,95 +974,150 @@ mod tests {
     const LEN: usize = 128 << 10;
 
     /// One server whose store starts with `LEN` bytes of 0x11, and a client
-    /// pool that holds a whole-staging-pool request beside a `LEN` one that
-    /// is never answered.
+    /// pool that holds a `LEN` request and a whole-staging-pool one that
+    /// are never answered beside a whole-staging-pool one that is.
     fn rig() -> (Engine, HpbdCluster) {
         let engine = Engine::new();
         let cluster = ClusterBuilder::new()
             .servers(1)
             .per_server_capacity(4 << 20)
-            .pool_size(SERVER_STAGING_SIZE + LEN as u64)
+            .pool_size(2 * SERVER_STAGING_SIZE + LEN as u64)
             .build(&engine, Rc::new(Calibration::cluster_2005()));
         cluster.servers[0].inner.storage.write_at(0, &[0x11; LEN]);
         (engine, cluster)
     }
 
-    fn submit(cluster: &HpbdCluster, op: IoOp, len: usize) {
+    fn submit(cluster: &HpbdCluster, op: IoOp, offset: u64, len: usize) {
         let buf = new_buffer(len);
         buf.borrow_mut().fill(0x22);
         cluster
             .client
-            .submit(IoRequest::single(Bio::new(op, 0, buf, |_| {})));
+            .submit(IoRequest::single(Bio::new(op, offset, buf, |_| {})));
     }
 
-    /// Whether the copy between store and staging is being paid for: the
-    /// request is served (swap-in) or pulled (swap-out), and its `t_copy`
-    /// event has not run.
-    fn in_copy(server: &HpbdServer, op: IoOp) -> bool {
-        let (pending, stats) = (server.inner.pending.borrow().len(), server.stats());
-        match op {
-            IoOp::Read => pending == 1 && stats.rdma_writes == 0,
-            IoOp::Write => pending == 0 && stats.rdma_reads == 1 && stats.bytes_in == 0,
+    /// Whether the server holds the `LEN`-byte job in `state`'s variant.
+    fn job_in(server: &HpbdServer, state: State) -> bool {
+        let jobs = server.inner.jobs.borrow();
+        let mut job = jobs.values().filter(|j| j.len == LEN as u64);
+        job.any(|j| std::mem::discriminant(&j.state) == std::mem::discriminant(&state))
+    }
+
+    /// RDMA operations the server has posted: `(reads, writes)`.
+    fn posts(server: &HpbdServer) -> (u64, u64) {
+        let stats = server.stats();
+        (stats.rdma_reads, stats.rdma_writes)
+    }
+
+    /// The daemon dies, and with `restart` comes back in the same instant.
+    fn kill(server: &HpbdServer, restart: bool) {
+        server.crash();
+        if restart {
+            server.restart();
         }
     }
 
-    /// The server died with a `LEN`-byte `op` inside its copy: nothing
-    /// left it and nothing was applied afterwards, and a restart serves a
-    /// request that needs the whole staging pool.
-    fn assert_died_clean(engine: &Engine, cluster: &HpbdCluster) {
+    /// The server was killed with RDMA posts `posted`: no job of the dead
+    /// daemon posted another, applied a byte or replied; its staging is
+    /// back in the pool; and a restart serves a request that needs the
+    /// whole staging pool.
+    fn assert_died_clean(engine: &Engine, cluster: &HpbdCluster, posted: (u64, u64), case: &str) {
         let server = &cluster.servers[0];
         engine.run_until_idle();
-        assert_eq!(cluster.client.stats().replies, 0, "a dead daemon replied");
+        assert_eq!(
+            cluster.client.stats().replies,
+            0,
+            "{case}: a dead job replied"
+        );
+        assert_eq!(posts(server), posted, "{case}: a dead job posted an RDMA");
         let stats = server.stats();
-        assert_eq!((stats.rdma_writes, stats.bytes_in), (0, 0));
-        let mut store = vec![0xFF; LEN];
+        assert_eq!((stats.bytes_in, stats.bytes_out), (0, 0), "{case}");
+        let mut store = vec![0xFF; server.capacity() as usize];
         server.inner.storage.read_at(0, &mut store);
-        assert!(store.iter().all(|&b| b == 0), "the wiped store was written");
-        assert!(server.inner.versions.borrow().is_empty());
-        assert!(server.inner.pending.borrow().is_empty());
-        assert_eq!(server.inner.staging_pool.free_bytes(), SERVER_STAGING_SIZE);
+        assert!(
+            store.iter().all(|&b| b == 0),
+            "{case}: the wiped store was written"
+        );
+        assert!(server.inner.versions.borrow().is_empty(), "{case}");
+        assert!(server.inner.jobs.borrow().is_empty(), "{case}");
+        let pool = &server.inner.staging_pool;
+        assert_eq!(
+            pool.free_bytes(),
+            SERVER_STAGING_SIZE,
+            "{case}: staging leaked"
+        );
+        assert_eq!(pool.queued_waiters(), 0, "{case}");
         server.restart();
-        submit(cluster, IoOp::Write, SERVER_STAGING_SIZE as usize);
+        submit(cluster, IoOp::Write, 0, SERVER_STAGING_SIZE as usize);
         engine.run_until_idle();
-        assert_eq!(server.stats().bytes_in, SERVER_STAGING_SIZE);
+        assert_eq!(server.stats().bytes_in, SERVER_STAGING_SIZE, "{case}");
     }
 
+    /// Whatever state a job dies in, and whether or not the daemon restarts
+    /// in the same instant, the crash removes its row and nothing of it
+    /// resumes.
     #[test]
-    fn crash_inside_the_copy_applies_nothing_and_leaks_no_staging() {
-        for op in [IoOp::Read, IoOp::Write] {
-            let (engine, cluster) = rig();
-            submit(&cluster, op, LEN);
-            while !in_copy(&cluster.servers[0], op) {
-                assert!(engine.step_one(), "{op:?} never reached its copy");
+    fn a_job_of_the_dead_daemon_never_resumes() {
+        let span = PoolBuf { offset: 0, len: 0 };
+        let (read, write) = (IoOp::Read, IoOp::Write);
+        let cases = [
+            (read, State::Parsing),
+            (read, State::PoolWait),
+            (read, State::StoreCopy(span)),
+            (read, State::Rdma(span)),
+            (write, State::Parsing),
+            (write, State::PoolWait),
+            (write, State::Rdma(span)),
+            (write, State::Apply(span)),
+        ];
+        for (op, state) in cases {
+            for restart in [false, true] {
+                let case = format!("{op:?} in {state:?}, restart {restart}");
+                let (engine, cluster) = rig();
+                let server = &cluster.servers[0];
+                if let State::PoolWait = state {
+                    // A whole-pool read, which the client posts without a
+                    // staging copy, holds the staging the job waits for.
+                    let len = SERVER_STAGING_SIZE;
+                    submit(&cluster, read, len, len as usize);
+                }
+                submit(&cluster, op, 0, LEN);
+                while !job_in(server, state) {
+                    assert!(engine.step_one(), "{case}: never reached");
+                }
+                let posted = posts(server);
+                kill(server, restart);
+                assert_died_clean(&engine, &cluster, posted, &case);
             }
-            cluster.servers[0].crash();
-            assert_died_clean(&engine, &cluster);
         }
-    }
-
-    #[test]
-    fn crash_in_the_instant_of_the_copy_event_applies_nothing() {
-        for op in [IoOp::Read, IoOp::Write] {
-            // A dry run finds the instant of the `t_copy` event...
-            let (engine, cluster) = rig();
-            submit(&cluster, op, LEN);
-            while !in_copy(&cluster.servers[0], op) {
-                engine.step_one();
+        // The fault scheduled ahead of the copy event, in its instant.
+        for (op, state) in [(read, State::StoreCopy(span)), (write, State::Apply(span))] {
+            for restart in [false, true] {
+                let case = format!("{op:?} at the end of {state:?}, restart {restart}");
+                // A dry run finds the instant of the copy event...
+                let (engine, cluster) = rig();
+                submit(&cluster, op, 0, LEN);
+                while !job_in(&cluster.servers[0], state) {
+                    engine.step_one();
+                }
+                while job_in(&cluster.servers[0], state) {
+                    engine.step_one();
+                }
+                let t_copy = engine.now();
+                // ...and the fault is scheduled there ahead of the job, so
+                // of the two events of that instant it runs first.
+                let (engine, cluster) = rig();
+                let server = cluster.servers[0].clone();
+                let posted = Rc::new(Cell::new((0, 0)));
+                let at_kill = posted.clone();
+                engine.schedule_at(t_copy, move || {
+                    assert!(job_in(&server, state), "the copy event ran first");
+                    at_kill.set(posts(&server));
+                    kill(&server, restart);
+                });
+                submit(&cluster, op, 0, LEN);
+                engine.run_until_idle();
+                assert_died_clean(&engine, &cluster, posted.get(), &case);
             }
-            while in_copy(&cluster.servers[0], op) {
-                engine.step_one();
-            }
-            let t_copy = engine.now();
-            // ...and the crash is scheduled there ahead of the request, so
-            // of the two events of that instant it runs first.
-            let (engine, cluster) = rig();
-            let server = cluster.servers[0].clone();
-            engine.schedule_at(t_copy, move || {
-                assert!(in_copy(&server, op), "the copy event ran first");
-                server.crash()
-            });
-            submit(&cluster, op, LEN);
-            assert_died_clean(&engine, &cluster);
         }
     }
 }

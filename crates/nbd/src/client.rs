@@ -6,10 +6,11 @@
 //! paper contrasts with HPBD's asynchronous design (§6.2).
 
 use crate::proto::{NbdCmd, NbdReply, NbdRequest, REPLY_SIZE};
+use crate::NbdServer;
 use blockdev::{BlockDevice, DeviceHealth, FaultKind, IoError, IoOp, IoRequest};
 use bytes::Bytes;
-use netmodel::{Calibration, Node, Transport};
-use simcore::Engine;
+use netmodel::Transport;
+use simcore::{Engine, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -28,7 +29,12 @@ pub struct NbdStats {
 
 struct ClientInner {
     engine: Engine,
+    /// The connection, owned here. Each continuation it stores (the
+    /// reset handler and the reply receives) holds the device weakly.
     conn: TcpConn,
+    /// The server at the far end. Nothing else holds it, so dropping the
+    /// device frees its server too.
+    _server: NbdServer,
     capacity: u64,
     queue: RefCell<VecDeque<IoRequest>>,
     /// The single blocking-mode request currently on the wire. Held here
@@ -57,13 +63,12 @@ pub struct NbdClient {
 }
 
 impl NbdClient {
-    /// Wrap an established connection as a block device of `capacity`
-    /// bytes.
+    /// Wrap an established connection to `server` as a block device of
+    /// `capacity` bytes.
     pub fn new(
         engine: Engine,
-        _cal: Rc<Calibration>,
-        _node: Node,
         conn: TcpConn,
+        server: NbdServer,
         capacity: u64,
         transport: Transport,
     ) -> NbdClient {
@@ -72,6 +77,7 @@ impl NbdClient {
                 ctr_requests: engine.metrics().lazy_counter("nbd.requests"),
                 engine,
                 conn,
+                _server: server,
                 capacity,
                 queue: RefCell::new(VecDeque::new()),
                 inflight: RefCell::new(None),
@@ -83,9 +89,25 @@ impl NbdClient {
                 name: format!("nbd0-{}", transport.label()),
             }),
         };
-        let this = client.clone();
-        client.inner.conn.set_reset_handler(move || this.on_reset());
+        let weak = Rc::downgrade(&client.inner);
+        client.inner.conn.set_reset_handler(move || {
+            if let Some(inner) = weak.upgrade() {
+                NbdClient { inner }.on_reset();
+            }
+        });
         client
+    }
+
+    /// A receive continuation that runs `body` on the device if it still
+    /// exists: the connection the device owns stores it, so a strong
+    /// capture would be a cycle.
+    fn weak(&self, body: impl FnOnce(&NbdClient, Bytes) + 'static) -> impl FnOnce(Bytes) {
+        let weak = Rc::downgrade(&self.inner);
+        move |data| {
+            if let Some(inner) = weak.upgrade() {
+                body(&NbdClient { inner }, data);
+            }
+        }
     }
 
     /// Statistics snapshot.
@@ -134,67 +156,67 @@ impl NbdClient {
         *inner.inflight.borrow_mut() = Some(req);
 
         // Block on the reply header, then (for reads) the payload.
-        let this = self.clone();
-        inner.conn.recv(REPLY_SIZE, move |raw| {
-            let span_done = {
-                let this = this.clone();
-                move |ok: bool| {
-                    let engine = &this.inner.engine;
-                    engine.span(
-                        "nbd",
-                        match op {
-                            IoOp::Read => "request_read",
-                            IoOp::Write => "request_write",
-                        },
-                        started.as_nanos(),
-                        engine.now().as_nanos(),
-                        &[("handle", handle), ("bytes", len), ("ok", ok as u64)],
-                    );
-                    let us = (engine.now().since(started).as_nanos() / 1_000) as f64;
-                    engine.metrics().observe(
-                        match op {
-                            IoOp::Read => "nbd.swap_in_latency_us",
-                            IoOp::Write => "nbd.swap_out_latency_us",
-                        },
-                        us,
-                    );
-                }
-            };
-            let reply = match NbdReply::decode(raw) {
-                Ok(reply) => reply,
-                Err(_) => {
-                    // Stream corruption: the device cannot trust anything
-                    // that follows, so fail the request.
-                    span_done(false);
-                    this.finish(Err(IoError::DeviceError("corrupt NBD reply")));
-                    return;
-                }
-            };
-            assert_eq!(reply.handle(), handle, "NBD reply out of order");
-            if reply.error() != 0 {
+        let on_reply = move |this: &NbdClient, raw| this.on_reply(raw, handle, op, len, started);
+        inner.conn.recv(REPLY_SIZE, self.weak(on_reply));
+    }
+
+    /// The reply header of request `handle` arrived.
+    fn on_reply(&self, raw: Bytes, handle: u64, op: IoOp, len: u64, started: SimTime) {
+        let engine = self.inner.engine.clone();
+        let span_done = move |ok: bool| {
+            engine.span(
+                "nbd",
+                match op {
+                    IoOp::Read => "request_read",
+                    IoOp::Write => "request_write",
+                },
+                started.as_nanos(),
+                engine.now().as_nanos(),
+                &[("handle", handle), ("bytes", len), ("ok", ok as u64)],
+            );
+            let us = (engine.now().since(started).as_nanos() / 1_000) as f64;
+            engine.metrics().observe(
+                match op {
+                    IoOp::Read => "nbd.swap_in_latency_us",
+                    IoOp::Write => "nbd.swap_out_latency_us",
+                },
+                us,
+            );
+        };
+        let reply = match NbdReply::decode(raw) {
+            Ok(reply) => reply,
+            Err(_) => {
+                // Stream corruption: the device cannot trust anything
+                // that follows, so fail the request.
                 span_done(false);
-                this.finish(Err(IoError::DeviceError("nbd server error")));
+                self.finish(Err(IoError::DeviceError("corrupt NBD reply")));
                 return;
             }
-            match op {
-                IoOp::Write => {
-                    this.inner.stats.borrow_mut().bytes_out += len;
+        };
+        assert_eq!(reply.handle(), handle, "NBD reply out of order");
+        if reply.error() != 0 {
+            span_done(false);
+            self.finish(Err(IoError::DeviceError("nbd server error")));
+            return;
+        }
+        match op {
+            IoOp::Write => {
+                self.inner.stats.borrow_mut().bytes_out += len;
+                span_done(true);
+                self.finish(Ok(()));
+            }
+            IoOp::Read => {
+                let on_payload = move |this: &NbdClient, data: Bytes| {
+                    if let Some(req) = this.inner.inflight.borrow().as_ref() {
+                        req.scatter(&data);
+                    }
+                    this.inner.stats.borrow_mut().bytes_in += data.len() as u64;
                     span_done(true);
                     this.finish(Ok(()));
-                }
-                IoOp::Read => {
-                    let this2 = this.clone();
-                    this.inner.conn.recv(len as usize, move |data| {
-                        if let Some(req) = this2.inner.inflight.borrow().as_ref() {
-                            req.scatter(&data);
-                        }
-                        this2.inner.stats.borrow_mut().bytes_in += data.len() as u64;
-                        span_done(true);
-                        this2.finish(Ok(()));
-                    });
-                }
+                };
+                self.inner.conn.recv(len as usize, self.weak(on_payload));
             }
-        });
+        }
     }
 
     fn finish(&self, result: Result<(), IoError>) {

@@ -74,7 +74,7 @@ pub fn build_pair_with_faults(
     });
     let server_node = Node::new(format!("nbd-server-{}", model.name), 9000, 2);
     let (conn_c, conn_s) = tcpsim::connect(engine, model, client_node, &server_node);
-    let server = NbdServer::new(engine.clone(), cal.clone(), server_node, capacity);
+    let server = NbdServer::new(engine.clone(), cal, server_node, capacity);
     server.serve(conn_s);
     for fault in plan.events() {
         if let FaultEvent::TcpReset = fault.event {
@@ -82,14 +82,7 @@ pub fn build_pair_with_faults(
             engine.schedule_at(SimTime(fault.at_ns), move || conn.reset());
         }
     }
-    NbdClient::new(
-        engine.clone(),
-        cal,
-        client_node.clone(),
-        conn_c,
-        capacity,
-        transport,
-    )
+    NbdClient::new(engine.clone(), conn_c, server, capacity, transport)
 }
 
 #[cfg(test)]

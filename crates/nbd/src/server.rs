@@ -31,6 +31,9 @@ struct ServerInner {
     node: Node,
     storage: Storage,
     stats: RefCell<NbdServerStats>,
+    /// The connections it serves, owned here. The receive each one holds
+    /// names the server weakly and its connection by index.
+    conns: RefCell<Vec<TcpConn>>,
 }
 
 /// An NBD memory server. Clone shares the instance.
@@ -49,6 +52,7 @@ impl NbdServer {
                 node,
                 storage: Storage::new(capacity),
                 stats: RefCell::new(NbdServerStats::default()),
+                conns: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -58,24 +62,41 @@ impl NbdServer {
         self.inner.stats.borrow().clone()
     }
 
-    /// Start the serve loop on `conn`. Runs for the life of the simulation.
+    /// Start the serve loop on `conn`. Runs for as long as the server is
+    /// held.
     pub fn serve(&self, conn: TcpConn) {
-        self.await_request(conn);
+        let conn_idx = self.inner.conns.borrow().len();
+        self.inner.conns.borrow_mut().push(conn);
+        self.await_request(conn_idx);
     }
 
-    fn await_request(&self, conn: TcpConn) {
-        let this = self.clone();
-        let conn2 = conn.clone();
-        conn.recv(REQUEST_SIZE, move |raw| {
-            // A corrupt header means the stream framing is lost; stop
-            // serving this connection rather than misread payloads.
-            if let Ok(request) = NbdRequest::decode(raw) {
-                this.dispatch(conn2, request);
+    fn conn(&self, conn_idx: usize) -> TcpConn {
+        self.inner.conns.borrow()[conn_idx].clone()
+    }
+
+    /// Receive `n` bytes on connection `conn_idx`, then run `body` on the
+    /// server if it still exists: the connection the server owns stores
+    /// the continuation, so a strong capture would be a cycle.
+    fn recv(&self, conn_idx: usize, n: usize, body: impl FnOnce(&NbdServer, Bytes) + 'static) {
+        let weak = Rc::downgrade(&self.inner);
+        self.conn(conn_idx).recv(n, move |data| {
+            if let Some(inner) = weak.upgrade() {
+                body(&NbdServer { inner }, data);
             }
         });
     }
 
-    fn dispatch(&self, conn: TcpConn, request: NbdRequest) {
+    fn await_request(&self, conn_idx: usize) {
+        self.recv(conn_idx, REQUEST_SIZE, move |this, raw| {
+            // A corrupt header means the stream framing is lost; stop
+            // serving this connection rather than misread payloads.
+            if let Ok(request) = NbdRequest::decode(raw) {
+                this.dispatch(conn_idx, request);
+            }
+        });
+    }
+
+    fn dispatch(&self, conn_idx: usize, request: NbdRequest) {
         let inner = &self.inner;
         inner.stats.borrow_mut().requests += 1;
         let ok = inner
@@ -84,33 +105,33 @@ impl NbdServer {
         match request.cmd() {
             NbdCmd::Write => {
                 // Payload follows the header on the stream.
-                let this = self.clone();
-                let conn2 = conn.clone();
-                conn.recv(request.len() as usize, move |data| {
-                    let reply = if ok {
-                        // memcpy payload -> store, charged to the server CPU.
-                        let copy = this.inner.cal.memcpy_time(data.len() as u64);
-                        let (_, t) = this.inner.node.cpu().reserve(this.inner.engine.now(), copy);
-                        let this2 = this.clone();
-                        let conn3 = conn2.clone();
-                        this.inner.engine.schedule_at(t, move || {
-                            this2.inner.storage.write_at(request.offset(), &data);
-                            this2.inner.stats.borrow_mut().bytes_in += data.len() as u64;
-                            conn3.send(NbdReply::new(request.handle(), 0).encode());
-                            this2.await_request(conn3.clone());
-                        });
+                self.recv(conn_idx, request.len() as usize, move |this, data| {
+                    if !ok {
+                        // EIO-style.
+                        this.conn(conn_idx)
+                            .send(NbdReply::new(request.handle(), 5).encode());
+                        this.await_request(conn_idx);
                         return;
-                    } else {
-                        NbdReply::new(request.handle(), 5) // EIO-style
-                    };
-                    conn2.send(reply.encode());
-                    this.await_request(conn2.clone());
+                    }
+                    // memcpy payload -> store, charged to the server CPU.
+                    let inner = &this.inner;
+                    let copy = inner.cal.memcpy_time(data.len() as u64);
+                    let (_, t) = inner.node.cpu().reserve(inner.engine.now(), copy);
+                    let this = this.clone();
+                    inner.engine.schedule_at(t, move || {
+                        this.inner.storage.write_at(request.offset(), &data);
+                        this.inner.stats.borrow_mut().bytes_in += data.len() as u64;
+                        this.conn(conn_idx)
+                            .send(NbdReply::new(request.handle(), 0).encode());
+                        this.await_request(conn_idx);
+                    });
                 });
             }
             NbdCmd::Read => {
                 if !ok {
-                    conn.send(NbdReply::new(request.handle(), 5).encode());
-                    self.await_request(conn);
+                    self.conn(conn_idx)
+                        .send(NbdReply::new(request.handle(), 5).encode());
+                    self.await_request(conn_idx);
                     return;
                 }
                 let mut data = vec![0u8; request.len() as usize];
@@ -120,9 +141,10 @@ impl NbdServer {
                 let this = self.clone();
                 inner.engine.schedule_at(t, move || {
                     this.inner.stats.borrow_mut().bytes_out += data.len() as u64;
+                    let conn = this.conn(conn_idx);
                     conn.send(NbdReply::new(request.handle(), 0).encode());
                     conn.send(Bytes::from(data));
-                    this.await_request(conn.clone());
+                    this.await_request(conn_idx);
                 });
             }
         }

@@ -19,11 +19,11 @@
 //! over the next-fit-contiguous slots. Pages that came back clean from
 //! swap keep their slot and evict for free until re-dirtied.
 
-use crate::backend::{LoadKind, SwapBackend};
+use crate::backend::{LoadKind, PageDone, SwapBackend};
 use crate::config::VmConfig;
 use crate::frames::{FrameId, FramePool};
 use crate::swap::{PageKey, Slot, SwapManager};
-use blockdev::IoBuffer;
+use blockdev::{IoBuffer, IoResult};
 use netmodel::{Calibration, Node};
 use simcore::{Engine, Signal, SimDuration, SimTime};
 use std::cell::{Cell, OnceCell, RefCell};
@@ -597,16 +597,31 @@ impl Vm {
     ) {
         let offset = inner.swap.offset_of(slot);
         let buf = inner.frames.buffer(frame);
-        let vm = self.clone();
-        backend.load(
-            offset,
-            kind,
-            buf,
-            Box::new(move |result| {
-                result.unwrap_or_else(|e| panic!("swap-in failed for page {key:?}: {e:?}"));
-                vm.finish_read(key);
-            }),
-        );
+        let done = self.page_done(move |vm, result| {
+            result.unwrap_or_else(|e| panic!("swap-in failed for page {key:?}: {e:?}"));
+            vm.finish_read(key);
+        });
+        backend.load(offset, kind, buf, done);
+    }
+
+    /// A swap completion that runs `body` on the VM if it still exists.
+    /// The device holding the request is owned through this VM's swap
+    /// backends, so a strong capture would be a cycle while it is in flight.
+    fn page_done(&self, body: impl FnOnce(&Vm, IoResult) + 'static) -> PageDone {
+        let (engine, cal, node) = (self.engine.clone(), self.cal.clone(), self.node.clone());
+        let (inner, ctrs) = (Rc::downgrade(&self.inner), self.ctrs.clone());
+        Box::new(move |result| {
+            if let Some(inner) = inner.upgrade() {
+                let vm = Vm {
+                    engine,
+                    cal,
+                    node,
+                    inner,
+                    ctrs,
+                };
+                body(&vm, result);
+            }
+        })
     }
 
     fn finish_read(&self, key: PageKey) {
@@ -884,17 +899,12 @@ impl Vm {
                     let backend = inner.swap.backend(slot.dev);
                     let offset = inner.swap.offset_of(slot);
                     let buf = inner.frames.buffer(frame);
-                    let vm = self.clone();
-                    backend.store(
-                        offset,
-                        buf,
-                        Box::new(move |result| {
-                            result.unwrap_or_else(|e| {
-                                panic!("swap-out failed for page {key:?}: {e:?}")
-                            });
-                            vm.finish_write(key);
-                        }),
-                    );
+                    let done = self.page_done(move |vm, result| {
+                        result
+                            .unwrap_or_else(|e| panic!("swap-out failed for page {key:?}: {e:?}"));
+                        vm.finish_write(key);
+                    });
+                    backend.store(offset, buf, done);
                     writes += 1;
                     progressed += 1;
                 }

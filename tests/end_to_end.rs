@@ -257,32 +257,49 @@ fn quicksort_survives_memory_revocation_mid_run() {
     assert_eq!(stats.migrations, 2, "two 512K chunks in the revoked 1MB");
 }
 
-/// A finished HPBD machine frees itself on both swap paths. Every fabric
-/// node holds the calibration, so once the `Scenario` is dropped a count of
-/// one means the client, both servers and the fabric are gone. Each CQ
-/// handler used to capture its own owner, and the event a run leaves
-/// queued held the client through the engine it schedules on.
+/// A finished machine frees itself, whatever its swap device and path.
+/// Everything that models a machine's costs holds the calibration (every
+/// fabric node, the NBD server, the VM), so once the `Scenario` is dropped
+/// a count of one means all it built is gone. HPBD's CQ handlers, NBD's
+/// connection continuations and the VM's swap completions (a request still
+/// in flight in the device the VM owns) used to capture their own owner,
+/// and the event a run leaves queued held the client through the engine it
+/// schedules on.
 #[test]
-fn hpbd_machines_free_themselves_on_drop() {
-    for path in [SwapPath::Block, SwapPath::Direct] {
-        let cal = Rc::new(Calibration::cluster_2005());
-        let mut config = ScenarioConfig::new(MB, 8 * MB, SwapKind::Hpbd { servers: 2 });
-        config.swap_path = path;
-        let scenario = Scenario::build_with(&config, cal.clone());
-        scenario.run_kvstore(KvParams {
-            records: 20_000,
-            operations: 5_000,
-            ..KvParams::default()
-        });
-        assert!(scenario
-            .hpbd
-            .as_ref()
-            .is_some_and(|c| c.client.stats().replies > 0));
-        drop(scenario);
-        assert_eq!(
-            Rc::strong_count(&cal),
-            1,
-            "{path:?}: a dropped HPBD machine must free every node it built"
-        );
+fn machines_free_themselves_on_drop() {
+    let kinds = [
+        SwapKind::LocalOnly,
+        SwapKind::Hpbd { servers: 2 },
+        SwapKind::Nbd {
+            transport: Transport::GigE,
+        },
+        SwapKind::Nbd {
+            transport: Transport::IpoIb,
+        },
+        SwapKind::Disk,
+    ];
+    for kind in kinds {
+        for path in [SwapPath::Block, SwapPath::Direct] {
+            let cal = Rc::new(Calibration::cluster_2005());
+            // Local-only must fit the workload in memory; the rest swap.
+            let local = matches!(kind, SwapKind::LocalOnly);
+            let mem = if local { 16 * MB } else { MB };
+            let mut config = ScenarioConfig::new(mem, 8 * MB, kind.clone());
+            config.swap_path = path;
+            let scenario = Scenario::build_with(&config, cal.clone());
+            scenario.run_kvstore(KvParams {
+                records: 20_000,
+                operations: 5_000,
+                ..KvParams::default()
+            });
+            let swapped = scenario.vm.stats().swap_outs > 0;
+            assert_eq!(swapped, !local, "{kind:?} on {path:?}");
+            drop(scenario);
+            assert_eq!(
+                Rc::strong_count(&cal),
+                1,
+                "{kind:?} on {path:?}: a dropped machine must free everything it built"
+            );
+        }
     }
 }
