@@ -11,7 +11,8 @@
 //! Multi-server support (§4.2.5) distributes the swap area across servers
 //! in a contiguous **blocking** (non-striped) pattern; a request crossing
 //! an extent boundary splits into physical requests, and the parent I/O
-//! completes when every physical part is acknowledged.
+//! completes when every physical part is acknowledged. One placement map
+//! says where each device byte and its mirror copy live.
 //!
 //! Flow control (§4.2.4) is a per-server credit water-mark equal to the
 //! pre-posted receive buffers at the server; requests over the water-mark
@@ -372,7 +373,6 @@ struct ServerConn {
     /// per-server queue-depth gauge at stats time (never on the hot path).
     peak_queued: Cell<usize>,
     recv_region: MemoryRegion,
-    extent_len: u64,
     /// Marked on the first request timeout; all traffic re-routes to the
     /// buddy afterwards.
     dead: Cell<bool>,
@@ -388,7 +388,7 @@ struct ServerConn {
     batch_armed: Cell<bool>,
 }
 
-/// One entry of the device-to-server mapping (dynamic-memory indirection).
+/// One entry of the placement map.
 #[derive(Clone, Copy, Debug)]
 struct Chunk {
     /// Device offset this chunk starts at.
@@ -399,6 +399,102 @@ struct Chunk {
     server: usize,
     /// Server-relative offset of the chunk's storage.
     server_offset: u64,
+}
+
+/// Where every device byte lives (paper §4.2.5): the one map that
+/// splitting, revocation and migration read, and from which mirroring
+/// and failover derive the replica ([`HpbdClient::replica`]).
+#[derive(Default)]
+struct Placement {
+    /// Each attached server's extent, in attach order.
+    extents: Vec<u64>,
+    /// Device chunks, sorted by `device_base` and tiling the device.
+    chunks: Vec<Chunk>,
+    /// Per-server free spare chunk offsets (migration targets).
+    spares: Vec<Vec<u64>>,
+}
+
+impl Placement {
+    /// The map of `extents`: blocking extents in `chunk_bytes` chunks, or
+    /// stripe `k` on server `k % n` at `(k / n) * stripe`. Spare chunks
+    /// follow each extent.
+    fn new(config: &HpbdConfig, extents: Vec<u64>) -> Placement {
+        let chunk = config.chunk_bytes.max(4096);
+        let mut chunks = Vec::new();
+        match config.distribution {
+            Distribution::Blocking => {
+                let mut base = 0;
+                for (server, &extent) in extents.iter().enumerate() {
+                    for at in (0..extent).step_by(chunk as usize) {
+                        chunks.push(Chunk {
+                            device_base: base + at,
+                            len: chunk.min(extent - at),
+                            server,
+                            server_offset: at,
+                        });
+                    }
+                    base += extent;
+                }
+            }
+            Distribution::Striped { stripe_bytes } => {
+                assert!(
+                    stripe_bytes >= 4096 && stripe_bytes.is_multiple_of(4096),
+                    "stripe must be page-multiple"
+                );
+                let n = extents.len();
+                let capacity: u64 = extents.iter().sum();
+                for (k, base) in (0..capacity).step_by(stripe_bytes as usize).enumerate() {
+                    chunks.push(Chunk {
+                        device_base: base,
+                        len: stripe_bytes.min(capacity - base),
+                        server: k % n,
+                        server_offset: (k / n) as u64 * stripe_bytes,
+                    });
+                }
+            }
+        }
+        let spares = 0..config.spare_chunks as u64;
+        let spares = extents
+            .iter()
+            .map(|&extent| spares.clone().map(|i| extent + i * chunk).collect())
+            .collect();
+        Placement {
+            extents,
+            chunks,
+            spares,
+        }
+    }
+
+    /// Point chunk `idx` at `server`'s store offset `offset`.
+    fn repoint(&mut self, idx: usize, (server, offset): (usize, u64)) {
+        let c = &mut self.chunks[idx];
+        (c.server, c.server_offset) = (server, offset);
+    }
+
+    /// Split a device extent into per-server physical parts
+    /// `(server_idx, server_offset, parent_off, part_len)`, coalescing
+    /// runs that stay contiguous on one server.
+    fn split(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64, u64)> {
+        let mut parts: Vec<(usize, u64, u64, u64)> = Vec::new();
+        let mut at = offset;
+        let end = offset + len;
+        let mut idx = self.chunks.partition_point(|c| c.device_base + c.len <= at);
+        while at < end {
+            let c = &self.chunks[idx];
+            let server_at = c.server_offset + (at - c.device_base);
+            let part_end = end.min(c.device_base + c.len);
+            let part_len = part_end - at;
+            match parts.last_mut() {
+                Some((srv, soff, _, plen)) if *srv == c.server && *soff + *plen == server_at => {
+                    *plen += part_len;
+                }
+                _ => parts.push((c.server, server_at, at - offset, part_len)),
+            }
+            at = part_end;
+            idx += 1;
+        }
+        parts
+    }
 }
 
 struct ClientInner {
@@ -421,12 +517,8 @@ struct ClientInner {
     next_version: Cell<u64>,
     /// Failed-migration retry counts per chunk (cleared on success).
     migration_attempts: RefCell<BTreeMap<usize, u32>>,
-    capacity: Cell<u64>,
     stats: RefCell<ClientStats>,
-    /// Device-chunk → server-location mapping, sorted by `device_base`.
-    chunk_map: RefCell<Vec<Chunk>>,
-    /// Per-server free spare chunk offsets (migration targets).
-    spares: RefCell<Vec<Vec<u64>>>,
+    placement: RefCell<Placement>,
     /// Chunk indices currently migrating: requests touching them defer.
     migrating: RefCell<BTreeSet<usize>>,
     /// Block requests held back until their chunks finish migrating.
@@ -497,10 +589,8 @@ impl HpbdClient {
                 next_req_id: Cell::new(1),
                 next_version: Cell::new(1),
                 migration_attempts: RefCell::new(BTreeMap::new()),
-                capacity: Cell::new(0),
                 stats: RefCell::new(ClientStats::default()),
-                chunk_map: RefCell::new(Vec::new()),
-                spares: RefCell::new(Vec::new()),
+                placement: RefCell::default(),
                 migrating: RefCell::new(BTreeSet::new()),
                 deferred: RefCell::new(Vec::new()),
                 name: "hpbd0".to_string(),
@@ -553,9 +643,10 @@ impl HpbdClient {
         stats
     }
 
-    /// Attach a server whose extent covers the next `extent_len` bytes of
-    /// the device (blocking distribution: extents are contiguous and in
-    /// attach order). Pre-posts reply receive buffers on `qp`.
+    /// Attach a server exporting `extent_len` bytes of the swap area (in
+    /// attach order under the blocking distribution, round-robin under
+    /// striping), and lay the placement map out again over every attached
+    /// extent. Pre-posts reply receive buffers on `qp`.
     /// `generation` is the server's storage generation from the connect
     /// handshake; replies carrying any other value reveal an in-window
     /// restart (see [`ClientStats::epoch_wipes`]).
@@ -576,7 +667,6 @@ impl HpbdClient {
             qp.post_recv(i as u64, recv_region.slice(i as u64 * wire, wire))
                 .expect("pre-posting reply receives");
         }
-        let base = inner.capacity.get();
         let idx = inner.conns.borrow().len();
         inner.qp_to_conn.borrow_mut().insert(qp.qp_num(), idx);
         inner.conns.borrow_mut().push(ServerConn {
@@ -585,66 +675,29 @@ impl HpbdClient {
             queued: RefCell::new(VecDeque::new()),
             peak_queued: Cell::new(0),
             recv_region,
-            extent_len,
             dead: Cell::new(false),
             generation: Cell::new(generation),
             batch: RefCell::new(Vec::new()),
             batch_armed: Cell::new(false),
         });
-        inner.capacity.set(base + extent_len);
-        // Device-chunk map entries for the new extent, then its spare
-        // chunks: past the extent (and past the mirror replica region when
-        // both features are on).
-        let chunk = inner.config.chunk_bytes.max(4096);
-        let mut map = inner.chunk_map.borrow_mut();
-        let mut at = 0;
-        while at < extent_len {
-            let len = chunk.min(extent_len - at);
-            map.push(Chunk {
-                device_base: base + at,
-                len,
-                server: idx,
-                server_offset: at,
-            });
-            at += len;
-        }
-        let spare_base = match inner.config.mirror_writes {
-            true => extent_len * 2,
-            false => extent_len,
-        };
-        let spares = (0..inner.config.spare_chunks as u64).map(|i| spare_base + i * chunk);
-        inner.spares.borrow_mut().push(spares.collect());
+        let mut placement = inner.placement.borrow_mut();
+        let mut extents = std::mem::take(&mut placement.extents);
+        extents.push(extent_len);
+        *placement = Placement::new(&inner.config, extents);
     }
 
     // -- sender path ---------------------------------------------------------
 
-    /// Split a device extent into per-server physical parts
-    /// `(server_idx, server_offset, parent_off, part_len)`, blocking
-    /// distribution (paper §4.2.5).
-    fn split_blocking(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64, u64)> {
-        // Resolve through the chunk map (identity until migrations move
-        // chunks), coalescing runs that stay contiguous on one server.
-        let map = self.inner.chunk_map.borrow();
-        let mut parts: Vec<(usize, u64, u64, u64)> = Vec::new();
-        let mut at = offset;
-        let end = offset + len;
-        let mut idx = map.partition_point(|c| c.device_base + c.len <= at);
-        while at < end {
-            let c = &map[idx];
-            let within = at - c.device_base;
-            let server_at = c.server_offset + within;
-            let part_end = end.min(c.device_base + c.len);
-            let part_len = part_end - at;
-            match parts.last_mut() {
-                Some((srv, soff, _, plen)) if *srv == c.server && *soff + *plen == server_at => {
-                    *plen += part_len;
-                }
-                _ => parts.push((c.server, server_at, at - offset, part_len)),
-            }
-            at = part_end;
-            idx += 1;
-        }
-        parts
+    /// Where the other copy of `server`'s byte at `offset` lives: the next
+    /// server's replica region, at the same offset past its primary
+    /// region. `None` without mirrored writes, and when `offset` already
+    /// lies in a replica region: the only other copy is on the dead home.
+    fn replica(&self, server: usize, offset: u64) -> Option<(usize, u64)> {
+        let config = &self.inner.config;
+        let extents = &self.inner.placement.borrow().extents;
+        let next = (server + 1) % extents.len();
+        (config.mirror_writes && offset < config.primary_len(extents[server]))
+            .then(|| (next, config.primary_len(extents[next]) + offset))
     }
 
     /// Does `[offset, offset+len)` touch a chunk that is mid-migration?
@@ -653,34 +706,11 @@ impl HpbdClient {
         if migrating.is_empty() {
             return false;
         }
-        let map = self.inner.chunk_map.borrow();
+        let map = &self.inner.placement.borrow().chunks;
         let first = map.partition_point(|c| c.device_base + c.len <= offset);
         (first..map.len())
             .take_while(|&i| map[i].device_base < offset + len)
             .any(|i| migrating.contains(&i))
-    }
-
-    /// Round-robin striping: stripe `k` lives on server `k % n` at
-    /// within-server offset `(k / n) * stripe + intra`.
-    fn split_striped(&self, offset: u64, len: u64, stripe: u64) -> Vec<(usize, u64, u64, u64)> {
-        assert!(
-            stripe >= 4096 && stripe.is_multiple_of(4096),
-            "stripe must be page-multiple"
-        );
-        let n = self.inner.conns.borrow().len() as u64;
-        let mut parts = Vec::new();
-        let mut at = offset;
-        let end = offset + len;
-        while at < end {
-            let k = at / stripe;
-            let server = (k % n) as usize;
-            let intra = at % stripe;
-            let server_offset = (k / n) * stripe + intra;
-            let part_end = end.min((k + 1) * stripe);
-            parts.push((server, server_offset, at - offset, part_end - at));
-            at = part_end;
-        }
-        parts
     }
 
     /// Move `phys` to its next [`State`] on `ev`, then render the event
@@ -1035,44 +1065,34 @@ impl HpbdClient {
         let reissue = why == FaultKind::Timeout;
         {
             let mut phys = self.request(req_id);
-            let buddy = (phys.server_idx + 1) % self.server_count();
+            // Each carried segment's replica, all on one server; a segment
+            // already on its replica has none.
+            let replica = |seg: &Segment| self.replica(phys.server_idx, seg.server_offset);
+            let replicas: Option<Vec<_>> = phys.segs.iter().map(replica).collect();
+            let live = replicas.filter(|r| !self.inner.conns.borrow()[r[0].0].dead.get());
             if phys.is_mirror {
-                // A mirror replica has nowhere safe to go: its home server
-                // is dead, and the buddy's replica region is a *different*
-                // extent's replica namespace — re-routing there would alias
-                // two device pages onto one slot and corrupt whichever
-                // loses the race. Drop the copy instead: the write keeps its
-                // primary, and the device runs with degraded redundancy
-                // until the server returns.
+                // A mirror replica has nowhere to go: its home server is
+                // dead and its only other copy is the primary. Drop the
+                // copy: the write keeps its primary, and the device runs
+                // with degraded redundancy until the server returns.
                 self.note(&mut phys, Event::MirrorDropped);
-            } else if !self.inner.config.mirror_writes
-                || self.server_count() < 2
-                || self.inner.conns.borrow()[buddy].dead.get()
-            {
-                // A primary re-routes to the buddy's replica region only if
-                // the deployment mirrors writes and the buddy is alive.
-                // Nowhere to fail over to: every carried part's parent sees
-                // the error.
-                phys.set_error(IoError::Fault(why));
-                self.inner.engine.lifecycle().unregister_phys(req_id);
-            } else {
+            } else if let Some(replicas) = live {
                 if reissue {
                     phys.trace_attempt += 1;
                 }
+                let buddy = replicas[0].0;
                 self.note(&mut phys, Event::Failover { buddy, reissue });
-                // Replicas live in the upper half of the buddy's store;
-                // every carried segment gets the same extent transform, so
-                // merged requests land each extent on its own replica slot.
-                let extent_len = self.inner.conns.borrow()[buddy].extent_len;
                 phys.server_idx = buddy;
-                for seg in phys.segs.iter_mut() {
-                    // `% extent_len` strips a previous failover re-route
-                    // (replica offsets live past the extent), yielding the
-                    // primary offset.
-                    seg.server_offset = extent_len + (seg.server_offset % extent_len);
+                for (seg, (_, offset)) in phys.segs.iter_mut().zip(replicas) {
+                    seg.server_offset = offset;
                 }
                 drop(phys);
                 return self.enqueue_send(req_id);
+            } else {
+                // No live replica (no mirroring, a dead buddy, or already
+                // on the replica): every carried part's parent sees it.
+                phys.set_error(IoError::Fault(why));
+                self.inner.engine.lifecycle().unregister_phys(req_id);
             }
         }
         let phys = self.inner.requests.borrow_mut().remove(&req_id);
@@ -1552,18 +1572,14 @@ impl HpbdClient {
                 ("len", notice.len()),
             ],
         );
-        let victims: Vec<usize> = {
-            let map = self.inner.chunk_map.borrow();
-            map.iter()
-                .enumerate()
-                .filter(|(_, c)| {
-                    c.server == server_idx
-                        && c.server_offset < notice.offset() + notice.len()
-                        && notice.offset() < c.server_offset + c.len
-                })
-                .map(|(i, _)| i)
-                .collect()
-        };
+        let (lo, hi) = (notice.offset(), notice.offset() + notice.len());
+        let victims: Vec<usize> = (0..)
+            .zip(&self.inner.placement.borrow().chunks)
+            .filter(|(_, c)| {
+                c.server == server_idx && c.server_offset < hi && lo < c.server_offset + c.len
+            })
+            .map(|(i, _)| i)
+            .collect();
         for idx in victims {
             self.inner.migrating.borrow_mut().insert(idx);
             self.migrate_when_quiesced(idx);
@@ -1572,11 +1588,8 @@ impl HpbdClient {
 
     /// Wait for in-flight traffic to the chunk to drain, then migrate.
     fn migrate_when_quiesced(&self, chunk_idx: usize) {
-        let (server, lo, hi) = {
-            let map = self.inner.chunk_map.borrow();
-            let c = map[chunk_idx];
-            (c.server, c.server_offset, c.server_offset + c.len)
-        };
+        let c = self.inner.placement.borrow().chunks[chunk_idx];
+        let (server, lo, hi) = (c.server, c.server_offset, c.server_offset + c.len);
         // A part is live from `issue` until its reply or failure takes it
         // out of the table: waiting for pool space, inside its staging
         // copy, at the credit water-mark or on the wire, it reaches the old
@@ -1642,17 +1655,14 @@ impl HpbdClient {
     /// request path, repoint the map at a spare chunk, write the data to
     /// the new home, then release deferred I/O.
     fn migrate_chunk(&self, chunk_idx: usize) {
-        let (device_base, len, old_server, old_offset) = {
-            let map = self.inner.chunk_map.borrow();
-            let c = map[chunk_idx];
-            (c.device_base, c.len, c.server, c.server_offset)
-        };
+        let old = self.inner.placement.borrow().chunks[chunk_idx];
+        let device_base = old.device_base;
         // Pick a spare on any *other* live server (round-robin by fill).
         let target = {
             let conns = self.inner.conns.borrow();
-            let mut spares = self.inner.spares.borrow_mut();
+            let spares = &mut self.inner.placement.borrow_mut().spares;
             (0..spares.len())
-                .filter(|&s| s != old_server && !conns[s].dead.get())
+                .filter(|&s| s != old.server && !conns[s].dead.get())
                 .find_map(|s| Some((s, spares[s].pop()?)))
         };
         let Some((new_server, new_offset)) = target else {
@@ -1662,7 +1672,7 @@ impl HpbdClient {
         };
 
         // Read old contents (the map still points at the old home).
-        let buf = new_buffer(len as usize);
+        let buf = new_buffer(old.len as usize);
         let this = self.clone();
         let read_buf = buf.clone();
         self.submit_internal(IoRequest::single(Bio::new(
@@ -1674,14 +1684,12 @@ impl HpbdClient {
                     // The source (and any replica) could not produce the
                     // data right now. Nothing has been repointed yet:
                     // return the spare and re-enqueue the migration.
-                    this.inner.spares.borrow_mut()[new_server].push(new_offset);
+                    this.inner.placement.borrow_mut().spares[new_server].push(new_offset);
                     return this.retry_migration(chunk_idx);
                 }
                 // Repoint the chunk, then write the data to the new home.
-                let mut map = this.inner.chunk_map.borrow_mut();
-                map[chunk_idx].server = new_server;
-                map[chunk_idx].server_offset = new_offset;
-                drop(map);
+                let to_new = (new_server, new_offset);
+                this.inner.placement.borrow_mut().repoint(chunk_idx, to_new);
                 let this2 = this.clone();
                 this.submit_internal(IoRequest::single(Bio::new(
                     IoOp::Write,
@@ -1697,11 +1705,10 @@ impl HpbdClient {
                             // re-enqueue the migration. The dead-marking
                             // done by the failed write steers the next
                             // attempt to a different target.
-                            let mut map = inner.chunk_map.borrow_mut();
-                            map[chunk_idx].server = old_server;
-                            map[chunk_idx].server_offset = old_offset;
-                            drop(map);
-                            inner.spares.borrow_mut()[new_server].push(new_offset);
+                            let mut placement = inner.placement.borrow_mut();
+                            placement.repoint(chunk_idx, (old.server, old.server_offset));
+                            placement.spares[new_server].push(new_offset);
+                            drop(placement);
                             return this2.retry_migration(chunk_idx);
                         }
                         inner.migration_attempts.borrow_mut().remove(&chunk_idx);
@@ -1738,10 +1745,8 @@ impl HpbdClient {
         parts: Vec<(usize, u64, u64, u64)>,
     ) {
         let inner = &self.inner;
-        // Mirrored writes double the physical parts (one per replica).
-        // Replicas live in the upper half of the buddy server's store (the
-        // cluster builder doubles server capacity in mirror mode), so they
-        // never collide with the buddy's primary extent.
+        // Mirrored writes double the physical parts: every primary part
+        // has a replica (see `replica`).
         let mirror = inner.config.mirror_writes && op == PageOp::Write;
         let count = if mirror { 2 * parts.len() } else { parts.len() };
         let parent = Rc::new(Parent {
@@ -1756,28 +1761,14 @@ impl HpbdClient {
                 PageOp::Write => inner.hist_swap_out.clone(),
             },
         });
-        if mirror {
-            assert!(
-                self.server_count() >= 2,
-                "mirrored writes need at least two servers"
-            );
-            assert!(
-                matches!(inner.config.distribution, Distribution::Blocking),
-                "mirroring is only defined for the blocking distribution"
-            );
-        }
         for (server_idx, server_offset, parent_off, len) in parts {
             let primary = (server_idx, false, server_offset);
-            let mirror_replica = mirror.then(|| {
-                let buddy = (server_idx + 1) % self.server_count();
-                // Note: both replicas are staged independently; a real
-                // implementation would share one staged buffer.
-                (
-                    buddy,
-                    true,
-                    inner.conns.borrow()[buddy].extent_len + server_offset,
-                )
-            });
+            // Note: both copies are staged independently; a real
+            // implementation would share one staged buffer.
+            let mirror_replica = mirror
+                .then(|| self.replica(server_idx, server_offset))
+                .flatten()
+                .map(|(buddy, offset)| (buddy, true, offset));
             for (target, is_mirror, server_offset) in std::iter::once(primary).chain(mirror_replica)
             {
                 let parent = parent.clone();
@@ -1847,12 +1838,7 @@ impl HpbdClient {
             PageOp::Write => inner.next_version.replace(inner.next_version.get() + 1),
             PageOp::Read => 0,
         };
-        let parts = match inner.config.distribution {
-            Distribution::Blocking => self.split_blocking(req.offset(), req.len()),
-            Distribution::Striped { stripe_bytes } => {
-                self.split_striped(req.offset(), req.len(), stripe_bytes)
-            }
-        };
+        let parts = inner.placement.borrow().split(req.offset(), req.len());
         // Every part must fit the server's staging pool, and the client's
         // pool too when it stages through it: cut larger parts to fit.
         let cap = match inner.config.staging {
@@ -1886,7 +1872,7 @@ impl HpbdClient {
 
 impl BlockDevice for HpbdClient {
     fn capacity(&self) -> u64 {
-        self.inner.capacity.get()
+        self.inner.placement.borrow().extents.iter().sum()
     }
 
     fn name(&self) -> &str {

@@ -123,7 +123,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Mirror every write to the buddy server's replica region.
+    /// Mirror every write to the next server's replica region.
     pub fn mirror_writes(mut self, on: bool) -> ClusterBuilder {
         self.config.mirror_writes = on;
         self
@@ -177,8 +177,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Build the cluster on a fresh fabric. The swap area is the
-    /// concatenation of the server extents (blocking distribution).
+    /// Build the cluster on a fresh fabric. The swap area is made of the
+    /// server extents, laid out by the configured distribution.
     pub fn build(self, engine: &Engine, cal: Rc<Calibration>) -> HpbdCluster {
         let fabric = Fabric::new(engine.clone(), cal);
         let client_node = fabric.add_node("hpbd-client");
@@ -204,21 +204,15 @@ impl ClusterBuilder {
         let mut servers = Vec::with_capacity(n_servers);
         let mut links = Vec::new();
         let arm_faults = !fault_plan.is_empty();
-        // In mirror mode each server stores its own extent plus the
-        // replicas of its predecessor's extent; spare chunks for dynamic
-        // memory live after that.
-        let base_store = if config.mirror_writes {
-            assert!(n_servers >= 2, "mirrored writes need at least two servers");
-            per_server_capacity * 2
-        } else {
-            per_server_capacity
-        };
-        let server_store = base_store + config.spare_chunks as u64 * config.chunk_bytes.max(4096);
+        assert!(
+            n_servers >= 2 || !config.mirror_writes,
+            "mirrored writes need at least two servers"
+        );
         for i in 0..n_servers {
             let server = HpbdServer::new(
                 fabric,
                 &format!("mem-server-{i}"),
-                server_store,
+                config.store_len(per_server_capacity),
                 config.clone(),
             );
             // QP exchange: connect with queue depths sized for the credit
@@ -710,7 +704,7 @@ mod tests {
             .per_server_capacity(1 << 20)
             .build(&engine, cal);
         write_read_roundtrip(&engine, &cluster.client, 4096, 4096, 0x7C);
-        // The replica landed on the buddy server's upper half.
+        // The replica landed in the next server's replica region.
         let s0 = cluster.servers[0].stats();
         let s1 = cluster.servers[1].stats();
         assert_eq!(

@@ -90,6 +90,19 @@ pub struct HpbdConfig {
     pub merge_window_ns: u64,
 }
 
+impl HpbdConfig {
+    /// A server's primary region: its `extent`, then its spare chunks.
+    pub(crate) fn primary_len(&self, extent: u64) -> u64 {
+        extent + self.spare_chunks as u64 * self.chunk_bytes.max(4096)
+    }
+
+    /// A server's store: its primary region, then with `mirror_writes` a
+    /// replica region as long, holding the previous server's.
+    pub(crate) fn store_len(&self, extent: u64) -> u64 {
+        self.primary_len(extent) << self.mirror_writes as u32
+    }
+}
+
 impl Default for HpbdConfig {
     fn default() -> HpbdConfig {
         HpbdConfig {

@@ -237,23 +237,7 @@ impl QueuePair {
     /// outcome arrives later on the send CQ (and, for `Send`, on the peer's
     /// receive CQ).
     pub fn post_send(&self, wr: WorkRequest) -> Result<(), PostError> {
-        let inner = &self.inner;
-        let peer = inner
-            .peer
-            .borrow()
-            .upgrade()
-            .ok_or(PostError::NotConnected)?;
-        if inner.outstanding_send.get() >= inner.max_send_wr {
-            return Err(PostError::SendQueueFull);
-        }
-        inner.outstanding_send.set(inner.outstanding_send.get() + 1);
-
-        let now = inner.engine.now();
-        // CPU builds and posts the descriptor.
-        let post = SimDuration::from_nanos(inner.hca.params().post_ns);
-        let (_, t_posted) = inner.node.cpu().reserve(now, post);
-        self.dispatch_wr(peer, now, t_posted, wr);
-        Ok(())
+        self.post_chain(1, std::iter::once(wr))
     }
 
     /// Post a chain of work requests with ONE doorbell
@@ -266,11 +250,21 @@ impl QueuePair {
     /// the send queue is rejected whole, with nothing posted. Returns the
     /// number of WQEs posted.
     pub fn post_send_many(&self, wrs: Vec<WorkRequest>) -> Result<usize, PostError> {
-        let inner = &self.inner;
         let n = wrs.len();
         if n == 0 {
             return Ok(0);
         }
+        self.post_chain(n, wrs).map(|()| n)
+    }
+
+    /// The one posting body: `n` WQEs (`n >= 1`) behind one doorbell. A
+    /// chain of one costs `post_ns`, exactly a single post.
+    fn post_chain(
+        &self,
+        n: usize,
+        wrs: impl IntoIterator<Item = WorkRequest>,
+    ) -> Result<(), PostError> {
+        let inner = &self.inner;
         let peer = inner
             .peer
             .borrow()
@@ -291,14 +285,13 @@ impl QueuePair {
         for wr in wrs {
             self.dispatch_wr(peer.clone(), now, t_posted, wr);
         }
-        Ok(n)
+        Ok(())
     }
 
     /// Hand one posted WQE to the HCA pipeline: WQE processing, injected
-    /// fault errors, then the kind-specific wire state machine. Shared by
-    /// [`QueuePair::post_send`] and [`QueuePair::post_send_many`]; `posted`
-    /// is the post instant (trace span start), `t_posted` the instant the
-    /// posting CPU finished.
+    /// fault errors, then the kind-specific wire state machine. Called by
+    /// `post_chain` once per WQE; `posted` is the post instant (trace span
+    /// start), `t_posted` the instant the posting CPU finished.
     fn dispatch_wr(&self, peer: Rc<QpInner>, posted: SimTime, t_posted: SimTime, wr: WorkRequest) {
         let inner = &self.inner;
         // Local HCA fetches and processes the WQE.

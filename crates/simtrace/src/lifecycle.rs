@@ -298,13 +298,9 @@ impl RequestRecord {
 /// Nearest-rank percentile over an unsorted sample set (matches the
 /// metrics histograms' convention). Returns 0 for an empty set.
 pub fn percentile_ns(samples: &[u64], pct: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted_percentile(&sorted, pct)
 }
 
 /// Bounded ring of recent [`RequestRecord`]s for one device, plus
@@ -488,6 +484,7 @@ impl DeviceFlight {
     }
 }
 
+/// [`percentile_ns`] over samples already in ascending order.
 fn sorted_percentile(sorted: &[u64], pct: f64) -> u64 {
     if sorted.is_empty() {
         return 0;

@@ -5,7 +5,8 @@
 use hpbd_suite::blockdev::{
     new_buffer, Bio, BlockDevice, DeviceHealth, FaultKind, IoError, IoOp, IoRequest,
 };
-use hpbd_suite::hpbd::ClusterBuilder;
+use hpbd_suite::hpbd::config::Distribution;
+use hpbd_suite::hpbd::{ClusterBuilder, HpbdClient};
 use hpbd_suite::netmodel::{Calibration, Node};
 use hpbd_suite::simcore::{Engine, SimDuration, Tracer};
 use hpbd_suite::simfault::FaultPlan;
@@ -665,4 +666,186 @@ fn non_empty_fault_plan_changes_the_run() {
         healthy_elapsed, faulty_elapsed,
         "losing a server must shift the virtual timeline"
     );
+}
+
+// -- placement: where a device byte and its replica live ---------------------
+
+/// Submit a one-page write of `fill` at `offset`; it must succeed.
+fn write_page(dev: &HpbdClient, offset: u64, fill: u8) {
+    let buf = new_buffer(PAGE as usize);
+    buf.borrow_mut().fill(fill);
+    dev.submit(IoRequest::single(Bio::new(IoOp::Write, offset, buf, |r| {
+        r.unwrap()
+    })));
+}
+
+/// Submit a one-page read at `offset`: its buffer and, once it completes,
+/// its result.
+type PendingRead = (
+    hpbd_suite::blockdev::IoBuffer,
+    Rc<Cell<Option<Result<(), IoError>>>>,
+);
+
+fn read_page(dev: &HpbdClient, offset: u64) -> PendingRead {
+    let buf = new_buffer(PAGE as usize);
+    let result = Rc::new(Cell::new(None));
+    let sink = result.clone();
+    dev.submit(IoRequest::single(Bio::new(
+        IoOp::Read,
+        offset,
+        buf.clone(),
+        move |r| sink.set(Some(r)),
+    )));
+    (buf, result)
+}
+
+/// Read pages `0..pages` back and check each holds `pattern(page)`.
+fn assert_pages_read_back(engine: &Engine, dev: &HpbdClient, pages: u64, what: &str) {
+    let reads: Vec<_> = (0..pages).map(|p| read_page(dev, p * PAGE)).collect();
+    engine.run_until_idle();
+    for (p, (buf, result)) in reads.iter().enumerate() {
+        assert_eq!(result.get(), Some(Ok(())), "{what}: read of page {p}");
+        assert!(
+            buf.borrow().iter().all(|&b| b == pattern(p as u64)),
+            "{what}: page {p} read back other bytes than were written"
+        );
+    }
+}
+
+/// A read already re-routed to its replica has no third copy. When the
+/// replica's server dies too, the read must fail with a typed fault, not
+/// move on to the next server's replica region, which holds another
+/// server's pages.
+#[test]
+fn a_read_on_its_replica_fails_when_the_replica_dies_too() {
+    let engine = Engine::new();
+    let cluster = ClusterBuilder::new()
+        .servers(3)
+        .per_server_capacity(MB)
+        .mirror_writes(true)
+        .request_timeout_ns(1_000_000)
+        .build(&engine, Rc::new(Calibration::cluster_2005()));
+    let dev = &cluster.client;
+    for (server, fill) in [0xA0, 0xB1, 0xC2].into_iter().enumerate() {
+        write_page(dev, server as u64 * MB, fill);
+    }
+    engine.run_until_idle();
+    cluster.servers[0].crash();
+    let (buf, result) = read_page(dev, 0);
+    while dev.stats().failovers == 0 {
+        assert!(engine.step_one(), "the read must fail over to server 1");
+    }
+    cluster.servers[1].crash();
+    engine.run_until_idle();
+    assert_eq!(
+        result.get(),
+        Some(Err(IoError::Fault(FaultKind::Timeout))),
+        "page 0 has no copy left; read back {:#04x}",
+        buf.borrow()[0]
+    );
+    assert!(
+        buf.borrow().iter().all(|&b| b == 0),
+        "no bytes were scattered"
+    );
+}
+
+/// Revocation under mirroring: the migrated chunk's mirror leg lands in its
+/// new home's replica region on the next server, so the move finishes, and
+/// the pages survive a crash of the new home.
+#[test]
+fn a_chunk_migrated_under_mirroring_keeps_its_replica() {
+    let engine = Engine::new();
+    let cluster = ClusterBuilder::new()
+        .servers(3)
+        .per_server_capacity(MB)
+        .mirror_writes(true)
+        .chunk_bytes(256 << 10)
+        .spare_chunks(4)
+        // Long enough for the migration's 256 KiB writes.
+        .request_timeout_ns(5_000_000)
+        .build(&engine, Rc::new(Calibration::cluster_2005()));
+    let dev = &cluster.client;
+    const PAGES: u64 = 64;
+    for p in 0..PAGES {
+        write_page(dev, p * PAGE, pattern(p));
+    }
+    engine.run_until_idle();
+    cluster.servers[0].revoke(0, 256 << 10);
+    engine.run_until_idle();
+    let stats = dev.stats();
+    assert_eq!(stats.migrations, 1, "the revoked chunk moved");
+    assert_eq!(stats.mirror_drops, 0, "with its replica");
+    let served_before: Vec<u64> = cluster
+        .servers
+        .iter()
+        .map(|s| s.stats().bytes_out)
+        .collect();
+    assert_pages_read_back(&engine, dev, PAGES, "after the migration");
+    let served: Vec<usize> = (0..cluster.servers.len())
+        .filter(|&i| cluster.servers[i].stats().bytes_out > served_before[i])
+        .collect();
+    let [home] = served[..] else {
+        panic!("one new home serves the chunk, not {served:?}");
+    };
+    assert_ne!(home, 0, "the revoked range serves nothing");
+    cluster.servers[home].crash();
+    assert_pages_read_back(&engine, dev, PAGES, "after the new home crashed");
+    assert!(dev.stats().failovers > 0, "the reads came from the replica");
+}
+
+/// Revocation under striping moves the stripes that live in the revoked
+/// range: the map holds one chunk per stripe.
+#[test]
+fn striped_revocation_moves_every_stripe_in_the_range() {
+    let engine = Engine::new();
+    let cluster = ClusterBuilder::new()
+        .servers(2)
+        .per_server_capacity(MB)
+        .distribution(Distribution::Striped {
+            stripe_bytes: 64 << 10,
+        })
+        .spare_chunks(4)
+        .build(&engine, Rc::new(Calibration::cluster_2005()));
+    let dev = &cluster.client;
+    const PAGES: u64 = 128;
+    for p in 0..PAGES {
+        write_page(dev, p * PAGE, pattern(p));
+    }
+    engine.run_until_idle();
+    cluster.servers[0].revoke(0, 256 << 10);
+    engine.run_until_idle();
+    assert_eq!(dev.stats().migrations, 4, "four 64 KiB stripes moved");
+    let served_before = cluster.servers[0].stats().bytes_out;
+    assert_pages_read_back(&engine, dev, PAGES, "after the migration");
+    assert_eq!(
+        cluster.servers[0].stats().bytes_out,
+        served_before,
+        "server 0 served none of its revoked range"
+    );
+}
+
+/// Striping with mirrored writes: every stripe has a replica on the next
+/// server, and a crash fails over to it.
+#[test]
+fn striped_mirrored_writes_survive_a_crash() {
+    let engine = Engine::new();
+    let cluster = ClusterBuilder::new()
+        .servers(3)
+        .per_server_capacity(MB)
+        .distribution(Distribution::Striped {
+            stripe_bytes: 16 << 10,
+        })
+        .mirror_writes(true)
+        .request_timeout_ns(1_000_000)
+        .build(&engine, Rc::new(Calibration::cluster_2005()));
+    let dev = &cluster.client;
+    const PAGES: u64 = 96;
+    for p in 0..PAGES {
+        write_page(dev, p * PAGE, pattern(p));
+    }
+    engine.run_until_idle();
+    cluster.servers[1].crash();
+    assert_pages_read_back(&engine, dev, PAGES, "after server 1 crashed");
+    assert!(dev.stats().failovers > 0, "server 1's stripes failed over");
+    assert_eq!(dev.health(), DeviceHealth::Degraded { failed_servers: 1 });
 }
