@@ -33,7 +33,7 @@ use simcore::{Engine, EventId, SimDuration, SimTime};
 use simtrace::{intern, Counter, Histogram, LazyCounter, MarkKind, RequestCtx};
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
@@ -395,10 +395,14 @@ struct Chunk {
     device_base: u64,
     /// Length (the last chunk of an extent may be short).
     len: u64,
-    /// Current home.
+    /// Current home: where the chunk's bytes are. A move repoints it
+    /// only once the new home has acknowledged them.
     server: usize,
     /// Server-relative offset of the chunk's storage.
     server_offset: u64,
+    /// `Some(failed rounds)` while the chunk is moving: I/O to it defers,
+    /// and a revoke notice that names it again starts nothing.
+    moving: Option<u32>,
 }
 
 /// Where every device byte lives (paper §4.2.5): the one map that
@@ -431,6 +435,7 @@ impl Placement {
                             len: chunk.min(extent - at),
                             server,
                             server_offset: at,
+                            moving: None,
                         });
                     }
                     base += extent;
@@ -449,6 +454,7 @@ impl Placement {
                         len: stripe_bytes.min(capacity - base),
                         server: k % n,
                         server_offset: (k / n) as u64 * stripe_bytes,
+                        moving: None,
                     });
                 }
             }
@@ -465,22 +471,20 @@ impl Placement {
         }
     }
 
-    /// Point chunk `idx` at `server`'s store offset `offset`.
-    fn repoint(&mut self, idx: usize, (server, offset): (usize, u64)) {
-        let c = &mut self.chunks[idx];
-        (c.server, c.server_offset) = (server, offset);
-    }
-
     /// Split a device extent into per-server physical parts
     /// `(server_idx, server_offset, parent_off, part_len)`, coalescing
-    /// runs that stay contiguous on one server.
-    fn split(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64, u64)> {
+    /// runs that stay contiguous on one server. `None` when the extent
+    /// touches a moving chunk: its I/O waits for the move.
+    fn split(&self, offset: u64, len: u64) -> Option<Vec<(usize, u64, u64, u64)>> {
         let mut parts: Vec<(usize, u64, u64, u64)> = Vec::new();
         let mut at = offset;
         let end = offset + len;
         let mut idx = self.chunks.partition_point(|c| c.device_base + c.len <= at);
         while at < end {
             let c = &self.chunks[idx];
+            if c.moving.is_some() {
+                return None;
+            }
             let server_at = c.server_offset + (at - c.device_base);
             let part_end = end.min(c.device_base + c.len);
             let part_len = part_end - at;
@@ -493,7 +497,7 @@ impl Placement {
             at = part_end;
             idx += 1;
         }
-        parts
+        Some(parts)
     }
 }
 
@@ -515,13 +519,10 @@ struct ClientInner {
     /// write, shared by every physical part (primary and mirror replica)
     /// of that write. Monotonic, so later writes always win the fence.
     next_version: Cell<u64>,
-    /// Failed-migration retry counts per chunk (cleared on success).
-    migration_attempts: RefCell<BTreeMap<usize, u32>>,
     stats: RefCell<ClientStats>,
     placement: RefCell<Placement>,
-    /// Chunk indices currently migrating: requests touching them defer.
-    migrating: RefCell<BTreeSet<usize>>,
-    /// Block requests held back until their chunks finish migrating.
+    /// Block requests held back until their chunks finish moving, in
+    /// submission order.
     deferred: RefCell<Vec<IoRequest>>,
     name: String,
     /// Set by [`BlockDevice::shutdown`]: new submissions fail cleanly.
@@ -588,10 +589,8 @@ impl HpbdClient {
                 requests: RefCell::new(BTreeMap::new()),
                 next_req_id: Cell::new(1),
                 next_version: Cell::new(1),
-                migration_attempts: RefCell::new(BTreeMap::new()),
                 stats: RefCell::new(ClientStats::default()),
                 placement: RefCell::default(),
-                migrating: RefCell::new(BTreeSet::new()),
                 deferred: RefCell::new(Vec::new()),
                 name: "hpbd0".to_string(),
                 shut_down: Cell::new(false),
@@ -698,19 +697,6 @@ impl HpbdClient {
         let next = (server + 1) % extents.len();
         (config.mirror_writes && offset < config.primary_len(extents[server]))
             .then(|| (next, config.primary_len(extents[next]) + offset))
-    }
-
-    /// Does `[offset, offset+len)` touch a chunk that is mid-migration?
-    fn touches_migrating(&self, offset: u64, len: u64) -> bool {
-        let migrating = self.inner.migrating.borrow();
-        if migrating.is_empty() {
-            return false;
-        }
-        let map = &self.inner.placement.borrow().chunks;
-        let first = map.partition_point(|c| c.device_base + c.len <= offset);
-        (first..map.len())
-            .take_while(|&i| map[i].device_base < offset + len)
-            .any(|i| migrating.contains(&i))
     }
 
     /// Move `phys` to its next [`State`] on `ev`, then render the event
@@ -1557,9 +1543,11 @@ fn plan_merge(keys: &[(bool, bool, u64, u64)], cap_bytes: u64, max_segs: usize) 
 impl HpbdClient {
     // -- dynamic memory (the paper's future work) -----------------------------
 
-    /// A server is reclaiming memory: migrate every chunk mapped into the
+    /// A server is reclaiming memory: move every chunk mapped into the
     /// revoked range to spare capacity elsewhere, deferring application
-    /// I/O to those chunks until their data has moved.
+    /// I/O to those chunks until their bytes have moved. A chunk already
+    /// moving is left to its move, so a repeated or widened notice starts
+    /// each chunk's move once.
     fn on_revoke(&self, server_idx: usize, notice: RevokeNotice) {
         self.inner.stats.borrow_mut().revocations += 1;
         self.inner.engine.metrics().inc("hpbd.revocations");
@@ -1574,14 +1562,19 @@ impl HpbdClient {
         );
         let (lo, hi) = (notice.offset(), notice.offset() + notice.len());
         let victims: Vec<usize> = (0..)
-            .zip(&self.inner.placement.borrow().chunks)
+            .zip(&mut self.inner.placement.borrow_mut().chunks)
             .filter(|(_, c)| {
-                c.server == server_idx && c.server_offset < hi && lo < c.server_offset + c.len
+                c.moving.is_none()
+                    && c.server == server_idx
+                    && c.server_offset < hi
+                    && lo < c.server_offset + c.len
             })
-            .map(|(i, _)| i)
+            .map(|(i, c)| {
+                c.moving = Some(0);
+                i
+            })
             .collect();
         for idx in victims {
-            self.inner.migrating.borrow_mut().insert(idx);
             self.migrate_when_quiesced(idx);
         }
     }
@@ -1618,30 +1611,63 @@ impl HpbdClient {
         self.migrate_chunk(chunk_idx);
     }
 
-    /// A migration transfer failed (typically because a server died
-    /// mid-move): re-enqueue the whole migration after a short delay. The
-    /// chunk stays in `migrating`, so application I/O keeps deferring
-    /// instead of racing a half-moved chunk. Bounded: when every attempt
-    /// fails there is no recoverable copy of the data anywhere, and
-    /// continuing silently would lose pages.
-    fn retry_migration(&self, chunk_idx: usize) {
-        const MAX_MIGRATION_ATTEMPTS: u32 = 10;
-        let attempts = {
-            let mut map = self.inner.migration_attempts.borrow_mut();
-            let n = map.entry(chunk_idx).or_insert(0);
-            *n += 1;
-            *n
+    /// One round of a move: read the chunk from its home, write it to a
+    /// spare on another live server, and repoint the map once the write
+    /// is acknowledged, so the map always names where the bytes are.
+    fn migrate_chunk(&self, chunk_idx: usize) {
+        let home = self.inner.placement.borrow().chunks[chunk_idx];
+        // Pick a spare on any *other* live server (round-robin by fill).
+        let spare = {
+            let conns = self.inner.conns.borrow();
+            let spares = &mut self.inner.placement.borrow_mut().spares;
+            (0..spares.len())
+                .filter(|&s| s != home.server && !conns[s].dead.get())
+                .find_map(|s| Some((s, spares[s].pop()?)))
         };
-        assert!(
-            attempts <= MAX_MIGRATION_ATTEMPTS,
-            "migration of chunk {chunk_idx} failed {attempts} times — no recoverable copy left"
-        );
+        let Some(spare) = spare else {
+            return self.end_move(chunk_idx, None);
+        };
+        let buf = new_buffer(home.len as usize);
+        let this = self.clone();
+        let read = Bio::new(IoOp::Read, home.device_base, buf.clone(), move |result| {
+            if result.is_err() {
+                return this.retry_migration(chunk_idx, spare);
+            }
+            let that = this.clone();
+            let write = Bio::new(IoOp::Write, home.device_base, buf, move |r| match r {
+                Ok(()) => that.end_move(chunk_idx, Some(spare)),
+                Err(_) => that.retry_migration(chunk_idx, spare),
+            });
+            let at_spare = vec![(spare.0, spare.1, 0, home.len)];
+            this.send(IoRequest::single(write), at_spare);
+        });
+        let at_home = vec![(home.server, home.server_offset, 0, home.len)];
+        self.send(IoRequest::single(read), at_home);
+    }
+
+    /// A round of the chunk's move failed (typically a server died
+    /// mid-move): return its spare and start another round after a short
+    /// delay. The chunk stays moving meanwhile, so application I/O defers
+    /// instead of racing a half-moved chunk. Once the retries are spent,
+    /// the move ends with the chunk at its old home.
+    fn retry_migration(&self, chunk_idx: usize, (server, offset): (usize, u64)) {
+        const MAX_MIGRATION_ATTEMPTS: u32 = 10;
+        let failed = {
+            let mut placement = self.inner.placement.borrow_mut();
+            placement.spares[server].push(offset);
+            let failed = placement.chunks[chunk_idx].moving.get_or_insert(0);
+            *failed += 1;
+            *failed
+        };
+        if failed > MAX_MIGRATION_ATTEMPTS {
+            return self.end_move(chunk_idx, None);
+        }
         self.inner.stats.borrow_mut().migration_retries += 1;
         self.inner.engine.metrics().inc("hpbd.migration_retries");
         self.inner.engine.instant(
             "hpbd",
             "migration_retry",
-            &[("chunk", chunk_idx as u64), ("attempt", attempts as u64)],
+            &[("chunk", chunk_idx as u64), ("attempt", failed as u64)],
         );
         let this = self.clone();
         self.inner
@@ -1651,87 +1677,43 @@ impl HpbdClient {
             });
     }
 
-    /// Move one chunk: read its data from the old home through the normal
-    /// request path, repoint the map at a spare chunk, write the data to
-    /// the new home, then release deferred I/O.
-    fn migrate_chunk(&self, chunk_idx: usize) {
-        let old = self.inner.placement.borrow().chunks[chunk_idx];
-        let device_base = old.device_base;
-        // Pick a spare on any *other* live server (round-robin by fill).
-        let target = {
-            let conns = self.inner.conns.borrow();
-            let spares = &mut self.inner.placement.borrow_mut().spares;
-            (0..spares.len())
-                .filter(|&s| s != old.server && !conns[s].dead.get())
-                .find_map(|s| Some((s, spares[s].pop()?)))
+    /// The chunk's move is over: its bytes now live at `moved_to`, or with
+    /// `None` it stays at its old home, because no live server has a spare
+    /// or every round failed (the reclaim is advisory until a move
+    /// completes; a home no server can reach fails its I/O typed). Either
+    /// way the I/O it held back is released.
+    fn end_move(&self, chunk_idx: usize, moved_to: Option<(usize, u64)>) {
+        let inner = &self.inner;
+        let failed = {
+            let chunk = &mut inner.placement.borrow_mut().chunks[chunk_idx];
+            if let Some(home) = moved_to {
+                (chunk.server, chunk.server_offset) = home;
+            }
+            chunk.moving.take().unwrap_or(0)
         };
-        let Some((new_server, new_offset)) = target else {
-            panic!(
-                "revocation of chunk at device offset {device_base}: no spare capacity anywhere — pages would be lost"
-            );
+        let (name, key, val) = match moved_to {
+            Some((server, _)) => {
+                inner.stats.borrow_mut().migrations += 1;
+                inner.engine.metrics().inc("hpbd.migrations");
+                ("migration_done", "server", server as u64)
+            }
+            None => ("migration_abandoned", "failed", failed as u64),
         };
-
-        // Read old contents (the map still points at the old home).
-        let buf = new_buffer(old.len as usize);
-        let this = self.clone();
-        let read_buf = buf.clone();
-        self.submit_internal(IoRequest::single(Bio::new(
-            IoOp::Read,
-            device_base,
-            read_buf,
-            move |result| {
-                if result.is_err() {
-                    // The source (and any replica) could not produce the
-                    // data right now. Nothing has been repointed yet:
-                    // return the spare and re-enqueue the migration.
-                    this.inner.placement.borrow_mut().spares[new_server].push(new_offset);
-                    return this.retry_migration(chunk_idx);
-                }
-                // Repoint the chunk, then write the data to the new home.
-                let to_new = (new_server, new_offset);
-                this.inner.placement.borrow_mut().repoint(chunk_idx, to_new);
-                let this2 = this.clone();
-                this.submit_internal(IoRequest::single(Bio::new(
-                    IoOp::Write,
-                    device_base,
-                    buf.clone(),
-                    move |result| {
-                        let inner = &this2.inner;
-                        if result.is_err() {
-                            // The new home failed the write: point the
-                            // chunk back at its source (whose data is
-                            // still intact — reclaims are advisory until
-                            // the move completes), return the spare, and
-                            // re-enqueue the migration. The dead-marking
-                            // done by the failed write steers the next
-                            // attempt to a different target.
-                            let mut placement = inner.placement.borrow_mut();
-                            placement.repoint(chunk_idx, (old.server, old.server_offset));
-                            placement.spares[new_server].push(new_offset);
-                            drop(placement);
-                            return this2.retry_migration(chunk_idx);
-                        }
-                        inner.migration_attempts.borrow_mut().remove(&chunk_idx);
-                        inner.migrating.borrow_mut().remove(&chunk_idx);
-                        inner.stats.borrow_mut().migrations += 1;
-                        inner.engine.metrics().inc("hpbd.migrations");
-                        inner.engine.instant(
-                            "hpbd",
-                            "migration_done",
-                            &[("chunk", chunk_idx as u64), ("server", new_server as u64)],
-                        );
-                        this2.release_deferred();
-                    },
-                )));
-            },
-        )));
+        let args = [("chunk", chunk_idx as u64), (key, val)];
+        inner.engine.instant("hpbd", name, &args);
+        self.release_deferred();
     }
 
-    /// Resubmit deferred requests; those still blocked re-defer.
+    /// Send the deferred requests that no longer touch a moving chunk; the
+    /// rest stay queued, in order.
     fn release_deferred(&self) {
-        let held: Vec<IoRequest> = self.inner.deferred.borrow_mut().drain(..).collect();
+        let held = std::mem::take(&mut *self.inner.deferred.borrow_mut());
         for req in held {
-            self.submit(req);
+            let parts = self.inner.placement.borrow().split(req.offset(), req.len());
+            match parts {
+                Some(parts) => self.send(req, parts),
+                None => self.inner.deferred.borrow_mut().push(req),
+            }
         }
     }
 
@@ -1804,26 +1786,13 @@ impl HpbdClient {
         }
     }
 
-    /// Submission path shared by the block-device interface and the
-    /// migration engine (which must bypass the migration deferral).
-    fn do_submit(&self, req: IoRequest, internal: bool) {
+    /// Send one request as `parts`, placed by the caller: from the
+    /// placement map for the block layer, at an explicit location for a
+    /// migration leg. Stamps the write's fence version and cuts the parts
+    /// to the staging size.
+    fn send(&self, req: IoRequest, parts: Vec<(usize, u64, u64, u64)>) {
         let inner = &self.inner;
-        let engine = inner.engine.clone();
-        if inner.shut_down.get() {
-            engine.schedule_at(engine.now(), move || {
-                req.complete(Err(IoError::Fault(FaultKind::ServerDead)))
-            });
-            return;
-        }
-        if req.offset() + req.len() > self.capacity() {
-            engine.schedule_at(engine.now(), move || req.complete(Err(IoError::OutOfRange)));
-            return;
-        }
-        if !internal && self.touches_migrating(req.offset(), req.len()) {
-            inner.stats.borrow_mut().deferred_requests += 1;
-            inner.deferred.borrow_mut().push(req);
-            return;
-        }
+        let engine = &inner.engine;
         inner.stats.borrow_mut().requests += 1;
         inner.ctr_requests.inc();
         let op = match req.op() {
@@ -1838,7 +1807,6 @@ impl HpbdClient {
             PageOp::Write => inner.next_version.replace(inner.next_version.get() + 1),
             PageOp::Read => 0,
         };
-        let parts = inner.placement.borrow().split(req.offset(), req.len());
         // Every part must fit the server's staging pool, and the client's
         // pool too when it stages through it: cut larger parts to fit.
         let cap = match inner.config.staging {
@@ -1864,10 +1832,6 @@ impl HpbdClient {
         }
         self.issue_parts(req, op, version, parts);
     }
-
-    fn submit_internal(&self, req: IoRequest) {
-        self.do_submit(req, true);
-    }
 }
 
 impl BlockDevice for HpbdClient {
@@ -1879,8 +1843,29 @@ impl BlockDevice for HpbdClient {
         &self.inner.name
     }
 
+    /// The block-layer entry: a request to a moving chunk defers until the
+    /// move ends; any other goes where the placement map says.
     fn submit(&self, req: IoRequest) {
-        self.do_submit(req, false);
+        let inner = &self.inner;
+        let engine = &inner.engine;
+        if inner.shut_down.get() {
+            engine.schedule_at(engine.now(), move || {
+                req.complete(Err(IoError::Fault(FaultKind::ServerDead)))
+            });
+            return;
+        }
+        if req.offset() + req.len() > self.capacity() {
+            engine.schedule_at(engine.now(), move || req.complete(Err(IoError::OutOfRange)));
+            return;
+        }
+        let parts = inner.placement.borrow().split(req.offset(), req.len());
+        match parts {
+            Some(parts) => self.send(req, parts),
+            None => {
+                inner.stats.borrow_mut().deferred_requests += 1;
+                inner.deferred.borrow_mut().push(req);
+            }
+        }
     }
 
     fn shutdown(&self) {

@@ -5,15 +5,15 @@
 //! holds an IBA context per minor device — HCA handles, *shared completion
 //! queues*, the registered pool, and a QP per server.
 //!
-//! Deployments are described with [`ClusterBuilder`]: typed setters over
-//! the [`HpbdConfig`] defaults, plus a [`ClusterBuilder::fault_plan`] hook
+//! Deployments are described with [`ClusterBuilder`]: an [`HpbdConfig`],
+//! the server count and capacity, plus a [`ClusterBuilder::fault_plan`] hook
 //! that arms a deterministic [`simfault::FaultPlan`] against the built
 //! cluster — server crashes/restarts and per-link degradation, loss, and
 //! completion errors, all scheduled on the virtual clock.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::client::HpbdClient;
-use crate::config::{Distribution, HpbdConfig, StagingMode};
+use crate::config::HpbdConfig;
 use crate::server::HpbdServer;
 use ibsim::{Fabric, IbNode, LinkFaults};
 use netmodel::Calibration;
@@ -39,7 +39,7 @@ pub struct HpbdCluster {
 /// servers, optional fault plan.
 ///
 /// ```
-/// use hpbd::ClusterBuilder;
+/// use hpbd::{ClusterBuilder, HpbdConfig};
 /// use netmodel::Calibration;
 /// use simcore::Engine;
 /// use std::rc::Rc;
@@ -49,8 +49,11 @@ pub struct HpbdCluster {
 /// let cluster = ClusterBuilder::new()
 ///     .servers(4)
 ///     .per_server_capacity(8 << 20)
-///     .mirror_writes(true)
-///     .request_timeout_ns(5_000_000)
+///     .config(HpbdConfig {
+///         mirror_writes: true,
+///         request_timeout_ns: Some(5_000_000),
+///         ..HpbdConfig::default()
+///     })
 ///     .build(&engine, cal);
 /// assert_eq!(cluster.servers.len(), 4);
 /// ```
@@ -80,8 +83,8 @@ impl ClusterBuilder {
         }
     }
 
-    /// Replace the whole configuration (setters below tweak individual
-    /// fields on top of whatever was set last).
+    /// The client and server configuration (default: the paper's
+    /// [`HpbdConfig::default`]).
     pub fn config(mut self, config: HpbdConfig) -> ClusterBuilder {
         self.config = config;
         self
@@ -96,76 +99,6 @@ impl ClusterBuilder {
     /// Exported swap capacity per server, in bytes (page-multiple).
     pub fn per_server_capacity(mut self, bytes: u64) -> ClusterBuilder {
         self.per_server_capacity = bytes;
-        self
-    }
-
-    /// Client registered-pool size (paper default 1 MiB).
-    pub fn pool_size(mut self, bytes: u64) -> ClusterBuilder {
-        self.config.pool_size = bytes;
-        self
-    }
-
-    /// Per-server flow-control credit water-mark.
-    pub fn credits(mut self, credits: usize) -> ClusterBuilder {
-        self.config.credits = credits;
-        self
-    }
-
-    /// Swap-area-to-server mapping.
-    pub fn distribution(mut self, distribution: Distribution) -> ClusterBuilder {
-        self.config.distribution = distribution;
-        self
-    }
-
-    /// Data staging strategy.
-    pub fn staging(mut self, staging: StagingMode) -> ClusterBuilder {
-        self.config.staging = staging;
-        self
-    }
-
-    /// Mirror every write to the next server's replica region.
-    pub fn mirror_writes(mut self, on: bool) -> ClusterBuilder {
-        self.config.mirror_writes = on;
-        self
-    }
-
-    /// Arm per-request timeouts: a request unanswered after `ns` enters
-    /// the retry/failover path.
-    pub fn request_timeout_ns(mut self, ns: u64) -> ClusterBuilder {
-        self.config.request_timeout_ns = Some(ns);
-        self
-    }
-
-    /// Same-server retries (with exponential backoff) before a timeout
-    /// declares the server dead.
-    pub fn max_retries(mut self, retries: u32) -> ClusterBuilder {
-        self.config.max_retries = retries;
-        self
-    }
-
-    /// Dynamic-memory remapping granularity.
-    pub fn chunk_bytes(mut self, bytes: u64) -> ClusterBuilder {
-        self.config.chunk_bytes = bytes;
-        self
-    }
-
-    /// Spare chunks per server (migration targets for revocation).
-    pub fn spare_chunks(mut self, chunks: usize) -> ClusterBuilder {
-        self.config.spare_chunks = chunks;
-        self
-    }
-
-    /// Coalesce per-server request bursts into merged wire messages with
-    /// one doorbell per burst (off by default: paper-exact behaviour).
-    pub fn batching(mut self, on: bool) -> ClusterBuilder {
-        self.config.batching = on;
-        self
-    }
-
-    /// How long a batched part waits for mergeable neighbours (ns).
-    /// Implies nothing without `batching(true)`.
-    pub fn merge_window_ns(mut self, ns: u64) -> ClusterBuilder {
-        self.config.merge_window_ns = ns;
         self
     }
 
@@ -315,6 +248,7 @@ fn schedule_fault_plan(engine: &Engine, cluster: &HpbdCluster, plan: &FaultPlan,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Distribution, StagingMode};
     use blockdev::{new_buffer, Bio, BlockDevice, IoOp, IoRequest};
     use simcore::Engine;
     use std::cell::Cell;
@@ -439,7 +373,10 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .credits(2)
+            .config(HpbdConfig {
+                credits: 2,
+                ..HpbdConfig::default()
+            })
             .servers(1)
             .per_server_capacity(8 << 20)
             .build(&engine, cal);
@@ -468,7 +405,10 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .pool_size(128 * 1024) // one max-size request
+            .config(HpbdConfig {
+                pool_size: 128 * 1024, // one max-size request
+                ..HpbdConfig::default()
+            })
             .servers(1)
             .per_server_capacity(8 << 20)
             .build(&engine, cal);
@@ -498,7 +438,10 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .pool_size(128 << 10)
+            .config(HpbdConfig {
+                pool_size: 128 << 10,
+                ..HpbdConfig::default()
+            })
             .servers(1)
             .build(&engine, cal);
         write_read_roundtrip(&engine, &cluster.client, 0, 256 << 10, 0x5A);
@@ -512,8 +455,11 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .chunk_bytes(2 << 20)
-            .spare_chunks(2)
+            .config(HpbdConfig {
+                chunk_bytes: 2 << 20,
+                spare_chunks: 2,
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(4 << 20)
             .build(&engine, cal);
@@ -582,8 +528,11 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .distribution(Distribution::Striped {
-                stripe_bytes: 8 * 4096,
+            .config(HpbdConfig {
+                distribution: Distribution::Striped {
+                    stripe_bytes: 8 * 4096,
+                },
+                ..HpbdConfig::default()
             })
             .servers(4)
             .per_server_capacity(2 << 20)
@@ -604,7 +553,10 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .distribution(Distribution::Striped { stripe_bytes: 4096 })
+            .config(HpbdConfig {
+                distribution: Distribution::Striped { stripe_bytes: 4096 },
+                ..HpbdConfig::default()
+            })
             .servers(3)
             .per_server_capacity(2 << 20)
             .build(&engine, cal);
@@ -641,7 +593,10 @@ mod tests {
             let engine = Engine::new();
             let cal = Rc::new(Calibration::cluster_2005());
             let cluster = ClusterBuilder::new()
-                .staging(staging)
+                .config(HpbdConfig {
+                    staging,
+                    ..HpbdConfig::default()
+                })
                 .servers(1)
                 .per_server_capacity(8 << 20)
                 .build(&engine, cal);
@@ -699,7 +654,10 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .mirror_writes(true)
+            .config(HpbdConfig {
+                mirror_writes: true,
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .build(&engine, cal);
@@ -720,7 +678,10 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .mirror_writes(true)
+            .config(HpbdConfig {
+                mirror_writes: true,
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .build(&engine, cal.clone());
@@ -759,8 +720,11 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .mirror_writes(true)
-            .request_timeout_ns(5_000_000) // 5ms
+            .config(HpbdConfig {
+                mirror_writes: true,
+                request_timeout_ns: Some(5_000_000), // 5ms
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .build(&engine, cal);
@@ -798,8 +762,11 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .mirror_writes(true)
-            .request_timeout_ns(5_000_000)
+            .config(HpbdConfig {
+                mirror_writes: true,
+                request_timeout_ns: Some(5_000_000),
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .build(&engine, cal);
@@ -852,7 +819,10 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .request_timeout_ns(5_000_000)
+            .config(HpbdConfig {
+                request_timeout_ns: Some(5_000_000),
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .build(&engine, cal);
@@ -880,8 +850,11 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .chunk_bytes(256 * 1024)
-            .spare_chunks(4)
+            .config(HpbdConfig {
+                chunk_bytes: 256 * 1024,
+                spare_chunks: 4,
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .build(&engine, cal);
@@ -930,8 +903,11 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .chunk_bytes(256 * 1024)
-            .spare_chunks(4)
+            .config(HpbdConfig {
+                chunk_bytes: 256 * 1024,
+                spare_chunks: 4,
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .build(&engine, cal);
@@ -981,9 +957,12 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .chunk_bytes(chunk)
-            .spare_chunks(4)
-            .pool_size(pool)
+            .config(HpbdConfig {
+                chunk_bytes: chunk,
+                spare_chunks: 4,
+                pool_size: pool,
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .build(&engine, cal);
@@ -1060,8 +1039,11 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .chunk_bytes(256 * 1024)
-            .spare_chunks(2)
+            .config(HpbdConfig {
+                chunk_bytes: 256 * 1024,
+                spare_chunks: 2,
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .build(&engine, cal);
@@ -1095,8 +1077,11 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .mirror_writes(true)
-            .request_timeout_ns(5_000_000)
+            .config(HpbdConfig {
+                mirror_writes: true,
+                request_timeout_ns: Some(5_000_000),
+                ..HpbdConfig::default()
+            })
             .servers(2)
             .per_server_capacity(1 << 20)
             .fault_plan(FaultPlan::new().server_crash(50_000_000, 0))
@@ -1200,8 +1185,11 @@ mod tests {
         let engine = Engine::new();
         let cal = Rc::new(Calibration::cluster_2005());
         let cluster = ClusterBuilder::new()
-            .request_timeout_ns(2_000_000)
-            .max_retries(3)
+            .config(HpbdConfig {
+                request_timeout_ns: Some(2_000_000),
+                max_retries: 3,
+                ..HpbdConfig::default()
+            })
             .servers(1)
             .per_server_capacity(1 << 20)
             .fault_plan(FaultPlan::new().message_loss(0, 0, 2))

@@ -332,9 +332,10 @@ impl HpbdServer {
     /// `[offset, offset + len)` of the exported store. A revocation notice
     /// goes to every client, which must migrate the pages it keeps there
     /// to spare capacity on other servers and stop using the range. The
-    /// reclaim is advisory during the migration window (reads continue to
-    /// be served), matching a cooperative host that wants its memory back
-    /// but will not corrupt a tenant.
+    /// reclaim is advisory until a chunk's move completes (reads continue
+    /// to be served, and a chunk with nowhere to go stays), matching a
+    /// cooperative host that wants its memory back but will not corrupt a
+    /// tenant.
     pub fn revoke(&self, offset: u64, len: u64) {
         let inner = &self.inner;
         assert!(
@@ -346,8 +347,8 @@ impl HpbdServer {
         let conns = inner.conns.borrow();
         for conn in conns.iter() {
             // Best-effort: a notice squeezed out by a full send queue is
-            // re-issued by the next reclaim pass, so a failed post is
-            // dropped rather than treated as fatal.
+            // dropped, not treated as fatal. Revoking again is safe: a
+            // client moves each chunk once, however often it is named.
             let mut chain = conn.qp.chain();
             // Notices carry no request id.
             chain.send(u64::MAX, notice.encode(), true);
@@ -981,7 +982,10 @@ mod tests {
         let cluster = ClusterBuilder::new()
             .servers(1)
             .per_server_capacity(4 << 20)
-            .pool_size(2 * SERVER_STAGING_SIZE + LEN as u64)
+            .config(HpbdConfig {
+                pool_size: 2 * SERVER_STAGING_SIZE + LEN as u64,
+                ..HpbdConfig::default()
+            })
             .build(&engine, Rc::new(Calibration::cluster_2005()));
         cluster.servers[0].inner.storage.write_at(0, &[0x11; LEN]);
         (engine, cluster)

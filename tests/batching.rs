@@ -6,7 +6,7 @@
 //! configuration byte for byte.
 
 use hpbd_suite::blockdev::{new_buffer, Bio, BlockDevice, IoOp, IoRequest};
-use hpbd_suite::hpbd::{ClusterBuilder, HpbdCluster};
+use hpbd_suite::hpbd::{ClusterBuilder, HpbdCluster, HpbdConfig};
 use hpbd_suite::netmodel::Calibration;
 use hpbd_suite::simcore::{Engine, SimRng};
 use hpbd_suite::simfault::FaultPlan;
@@ -39,9 +39,12 @@ fn batching_cluster(engine: &Engine, window_ns: u64, mirror: bool) -> HpbdCluste
     ClusterBuilder::new()
         .servers(4)
         .per_server_capacity(2 * MB)
-        .mirror_writes(mirror)
-        .batching(true)
-        .merge_window_ns(window_ns)
+        .config(HpbdConfig {
+            mirror_writes: mirror,
+            batching: true,
+            merge_window_ns: window_ns,
+            ..HpbdConfig::default()
+        })
         .build(engine, cal)
 }
 
@@ -182,11 +185,14 @@ fn mirror_part_orders_survive_merging_and_failover() {
     let cluster = ClusterBuilder::new()
         .servers(4)
         .per_server_capacity(2 * MB)
-        .mirror_writes(true)
-        .batching(true)
-        .merge_window_ns(2_000)
-        .request_timeout_ns(2_000_000)
-        .max_retries(1)
+        .config(HpbdConfig {
+            mirror_writes: true,
+            batching: true,
+            merge_window_ns: 2_000,
+            request_timeout_ns: Some(2_000_000),
+            max_retries: 1,
+            ..HpbdConfig::default()
+        })
         .fault_plan(FaultPlan::new().server_crash(50_000, 0))
         .build(&engine, cal);
     let dev = &cluster.client;
@@ -223,11 +229,14 @@ fn run_batched_oracle(name: &str, plan: FaultPlan) -> hpbd_suite::hpbd::ClientSt
     let cluster = ClusterBuilder::new()
         .servers(4)
         .per_server_capacity(2 * MB)
-        .mirror_writes(true)
-        .batching(true)
-        .merge_window_ns(2_000)
-        .request_timeout_ns(2_000_000)
-        .max_retries(1)
+        .config(HpbdConfig {
+            mirror_writes: true,
+            batching: true,
+            merge_window_ns: 2_000,
+            request_timeout_ns: Some(2_000_000),
+            max_retries: 1,
+            ..HpbdConfig::default()
+        })
         .fault_plan(plan)
         .build(&engine, cal);
     let dev = &cluster.client;
@@ -361,7 +370,10 @@ fn batching_improves_messages_per_page() {
         let cluster = ClusterBuilder::new()
             .servers(4)
             .per_server_capacity(2 * MB)
-            .batching(batching)
+            .config(HpbdConfig {
+                batching,
+                ..HpbdConfig::default()
+            })
             .build(&engine, cal);
         let dev = &cluster.client;
         let total_pages = dev.capacity() / PAGE;

@@ -12,7 +12,11 @@
 //! late read push could land in a recycled staging span (DESIGN.md §13).
 //! A second seeded sample of 200 pairs runs the same scope on a ring of 3
 //! servers, where a request already on its replica has a live third server
-//! it must not be sent to.
+//! it must not be sent to. A third runs on the 2-server machine with 4-page
+//! chunks and 2 spare chunks per server, pairing a revoke of one server's
+//! first chunk, in either order, with every single placement (all of those
+//! pairs under `--include-ignored`). A revoke never loses data, so the
+//! oracle is the same.
 //!
 //! Every plan must finish within an event budget (no hang), never panic (an
 //! illegal state/event pair is an `unreachable!` in the client), tile every
@@ -23,9 +27,9 @@
 //! that succeeds must still return the right bytes.
 
 use hpbd_suite::blockdev::{new_buffer, Bio, BlockDevice, DeviceHealth, IoBuffer, IoOp, IoRequest};
-use hpbd_suite::hpbd::{ClientStats, ClusterBuilder, HpbdCluster};
+use hpbd_suite::hpbd::{ClientStats, ClusterBuilder, HpbdCluster, HpbdConfig, HpbdServer};
 use hpbd_suite::netmodel::Calibration;
-use hpbd_suite::simcore::{Engine, SimRng, Tracer};
+use hpbd_suite::simcore::{Engine, SimRng, SimTime, Tracer};
 use hpbd_suite::simfault::FaultPlan;
 use hpbd_suite::simtrace::LifecycleHub;
 use std::cell::{Cell, RefCell};
@@ -45,6 +49,30 @@ const TIMEOUT_NS: u64 = 1_000_000;
 const EVENT_BUDGET: u64 = 100_000;
 /// Pairs the tier-1 sample runs.
 const SAMPLED_PAIRS: usize = 200;
+/// Chunk size of the revocable machine: a revoke moves this much.
+const CHUNK_BYTES: u64 = 4 * PAGE;
+
+/// The machine a plan runs on: `servers` servers, and when `revocable`,
+/// [`CHUNK_BYTES`] chunks with 2 spare chunks per server for a revoked
+/// chunk to move to.
+#[derive(Clone, Copy, Debug)]
+struct Machine {
+    servers: usize,
+    revocable: bool,
+}
+
+const TWO_SERVERS: Machine = Machine {
+    servers: 2,
+    revocable: false,
+};
+const THREE_SERVERS: Machine = Machine {
+    servers: 3,
+    revocable: false,
+};
+const REVOCABLE: Machine = Machine {
+    servers: 2,
+    revocable: true,
+};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Fault {
@@ -54,6 +82,8 @@ enum Fault {
     Delay,
     Dup,
     CompletionError,
+    /// The server reclaims its first chunk (revocable machine only).
+    Revoke,
 }
 
 const FAULTS: [Fault; 6] = [
@@ -85,6 +115,8 @@ impl Placement {
             Fault::Delay => plan.message_delay(at, server, 1, 2 * TIMEOUT_NS),
             Fault::Dup => plan.message_duplicate(at, server, 1),
             Fault::CompletionError => plan.completion_error(at, server, 1),
+            // Not a fault plan event: `Run::new` schedules it.
+            Fault::Revoke => plan,
         }
     }
 }
@@ -116,23 +148,54 @@ struct Run {
 }
 
 impl Run {
-    fn new(plan: FaultPlan, record: bool, servers: usize) -> Run {
+    fn new(placements: &[Placement], record: bool, machine: Machine) -> Run {
         let engine = Engine::new();
         let tracer = record.then(Tracer::enabled);
         if let Some(tracer) = &tracer {
             engine.set_tracer(tracer.clone());
         }
         engine.set_lifecycle(LifecycleHub::enabled());
+        let config = HpbdConfig {
+            mirror_writes: true,
+            request_timeout_ns: Some(TIMEOUT_NS),
+            max_retries: 1,
+            credits: 2,
+            pool_size: 4 * PAGE,
+            ..HpbdConfig::default()
+        };
+        let config = if machine.revocable {
+            HpbdConfig {
+                chunk_bytes: CHUNK_BYTES,
+                spare_chunks: 2,
+                ..config
+            }
+        } else {
+            config
+        };
+        // Revokes listed before every plan fault are scheduled before the
+        // cluster arms the plan, the rest after: at one instant, the
+        // placements fire in their listed order.
+        let servers: Rc<RefCell<Vec<HpbdServer>>> = Rc::default();
+        let revoke = |p: &Placement| {
+            let (servers, server) = (servers.clone(), p.server);
+            engine.schedule_at(SimTime(p.at_ns), move || {
+                servers.borrow()[server].revoke(0, CHUNK_BYTES)
+            });
+        };
+        let is_revoke = |p: &&Placement| p.fault == Fault::Revoke;
+        let lead = placements.iter().take_while(is_revoke).count();
+        placements[..lead].iter().for_each(revoke);
+        let plan = placements
+            .iter()
+            .fold(FaultPlan::new(), |plan, p| p.add_to(plan));
         let cluster = ClusterBuilder::new()
-            .servers(servers)
+            .servers(machine.servers)
             .per_server_capacity(EXTENT_PAGES * PAGE)
-            .mirror_writes(true)
-            .request_timeout_ns(TIMEOUT_NS)
-            .max_retries(1)
-            .credits(2)
-            .pool_size(4 * PAGE)
+            .config(config)
             .fault_plan(plan)
             .build(&engine, Rc::new(Calibration::cluster_2005()));
+        *servers.borrow_mut() = cluster.servers.clone();
+        placements[lead..].iter().filter(is_revoke).for_each(revoke);
         Run {
             engine,
             cluster,
@@ -211,18 +274,19 @@ struct Outcome {
     read_start: u64,
 }
 
-/// The swap-consistency oracle over one plan on `servers` servers. Writes
+/// The swap-consistency oracle over one plan on `machine`. Writes
 /// go in generations of at most [`OUTSTANDING`] requests at a time; a page
 /// may read back its last acknowledged fill or the fill of any write that
 /// failed after it.
 fn run_oracle(
     label: &str,
-    plan: FaultPlan,
+    placements: &[Placement],
     record: bool,
-    servers: usize,
+    machine: Machine,
     may_lose_both: bool,
 ) -> Outcome {
-    let mut run = Run::new(plan, record, servers);
+    let servers = machine.servers;
+    let mut run = Run::new(placements, record, machine);
     // The fills each slot may hold: the last acked write, plus every
     // failed write since (it may have landed on one replica).
     let allowed: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(vec![vec![0]; SLOTS as usize]));
@@ -330,17 +394,14 @@ fn run_oracle(
     }
 }
 
-/// Run one plan on `servers` servers, naming it if anything inside
-/// panics. A single fault must lose nothing; a pair may write off both
-/// servers that hold a slot.
-fn check(placements: &[Placement], servers: usize) -> ClientStats {
+/// Run one plan on `machine`, naming it if anything inside panics. A
+/// single fault must lose nothing; a pair may write off both servers that
+/// hold a slot.
+fn check(placements: &[Placement], machine: Machine) -> ClientStats {
     let label = format!("{placements:?}");
-    let plan = placements
-        .iter()
-        .fold(FaultPlan::new(), |plan, p| p.add_to(plan));
     let may_lose_both = placements.len() > 1;
     match catch_unwind(AssertUnwindSafe(|| {
-        run_oracle(&label, plan, false, servers, may_lose_both)
+        run_oracle(&label, placements, false, machine, may_lose_both)
     })) {
         Ok(outcome) => outcome.stats,
         Err(cause) => {
@@ -354,18 +415,19 @@ fn check(placements: &[Placement], servers: usize) -> ClientStats {
     }
 }
 
-/// Every single placement on `servers` servers, from the fault-free run's
-/// state-change instants.
-fn placements(servers: usize) -> Vec<Placement> {
-    let clean = run_oracle("fault-free", FaultPlan::new(), true, servers, false);
+/// Every single placement on `machine`, from the fault-free run's
+/// state-change instants; revokes too on the revocable machine.
+fn placements(machine: Machine) -> Vec<Placement> {
+    let clean = run_oracle("fault-free", &[], true, machine, false);
+    let revoke = machine.revocable.then_some(Fault::Revoke);
     let mut out = Vec::new();
     for &at_ns in &clean.instants {
-        for fault in FAULTS {
+        for fault in FAULTS.into_iter().chain(revoke) {
             let write_phase = at_ns < clean.read_start;
             if matches!(fault, Fault::Delay | Fault::Dup) && !write_phase {
                 continue;
             }
-            for server in 0..servers {
+            for server in 0..machine.servers {
                 out.push(Placement {
                     at_ns,
                     fault,
@@ -434,8 +496,8 @@ impl Coverage {
 #[test]
 fn every_single_fault_at_every_state_change_keeps_the_oracle() {
     let mut coverage = Coverage::default();
-    for p in placements(2) {
-        coverage.add(&check(&[p], 2));
+    for p in placements(TWO_SERVERS) {
+        coverage.add(&check(&[p], TWO_SERVERS));
     }
     coverage.print("single placements");
     // An epoch wipe takes two faults: a crash, then a restart.
@@ -447,10 +509,10 @@ fn every_single_fault_at_every_state_change_keeps_the_oracle() {
     }
 }
 
-/// [`SAMPLED_PAIRS`] ordered pairs of distinct placements on `servers`
-/// servers, drawn with `seed`.
-fn sample_pairs(servers: usize, seed: u64) {
-    let singles = placements(servers);
+/// [`SAMPLED_PAIRS`] ordered pairs of distinct placements on `machine`,
+/// drawn with `seed`.
+fn sample_pairs(machine: Machine, seed: u64) {
+    let singles = placements(machine);
     let n = singles.len() as u64;
     let mut rng = SimRng::new(seed);
     let mut coverage = Coverage::default();
@@ -458,30 +520,31 @@ fn sample_pairs(servers: usize, seed: u64) {
         let (i, j) = (rng.below(n) as usize, rng.below(n - 1) as usize);
         // Skip the diagonal: `j` indexes the placements other than `i`.
         let j = if j >= i { j + 1 } else { j };
-        coverage.add(&check(&[singles[i], singles[j]], servers));
+        coverage.add(&check(&[singles[i], singles[j]], machine));
     }
+    let servers = machine.servers;
     coverage.print(&format!("sampled ordered pairs on {servers} servers"));
 }
 
 #[test]
 fn a_seeded_sample_of_fault_pairs_keeps_the_oracle() {
-    sample_pairs(2, 31);
+    sample_pairs(TWO_SERVERS, 31);
 }
 
 #[test]
 fn a_seeded_sample_of_fault_pairs_on_three_servers_keeps_the_oracle() {
-    sample_pairs(3, 47);
+    sample_pairs(THREE_SERVERS, 47);
 }
 
 #[test]
 #[ignore = "every ordered pair of placements: minutes in release (CI fault-smoke job)"]
 fn every_ordered_pair_of_faults_keeps_the_oracle() {
-    let singles = placements(2);
+    let singles = placements(TWO_SERVERS);
     let mut coverage = Coverage::default();
     for (i, &first) in singles.iter().enumerate() {
         for (j, &second) in singles.iter().enumerate() {
             if i != j {
-                coverage.add(&check(&[first, second], 2));
+                coverage.add(&check(&[first, second], TWO_SERVERS));
             }
         }
     }
@@ -489,4 +552,50 @@ fn every_ordered_pair_of_faults_keeps_the_oracle() {
     for (name, plans) in Coverage::NAMES.iter().zip(coverage.reached) {
         assert!(plans > 0, "no pair of faults reached {name}");
     }
+}
+
+/// Every revoke placement on the revocable machine paired, in either
+/// order, with every other single placement.
+fn revoke_pairs() -> Vec<[Placement; 2]> {
+    let (revokes, faults): (Vec<_>, Vec<_>) = placements(REVOCABLE)
+        .into_iter()
+        .partition(|p| p.fault == Fault::Revoke);
+    let pairs = revokes
+        .iter()
+        .flat_map(|&r| faults.iter().flat_map(move |&f| [[r, f], [f, r]]));
+    pairs.collect()
+}
+
+/// Run `pairs` on the revocable machine; some plan must move a chunk.
+fn check_revoke_pairs(pairs: &[[Placement; 2]], what: &str) {
+    let mut coverage = Coverage::default();
+    let (mut moved, mut retried) = (0, 0);
+    for pair in pairs {
+        let stats = check(pair, REVOCABLE);
+        moved += (stats.migrations > 0) as u64;
+        retried += (stats.migration_retries > 0) as u64;
+        coverage.add(&stats);
+    }
+    coverage.print(what);
+    println!("  migrations    reached in {moved} plans");
+    println!("  migration_retries reached in {retried} plans");
+    assert!(moved > 0, "no plan moved a chunk");
+}
+
+#[test]
+fn a_seeded_sample_of_revoke_pairs_keeps_the_oracle() {
+    let pairs = revoke_pairs();
+    let mut rng = SimRng::new(53);
+    let sample: Vec<_> = (0..SAMPLED_PAIRS)
+        .map(|_| pairs[rng.below(pairs.len() as u64) as usize])
+        .collect();
+    check_revoke_pairs(&sample, "sampled revoke pairs");
+}
+
+#[test]
+#[ignore = "every revoke pair: minutes in release (CI fault-smoke job)"]
+fn every_revoke_pair_keeps_the_oracle() {
+    let pairs = revoke_pairs();
+    println!("{} revoke pairs", pairs.len());
+    check_revoke_pairs(&pairs, "all revoke pairs");
 }

@@ -6,9 +6,9 @@ use hpbd_suite::blockdev::{
     new_buffer, Bio, BlockDevice, DeviceHealth, FaultKind, IoError, IoOp, IoRequest,
 };
 use hpbd_suite::hpbd::config::Distribution;
-use hpbd_suite::hpbd::{ClusterBuilder, HpbdClient};
+use hpbd_suite::hpbd::{ClientStats, ClusterBuilder, HpbdClient, HpbdCluster, HpbdConfig};
 use hpbd_suite::netmodel::{Calibration, Node};
-use hpbd_suite::simcore::{Engine, SimDuration, Tracer};
+use hpbd_suite::simcore::{Engine, SimDuration, SimTime, Tracer};
 use hpbd_suite::simfault::FaultPlan;
 use hpbd_suite::vmsim::{DirectBackend, DirectConfig, LoadKind, SwapBackend};
 use hpbd_suite::workloads::{Scenario, ScenarioConfig, SwapKind};
@@ -40,9 +40,12 @@ fn killing_a_server_mid_swap_preserves_every_checksum() {
     let cluster = ClusterBuilder::new()
         .servers(4)
         .per_server_capacity(2 * MB)
-        .mirror_writes(true)
-        .request_timeout_ns(2_000_000)
-        .max_retries(1)
+        .config(HpbdConfig {
+            mirror_writes: true,
+            request_timeout_ns: Some(2_000_000),
+            max_retries: 1,
+            ..HpbdConfig::default()
+        })
         // The write stream below starts at t=0; 50µs in, server 0 dies
         // with requests on the wire.
         .fault_plan(FaultPlan::new().server_crash(50_000, 0))
@@ -114,7 +117,10 @@ fn killing_a_server_without_mirroring_fails_cleanly() {
     let cluster = ClusterBuilder::new()
         .servers(2)
         .per_server_capacity(2 * MB)
-        .request_timeout_ns(1_000_000)
+        .config(HpbdConfig {
+            request_timeout_ns: Some(1_000_000),
+            ..HpbdConfig::default()
+        })
         .fault_plan(FaultPlan::new().server_crash(10_000_000, 0))
         .build(&engine, cal);
     let dev = cluster.client.clone();
@@ -200,9 +206,12 @@ fn run_consistency_oracle(name: &str, plan: FaultPlan) -> hpbd_suite::hpbd::Clie
     let cluster = ClusterBuilder::new()
         .servers(4)
         .per_server_capacity(2 * MB)
-        .mirror_writes(true)
-        .request_timeout_ns(2_000_000)
-        .max_retries(1)
+        .config(HpbdConfig {
+            mirror_writes: true,
+            request_timeout_ns: Some(2_000_000),
+            max_retries: 1,
+            ..HpbdConfig::default()
+        })
         .fault_plan(plan)
         .build(&engine, cal);
     let dev = &cluster.client;
@@ -437,9 +446,12 @@ fn run_direct_consistency_oracle(
     let cluster = ClusterBuilder::new()
         .servers(4)
         .per_server_capacity(2 * MB)
-        .mirror_writes(true)
-        .request_timeout_ns(2_000_000)
-        .max_retries(1)
+        .config(HpbdConfig {
+            mirror_writes: true,
+            request_timeout_ns: Some(2_000_000),
+            max_retries: 1,
+            ..HpbdConfig::default()
+        })
         .fault_plan(plan)
         .build(&engine, cal);
     let backend = DirectBackend::new(
@@ -687,7 +699,12 @@ type PendingRead = (
 );
 
 fn read_page(dev: &HpbdClient, offset: u64) -> PendingRead {
-    let buf = new_buffer(PAGE as usize);
+    read_pages(dev, offset, 1)
+}
+
+/// Submit one read of `pages` pages at `offset`.
+fn read_pages(dev: &HpbdClient, offset: u64, pages: u64) -> PendingRead {
+    let buf = new_buffer((pages * PAGE) as usize);
     let result = Rc::new(Cell::new(None));
     let sink = result.clone();
     dev.submit(IoRequest::single(Bio::new(
@@ -722,8 +739,11 @@ fn a_read_on_its_replica_fails_when_the_replica_dies_too() {
     let cluster = ClusterBuilder::new()
         .servers(3)
         .per_server_capacity(MB)
-        .mirror_writes(true)
-        .request_timeout_ns(1_000_000)
+        .config(HpbdConfig {
+            mirror_writes: true,
+            request_timeout_ns: Some(1_000_000),
+            ..HpbdConfig::default()
+        })
         .build(&engine, Rc::new(Calibration::cluster_2005()));
     let dev = &cluster.client;
     for (server, fill) in [0xA0, 0xB1, 0xC2].into_iter().enumerate() {
@@ -758,11 +778,14 @@ fn a_chunk_migrated_under_mirroring_keeps_its_replica() {
     let cluster = ClusterBuilder::new()
         .servers(3)
         .per_server_capacity(MB)
-        .mirror_writes(true)
-        .chunk_bytes(256 << 10)
-        .spare_chunks(4)
-        // Long enough for the migration's 256 KiB writes.
-        .request_timeout_ns(5_000_000)
+        .config(HpbdConfig {
+            mirror_writes: true,
+            chunk_bytes: 256 << 10,
+            spare_chunks: 4,
+            // Long enough for the migration's 256 KiB writes.
+            request_timeout_ns: Some(5_000_000),
+            ..HpbdConfig::default()
+        })
         .build(&engine, Rc::new(Calibration::cluster_2005()));
     let dev = &cluster.client;
     const PAGES: u64 = 64;
@@ -801,10 +824,13 @@ fn striped_revocation_moves_every_stripe_in_the_range() {
     let cluster = ClusterBuilder::new()
         .servers(2)
         .per_server_capacity(MB)
-        .distribution(Distribution::Striped {
-            stripe_bytes: 64 << 10,
+        .config(HpbdConfig {
+            distribution: Distribution::Striped {
+                stripe_bytes: 64 << 10,
+            },
+            spare_chunks: 4,
+            ..HpbdConfig::default()
         })
-        .spare_chunks(4)
         .build(&engine, Rc::new(Calibration::cluster_2005()));
     let dev = &cluster.client;
     const PAGES: u64 = 128;
@@ -832,11 +858,14 @@ fn striped_mirrored_writes_survive_a_crash() {
     let cluster = ClusterBuilder::new()
         .servers(3)
         .per_server_capacity(MB)
-        .distribution(Distribution::Striped {
-            stripe_bytes: 16 << 10,
+        .config(HpbdConfig {
+            distribution: Distribution::Striped {
+                stripe_bytes: 16 << 10,
+            },
+            mirror_writes: true,
+            request_timeout_ns: Some(1_000_000),
+            ..HpbdConfig::default()
         })
-        .mirror_writes(true)
-        .request_timeout_ns(1_000_000)
         .build(&engine, Rc::new(Calibration::cluster_2005()));
     let dev = &cluster.client;
     const PAGES: u64 = 96;
@@ -848,4 +877,149 @@ fn striped_mirrored_writes_survive_a_crash() {
     assert_pages_read_back(&engine, dev, PAGES, "after server 1 crashed");
     assert!(dev.stats().failovers > 0, "server 1's stripes failed over");
     assert_eq!(dev.health(), DeviceHealth::Degraded { failed_servers: 1 });
+}
+
+// -- dynamic memory: a chunk's move lives in its placement-map entry ---------
+
+/// The revocation tests' machine: `servers` servers of 1 MiB, 256 KiB
+/// chunks, 4 spare chunks each, `config` for the rest, and pages
+/// `0..pages` written with `pattern`.
+fn revocable_cluster(
+    engine: &Engine,
+    servers: usize,
+    config: HpbdConfig,
+    plan: FaultPlan,
+    pages: u64,
+) -> HpbdCluster {
+    let cluster = ClusterBuilder::new()
+        .servers(servers)
+        .per_server_capacity(MB)
+        .config(HpbdConfig {
+            chunk_bytes: 256 << 10,
+            spare_chunks: 4,
+            ..config
+        })
+        .fault_plan(plan)
+        .build(engine, Rc::new(Calibration::cluster_2005()));
+    for p in 0..pages {
+        write_page(&cluster.client, p * PAGE, pattern(p));
+    }
+    cluster
+}
+
+/// Step `engine` until `done` holds.
+fn step_until(engine: &Engine, dev: &HpbdClient, done: impl Fn(&ClientStats) -> bool) {
+    while !done(&dev.stats()) {
+        assert!(engine.step_one(), "the engine went idle first");
+    }
+}
+
+/// A revoke notice delivered twice moves its chunk once: the second copy
+/// finds the chunk already moving. Two moves of one chunk used to race,
+/// and reads after the first returned zeros with `Ok`.
+#[test]
+fn a_duplicated_revoke_notice_moves_the_chunk_once() {
+    let engine = Engine::new();
+    let plan = FaultPlan::new().message_duplicate(10_000_000, 0, 1);
+    let cluster = revocable_cluster(&engine, 3, HpbdConfig::default(), plan, 64);
+    let dev = &cluster.client;
+    engine.run_until(SimTime(20_000_000));
+    cluster.servers[0].revoke(0, 256 << 10);
+    step_until(&engine, dev, |s| s.migrations >= 1);
+    assert_pages_read_back(&engine, dev, 64, "after the move");
+    let stats = dev.stats();
+    assert_eq!(stats.revocations, 2, "the notice arrived twice");
+    assert_eq!(stats.migrations, 1, "the chunk moved once");
+}
+
+/// A notice re-issued wider while the first move runs starts only the
+/// chunks that are not moving yet.
+#[test]
+fn a_widened_revoke_notice_moves_each_chunk_once() {
+    let engine = Engine::new();
+    let cluster = revocable_cluster(&engine, 3, HpbdConfig::default(), FaultPlan::new(), 128);
+    let dev = &cluster.client;
+    cluster.servers[0].revoke(0, 256 << 10);
+    engine.advance(SimDuration::from_micros(200));
+    cluster.servers[0].revoke(0, 512 << 10);
+    step_until(&engine, dev, |s| s.migrations >= 2);
+    assert_pages_read_back(&engine, dev, 128, "after the moves");
+    assert_eq!(dev.stats().migrations, 2, "two chunks, one move each");
+}
+
+/// With no live server left to take the chunk, the move ends with the
+/// chunk at its old home: the reclaim is advisory until a move completes.
+#[test]
+fn a_move_with_nowhere_to_go_leaves_the_chunk_at_home() {
+    let engine = Engine::new();
+    let config = HpbdConfig {
+        mirror_writes: true,
+        request_timeout_ns: Some(1_000_000),
+        ..HpbdConfig::default()
+    };
+    let cluster = revocable_cluster(&engine, 2, config, FaultPlan::new(), 64);
+    let dev = &cluster.client;
+    write_page(dev, MB, 0xB1);
+    engine.run_until_idle();
+    cluster.servers[1].crash();
+    let (_, result) = read_page(dev, MB);
+    engine.run_until_idle();
+    assert_eq!(result.get(), Some(Ok(())), "served by the replica");
+    assert_eq!(dev.health(), DeviceHealth::Degraded { failed_servers: 1 });
+    cluster.servers[0].revoke(0, 256 << 10);
+    engine.run_until_idle();
+    assert_eq!(dev.stats().migrations, 0, "no spare on a live server");
+    assert_pages_read_back(&engine, dev, 64, "from the old home");
+}
+
+/// A request deferred behind two moving chunks is deferred, and counted,
+/// once: when the first move ends it stays queued for the second.
+#[test]
+fn a_request_is_deferred_once() {
+    let engine = Engine::new();
+    let cluster = revocable_cluster(&engine, 3, HpbdConfig::default(), FaultPlan::new(), 128);
+    let dev = &cluster.client;
+    cluster.servers[0].revoke(0, 512 << 10);
+    step_until(&engine, dev, |s| s.revocations == 1);
+    let first = (256 << 10) / PAGE - 1;
+    let reads = [
+        (first, read_pages(dev, first * PAGE, 2)),
+        (0, read_page(dev, 0)),
+    ];
+    engine.run_until_idle();
+    assert_eq!(dev.stats().deferred_requests, 2, "each read deferred once");
+    for (page, (buf, result)) in reads {
+        assert_eq!(result.get(), Some(Ok(())), "read at page {page}");
+        for (i, bytes) in buf.borrow().chunks(PAGE as usize).enumerate() {
+            let fill = pattern(page + i as u64);
+            assert!(bytes.iter().all(|&b| b == fill), "page {}", page + i as u64);
+        }
+    }
+}
+
+/// A move whose home dies mid-move, with no copy elsewhere, fails every
+/// round; once the retries are spent the move ends with the chunk at its
+/// old home, and the I/O it held back fails with a typed error.
+#[test]
+fn a_move_that_keeps_failing_ends_and_its_io_fails_typed() {
+    let engine = Engine::new();
+    let config = HpbdConfig {
+        request_timeout_ns: Some(1_000_000),
+        ..HpbdConfig::default()
+    };
+    let cluster = revocable_cluster(&engine, 2, config, FaultPlan::new(), 64);
+    let dev = &cluster.client;
+    engine.run_until_idle();
+    cluster.servers[0].revoke(0, 256 << 10);
+    step_until(&engine, dev, |s| s.revocations == 1);
+    cluster.servers[0].crash();
+    let (_, result) = read_page(dev, 0);
+    engine.run_until_idle();
+    let stats = dev.stats();
+    assert_eq!((stats.migrations, stats.migration_retries), (0, 10));
+    assert!(
+        matches!(result.get(), Some(Err(IoError::Fault(_)))),
+        "the read fails typed: {:?}",
+        result.get()
+    );
 }
