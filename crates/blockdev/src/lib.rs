@@ -15,8 +15,8 @@
 //!   the 128 KiB cap the paper reports (Figure 6's ~120 KiB average request
 //!   size for testswap comes from exactly this mechanism), with a dispatch
 //!   log for the Figure 6 harness.
-//! * [`RamDiskDevice`] — memory-backed device (the remote server's page
-//!   store uses the same [`Storage`]).
+//! * [`RamDiskDevice`] — memory-backed device (the NBD server's page store
+//!   uses the same [`Storage`]).
 //! * [`SimDisk`] — the ST340014A-class ATA disk baseline: seek + rotation
 //!   for non-sequential accesses, serial service, calibrated transfer rate.
 

@@ -1,7 +1,8 @@
 //! Memory-backed storage and the local RamDisk device.
 //!
-//! [`Storage`] is the raw byte store (also used by the HPBD and NBD memory
-//! servers as their "RamDisk based files", paper §4.2). [`RamDiskDevice`]
+//! [`Storage`] is the raw byte store (also used by the NBD memory server as
+//! its "RamDisk based file", paper §4.2; the HPBD server keeps its store in
+//! an unregistered `ibsim` region, which RDMA snapshots can name). [`RamDiskDevice`]
 //! wraps one as a local [`BlockDevice`] whose only cost is the memcpy
 //! between the I/O buffers and the store, charged to the owning node's CPU.
 
@@ -49,12 +50,6 @@ impl Storage {
         let mut bytes = self.bytes.borrow_mut();
         let at = offset as usize;
         bytes[at..at + data.len()].copy_from_slice(data);
-    }
-
-    /// Zero the whole store. Models a host crash: the registered chunks
-    /// (and every page they held) are gone; capacity is unchanged.
-    pub fn wipe(&self) {
-        self.bytes.borrow_mut().fill(0);
     }
 }
 
@@ -209,16 +204,5 @@ mod tests {
         assert!(s.in_range(0, 100));
         assert!(!s.in_range(1, 100));
         assert!(!s.in_range(u64::MAX, 2));
-    }
-
-    #[test]
-    fn wipe_zeroes_but_keeps_capacity() {
-        let s = Storage::new(8);
-        s.write_at(0, &[7u8; 8]);
-        s.wipe();
-        assert_eq!(s.capacity(), 8);
-        let mut out = [1u8; 8];
-        s.read_at(0, &mut out);
-        assert_eq!(out, [0u8; 8]);
     }
 }

@@ -1316,7 +1316,9 @@ impl HpbdClient {
                 inner.stats.borrow_mut().bytes_out += len;
             }
             (ReplyStatus::Ok, PageOp::Read) => {
-                // Swap-in data was RDMA-WRITTEN into the staging span.
+                // Swap-in data was RDMA-WRITTEN into the staging span, as a
+                // placement that reads the server's store as it stood at
+                // the grant: this scatter is the page's one host copy.
                 // Scatter each carried part out of it at its running offset,
                 // now: the bio buffers are unobservable until the parts
                 // finish, and what the copy costs is charged below. (On the
@@ -1380,6 +1382,8 @@ impl HpbdClient {
 
     /// Return staging resources: pool spans back to the allocator (waking
     /// its wait queue), ephemeral MRs deregistered with the cost charged.
+    /// A pool span keeps its placements (unlike the server's staging): a
+    /// late duplicate of a write request can still pull from it.
     fn release_staging(&self, phys: &Phys) {
         let inner = &self.inner;
         match &phys.staging {

@@ -5,7 +5,10 @@
 //! swap-out request it RDMA-READs the page data out of the client's
 //! registered pool into a local staging buffer, then memcpys it into the
 //! store; for swap-in it memcpys store → staging and RDMA-WRITEs into the
-//! client's buffer. (The paper chooses server-initiated RDMA because the
+//! client's buffer. The store is an unregistered [`MemoryRegion`], so the
+//! store → staging copy is a placement whose bytes move only when the
+//! client reads them (`ibsim::mr`); each copy is charged when the model
+//! makes it. (The paper chooses server-initiated RDMA because the
 //! RamDisk is behind a file interface and because a future dynamic-memory
 //! server cannot pre-export addresses.)
 //!
@@ -25,7 +28,6 @@ use crate::proto::{
     ClientMessage, MergedRequest, PageOp, PageReply, PageRequest, ProtoError, ReplyStatus,
     RevokeNotice, MERGED_MAX_WIRE_SIZE,
 };
-use blockdev::Storage;
 use ibsim::{
     CompletionQueue, Fabric, IbNode, MemoryRegion, Opcode, Qp, QueuePair, RemoteSlice, WcStatus,
     WorkKind, WorkRequest,
@@ -204,7 +206,8 @@ struct ServerInner {
     engine: Engine,
     config: HpbdConfig,
     ibnode: IbNode,
-    storage: Storage,
+    /// The exported page store: unregistered, so no RDMA reaches it.
+    store: MemoryRegion,
     staging_mr: MemoryRegion,
     staging_pool: SimBufferPool,
     send_cq: CompletionQueue,
@@ -264,7 +267,7 @@ impl HpbdServer {
                 engine,
                 config,
                 ibnode,
-                storage: Storage::new(capacity),
+                store: MemoryRegion::unregistered(capacity as usize),
                 staging_mr,
                 staging_pool,
                 send_cq,
@@ -304,7 +307,7 @@ impl HpbdServer {
 
     /// Exported page-store capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.inner.storage.capacity()
+        self.inner.store.len() as u64
     }
 
     /// Current storage generation: 1 at boot, +1 per restart. The cluster
@@ -339,7 +342,7 @@ impl HpbdServer {
     pub fn revoke(&self, offset: u64, len: u64) {
         let inner = &self.inner;
         assert!(
-            inner.storage.in_range(offset, len),
+            inner.store.contains(offset, len),
             "revoking a range outside the store"
         );
         inner.stats.borrow_mut().revokes_sent += 1;
@@ -372,14 +375,15 @@ impl HpbdServer {
         // The exported page store evaporates with the process — and with
         // it the write fence: a restarted server starts from version 0,
         // matching its empty store.
-        self.inner.storage.wipe();
+        let store = &self.inner.store;
+        store.fill_with(0, store.len(), |bytes| bytes.fill(0));
         self.inner.versions.borrow_mut().clear();
         // Staging returns to the pool (a restart would rebuild the pool;
         // freeing models that without a pool reset). A continuation that
         // finds its row gone stops, returning any span it was granted.
         let jobs = std::mem::take(&mut *self.inner.jobs.borrow_mut());
         for span in jobs.values().filter_map(Job::staging) {
-            self.inner.staging_pool.free(span);
+            self.free_staging(span);
         }
         self.inner.engine.instant("hpbd_server", "crash", &[]);
     }
@@ -663,7 +667,7 @@ impl HpbdServer {
         let valid = (1..=SERVER_STAGING_SIZE).contains(&job.len)
             && job
                 .spans()
-                .all(|(offset, len, _)| len > 0 && self.inner.storage.in_range(offset, len));
+                .all(|(offset, len, _)| len > 0 && self.inner.store.contains(offset, len));
         if !valid {
             self.finish(job, ReplyStatus::OutOfRange);
         } else if self.write_fully_stale(&job) {
@@ -705,13 +709,13 @@ impl HpbdServer {
         let inner = &self.inner;
         let Some(job) = self.take(token) else {
             // The job died with its process while it waited.
-            inner.staging_pool.free(span);
+            self.free_staging(span);
             return;
         };
         if self.write_fully_stale(&job) {
             // A newer write to every covered page landed while this one
             // waited for staging; fence it off before spending RDMA.
-            inner.staging_pool.free(span);
+            self.free_staging(span);
             self.finish(job, ReplyStatus::StaleWrite);
             return;
         }
@@ -724,17 +728,16 @@ impl HpbdServer {
         // Swap-in gathers the store extents into the staging span in
         // staging order (merged segments may be scattered on the store),
         // now: the span is this job's alone while its row holds it, and
-        // what the copy costs is charged below.
-        let fill = |mut staging: &mut [u8]| {
-            for (offset, seg_len, _) in job.spans() {
-                let (seg, rest) = staging.split_at_mut(seg_len as usize);
-                inner.storage.read_at(offset, seg);
-                staging = rest;
-            }
-        };
-        inner
-            .staging_mr
-            .fill_with(span.offset as usize, len as usize, fill);
+        // what the copy costs is charged below. The placements read as the
+        // store does now; their bytes move when the client reads them.
+        let mut at = span.offset as usize;
+        for (offset, seg_len, _) in job.spans() {
+            let seg_len = seg_len as usize;
+            inner
+                .staging_mr
+                .place_from(at, &inner.store, offset as usize, seg_len);
+            at += seg_len;
+        }
         self.note(token, job, Step::Granted(span));
         self.charge_copy("store_to_staging", len, token, HpbdServer::copied);
     }
@@ -866,39 +869,47 @@ impl HpbdServer {
         };
         // The span still holds what the pull placed: the row held it, and
         // the completed RDMA READ was its only writer.
-        let status =
-            self.inner
-                .staging_mr
-                .read_with(span.offset as usize, job.len as usize, |data| {
-                    self.apply_versioned(&job, data)
-                });
+        let status = self.apply_versioned(&job, span.offset);
         self.finish(job, status);
     }
 
-    /// Apply pulled swap-out data page-by-page under the write fence: a
-    /// page is written only when the incoming version is newer than the
-    /// version it holds. Each merged segment fences independently with its
-    /// own version, so a merged message carrying one stale and one live
-    /// write applies exactly the live one. The reply is `Ok` when any page
-    /// was applied, else `StaleWrite`.
-    fn apply_versioned(&self, job: &Job, data: &[u8]) -> ReplyStatus {
+    /// Apply pulled swap-out data, staged at `staging`, page-by-page under
+    /// the write fence: a page is written only when the incoming version
+    /// is newer than the version it holds. Each merged segment fences
+    /// independently with its own version, so a merged message carrying
+    /// one stale and one live write applies exactly the live one. Each run
+    /// of applied pages is one copy. The reply is `Ok` when any page was
+    /// applied, else `StaleWrite`.
+    fn apply_versioned(&self, job: &Job, staging: u64) -> ReplyStatus {
         let inner = &self.inner;
+        // Copy the staged bytes at `data` to store bytes `from..to`.
+        let apply = |from: u64, to: u64, data: u64| {
+            let len = (to - from) as usize;
+            inner
+                .store
+                .copy_from(from as usize, &inner.staging_mr, data as usize, len);
+        };
         let mut applied_any = false;
-        let mut data_base = 0usize;
+        let mut data_base = staging;
         for (offset, len, version) in job.spans() {
-            let span_data = &data[data_base..data_base + len as usize];
-            data_base += len as usize;
+            let data = data_base;
+            data_base += len;
             if version == 0 {
                 // Unversioned write (a client that opted out of fencing):
                 // apply wholesale, as before versioning existed.
-                inner.storage.write_at(offset, span_data);
+                apply(offset, offset + len, data);
                 applied_any = true;
                 continue;
             }
             let mut versions = inner.versions.borrow_mut();
+            // The store bytes `run` of consecutive applied pages covers.
+            let mut run: Option<(u64, u64)> = None;
             for page in page_range(offset, len) {
                 let stored = versions.get(&page).copied().unwrap_or(0);
                 if stored >= version {
+                    if let Some((from, to)) = run.take() {
+                        apply(from, to, data + from - offset);
+                    }
                     continue;
                 }
                 // Intersect the page with the span's byte range (the first
@@ -906,12 +917,12 @@ impl HpbdServer {
                 let page_start = page * VERSION_PAGE;
                 let start = offset.max(page_start);
                 let end = (offset + len).min(page_start + VERSION_PAGE);
-                let src = (start - offset) as usize;
-                inner
-                    .storage
-                    .write_at(start, &span_data[src..src + (end - start) as usize]);
+                run = Some((run.map_or(start, |(from, _)| from), end));
                 versions.insert(page, version);
                 applied_any = true;
+            }
+            if let Some((from, to)) = run {
+                apply(from, to, data + from - offset);
             }
         }
         match applied_any {
@@ -920,13 +931,22 @@ impl HpbdServer {
         }
     }
 
+    /// Return a staging span to the pool. Its pending placements are
+    /// dropped unread: every job writes its span before it reads it.
+    fn free_staging(&self, span: PoolBuf) {
+        let inner = &self.inner;
+        let (offset, len) = (span.offset as usize, span.len as usize);
+        inner.staging_mr.discard(offset, len);
+        inner.staging_pool.free(span);
+    }
+
     /// Answer a job that has left the table. Its staging returns to the
     /// pool first (the free may grant a waiting job its span), then its
     /// arrival → reply trace span is emitted and the reply is sent.
     fn finish(&self, job: Job, status: ReplyStatus) {
         let inner = &self.inner;
         if let Some(span) = job.staging() {
-            inner.staging_pool.free(span);
+            self.free_staging(span);
         }
         match (status, job.op) {
             (ReplyStatus::Ok, PageOp::Write) => inner.stats.borrow_mut().bytes_in += job.len,
@@ -987,7 +1007,7 @@ mod tests {
                 ..HpbdConfig::default()
             })
             .build(&engine, Rc::new(Calibration::cluster_2005()));
-        cluster.servers[0].inner.storage.write_at(0, &[0x11; LEN]);
+        cluster.servers[0].inner.store.write(0, &[0x11; LEN]);
         (engine, cluster)
     }
 
@@ -1035,8 +1055,7 @@ mod tests {
         assert_eq!(posts(server), posted, "{case}: a dead job posted an RDMA");
         let stats = server.stats();
         assert_eq!((stats.bytes_in, stats.bytes_out), (0, 0), "{case}");
-        let mut store = vec![0xFF; server.capacity() as usize];
-        server.inner.storage.read_at(0, &mut store);
+        let store = server.inner.store.to_vec();
         assert!(
             store.iter().all(|&b| b == 0),
             "{case}: the wiped store was written"
@@ -1122,6 +1141,67 @@ mod tests {
                 engine.run_until_idle();
                 assert_died_clean(&engine, &cluster, posted.get(), &case);
             }
+        }
+    }
+
+    /// A swap-in returns the store's bytes as they stood when its staging
+    /// was granted, whatever the store goes through between that instant
+    /// and the client's scatter: a rewrite of the page it reads, or a
+    /// restart's wipe. The fault lands after each event of that window in
+    /// turn. A job the wipe kills never answers (no timeouts are armed), so
+    /// only reads answered before the wipe complete.
+    #[test]
+    fn a_swap_in_returns_the_bytes_of_its_grant_instant() {
+        let granted = State::StoreCopy(PoolBuf { offset: 0, len: 0 });
+        let read = |cluster: &HpbdCluster| {
+            let buf = new_buffer(LEN);
+            let done = Rc::new(Cell::new(None));
+            let set = done.clone();
+            let bio = Bio::new(IoOp::Read, 0, buf.clone(), move |r| set.set(Some(r)));
+            cluster.client.submit(IoRequest::single(bio));
+            (buf, done)
+        };
+        // The events from the grant to the read's completion, on a dry run.
+        let window = {
+            let (engine, cluster) = rig();
+            let (_, done) = read(&cluster);
+            while !job_in(&cluster.servers[0], granted) {
+                assert!(engine.step_one());
+            }
+            let mut events = 0;
+            while done.get().is_none() {
+                assert!(engine.step_one());
+                events += 1;
+            }
+            events
+        };
+        for wipe in [false, true] {
+            let mut answered_then_wiped = 0;
+            for k in 0..window {
+                let case = format!("wipe {wipe}, fault after {k} events");
+                let (engine, cluster) = rig();
+                let server = &cluster.servers[0];
+                let (buf, done) = read(&cluster);
+                while !job_in(server, granted) {
+                    engine.step_one();
+                }
+                for _ in 0..k {
+                    engine.step_one();
+                }
+                if wipe {
+                    let answered = server.stats().bytes_out > 0;
+                    answered_then_wiped += (answered && done.get().is_none()) as u32;
+                    kill(server, true);
+                } else {
+                    server.inner.store.write(0, &[0x33; 4096]);
+                }
+                engine.run_until_idle();
+                match done.get() {
+                    Some(Ok(())) => assert!(buf.borrow().iter().all(|&b| b == 0x11), "{case}"),
+                    other => assert!(wipe && other.is_none(), "{case}: {other:?}"),
+                }
+            }
+            assert!(!wipe || answered_then_wiped > 0, "no wipe after the reply");
         }
     }
 }

@@ -26,10 +26,12 @@
 //! An RDMA's bytes are those its source span holds when the operation
 //! reads it: at post for an RDMA WRITE, when the request reaches the
 //! responder for an RDMA READ. They land when the target HCA has processed
-//! the arriving data, copied once, straight from the source region into
-//! the target ([`crate::mr`]'s snapshot; a source rewritten in between has
-//! saved its old bytes first). A `Send` payload is an owned `Bytes`, copied
-//! into the receive buffer on delivery.
+//! the arriving data, as a placement the target span reads through to the
+//! source; the host copies them only when that span is read
+//! ([`crate::mr`]'s lazy bytes; a source rewritten in between has saved
+//! its old bytes first). A source span that is itself a placement names
+//! the placement's source instead. A `Send` payload is an owned `Bytes`,
+//! copied into the receive buffer on delivery.
 
 use crate::cq::{Completion, CompletionQueue, Opcode, WcStatus};
 use crate::fault::LinkFaults;

@@ -239,8 +239,10 @@ impl TimingWheel {
     }
 
     /// Drop tombstoned (cancelled) nodes sitting at the head of either
-    /// structure so peeks and pops see live events only.
-    fn prune(&mut self) {
+    /// structure so peeks and pops see live events only. Returns the
+    /// wheel's earliest slot, whose head is now live, if the wheel holds
+    /// an event.
+    fn prune(&mut self) -> Option<usize> {
         while let Some(top) = self.overflow.peek() {
             if self.nodes[top.node as usize].action.is_some() {
                 break;
@@ -251,11 +253,12 @@ impl TimingWheel {
         while let Some(slot) = self.min_slot() {
             let idx = self.slots[slot].head;
             if self.nodes[idx as usize].action.is_some() {
-                break;
+                return Some(slot);
             }
             self.pop_slot_head(slot);
             self.free_node(idx);
         }
+        None
     }
 
     pub(crate) fn push(&mut self, at: SimTime, seq: u64, action: Action) -> EventId {
@@ -310,10 +313,9 @@ impl TimingWheel {
     /// Pop the earliest event if its time is `<= deadline`.
     pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Action)> {
         loop {
-            self.prune();
             // Every overflow entry lies past the window, so a non-empty
             // wheel's head is the earliest event.
-            if let Some(slot) = self.min_slot() {
+            if let Some(slot) = self.prune() {
                 let at = self.base + slot as u64;
                 if at > deadline.0 {
                     return None;
@@ -345,8 +347,7 @@ impl TimingWheel {
 
     /// Timestamp of the earliest live event, pruning tombstones on the way.
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        self.prune();
-        match self.min_slot() {
+        match self.prune() {
             Some(slot) => Some(SimTime(self.base + slot as u64)),
             None => self.overflow.peek().map(|e| SimTime(e.at)),
         }
