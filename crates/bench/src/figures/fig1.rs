@@ -6,7 +6,7 @@
 //! the closed-form models — so this figure also validates that the
 //! simulated stacks reproduce their own calibration.
 
-use ibsim::{Fabric, Qp, RemoteSlice, WorkKind, WorkRequest};
+use ibsim::{Fabric, RemoteSlice, WorkKind, WorkRequest};
 use netmodel::{Calibration, Node};
 use simcore::{Engine, SimTime};
 use std::cell::RefCell;
@@ -42,7 +42,6 @@ fn measure_rdma(size: u64) -> f64 {
     let b = fabric.add_node("b");
     let (acq, arcq, bcq, brcq) = (a.create_cq(), a.create_cq(), b.create_cq(), b.create_cq());
     let (qp, _qp_b) = fabric.connect(&a, &acq, &arcq, &b, &bcq, &brcq);
-    let qp = Qp::from(qp);
     let src = a.hca().register(size as usize);
     let dst = b.hca().register(size as usize);
     let wr = |id| WorkRequest {
@@ -57,17 +56,12 @@ fn measure_rdma(size: u64) -> f64 {
         },
         solicited: false,
     };
-    // Warm the QP context caches. A one-WR chain posts exactly like a
-    // bare post_send, so the measurement is unchanged.
-    let mut warm = qp.chain();
-    warm.push(wr(0));
-    warm.post().expect("warmup");
+    // Warm the QP context caches.
+    qp.post_send(wr(0)).expect("warmup");
     engine.run_until_idle();
     acq.drain();
     let t0 = engine.now();
-    let mut measured = qp.chain();
-    measured.push(wr(1));
-    measured.post().expect("measured op");
+    qp.post_send(wr(1)).expect("measured op");
     engine.run_until_idle();
     let completion = engine.now() - t0;
     // The requester completion includes the ack propagation; the quantity

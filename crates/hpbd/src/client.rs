@@ -27,7 +27,7 @@ use crate::proto::{
 };
 use blockdev::{new_buffer, Bio, BlockDevice, DeviceHealth, FaultKind, IoError, IoOp, IoRequest};
 use ibsim::{
-    CompletionQueue, IbNode, MemoryRegion, Opcode, Qp, QueuePair, WcStatus, WorkKind, WorkRequest,
+    CompletionQueue, IbNode, MemoryRegion, Opcode, QueuePair, WcStatus, WorkKind, WorkRequest,
 };
 use simcore::{Engine, EventId, SimDuration, SimTime};
 use simtrace::{intern, Counter, Histogram, LazyCounter, MarkKind, RequestCtx};
@@ -365,7 +365,7 @@ struct PendingPart {
 }
 
 struct ServerConn {
-    qp: Qp,
+    qp: QueuePair,
     credits: Cell<usize>,
     /// Requests in `CreditWait` on this server, by id, in FIFO order.
     queued: RefCell<VecDeque<u64>>,
@@ -650,7 +650,6 @@ impl HpbdClient {
     /// handshake; replies carrying any other value reveal an in-window
     /// restart (see [`ClientStats::epoch_wipes`]).
     pub fn attach_server(&self, qp: QueuePair, extent_len: u64, generation: u64) {
-        let qp = Qp::from(qp);
         let inner = &self.inner;
         let credits = inner.config.credits;
         // Two extra receives beyond the credit window absorb
@@ -1019,11 +1018,9 @@ impl HpbdClient {
             // flush rings one doorbell per server. Chain-post errors are
             // recovered per-WR when the spool drains.
             spool.push((phys.server_idx, wr));
-            Ok(1)
+            Ok(())
         } else {
-            let mut chain = conn.qp.chain();
-            chain.push(wr);
-            chain.post()
+            conn.qp.post_send(wr)
         };
         if posted.is_err() {
             self.fail_sends_later(vec![req_id]);
@@ -1479,14 +1476,12 @@ impl HpbdClient {
         let conns = self.inner.conns.borrow();
         let mut iter = entries.into_iter().peekable();
         while let Some((conn_idx, wr)) = iter.next() {
-            let mut wr_ids = vec![wr.wr_id];
-            let mut chain = conns[conn_idx].qp.chain();
-            chain.push(wr);
+            let mut chain = vec![wr];
             while let Some((_, wr)) = iter.next_if(|(idx, _)| *idx == conn_idx) {
-                wr_ids.push(wr.wr_id);
                 chain.push(wr);
             }
-            if chain.post().is_err() {
+            let wr_ids = chain.iter().map(|wr| wr.wr_id).collect();
+            if conns[conn_idx].qp.post_send_many(chain).is_err() {
                 self.fail_sends_later(wr_ids);
             }
         }
@@ -1993,5 +1988,66 @@ mod tests {
         let ends = plan_merge(&keys, u64::MAX, 32);
         assert_eq!(*ends.last().unwrap() as usize, keys.len());
         assert!(ends.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// A request queued at a server's credit water-mark when that server is
+    /// written off fails over to its buddy, and waits again if the buddy is
+    /// at its own water-mark: the (`CreditWait`, `CreditStall`) move, which
+    /// the fault enumeration's 2 credits and 3 requests never reach.
+    #[test]
+    fn a_request_stranded_at_a_dead_servers_water_mark_waits_again_at_its_buddy() {
+        use super::{HpbdClient, State};
+        use crate::cluster::ClusterBuilder;
+        use crate::config::HpbdConfig;
+        use blockdev::{new_buffer, Bio, BlockDevice, IoOp, IoRequest};
+        use netmodel::Calibration;
+        use simcore::Engine;
+        use std::rc::Rc;
+
+        let engine = Engine::new();
+        let cluster = ClusterBuilder::new()
+            .servers(2)
+            .per_server_capacity(1 << 20)
+            .config(HpbdConfig {
+                mirror_writes: true,
+                credits: 1,
+                request_timeout_ns: Some(1_000_000),
+                max_retries: 0,
+                ..HpbdConfig::default()
+            })
+            .build(&engine, Rc::new(Calibration::cluster_2005()));
+        let dev: &HpbdClient = &cluster.client;
+        let write = |offset: u64| {
+            let buf = new_buffer(PAGE as usize);
+            let bio = Bio::new(IoOp::Write, offset, buf, |r| r.unwrap());
+            dev.submit(IoRequest::single(bio));
+        };
+        cluster.servers[0].crash();
+        // Server 1's own pages hold its one credit past the timeout.
+        for page in 0..64 {
+            write((1 << 20) + page * PAGE);
+        }
+        // Two writes to server 0: one holds its credit, one waits for it.
+        write(0);
+        write(PAGE);
+        engine.run_until(simcore::SimTime(500_000));
+        let waits_at = |req_id: u64| {
+            let requests = dev.inner.requests.borrow();
+            let p = &requests[&req_id];
+            matches!(p.state, State::CreditWait).then_some(p.server_idx)
+        };
+        let req_id = {
+            let requests = dev.inner.requests.borrow();
+            let mut primaries = requests.values().filter(|p| !p.is_mirror);
+            let second = primaries.find(|p| p.segs[0].server_offset == PAGE);
+            second.expect("the second write is in the table").req_id
+        };
+        assert_eq!(waits_at(req_id), Some(0), "it waits at server 0");
+        while !dev.inner.conns.borrow()[0].dead.get() {
+            assert!(engine.step_one(), "server 0 is never written off");
+        }
+        assert_eq!(waits_at(req_id), Some(1), "it waits again at server 1");
+        engine.run_until_idle();
+        assert_eq!(dev.stats().failovers, 2, "both writes to server 0 moved");
     }
 }

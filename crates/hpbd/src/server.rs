@@ -29,7 +29,7 @@ use crate::proto::{
     RevokeNotice, MERGED_MAX_WIRE_SIZE,
 };
 use ibsim::{
-    CompletionQueue, Fabric, IbNode, MemoryRegion, Opcode, Qp, QueuePair, RemoteSlice, WcStatus,
+    CompletionQueue, Fabric, IbNode, MemoryRegion, Opcode, QueuePair, RemoteSlice, WcStatus,
     WorkKind, WorkRequest,
 };
 use simcore::{Engine, SimDuration, SimTime};
@@ -156,7 +156,7 @@ impl Job {
 }
 
 struct Conn {
-    qp: Qp,
+    qp: QueuePair,
     /// Control-message receive buffers (slices of one registration),
     /// indexed by recv wr_id.
     recv_region: MemoryRegion,
@@ -352,10 +352,14 @@ impl HpbdServer {
             // Best-effort: a notice squeezed out by a full send queue is
             // dropped, not treated as fatal. Revoking again is safe: a
             // client moves each chunk once, however often it is named.
-            let mut chain = conn.qp.chain();
-            // Notices carry no request id.
-            chain.send(u64::MAX, notice.encode(), true);
-            let _ = chain.post();
+            let _ = conn.qp.post_send(WorkRequest {
+                // Notices carry no request id.
+                wr_id: u64::MAX,
+                kind: WorkKind::Send {
+                    payload: notice.encode(),
+                },
+                solicited: true,
+            });
         }
     }
 
@@ -470,7 +474,6 @@ impl HpbdServer {
     /// receive buffers on `qp`. Called by the cluster builder after the QP
     /// exchange.
     pub fn attach_connection(&self, qp: QueuePair) {
-        let qp = Qp::from(qp);
         let inner = &self.inner;
         let credits = inner.config.credits;
         // Buffers are sized for the largest control message — a maximally
@@ -658,16 +661,18 @@ impl HpbdServer {
         }
     }
 
-    /// The parse is paid for: answer a job that is out of range or fenced
+    /// The parse is paid for: answer a job that is out of range, an
+    /// unversioned write (the client stamps every write from 1) or fenced
     /// off, else queue it for staging.
     fn parsed(&self, token: u64) {
         let Some(job) = self.take(token) else {
             return;
         };
+        let write = job.op == PageOp::Write;
         let valid = (1..=SERVER_STAGING_SIZE).contains(&job.len)
-            && job
-                .spans()
-                .all(|(offset, len, _)| len > 0 && self.inner.store.contains(offset, len));
+            && job.spans().all(|(offset, len, version)| {
+                len > 0 && self.inner.store.contains(offset, len) && (version > 0 || !write)
+            });
         if !valid {
             self.finish(job, ReplyStatus::OutOfRange);
         } else if self.write_fully_stale(&job) {
@@ -698,8 +703,7 @@ impl HpbdServer {
         }
         let versions = self.inner.versions.borrow();
         job.spans().all(|(offset, len, version)| {
-            version > 0
-                && page_range(offset, len).all(|p| versions.get(&p).is_some_and(|&v| v >= version))
+            page_range(offset, len).all(|p| versions.get(&p).is_some_and(|&v| v >= version))
         })
     }
 
@@ -802,12 +806,7 @@ impl HpbdServer {
             _ => inner.stats.borrow_mut().rdma_writes += 1,
         }
         self.mark(req_id, MarkKind::RdmaPosted);
-        let posted = {
-            let conns = inner.conns.borrow();
-            let mut chain = conns[conn].qp.chain();
-            chain.push(wr);
-            chain.post()
-        };
+        let posted = inner.conns.borrow()[conn].qp.post_send(wr);
         // Send-queue overflow: fail the request instead of wedging it. Its
         // staging returns to the pool and the client gets a typed
         // TransferError to drive its own retry machinery.
@@ -894,13 +893,6 @@ impl HpbdServer {
         for (offset, len, version) in job.spans() {
             let data = data_base;
             data_base += len;
-            if version == 0 {
-                // Unversioned write (a client that opted out of fencing):
-                // apply wholesale, as before versioning existed.
-                apply(offset, offset + len, data);
-                applied_any = true;
-                continue;
-            }
             let mut versions = inner.versions.borrow_mut();
             // The store bytes `run` of consecutive applied pages covers.
             let mut run: Option<(u64, u64)> = None;
@@ -979,9 +971,13 @@ impl HpbdServer {
         // machinery already recovers from that. Solicited so the client's
         // sleeping receiver thread wakes (paper §5: the server sets the
         // solicitation control field of the send descriptor).
-        let mut chain = conns[job.conn].qp.chain();
-        chain.send(job.req_id, reply.encode(), true);
-        let _ = chain.post();
+        let _ = conns[job.conn].qp.post_send(WorkRequest {
+            wr_id: job.req_id,
+            kind: WorkKind::Send {
+                payload: reply.encode(),
+            },
+            solicited: true,
+        });
     }
 }
 
@@ -1203,5 +1199,45 @@ mod tests {
             }
             assert!(!wipe || answered_then_wiped > 0, "no wipe after the reply");
         }
+    }
+
+    /// A write without a fence version is malformed: it is answered like
+    /// an out-of-range request, before any staging, RDMA or store write.
+    #[test]
+    fn an_unversioned_write_is_refused_untouched() {
+        let engine = Engine::new();
+        let fabric = Fabric::new(engine.clone(), Rc::new(Calibration::cluster_2005()));
+        let config = HpbdConfig::default();
+        let server = HpbdServer::new(&fabric, "server", 1 << 20, config.clone());
+        let node = fabric.add_node("client");
+        let (send_cq, recv_cq) = (node.create_cq(), node.create_cq());
+        let (qp, qp_s) = fabric.connect(
+            &node,
+            &send_cq,
+            &recv_cq,
+            server.ibnode(),
+            server.send_cq(),
+            server.recv_cq(),
+        );
+        server.attach_connection(qp_s);
+        let pages = node.hca().register(4096);
+        pages.write(0, &[0xAA; 4096]);
+        let replies = node.hca().register(64);
+        qp.post_recv(0, replies.slice(0, 64)).unwrap();
+        let request = PageRequest::new(7, PageOp::Write, 0, 4096, pages.rkey(), 0, 0);
+        qp.post_send(WorkRequest {
+            wr_id: 7,
+            kind: WorkKind::Send {
+                payload: request.encode(),
+            },
+            solicited: true,
+        })
+        .unwrap();
+        engine.run_until_idle();
+        let reply = replies.read_with(0, 64, |b| PageReply::decode_slice(b).unwrap());
+        assert_eq!(reply.status(), ReplyStatus::OutOfRange);
+        assert_eq!(posts(&server), (0, 0), "the job got an RDMA");
+        assert!(server.inner.store.to_vec().iter().all(|&b| b == 0));
+        assert!(server.inner.versions.borrow().is_empty());
     }
 }

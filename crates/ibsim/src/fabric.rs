@@ -171,10 +171,6 @@ impl Fabric {
 }
 
 #[cfg(test)]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the verb layer's own tests post raw work requests"
-)]
 mod tests {
     use super::*;
     use crate::cq::{Opcode, WcStatus};
@@ -772,5 +768,137 @@ mod tests {
         let m = p.engine.metrics();
         let counts = ["ibsim.sends", "ibsim.rdma_reads", "ibsim.rdma_writes"].map(|c| m.counter(c));
         assert_eq!(counts, [0, 1, 1]);
+    }
+
+    /// An RDMA WRITE of `len` bytes at `offset` from `src` to `dst`.
+    fn rdma_write(
+        id: u64,
+        src: &MemoryRegion,
+        dst: &MemoryRegion,
+        offset: u64,
+        len: u64,
+    ) -> WorkRequest {
+        WorkRequest {
+            wr_id: id,
+            kind: WorkKind::RdmaWrite {
+                local: src.slice(offset, len),
+                remote: crate::RemoteSlice {
+                    rkey: dst.rkey(),
+                    offset,
+                    len,
+                },
+            },
+            solicited: false,
+        }
+    }
+
+    #[test]
+    fn post_send_many_of_one_is_a_post_send() {
+        let p = pair();
+        let rbuf = p.b.hca().register(64);
+        p.qp_b.post_recv(1, rbuf.slice(0, 64)).unwrap();
+        let send = WorkRequest {
+            wr_id: 7,
+            kind: WorkKind::Send {
+                payload: Bytes::from_static(b"one"),
+            },
+            solicited: true,
+        };
+        assert_eq!(p.qp_a.post_send_many(vec![send]), Ok(1));
+        p.engine.run_until_idle();
+        let c = p.qp_a.send_cq().poll().unwrap();
+        assert_eq!((c.wr_id, c.status), (7, WcStatus::Success));
+        let mut out = [0u8; 3];
+        rbuf.read(0, &mut out);
+        assert_eq!(&out, b"one");
+    }
+
+    #[test]
+    fn empty_post_send_many_posts_nothing() {
+        let p = pair();
+        assert_eq!(p.qp_a.post_send_many(Vec::new()), Ok(0));
+        p.engine.run_until_idle();
+        assert!(p.qp_a.send_cq().poll().is_none());
+    }
+
+    #[test]
+    fn post_send_many_completes_in_post_order_with_data_intact() {
+        let p = pair();
+        let rbuf = p.b.hca().register(64);
+        p.qp_b.post_recv(5, rbuf.slice(0, 64)).unwrap();
+        let src = p.a.hca().register(4 * 4096);
+        let dst = p.b.hca().register(4 * 4096);
+        for i in 0..4u8 {
+            src.write(i as usize * 4096, &[i + 1; 4096]);
+        }
+        let mut wrs: Vec<_> = (0..4)
+            .map(|i| rdma_write(i, &src, &dst, i * 4096, 4096))
+            .collect();
+        wrs.push(WorkRequest {
+            wr_id: 4,
+            kind: WorkKind::Send {
+                payload: Bytes::from_static(b"done"),
+            },
+            solicited: true,
+        });
+        assert_eq!(p.qp_a.post_send_many(wrs), Ok(5));
+        p.engine.run_until_idle();
+        let comps = p.qp_a.send_cq().drain();
+        let order: Vec<_> = comps.iter().map(|c| (c.wr_id, c.opcode)).collect();
+        let mut want: Vec<_> = (0..4).map(|i| (i, Opcode::RdmaWrite)).collect();
+        want.push((4, Opcode::Send));
+        assert_eq!(order, want);
+        assert!(comps.iter().all(|c| c.status == WcStatus::Success));
+        for i in 0..4u8 {
+            let mut out = vec![0u8; 4096];
+            dst.read(i as usize * 4096, &mut out);
+            assert!(out.iter().all(|&b| b == i + 1), "extent {i} intact");
+        }
+    }
+
+    #[test]
+    fn post_send_many_is_all_or_nothing_on_a_full_send_queue() {
+        let engine = Engine::new();
+        let fabric = Fabric::new(engine.clone(), Rc::new(Calibration::cluster_2005()));
+        let a = fabric.add_node("a");
+        let b = fabric.add_node("b");
+        let (acq, arcq, bcq, brcq) = (a.create_cq(), a.create_cq(), b.create_cq(), b.create_cq());
+        let (qp_a, _qp_b) = fabric.connect_with_depth(&a, &acq, &arcq, &b, &bcq, &brcq, 3, 3);
+        let src = a.hca().register(4 * 64);
+        let dst = b.hca().register(4 * 64);
+        let wrs = |n| {
+            (0..n)
+                .map(|i| rdma_write(i, &src, &dst, i * 64, 64))
+                .collect()
+        };
+        // Four WRs into a depth-3 queue: rejected whole, nothing posted.
+        assert_eq!(qp_a.post_send_many(wrs(4)), Err(PostError::SendQueueFull));
+        engine.run_until_idle();
+        assert!(qp_a.send_cq().poll().is_none());
+        assert_eq!(engine.metrics().counter("ibsim.rdma_writes"), 0);
+        // A chain that fits still goes through afterwards.
+        assert_eq!(qp_a.post_send_many(wrs(3)), Ok(3));
+        engine.run_until_idle();
+        assert_eq!(qp_a.send_cq().drain().len(), 3);
+    }
+
+    #[test]
+    fn post_send_many_frees_the_cpu_sooner_than_separate_posts() {
+        // One doorbell for eight WQEs: the posting CPU is free again
+        // before it would be after eight separate posts.
+        let cpu_free_after = |chained: bool| {
+            let p = pair();
+            let src = p.a.hca().register(8 * 64);
+            let dst = p.b.hca().register(8 * 64);
+            let wrs = (0..8).map(|i| rdma_write(i, &src, &dst, i * 64, 64));
+            if chained {
+                p.qp_a.post_send_many(wrs.collect()).unwrap();
+            } else {
+                wrs.for_each(|wr| p.qp_a.post_send(wr).unwrap());
+            }
+            let now = p.engine.now();
+            p.a.node().cpu().reserve(now, simcore::SimDuration::ZERO).1
+        };
+        assert!(cpu_free_after(true) < cpu_free_after(false));
     }
 }

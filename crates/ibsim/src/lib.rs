@@ -39,7 +39,6 @@ pub mod fault;
 pub mod hca;
 pub mod mr;
 pub mod qp;
-pub mod types;
 
 pub use cq::{Completion, CompletionQueue, Opcode, WcStatus};
 pub use fabric::{Fabric, IbNode};
@@ -47,4 +46,3 @@ pub use fault::LinkFaults;
 pub use hca::Hca;
 pub use mr::{MemoryRegion, MrSlice, RemoteSlice};
 pub use qp::{PostError, QueuePair, WorkKind, WorkRequest};
-pub use types::{Qp, WrChain};

@@ -1,9 +1,11 @@
 //! Hot-path batching: merged scatter-gather requests must be invisible to
 //! every correctness observable. Property tests drive shuffled, overlapping
 //! and mirrored write orders through a batching cluster and check byte-exact
-//! read-back; the swap-consistency oracle reruns the PR 5 fault plans with
-//! merging on; and differentials pin the batching-off path to the default
-//! configuration byte for byte.
+//! read-back; the swap-consistency oracle (`tests/oracle/mod.rs`) runs
+//! enumerated fault plans with merging on; and differentials pin the
+//! batching-off path to the default configuration byte for byte.
+
+mod oracle;
 
 use hpbd_suite::blockdev::{new_buffer, Bio, BlockDevice, IoOp, IoRequest};
 use hpbd_suite::hpbd::{ClusterBuilder, HpbdCluster, HpbdConfig};
@@ -11,6 +13,7 @@ use hpbd_suite::netmodel::Calibration;
 use hpbd_suite::simcore::{Engine, SimRng};
 use hpbd_suite::simfault::FaultPlan;
 use hpbd_suite::workloads::{Scenario, ScenarioConfig, SwapKind};
+use oracle::gen_fill;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -23,15 +26,6 @@ fn for_cases(cases: u64, mut f: impl FnMut(u64, &mut SimRng)) {
         let mut rng = SimRng::new(0xBA_7C_4E ^ (case * 0x9E37_79B9));
         f(case, &mut rng);
     }
-}
-
-/// Fill byte for `page` as written by generation `gen` (never zero).
-fn gen_fill(page: u64, gen: u64) -> u8 {
-    (page
-        .wrapping_mul(2654435761)
-        .wrapping_add(gen.wrapping_mul(0x9E37_79B9))
-        >> 16) as u8
-        | 1
 }
 
 fn batching_cluster(engine: &Engine, window_ns: u64, mirror: bool) -> HpbdCluster {
@@ -217,110 +211,23 @@ fn mirror_part_orders_survive_merging_and_failover() {
     );
 }
 
-// -- swap-consistency oracle under the PR 5 fault plans, batching on ------
+// -- swap-consistency oracle, batching on: pinned enumerated plans ----------
+//
+// Rows of the table in `tests/fault_recovery.rs`, on the enumeration's
+// merging machine: a crash, a failover that never happens; a pair of
+// delays, the write fence off.
 
-/// The fault_recovery.rs oracle with merging enabled: generations of
-/// acknowledged writes under an adversarial fault plan, then byte-exact
-/// read-back of the last acked generation per page.
-fn run_batched_oracle(name: &str, plan: FaultPlan) -> hpbd_suite::hpbd::ClientStats {
-    const GENS: u64 = 6;
-    let engine = Engine::new();
-    let cal = Rc::new(Calibration::cluster_2005());
-    let cluster = ClusterBuilder::new()
-        .servers(4)
-        .per_server_capacity(2 * MB)
-        .config(HpbdConfig {
-            mirror_writes: true,
-            batching: true,
-            merge_window_ns: 2_000,
-            request_timeout_ns: Some(2_000_000),
-            max_retries: 1,
-            ..HpbdConfig::default()
-        })
-        .fault_plan(plan)
-        .build(&engine, cal);
-    let dev = &cluster.client;
-    let total_pages = dev.capacity() / PAGE;
-    let slots = total_pages.min(384);
-    let stride = (total_pages / slots).max(1);
-    let page_of = |slot: u64| slot * stride;
+const BATCHED: oracle::Machine = oracle::Machine {
+    batching: true,
+    ..oracle::TWO_SERVERS
+};
 
-    let mut shadow = vec![0u8; slots as usize];
-    let failures = Rc::new(Cell::new(0u32));
-    for gen in 0..GENS {
-        let mut submitted = Vec::new();
-        for p in 0..slots {
-            if gen > 0 && (p.wrapping_mul(31).wrapping_add(gen * 17)) % 4 == 0 {
-                continue;
-            }
-            let fill = gen_fill(p, gen);
-            write_page(dev, page_of(p), fill, &failures);
-            submitted.push((p, fill));
-        }
-        engine.run_until_idle();
-        assert_eq!(
-            failures.get(),
-            0,
-            "[{name}] gen {gen}: mirrored writes must survive the plan"
-        );
-        for (p, fill) in submitted {
-            shadow[p as usize] = fill;
-        }
-    }
-    for (i, link) in cluster.links.iter().enumerate() {
-        assert_eq!(
-            link.pending_delay_dup(),
-            0,
-            "[{name}] link {i} still has armed delay/dup budget at read-back"
-        );
-    }
-    let expected: Vec<(u64, u8)> = (0..slots)
-        .map(|p| (page_of(p), shadow[p as usize]))
-        .collect();
-    verify_pages(&engine, dev, &expected, name);
-    let stats = dev.stats();
-    assert!(
-        stats.merged_requests > 0,
-        "[{name}] the oracle burst must exercise merging: {stats:?}"
-    );
-    stats
-}
-
-#[test]
-fn batched_oracle_survives_server_crash() {
-    let stats = run_batched_oracle("crash", FaultPlan::new().server_crash(50_000, 0));
-    assert!(stats.failovers > 0, "crash must force failovers: {stats:?}");
-}
-
-#[test]
-fn batched_oracle_survives_delayed_deliveries() {
-    // 5 ms delay > 2 ms timeout: a whole merged message outlives the retry
-    // that replaced it and lands behind it — every carried segment's fence
-    // must lose to the newer writes individually.
-    let stats = run_batched_oracle(
-        "delay",
-        FaultPlan::new().message_delay(30_000, 2, 4, 5_000_000),
-    );
-    assert!(
-        stats.timeouts > 0,
-        "delays must surface as timeouts: {stats:?}"
-    );
-}
-
-#[test]
-fn batched_oracle_survives_combined_fault_plan() {
-    let stats = run_batched_oracle(
-        "combined",
-        FaultPlan::new()
-            .server_crash(50_000, 0)
-            .message_loss(30_000, 2, 2)
-            .message_delay(40_000, 2, 2, 5_000_000)
-            .message_duplicate(35_000, 3, 2),
-    );
-    assert!(
-        stats.failovers > 0 && stats.timeouts > 0,
-        "combined plan must exercise recovery: {stats:?}"
-    );
+oracle::rows! {
+    batched_oracle_survives_server_crash: BATCHED, [(Crash, 0, 2000)], failovers;
+    batched_oracle_survives_delayed_deliveries:
+        BATCHED, [(Delay, 0, 0), (Delay, 1, 2000)], timeouts;
+    batched_oracle_survives_combined_fault_plan:
+        BATCHED, [(Crash, 0, 0), (Delay, 1, 0)], failovers;
 }
 
 // -- batching-off differential --------------------------------------------

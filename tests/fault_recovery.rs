@@ -7,13 +7,16 @@ use hpbd_suite::blockdev::{
 };
 use hpbd_suite::hpbd::config::Distribution;
 use hpbd_suite::hpbd::{ClientStats, ClusterBuilder, HpbdClient, HpbdCluster, HpbdConfig};
-use hpbd_suite::netmodel::{Calibration, Node};
+use hpbd_suite::netmodel::Calibration;
 use hpbd_suite::simcore::{Engine, SimDuration, SimTime, Tracer};
 use hpbd_suite::simfault::FaultPlan;
-use hpbd_suite::vmsim::{DirectBackend, DirectConfig, LoadKind, SwapBackend};
 use hpbd_suite::workloads::{Scenario, ScenarioConfig, SwapKind};
 use std::cell::Cell;
 use std::rc::Rc;
+
+mod oracle;
+
+use oracle::{Machine, TWO_SERVERS};
 
 const MB: u64 = 1 << 20;
 const PAGE: u64 = 4096;
@@ -174,479 +177,44 @@ fn empty_fault_plan_is_byte_identical_to_no_fault_plan() {
     );
 }
 
-// -- swap-consistency oracle ---------------------------------------------
+// -- swap-consistency oracle: pinned enumerated plans -----------------------
+//
+// Each row runs one plan the fault enumeration generates
+// (`tests/fault_enumeration.rs`) through the one oracle,
+// `tests/oracle/mod.rs`, and catches a seeded mutation (EXPERIMENTS
+// *Fault enumeration*): crashes, a failover that never happens; a
+// restart inside the timeout, epoch detection off or a restart that does
+// not re-arm its send CQ; a loss, a timer that is never armed; a
+// completion error, no retry; a delay or a duplicate, a panic on a reply
+// whose request is gone. The direct rows drive `DirectBackend`, with
+// runs split across the extent boundary: a delay pair, the write fence
+// off. A duplicate there moves no client counter (its ghost reply finds
+// no request), so that row names none.
 
-/// Fill byte for `page` as written by generation `gen` (never zero, and
-/// distinct across nearby generations, so stale data is detectable).
-fn gen_fill(page: u64, gen: u64) -> u8 {
-    (page
-        .wrapping_mul(2654435761)
-        .wrapping_add(gen.wrapping_mul(0x9E37_79B9))
-        >> 16) as u8
-        | 1
-}
+const DIRECT: Machine = Machine {
+    direct: true,
+    ..TWO_SERVERS
+};
 
-/// The swap-consistency oracle: a shadow model records the last
-/// *acknowledged* write per page; after the fault plan has run its course,
-/// every completed read must return exactly that data — not an older
-/// generation, not a neighbouring page's fill, not zeros.
-///
-/// Writes are issued in generations. Generation `g+1` is submitted only
-/// after every write of generation `g` has acked, which keeps "last acked
-/// write per page" well-defined even while timeouts, failover reissues,
-/// delayed deliveries, and duplicated messages reorder the apply stream
-/// underneath. Delay/duplicate budgets are armed early so they drain
-/// against write traffic (a ghost RDMA push from a duplicated *read* could
-/// land in a recycled staging span — see DESIGN.md §13) and are asserted
-/// consumed before the read-back phase.
-fn run_consistency_oracle(name: &str, plan: FaultPlan) -> hpbd_suite::hpbd::ClientStats {
-    const GENS: u64 = 6;
-    let engine = Engine::new();
-    let cal = Rc::new(Calibration::cluster_2005());
-    let cluster = ClusterBuilder::new()
-        .servers(4)
-        .per_server_capacity(2 * MB)
-        .config(HpbdConfig {
-            mirror_writes: true,
-            request_timeout_ns: Some(2_000_000),
-            max_retries: 1,
-            ..HpbdConfig::default()
-        })
-        .fault_plan(plan)
-        .build(&engine, cal);
-    let dev = &cluster.client;
-    // Stride slot i to device page i*stride so the slots span every
-    // server's extent — faults armed on any link see real traffic.
-    let total_pages = dev.capacity() / PAGE;
-    let slots = total_pages.min(384);
-    let stride = (total_pages / slots).max(1);
-    let page_of = |slot: u64| slot * stride;
-
-    // Shadow model: shadow[i] = fill byte of the last acked write to the
-    // page of slot i.
-    let mut shadow = vec![0u8; slots as usize];
-    let write_failures = Rc::new(Cell::new(0u32));
-    for gen in 0..GENS {
-        let mut submitted = Vec::new();
-        for p in 0..slots {
-            // Generation 0 writes every page; later generations rewrite a
-            // deterministic ~3/4 subset so page histories diverge.
-            if gen > 0 && (p.wrapping_mul(31).wrapping_add(gen * 17)) % 4 == 0 {
-                continue;
-            }
-            let fill = gen_fill(p, gen);
-            let buf = new_buffer(PAGE as usize);
-            buf.borrow_mut().fill(fill);
-            let failures = write_failures.clone();
-            dev.submit(IoRequest::single(Bio::new(
-                IoOp::Write,
-                page_of(p) * PAGE,
-                buf,
-                move |r| {
-                    if r.is_err() {
-                        failures.set(failures.get() + 1);
-                    }
-                },
-            )));
-            submitted.push((p, fill));
-        }
-        // Barrier: generation g fully acked before g+1 starts.
-        engine.run_until_idle();
-        assert_eq!(
-            write_failures.get(),
-            0,
-            "[{name}] gen {gen}: mirrored writes must survive the plan"
-        );
-        for (p, fill) in submitted {
-            shadow[p as usize] = fill;
-        }
-    }
-
-    // Every delay/duplicate budget must have drained against the write
-    // phases above; a leftover ghost could race the read-back staging.
-    for (i, link) in cluster.links.iter().enumerate() {
-        assert_eq!(
-            link.pending_delay_dup(),
-            0,
-            "[{name}] link {i} still has armed delay/dup budget at read-back"
-        );
-    }
-
-    let bufs: Vec<_> = (0..slots)
-        .map(|p| {
-            let buf = new_buffer(PAGE as usize);
-            dev.submit(IoRequest::single(Bio::new(
-                IoOp::Read,
-                page_of(p) * PAGE,
-                buf.clone(),
-                |r| r.unwrap(),
-            )));
-            buf
-        })
-        .collect();
-    engine.run_until_idle();
-    for (p, buf) in bufs.iter().enumerate() {
-        let want = shadow[p];
-        let buf = buf.borrow();
-        assert!(
-            buf.iter().all(|&b| b == want),
-            "[{name}] page {p}: read {:#04x}… but last acked write was {want:#04x}",
-            buf[0],
-        );
-    }
-    dev.stats()
-}
-
-#[test]
-fn oracle_survives_server_crash() {
-    let stats = run_consistency_oracle("crash", FaultPlan::new().server_crash(50_000, 0));
-    assert!(stats.failovers > 0, "crash must force failovers: {stats:?}");
-}
-
-#[test]
-fn oracle_survives_crash_then_restart() {
-    // The restarted server comes back EMPTY. The restart lands after the
-    // client's retry/dead-marking window (~6 ms: 2 ms timeout + backed-off
-    // 4 ms retry), so the client has written the server off and keeps
-    // serving its extent from the replicas, never from the amnesiac store.
-    let stats = run_consistency_oracle(
-        "crash+restart",
-        FaultPlan::new()
-            .server_crash(50_000, 0)
-            .server_restart(20_000_000, 0),
-    );
-    assert!(stats.failovers > 0, "crash must force failovers: {stats:?}");
-}
-
-#[test]
-fn oracle_survives_in_window_crash_restart() {
-    // The nastiest restart: the server dies and comes back *inside* the
-    // client's timeout window, before any timer fires or retry budget
-    // drains. No timeout ever declares it dead — from the client's
-    // timers' point of view nothing happened; only the store is now
-    // silently empty. Server epochs (DESIGN.md §13) close this hole: the
-    // restarted daemon's replies carry a bumped generation, the client
-    // spots the mismatch on the very first reply, retires the amnesiac,
-    // and serves its extent from the mirror — the oracle's byte-exact
-    // read-back proves no stale-empty page ever reaches the caller.
-    let stats = run_consistency_oracle(
-        "in-window restart",
-        FaultPlan::new()
-            .server_crash(50_000, 0)
-            .server_restart(500_000, 0),
-    );
-    assert!(
-        stats.epoch_wipes > 0,
-        "the generation bump must be detected: {stats:?}"
-    );
-    assert!(
-        stats.failovers > 0,
-        "the amnesiac's extent must be served by the mirror: {stats:?}"
-    );
-}
-
-#[test]
-fn oracle_survives_message_loss() {
-    let stats = run_consistency_oracle("loss", FaultPlan::new().message_loss(30_000, 2, 4));
-    assert!(
-        stats.timeouts > 0,
-        "losses must surface as timeouts: {stats:?}"
-    );
-}
-
-#[test]
-fn oracle_survives_completion_errors() {
-    // The send WR itself completes in error (`RetryExceeded`) instead of
-    // the message vanishing: the client's send-CQ handler hands the
-    // request straight to the timeout path.
-    let stats = run_consistency_oracle(
-        "completion error",
-        FaultPlan::new().completion_error(30_000, 2, 4),
-    );
-    assert!(
-        stats.retries > 0,
-        "errored sends must be retried: {stats:?}"
-    );
-}
-
-#[test]
-fn oracle_survives_delayed_deliveries() {
-    // 5 ms delay > 2 ms timeout: the original delivery outlives the retry
-    // that replaced it and lands behind it — the reorder write fencing
-    // exists for.
-    let stats = run_consistency_oracle(
-        "delay",
-        FaultPlan::new().message_delay(30_000, 2, 4, 5_000_000),
-    );
-    assert!(
-        stats.timeouts > 0,
-        "delays must surface as timeouts: {stats:?}"
-    );
-}
-
-#[test]
-fn oracle_survives_duplicated_deliveries() {
-    run_consistency_oracle(
-        "duplicate",
-        FaultPlan::new().message_duplicate(30_000, 3, 3),
-    );
-}
-
-#[test]
-fn oracle_survives_combined_fault_plan() {
-    // Faults never touch server 1 (the crashed server's failover buddy),
-    // so the replica path stays reachable and no write fails cleanly.
-    let stats = run_consistency_oracle(
-        "combined",
-        FaultPlan::new()
-            .server_crash(50_000, 0)
-            .message_loss(30_000, 2, 2)
-            .message_delay(40_000, 2, 2, 5_000_000)
-            .message_duplicate(35_000, 3, 2),
-    );
-    assert!(
-        stats.failovers > 0 && stats.timeouts > 0,
-        "combined plan must exercise recovery: {stats:?}"
-    );
-}
-
-// -- swap-consistency oracle, user-space direct path ----------------------
-
-/// Which device pages the direct oracle writes and reads back.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum DirectLayout {
-    /// 384 pages strided over the whole device: no two are adjacent, so
-    /// every request the backend sends stays a single page.
-    Strided,
-    /// Every page but the first and last four. `reap` coalesces them into
-    /// 32 KiB runs that start at page 4 + 8k, so the runs at pages 508,
-    /// 1020 and 1532 straddle a server extent and the client must split
-    /// them; read-back goes in fault-shaped clusters, a demand page and
-    /// seven pages of readahead.
-    Adjacent,
-}
-
-/// The consistency oracle driven through [`DirectBackend`] instead of raw
-/// device submissions: `store`/`load` per page, coalesced at `reap`, with
-/// busy-poll completion — the figU swap path. Write fencing is stamped
-/// per block inside the HPBD client at submission, so single pages and
-/// multi-bio runs alike must survive the same crash / loss / delay /
-/// duplicate plans the block path does — runs split at server extents,
-/// mirrored, stale reissues fenced, failover reads served from the mirror,
-/// never torn or old data.
-fn run_direct_consistency_oracle(
-    name: &str,
-    layout: DirectLayout,
-    plan: FaultPlan,
-) -> hpbd_suite::hpbd::ClientStats {
-    const GENS: u64 = 6;
-    let engine = Engine::new();
-    let cal = Rc::new(Calibration::cluster_2005());
-    let node = Node::new("client", 0, 2);
-    let cluster = ClusterBuilder::new()
-        .servers(4)
-        .per_server_capacity(2 * MB)
-        .config(HpbdConfig {
-            mirror_writes: true,
-            request_timeout_ns: Some(2_000_000),
-            max_retries: 1,
-            ..HpbdConfig::default()
-        })
-        .fault_plan(plan)
-        .build(&engine, cal);
-    let backend = DirectBackend::new(
-        engine.clone(),
-        node,
-        Rc::new(cluster.client.clone()),
-        DirectConfig::default(),
-    );
-    let total_pages = backend.capacity() / PAGE;
-    let (slots, first, stride) = match layout {
-        DirectLayout::Strided => {
-            let slots = total_pages.min(384);
-            (slots, 0, (total_pages / slots).max(1))
-        }
-        DirectLayout::Adjacent => (total_pages - 8, 4, 1),
-    };
-    let page_of = |slot: u64| first + slot * stride;
-
-    let mut shadow = vec![0u8; slots as usize];
-    let write_failures = Rc::new(Cell::new(0u32));
-    for gen in 0..GENS {
-        let mut submitted = Vec::new();
-        for p in 0..slots {
-            if gen > 0 && (p.wrapping_mul(31).wrapping_add(gen * 17)) % 4 == 0 {
-                continue;
-            }
-            let fill = gen_fill(p, gen);
-            let buf = new_buffer(PAGE as usize);
-            buf.borrow_mut().fill(fill);
-            let failures = write_failures.clone();
-            backend.store(
-                page_of(p) * PAGE,
-                buf,
-                Box::new(move |r| {
-                    if r.is_err() {
-                        failures.set(failures.get() + 1);
-                    }
-                }),
-            );
-            submitted.push((p, fill));
-        }
-        // Stores are staged until reap, which sends each run of adjacent
-        // pages as one request; a forgotten reap would strand them all.
-        backend.reap();
-        engine.run_until_idle();
-        assert_eq!(
-            write_failures.get(),
-            0,
-            "[{name}] gen {gen}: mirrored stores must survive the plan"
-        );
-        for (p, fill) in submitted {
-            shadow[p as usize] = fill;
-        }
-    }
-
-    for (i, link) in cluster.links.iter().enumerate() {
-        assert_eq!(
-            link.pending_delay_dup(),
-            0,
-            "[{name}] link {i} still has armed delay/dup budget at read-back"
-        );
-    }
-
-    // Demand loads back-to-back: the completion stream stays hot, so the
-    // poll model busy-polls for these — the oracle covers the poll path,
-    // not just the event path. The adjacent layout puts seven readahead
-    // pages behind each, which go out at reap as one request.
-    let bufs: Vec<_> = (0..slots)
-        .map(|p| {
-            let kind = if layout == DirectLayout::Adjacent && p % 8 != 0 {
-                LoadKind::Readahead
-            } else {
-                LoadKind::Demand
-            };
-            let buf = new_buffer(PAGE as usize);
-            backend.load(
-                page_of(p) * PAGE,
-                kind,
-                buf.clone(),
-                Box::new(|r| r.unwrap()),
-            );
-            buf
-        })
-        .collect();
-    backend.reap();
-    engine.run_until_idle();
-    for (p, buf) in bufs.iter().enumerate() {
-        let want = shadow[p];
-        let buf = buf.borrow();
-        assert!(
-            buf.iter().all(|&b| b == want),
-            "[{name}] page {p}: read {:#04x}… but last acked store was {want:#04x}",
-            buf[0],
-        );
-    }
-    let stats = backend.stats();
-    assert!(
-        stats.polled > 0,
-        "[{name}] a hot demand-load stream must exercise the poll path: {stats:?}"
-    );
-    let pages = stats.page_stores + stats.page_loads + stats.readahead_loads;
-    let client = cluster.client.stats();
-    match layout {
-        DirectLayout::Strided => assert_eq!(backend.requests(), pages),
-        DirectLayout::Adjacent => {
-            assert!(
-                backend.requests() * 2 < pages,
-                "[{name}] adjacent pages must go out coalesced: {} requests, {pages} pages",
-                backend.requests()
-            );
-            assert!(
-                client.split_requests > 0,
-                "[{name}] runs must straddle a server extent: {client:?}"
-            );
-        }
-    }
-    client
-}
-
-/// Run the direct oracle under `plan` once per layout and hold each
-/// run's recovery counters to `check`.
-fn direct_oracle_on_both_layouts(
-    name: &str,
-    plan: FaultPlan,
-    check: impl Fn(&hpbd_suite::hpbd::ClientStats),
-) {
-    for layout in [DirectLayout::Strided, DirectLayout::Adjacent] {
-        let name = format!("{name}, {layout:?}");
-        check(&run_direct_consistency_oracle(&name, layout, plan.clone()));
-    }
-}
-
-#[test]
-fn direct_oracle_survives_server_crash() {
-    direct_oracle_on_both_layouts("crash", FaultPlan::new().server_crash(50_000, 0), |stats| {
-        assert!(stats.failovers > 0, "crash must force failovers: {stats:?}")
-    });
-}
-
-#[test]
-fn direct_oracle_survives_message_loss() {
-    direct_oracle_on_both_layouts(
-        "loss",
-        FaultPlan::new().message_loss(30_000, 2, 4),
-        |stats| {
-            assert!(
-                stats.timeouts > 0,
-                "losses must surface as timeouts: {stats:?}"
-            )
-        },
-    );
-}
-
-#[test]
-fn direct_oracle_survives_delayed_deliveries() {
-    direct_oracle_on_both_layouts(
-        "delay",
-        FaultPlan::new().message_delay(30_000, 2, 4, 5_000_000),
-        |stats| {
-            assert!(
-                stats.timeouts > 0,
-                "delays must surface as timeouts: {stats:?}"
-            )
-        },
-    );
-}
-
-#[test]
-fn direct_oracle_survives_duplicated_deliveries() {
-    direct_oracle_on_both_layouts(
-        "duplicate",
-        FaultPlan::new().message_duplicate(30_000, 3, 3),
-        |_| {},
-    );
-}
-
-#[test]
-fn direct_oracle_survives_combined_fault_plan() {
-    // Strided only: the plan is tuned to leave server 0's buddy reachable,
-    // and under the adjacent layout's 8 MiB of 32 KiB stores it writes off
-    // a second server (`failed_servers: 2` after generation 0), after
-    // which stores with no live copy fail — cleanly, but not survivably.
-    let stats = run_direct_consistency_oracle(
-        "combined",
-        DirectLayout::Strided,
-        FaultPlan::new()
-            .server_crash(50_000, 0)
-            .message_loss(30_000, 2, 2)
-            .message_delay(40_000, 2, 2, 5_000_000)
-            .message_duplicate(35_000, 3, 2),
-    );
-    assert!(
-        stats.failovers > 0 && stats.timeouts > 0,
-        "combined plan must exercise recovery: {stats:?}"
-    );
+oracle::rows! {
+    oracle_survives_server_crash: TWO_SERVERS, [(Crash, 0, 2760)], failovers;
+    oracle_survives_crash_then_restart:
+        TWO_SERVERS, [(Crash, 0, 0), (Restart, 0, 2760)], failovers;
+    oracle_survives_in_window_crash_restart:
+        TWO_SERVERS, [(Crash, 0, 124724), (Restart, 0, 138348)], epoch_wipes;
+    oracle_survives_message_loss: TWO_SERVERS, [(Loss, 0, 2760)], timeouts;
+    oracle_survives_completion_errors: TWO_SERVERS, [(CompletionError, 0, 2760)], retries;
+    oracle_survives_delayed_deliveries: TWO_SERVERS, [(Delay, 0, 2760)], timeouts;
+    oracle_survives_duplicated_deliveries: TWO_SERVERS, [(Dup, 0, 2760)], timeouts;
+    oracle_survives_combined_fault_plan:
+        TWO_SERVERS, [(Crash, 0, 0), (Delay, 1, 0)], failovers;
+    direct_oracle_survives_server_crash: DIRECT, [(Crash, 0, 7880)], failovers;
+    direct_oracle_survives_message_loss: DIRECT, [(Loss, 0, 7880)], timeouts;
+    direct_oracle_survives_delayed_deliveries:
+        DIRECT, [(Delay, 0, 86646), (Delay, 1, 173292)], timeouts;
+    direct_oracle_survives_duplicated_deliveries: DIRECT, [(Dup, 0, 0)];
+    direct_oracle_survives_combined_fault_plan:
+        DIRECT, [(Crash, 0, 0), (Loss, 0, 0)], failovers;
 }
 
 /// Counter-test for the differential above: a *non-empty* plan must leave

@@ -381,7 +381,7 @@ fn tcp_stream_preserves_byte_sequence() {
 
 #[test]
 fn rdma_ops_match_reference_model() {
-    use hpbd_suite::ibsim::{Fabric, Qp, RemoteSlice, WorkKind, WorkRequest};
+    use hpbd_suite::ibsim::{Fabric, RemoteSlice, WorkKind, WorkRequest};
     use hpbd_suite::netmodel::Calibration;
     for_cases(16, |case, rng| {
         let ops: Vec<(bool, u64, u64)> = (0..1 + rng.below(39))
@@ -395,7 +395,6 @@ fn rdma_ops_match_reference_model() {
         let b = fabric.add_node("b");
         let (acq, arcq, bcq, brcq) = (a.create_cq(), a.create_cq(), b.create_cq(), b.create_cq());
         let (qp, _qp_b) = fabric.connect(&a, &acq, &arcq, &b, &bcq, &brcq);
-        let qp = Qp::from(qp);
 
         const REGION: u64 = 64 * 1024;
         let local = a.hca().register(REGION as usize);
@@ -412,8 +411,7 @@ fn rdma_ops_match_reference_model() {
                 let data = vec![marker; len as usize];
                 local.write(offset as usize, &data);
                 ref_local[offset as usize..(offset + len) as usize].fill(marker);
-                let mut chain = qp.chain();
-                chain.push(WorkRequest {
+                qp.post_send(WorkRequest {
                     wr_id: i as u64,
                     kind: WorkKind::RdmaWrite {
                         local: local.slice(offset, len),
@@ -424,13 +422,12 @@ fn rdma_ops_match_reference_model() {
                         },
                     },
                     solicited: false,
-                });
-                chain.post().expect("post");
+                })
+                .expect("post");
                 engine.run_until_idle();
                 ref_remote[offset as usize..(offset + len) as usize].fill(marker);
             } else {
-                let mut chain = qp.chain();
-                chain.push(WorkRequest {
+                qp.post_send(WorkRequest {
                     wr_id: i as u64,
                     kind: WorkKind::RdmaRead {
                         local: local.slice(offset, len),
@@ -441,8 +438,8 @@ fn rdma_ops_match_reference_model() {
                         },
                     },
                     solicited: false,
-                });
-                chain.post().expect("post");
+                })
+                .expect("post");
                 engine.run_until_idle();
                 let src = &ref_remote[offset as usize..(offset + len) as usize];
                 ref_local[offset as usize..(offset + len) as usize].copy_from_slice(src);
