@@ -906,8 +906,8 @@ impl HpbdClient {
                     reason = "the Parent holds its request until the last part finishes; this part has not finished"
                 )]
                 let parent = parent.as_ref().expect("parent alive");
-                region.fill_with(at, seg.len as usize, |span| {
-                    parent.gather_range_into(seg.parent_off, span)
+                region.fill_with(at, seg.len as usize, |pos, piece| {
+                    parent.gather_range_into(seg.parent_off + pos as u64, piece)
                 });
                 at += seg.len as usize;
             }
@@ -1313,28 +1313,28 @@ impl HpbdClient {
                 inner.stats.borrow_mut().bytes_out += len;
             }
             (ReplyStatus::Ok, PageOp::Read) => {
-                // Swap-in data was RDMA-WRITTEN into the staging span, as a
-                // placement that reads the server's store as it stood at
-                // the grant: this scatter is the page's one host copy.
-                // Scatter each carried part out of it at its running offset,
-                // now: the bio buffers are unobservable until the parts
-                // finish, and what the copy costs is charged below. (On the
-                // fly the MR *is* the page memory: no copy charge.)
+                // Swap-in data was RDMA-WRITTEN into the staging span, as
+                // the pages of the server's store as it stood at the grant:
+                // this scatter is the page's one host copy. Scatter each
+                // carried part out of it at its running offset, now: the bio
+                // buffers are unobservable until the parts finish, and what
+                // the copy costs is charged below. (On the fly the MR *is*
+                // the page memory: no copy charge.)
                 inner.stats.borrow_mut().bytes_in += len;
                 let (region, start) = self.staging_span(&phys);
-                region.read_with(start as usize, len as usize, |span| {
-                    let mut at = 0usize;
-                    for seg in phys.segs.iter() {
-                        let parent = seg.parent.req.borrow();
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "the Parent holds its request until the last part finishes; this part has not finished"
-                        )]
-                        let parent = parent.as_ref().expect("parent alive");
-                        parent.scatter_range(seg.parent_off, &span[at..at + seg.len as usize]);
-                        at += seg.len as usize;
-                    }
-                });
+                let mut at = start as usize;
+                for seg in phys.segs.iter() {
+                    let parent = seg.parent.req.borrow();
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the Parent holds its request until the last part finishes; this part has not finished"
+                    )]
+                    let parent = parent.as_ref().expect("parent alive");
+                    region.read_chunks(at, seg.len as usize, |pos, piece| {
+                        parent.scatter_range(seg.parent_off + pos as u64, piece)
+                    });
+                    at += seg.len as usize;
+                }
                 let t_data = match &phys.staging {
                     Some(Staging::Ephemeral(_)) => t_proc,
                     _ => {
@@ -1379,8 +1379,6 @@ impl HpbdClient {
 
     /// Return staging resources: pool spans back to the allocator (waking
     /// its wait queue), ephemeral MRs deregistered with the cost charged.
-    /// A pool span keeps its placements (unlike the server's staging): a
-    /// late duplicate of a write request can still pull from it.
     fn release_staging(&self, phys: &Phys) {
         let inner = &self.inner;
         match &phys.staging {

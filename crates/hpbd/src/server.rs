@@ -5,12 +5,13 @@
 //! swap-out request it RDMA-READs the page data out of the client's
 //! registered pool into a local staging buffer, then memcpys it into the
 //! store; for swap-in it memcpys store → staging and RDMA-WRITEs into the
-//! client's buffer. The store is an unregistered [`MemoryRegion`], so the
-//! store → staging copy is a placement whose bytes move only when the
-//! client reads them (`ibsim::mr`); each copy is charged when the model
-//! makes it. (The paper chooses server-initiated RDMA because the
-//! RamDisk is behind a file interface and because a future dynamic-memory
-//! server cannot pre-export addresses.)
+//! client's buffer. The store is an unregistered [`MemoryRegion`], a row
+//! of shared pages like every region, so a copy of whole pages between it
+//! and staging hands over page references, not bytes (`ibsim::mr`); each
+//! copy is charged when the model makes it. (The paper chooses
+//! server-initiated RDMA because the RamDisk is behind a file interface
+//! and because a future dynamic-memory server cannot pre-export
+//! addresses.)
 //!
 //! Staging buffers come from a pre-registered pool, so multiple requests
 //! can be in flight with the RDMA of one overlapping the memcpy of another
@@ -380,14 +381,14 @@ impl HpbdServer {
         // it the write fence: a restarted server starts from version 0,
         // matching its empty store.
         let store = &self.inner.store;
-        store.fill_with(0, store.len(), |bytes| bytes.fill(0));
+        store.copy_from(0, &MemoryRegion::unregistered(store.len()), 0, store.len());
         self.inner.versions.borrow_mut().clear();
         // Staging returns to the pool (a restart would rebuild the pool;
         // freeing models that without a pool reset). A continuation that
         // finds its row gone stops, returning any span it was granted.
         let jobs = std::mem::take(&mut *self.inner.jobs.borrow_mut());
         for span in jobs.values().filter_map(Job::staging) {
-            self.free_staging(span);
+            self.inner.staging_pool.free(span);
         }
         self.inner.engine.instant("hpbd_server", "crash", &[]);
     }
@@ -713,13 +714,13 @@ impl HpbdServer {
         let inner = &self.inner;
         let Some(job) = self.take(token) else {
             // The job died with its process while it waited.
-            self.free_staging(span);
+            inner.staging_pool.free(span);
             return;
         };
         if self.write_fully_stale(&job) {
             // A newer write to every covered page landed while this one
             // waited for staging; fence it off before spending RDMA.
-            self.free_staging(span);
+            inner.staging_pool.free(span);
             self.finish(job, ReplyStatus::StaleWrite);
             return;
         }
@@ -732,14 +733,13 @@ impl HpbdServer {
         // Swap-in gathers the store extents into the staging span in
         // staging order (merged segments may be scattered on the store),
         // now: the span is this job's alone while its row holds it, and
-        // what the copy costs is charged below. The placements read as the
-        // store does now; their bytes move when the client reads them.
+        // what the copy costs is charged below.
         let mut at = span.offset as usize;
         for (offset, seg_len, _) in job.spans() {
             let seg_len = seg_len as usize;
             inner
                 .staging_mr
-                .place_from(at, &inner.store, offset as usize, seg_len);
+                .copy_from(at, &inner.store, offset as usize, seg_len);
             at += seg_len;
         }
         self.note(token, job, Step::Granted(span));
@@ -923,22 +923,13 @@ impl HpbdServer {
         }
     }
 
-    /// Return a staging span to the pool. Its pending placements are
-    /// dropped unread: every job writes its span before it reads it.
-    fn free_staging(&self, span: PoolBuf) {
-        let inner = &self.inner;
-        let (offset, len) = (span.offset as usize, span.len as usize);
-        inner.staging_mr.discard(offset, len);
-        inner.staging_pool.free(span);
-    }
-
     /// Answer a job that has left the table. Its staging returns to the
     /// pool first (the free may grant a waiting job its span), then its
     /// arrival → reply trace span is emitted and the reply is sent.
     fn finish(&self, job: Job, status: ReplyStatus) {
         let inner = &self.inner;
         if let Some(span) = job.staging() {
-            self.free_staging(span);
+            inner.staging_pool.free(span);
         }
         match (status, job.op) {
             (ReplyStatus::Ok, PageOp::Write) => inner.stats.borrow_mut().bytes_in += job.len,

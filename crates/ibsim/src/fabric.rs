@@ -409,7 +409,7 @@ mod tests {
             p.qp_a.send_cq().poll().unwrap().status,
             WcStatus::RemoteAccessError
         );
-        assert_eq!(src.snapshot_counts(), (0, 0), "refused: no reader left");
+        assert_eq!(src.outside_refs(), 0, "refused: no page held");
     }
 
     #[test]
@@ -438,7 +438,7 @@ mod tests {
         );
         // Destination untouched.
         assert!(dst.to_vec().iter().all(|&b| b == 0));
-        assert_eq!(src.snapshot_counts(), (0, 0), "refused: no reader left");
+        assert_eq!(src.outside_refs(), 0, "refused: no page held");
     }
 
     /// Post an RDMA on `p.qp_a` between all of `local` and all of the peer
@@ -477,18 +477,22 @@ mod tests {
             post_rdma(&p, true, &src, &dst);
             p.engine.run_until(p.engine.peek_next_time().unwrap());
             assert!(dst.to_vec().iter().all(|&b| b == 0), "still in flight");
-            src.fill_with(overwrite.start, overwrite.len(), |s| s.fill(9));
+            src.fill_with(overwrite.start, overwrite.len(), |_, s| s.fill(9));
             p.engine.run_until_idle();
             assert_eq!(p.qp_a.send_cq().poll().unwrap().status, WcStatus::Success);
             assert!(dst.to_vec().iter().all(|&b| b == 7), "{overwrite:?}");
-            assert_eq!(src.snapshot_counts(), (0, 0));
+            assert_eq!(
+                src.outside_refs(),
+                0,
+                "the written page is the source's own"
+            );
         }
     }
 
     /// An RDMA READ of a span of 1s whose source is overwritten with 2s at
     /// `at`: the bytes that land, and the instant the request reached the
-    /// responder.
-    fn read_overwritten_at(at: u64) -> (Vec<u8>, u64) {
+    /// responder, if the source was still unwritten once its events ran.
+    fn read_overwritten_at(at: u64) -> (Vec<u8>, Option<u64>) {
         let p = pair();
         let dst = p.a.hca().register(1024);
         let src = p.b.hca().register(1024);
@@ -500,19 +504,21 @@ mod tests {
         let mut arrival = None;
         while let Some(t) = p.engine.peek_next_time() {
             p.engine.run_until(t);
-            if arrival.is_none() && src.snapshot_counts().0 == 1 {
+            // The responder's snapshot is the one handle held outside.
+            if arrival.is_none() && src.outside_refs() == 1 {
                 arrival = Some(t.as_nanos());
             }
         }
         assert_eq!(p.qp_a.send_cq().poll().unwrap().status, WcStatus::Success);
-        assert_eq!(src.snapshot_counts(), (0, 0));
-        (dst.to_vec(), arrival.unwrap())
+        assert_eq!(src.outside_refs(), 0, "a part page lands as a copy");
+        (dst.to_vec(), arrival)
     }
 
     #[test]
     fn rdma_read_lands_the_bytes_its_request_found() {
         let (landed, arrival) = read_overwritten_at(1_000_000_000);
         assert!(landed.iter().all(|&b| b == 1));
+        let arrival = arrival.unwrap();
         // Scheduled after the request's arrival event at the same instant.
         let (landed, _) = read_overwritten_at(arrival);
         assert!(landed.iter().all(|&b| b == 1), "overwritten after arrival");

@@ -25,13 +25,12 @@
 //!
 //! An RDMA's bytes are those its source span holds when the operation
 //! reads it: at post for an RDMA WRITE, when the request reaches the
-//! responder for an RDMA READ. They land when the target HCA has processed
-//! the arriving data, as a placement the target span reads through to the
-//! source; the host copies them only when that span is read
-//! ([`crate::mr`]'s lazy bytes; a source rewritten in between has saved
-//! its old bytes first). A source span that is itself a placement names
-//! the placement's source instead. A `Send` payload is an owned `Bytes`,
-//! copied into the receive buffer on delivery.
+//! responder for an RDMA READ. The operation holds them as references to
+//! the source's pages, and they land when the target HCA has processed the
+//! arriving data: a target page the span covers whole takes the source's
+//! page, the rest is copied ([`crate::mr`]'s shared pages; a source
+//! rewritten in between copies its page first). A `Send` payload is an
+//! owned `Bytes`, copied into the receive buffer on delivery.
 
 use crate::cq::{Completion, CompletionQueue, Opcode, WcStatus};
 use crate::fault::LinkFaults;
@@ -554,7 +553,7 @@ impl QueuePair {
                     });
                 }
                 _ => {
-                    // Refused: the snapshot is never placed.
+                    // Refused: the snapshot is never landed.
                     drop(data);
                     this.complete_send(
                         posted,

@@ -211,3 +211,19 @@ fn docs_name_only_what_exists() {
         missing.join("\n  ")
     );
 }
+
+/// The byte size each long doc may not grow past. A change that adds prose
+/// cuts as much elsewhere; one that cuts more lowers the number here.
+const SIZE_CEILINGS: [(&str, u64); 2] = [("DESIGN.md", 71_689), ("EXPERIMENTS.md", 62_057)];
+
+#[test]
+fn long_docs_do_not_grow() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (doc, ceiling) in SIZE_CEILINGS {
+        let size = fs::metadata(root.join(doc)).expect("doc exists").len();
+        assert!(
+            size <= ceiling,
+            "{doc} is {size} bytes, over its ceiling of {ceiling}: cut prose elsewhere"
+        );
+    }
+}

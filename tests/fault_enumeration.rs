@@ -260,8 +260,8 @@ fn every_revoke_pair_keeps_the_oracle() {
 // Pinned in tier-1: a notice duplicated in flight must not move its chunk
 // twice; a revoke after a write-off has nowhere to move its chunk and
 // must leave it at home; and slot 0 reads back zeros unless a region
-// written under an unplaced snapshot saves its old bytes (EXPERIMENTS
-// *Fault enumeration*).
+// written under a snapshot in flight leaves the snapshot its old bytes
+// (EXPERIMENTS *Fault enumeration*).
 oracle::rows! {
     a_revoke_notice_duplicated_in_flight_moves_its_chunk_once:
         REVOCABLE, [(Dup, 0, 0), (Revoke, 0, 0)], migrations;
