@@ -499,9 +499,28 @@ pub struct Lent<'p, T: Element> {
 }
 
 impl<T: Element> Lent<'_, T> {
+    /// The first element lent page `of` holds.
+    pub fn first(&self, of: usize) -> usize {
+        self.first[of]
+    }
+
     /// One past the last element lent page `of` holds.
     pub fn end(&self, of: usize) -> usize {
         self.first[of] + self.count[of]
+    }
+
+    /// The bytes of the elements on lent pages 0 and 1, or one slice for
+    /// both when they are the same page.
+    pub fn bytes(&mut self) -> (&mut [u8], Option<&mut [u8]>) {
+        let len = self.count.map(|count| count * T::SIZE);
+        let [p0, p1] = &mut self.page;
+        let (a, b) = if self.slot[0] == 0 {
+            (p0, p1)
+        } else {
+            (p1, p0)
+        };
+        let b = (self.slot[0] != self.slot[1]).then(|| &mut b[..len[1]]);
+        (&mut a[..len[0]], b)
     }
 
     /// The slot and byte offset of element `index` on lent page `of`.
@@ -737,9 +756,16 @@ mod tests {
                 (1, 3, 2)
             );
             lent.set(1, 2047, 9);
+            let (page_0, page_1) = lent.bytes();
+            assert_eq!((page_0[4], page_1.map(|page| page[0])), (3, Some(2)));
             // One page lent for both elements.
-            let lent = pages.lend(5, 7).expect("page 0 is written");
+            let mut lent = pages.lend(5, 7).expect("page 0 is written");
             assert_eq!((lent.end(0), lent.end(1)), (1024, 1024));
+            assert_eq!((lent.first(1), lent.bytes().0.len()), (0, 4096));
+            assert!(lent.bytes().1.is_none());
+            // Page 1 lent as page 0 too: its slot comes first.
+            let mut lent = pages.lend(1024, 0).expect("both pages written");
+            assert_eq!((lent.first(0), lent.bytes().0[0]), (1024, 2));
         });
         assert_eq!(v.get(2047), 9);
     }

@@ -13,6 +13,8 @@
 
 use crate::task::{Step, Task};
 use simcore::{Signal, SimRng};
+use std::cell::Cell;
+use std::hint::select_unpredictable;
 use vmsim::{AddressSpace, Lent, PagedVec, Pinned};
 
 /// Ranges at or below this length use insertion sort.
@@ -161,28 +163,48 @@ impl Scan {
     /// 4 ops are left and `i` and `j` stay on their pages. Starts at a visit
     /// boundary with `j < hi` and budget for one visit, so makes at least
     /// one. True if any visit swapped.
+    ///
+    /// A visit branches on no key: it stores `a[j]` or `a[i]` back to each
+    /// slot through a select, so one that does not swap rewrites both with
+    /// what they hold. Nothing can see those stores, since a lent page is
+    /// stamped current with write intent and every access to it is a repeat.
     #[inline]
     fn visits(&mut self, pages: &mut Lent<'_, i32>, budget: &mut i64) -> bool {
-        // Lent page 0 holds `a[i]`, page 1 `a[j]`.
-        let (mut i, mut j, mut left) = (self.i as usize, self.j as usize, *budget);
-        let (i_end, j_end) = (pages.end(0), pages.end(1).min(self.hi as usize));
-        let mut swapped = false;
-        while i < i_end && j < j_end && left >= 4 {
-            let vj = pages.get(1, j);
-            left -= 1;
-            if vj <= self.pivot {
-                if i != j {
-                    let vi = pages.get(0, i);
-                    pages.set(0, i, vj);
-                    pages.set(1, j, vi);
-                    left -= 3;
-                    swapped = true;
-                }
-                i += 1;
+        // Lent page 0 holds `a[i]`, page 1 `a[j]`; `i` and `j` count from
+        // their page's first element, `a[j]`'s page `gap` elements on.
+        let (first_i, first_j) = (pages.first(0), pages.first(1));
+        let j_end = pages.end(1).min(self.hi as usize) - first_j;
+        let gap = first_j - first_i;
+        fn cells(bytes: &mut [u8]) -> &[Cell<[u8; 4]>] {
+            Cell::from_mut(bytes.as_chunks_mut::<4>().0).as_slice_of_cells()
+        }
+        let (page_i, page_j) = match pages.bytes() {
+            (page, None) => {
+                let page = cells(page);
+                (page, page)
             }
+            (page_i, Some(page_j)) => (cells(page_i), cells(page_j)),
+        };
+        let page_j = &page_j[..j_end];
+        let (mut i, mut j) = (self.i as usize - first_i, self.j as usize - first_j);
+        let mut left = *budget;
+        let mut swapped = false;
+        while i < page_i.len() && j < page_j.len() && left >= 4 {
+            let (at_i, at_j) = (&page_i[i], &page_j[j]);
+            let (vi, vj) = (
+                i32::from_le_bytes(at_i.get()),
+                i32::from_le_bytes(at_j.get()),
+            );
+            let le = vj <= self.pivot;
+            at_i.set(select_unpredictable(le, vj, vi).to_le_bytes());
+            at_j.set(select_unpredictable(le, vi, vj).to_le_bytes());
+            let swap = le & (i + gap != j);
+            left -= 1 + 3 * i64::from(swap);
+            swapped |= swap;
+            i += usize::from(le);
             j += 1;
         }
-        (self.i, self.j, *budget) = (i as u64, j as u64, left);
+        (self.i, self.j, *budget) = ((first_i + i) as u64, (first_j + j) as u64, left);
         swapped
     }
 }
@@ -694,6 +716,127 @@ mod tests {
             );
             assert!(lent.is_sorted() && wise.is_sorted());
         }
+    }
+
+    /// `keys` in a VM of their own, the pages of elements `i` and `j` last
+    /// touched by stores: both slots stamped current with write intent.
+    fn written(keys: &[i32], i: usize, j: usize) -> PagedVec<i32> {
+        let (_engine, vm) = vm_with_ram_swap(64, 64);
+        let v = PagedVec::new(&AddressSpace::new(&vm), keys.len());
+        for (x, &key) in keys.iter().enumerate() {
+            v.set(x, key);
+        }
+        v.set(i, keys[i]);
+        v.set(j, keys[j]);
+        v
+    }
+
+    /// What `Scan::visits` does, made by the element-wise arm of `Scan::run`
+    /// one visit at a time (on a copy whose `hi` is the next `j`) under the
+    /// same stop rule: `i` and `j` on their first pages, `j` below `hi`, a
+    /// whole visit's 4 ops left. True if any visit swapped.
+    fn visits_element_wise(scan: &mut Scan, pages: &mut Pinned<'_, i32>, budget: &mut i64) -> bool {
+        let page_end = |x: u64| (x / 1024 + 1) * 1024;
+        let (i_end, j_end) = (page_end(scan.i), page_end(scan.j).min(scan.hi));
+        let mut swapped = false;
+        while scan.i < i_end && scan.j < j_end && *budget >= 4 {
+            let before = *budget;
+            let mut one = Scan {
+                hi: scan.j + 1,
+                ..*scan
+            };
+            let served = one.run(&mut ElementWise(pages), budget).is_ok();
+            assert!(served && one.j == one.hi, "written pages serve a visit");
+            (scan.i, scan.j) = (one.i, one.j);
+            swapped |= before - *budget == 4;
+        }
+        swapped
+    }
+
+    /// `Scan::visits` over lent pages and the element-wise arm from the same
+    /// start end with the same `i`, `j`, budget left and swap flag, and the
+    /// same bytes. Returns the budget left.
+    fn visits_match(keys: &[i32], start: Scan, budget: i64) -> i64 {
+        let (i, j) = (start.i as usize, start.j as usize);
+        let [lent_vec, wise_vec] = [(); 2].map(|()| written(keys, i, j));
+        let (mut lent, mut lent_left) = (start, budget);
+        let lent_swapped = lent_vec.pinned(|pages| {
+            let mut pages = pages.lend(i, j).expect("both pages written");
+            lent.visits(&mut pages, &mut lent_left)
+        });
+        let (mut wise, mut wise_left) = (start, budget);
+        let wise_swapped =
+            wise_vec.pinned(|pages| visits_element_wise(&mut wise, pages, &mut wise_left));
+        assert_eq!(
+            (lent.i, lent.j, lent_left, lent_swapped),
+            (wise.i, wise.j, wise_left, wise_swapped),
+            "from {start:?} with budget {budget}"
+        );
+        let bytes = |v: &PagedVec<i32>| (0..v.len()).map(|x| v.get(x)).collect::<Vec<_>>();
+        assert!(
+            bytes(&lent_vec) == bytes(&wise_vec),
+            "from {start:?} with budget {budget}: the arrays differ"
+        );
+        lent_left
+    }
+
+    /// The branch-free visit loop against the element-wise arm: random keys,
+    /// keys equal to the pivot, all-below and all-above runs; `i` and `j` on
+    /// one page (from `i == j`, then apart) and on two; `hi` cutting `j`'s
+    /// page short; budgets that stop the loop with each of 0–3 ops left.
+    #[test]
+    fn lent_visits_match_the_element_wise_arm() {
+        // Three pages of 1,024 elements, the last one short.
+        const N: usize = 2500;
+        let mut rng = SimRng::new(39);
+        let mut random = |n: u32| -> Vec<i32> {
+            (0..N)
+                .map(|_| match n {
+                    0 => rng.next_u32() as i32,
+                    n => (rng.next_u32() % n) as i32,
+                })
+                .collect()
+        };
+        // (keys, pivot)
+        let runs: Vec<i32> = (0..N).map(|x| [1, 9][x / 37 % 2]).collect();
+        let key_sets = [
+            (random(0), 0),
+            (random(5), 2),
+            (random(5), 9),
+            (random(5), -1),
+            (runs, 5),
+        ];
+        // (i, j, hi)
+        let starts = [
+            (0, 0, N - 1),
+            (300, 300, N - 1),
+            (10, 500, N - 1),
+            (700, 1100, N - 1),
+            (5, 1030, 1500),
+            (1000, 2100, 2300),
+        ];
+        let mut stopped_with = std::collections::BTreeSet::new();
+        for (keys, pivot) in &key_sets {
+            for &(i, j, hi) in &starts {
+                let start = Scan {
+                    lo: i as u64,
+                    hi: hi as u64,
+                    pivot: *pivot,
+                    i: i as u64,
+                    j: j as u64,
+                    vj: None,
+                    vi: None,
+                    wrote_i: false,
+                };
+                for budget in (4..=20).chain([64, 1 << 20]) {
+                    stopped_with.insert(visits_match(keys, start, budget).min(4));
+                }
+            }
+        }
+        assert_eq!(
+            stopped_with.into_iter().collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
     }
 
     #[test]
