@@ -5,10 +5,10 @@
 //! future virtual instants. Ties are broken by submission order, so a run is
 //! fully deterministic given the same inputs.
 //!
-//! The queue itself is a hierarchical timing wheel (see [`crate::sched`]):
-//! near-future events live in 1 ns slots found through a two-level occupancy
-//! bitmap, far-future events in an overflow heap, and event nodes come from
-//! a recycling slab.
+//! The queue is one ordered map keyed by `(time, seq)`, where `seq` is the
+//! engine's submission counter: the first entry is the next event, and an
+//! [`EventId`] is the key itself. `seq` is never reused, so a stale id
+//! matches no entry and cancels nothing.
 //!
 //! Two driving styles are supported, matching how the paging workloads use
 //! the simulator:
@@ -22,20 +22,29 @@
 //!   what lets background page-out traffic overlap application compute, the
 //!   paper's "asynchrony of page prefetching and flushing".
 
-use crate::sched::TimingWheel;
 use crate::signal::Signal;
 use crate::time::{SimDuration, SimTime};
 use simtrace::{LifecycleHub, MetricsRegistry, Tracer};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::mem;
 use std::rc::Rc;
 
-pub use crate::sched::EventId;
+/// Handle to a cancellable scheduled event: its `(time ns, seq)` key in the
+/// queue.
+///
+/// Returned by [`Engine::schedule_cancellable_at`] and friends; pass it to
+/// [`Engine::cancel`]. Once the event ran or was cancelled its key is gone
+/// for good, and the cancel is a no-op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct EventId((u64, u64));
 
 struct Inner {
     now: SimTime,
     seq: u64,
-    queue: TimingWheel,
+    /// Pending events in `(time ns, seq)` order.
+    queue: BTreeMap<(u64, u64), Box<dyn FnOnce()>>,
     executed: u64,
     /// Peak queue length observed (diagnostics / metrics).
     max_pending: usize,
@@ -64,7 +73,7 @@ impl Engine {
             inner: Rc::new(RefCell::new(Inner {
                 now: SimTime::ZERO,
                 seq: 0,
-                queue: TimingWheel::new(),
+                queue: BTreeMap::new(),
                 executed: 0,
                 max_pending: 0,
                 tracer: Tracer::disabled(),
@@ -85,14 +94,16 @@ impl Engine {
         self.inner.borrow().executed
     }
 
-    /// Number of events still pending (cancelled events excluded).
+    /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
         self.inner.borrow().queue.len()
     }
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_next_time(&self) -> Option<SimTime> {
-        self.inner.borrow_mut().queue.peek_time()
+        let inner = self.inner.borrow();
+        let (&(at, _), _) = inner.queue.first_key_value()?;
+        Some(SimTime(at))
     }
 
     /// Peak event-queue depth observed over the run (diagnostics).
@@ -197,9 +208,10 @@ impl Engine {
         );
         let seq = inner.seq;
         inner.seq += 1;
-        let id = inner.queue.push(at, seq, Box::new(action));
+        let key = (at.0, seq);
+        inner.queue.insert(key, Box::new(action));
         inner.max_pending = inner.max_pending.max(inner.queue.len());
-        id
+        EventId(key)
     }
 
     /// Like [`Engine::schedule_in`], returning a cancellation handle.
@@ -216,15 +228,18 @@ impl Engine {
     /// ids (already ran, already cancelled) are a no-op. The closure is
     /// dropped immediately so captured resources release deterministically.
     pub fn cancel(&self, id: EventId) -> bool {
-        self.inner.borrow_mut().queue.cancel(id)
+        let action = self.inner.borrow_mut().queue.remove(&id.0);
+        action.is_some()
     }
 
     /// Drop every pending event unrun. Components hold the engine, so a
     /// queued closure that captures one keeps it, and through it the
     /// engine, alive: call this when the simulation is over.
     pub fn discard_pending(&self) {
-        let actions = self.inner.borrow_mut().queue.take_all();
-        drop(actions);
+        // Dropped outside the borrow: a closure's captures may reach the
+        // engine as they go.
+        let queue = mem::take(&mut self.inner.borrow_mut().queue);
+        drop(queue);
     }
 
     /// Pop and execute the next event, if any. Returns whether one ran.
@@ -257,15 +272,18 @@ impl Engine {
     fn step_due(&self, deadline: SimTime) -> bool {
         let action = {
             let mut inner = self.inner.borrow_mut();
-            match inner.queue.pop_due(deadline) {
-                Some((at, action)) => {
-                    debug_assert!(at >= inner.now, "event queue went backwards");
-                    inner.now = at;
-                    inner.executed += 1;
-                    action
-                }
-                None => return false,
+            let Some(next) = inner.queue.first_entry() else {
+                return false;
+            };
+            let at = SimTime(next.key().0);
+            if at > deadline {
+                return false;
             }
+            let action = next.remove();
+            debug_assert!(at >= inner.now, "event queue went backwards");
+            inner.now = at;
+            inner.executed += 1;
+            action
         };
         action();
         true
@@ -461,6 +479,7 @@ mod tests {
         assert!(eng.cancel(id));
         assert!(!eng.cancel(id), "cancel must be idempotent-false");
         assert_eq!(eng.pending_events(), 1);
+        assert_eq!(eng.peek_next_time(), Some(SimTime(20)));
         eng.run_until_idle();
         assert_eq!(*log.borrow(), vec![2]);
         assert_eq!(eng.events_executed(), 1);
@@ -471,7 +490,26 @@ mod tests {
         let eng = Engine::new();
         let id = eng.schedule_cancellable_at(SimTime(5), || {});
         eng.run_until_idle();
+        // A later event at the same instant must not answer to the old id.
+        eng.schedule_at(SimTime(5), || {});
         assert!(!eng.cancel(id));
+        assert_eq!(eng.pending_events(), 1);
+    }
+
+    #[test]
+    fn run_until_runs_events_at_the_deadline() {
+        let eng = Engine::new();
+        let log: Rc<RefCell<Vec<u64>>> = Rc::default();
+        for &t in &[10u64, 11] {
+            let log = log.clone();
+            eng.schedule_at(SimTime(t), move || log.borrow_mut().push(t));
+        }
+        eng.run_until(SimTime(9));
+        assert!(log.borrow().is_empty());
+        eng.run_until(SimTime(10));
+        assert_eq!(*log.borrow(), vec![10]);
+        assert_eq!(eng.now(), SimTime(10));
+        assert_eq!(eng.peek_next_time(), Some(SimTime(11)));
     }
 
     #[test]

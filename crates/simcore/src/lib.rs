@@ -32,7 +32,6 @@
 pub mod engine;
 pub mod resource;
 pub mod rng;
-mod sched;
 pub mod signal;
 pub mod stats;
 pub mod time;

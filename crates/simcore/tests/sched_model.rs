@@ -9,9 +9,8 @@
 //! scheduled for the same tick, and children spawned *during* execution at
 //! the parent's own timestamp.
 //!
-//! This model is the scheduler's only oracle: the timing wheel's window,
-//! overflow heap, re-anchoring and tombstones have no second
-//! implementation to be compared against.
+//! This model is the scheduler's only oracle: the engine's ordered map has
+//! no second implementation to be compared against.
 
 use simcore::{Engine, EventId, SimDuration, SimRng};
 use std::cell::RefCell;
@@ -103,8 +102,9 @@ const SPAWN_DIVISOR: u64 = 7;
 /// Child ids are offset far above parent ids so they never collide.
 const CHILD_OFFSET: u64 = 1 << 32;
 
-/// The wheel's window: 65 536 one-nanosecond slots.
-const WHEEL_WINDOW_NS: u64 = 1 << 16;
+/// The window of the timing wheel that once backed the queue (65 536 ns).
+/// It stays an input: delays on its edges and a run many windows long.
+const WINDOW_NS: u64 = 1 << 16;
 
 /// One operation of the random script, pre-generated so it depends on the
 /// seed alone.
@@ -130,20 +130,19 @@ fn random_script(seed: u64, len: usize) -> Vec<Op> {
                 Op::Schedule {
                     id,
                     // Skewed toward small delays (and often zero) so many
-                    // events collide on the same tick and wheel slot. Two
-                    // classes land beyond the 65.5 µs window, one of them by
-                    // milliseconds (where request timeouts and the server's
-                    // idle timer live), so the overflow heap stays populated
-                    // across many re-anchors. The last class sits on the
-                    // window's edges: whole windows apart, and one tick
-                    // short of that.
+                    // events collide on the same tick. Two classes land
+                    // beyond 65.5 µs, one of them by milliseconds (where
+                    // request timeouts and the server's idle timer live), so
+                    // far events stay queued while the clock moves. The last
+                    // class sits on the old window's edges: whole windows
+                    // apart, and one tick short of that.
                     delay: match rng.below(6) {
                         0 => 0,
                         1 => rng.below(8),
                         2 => rng.below(300),
                         3 => rng.below(200_000),
                         4 => rng.below(5_000_000),
-                        _ => WHEEL_WINDOW_NS * (1 + rng.below(4)) - rng.below(2),
+                        _ => WINDOW_NS * (1 + rng.below(4)) - rng.below(2),
                     },
                 }
             }
@@ -207,8 +206,8 @@ fn assert_in_step(
 /// Run one random script through the engine and the model in lockstep.
 ///
 /// Cancel bookkeeping: a cancelled handle leaves the tracking list, a
-/// fired one stays, so the script cancels pending, fired and (through slab
-/// reuse) recycled handles alike; the model answers each from `pending`.
+/// fired one stays, so the script cancels pending and fired handles alike;
+/// the model answers each from `pending`.
 fn check(seed: u64, len: usize) {
     let engine = Engine::new();
     let log: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
@@ -269,24 +268,24 @@ fn check(seed: u64, len: usize) {
         &format!("seed {seed} drain"),
     );
     assert_eq!(engine.max_pending_events(), max_pending, "seed {seed}");
-    // The script must have exercised what it claims to: re-anchors need
-    // virtual time to cross many windows with far events still queued.
+    // The script must have exercised what it claims to: virtual time
+    // crosses many windows with far events still queued.
     assert!(
-        model.now > 20 * WHEEL_WINDOW_NS,
+        model.now > 20 * WINDOW_NS,
         "seed {seed}: only {}ns",
         model.now
     );
 }
 
 #[test]
-fn wheel_matches_sorted_vec_model() {
+fn engine_matches_sorted_vec_model() {
     for seed in [1, 2, 3, 0xDEAD_BEEF] {
         check(seed, 4_000);
     }
 }
 
 #[test]
-fn wheel_matches_sorted_vec_model_on_long_scripts() {
+fn engine_matches_sorted_vec_model_on_long_scripts() {
     for seed in [11, 12] {
         check(seed, 8_000);
     }
