@@ -19,6 +19,7 @@
 //! queue inside the driver.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::channel::{self, Channel};
 use crate::config::{Distribution, HpbdConfig, StagingMode, REPLY_PROC_NS, SERVER_STAGING_SIZE};
 use crate::pool::{PoolBuf, SimBufferPool};
 use crate::proto::{
@@ -365,14 +366,13 @@ struct PendingPart {
 }
 
 struct ServerConn {
-    qp: QueuePair,
+    channel: Channel,
     credits: Cell<usize>,
     /// Requests in `CreditWait` on this server, by id, in FIFO order.
     queued: RefCell<VecDeque<u64>>,
     /// High-water mark of the credit-stall queue, published as the
     /// per-server queue-depth gauge at stats time (never on the hot path).
     peak_queued: Cell<usize>,
-    recv_region: MemoryRegion,
     /// Marked on the first request timeout; all traffic re-routes to the
     /// buddy afterwards.
     dead: Cell<bool>,
@@ -510,7 +510,6 @@ struct ClientInner {
     send_cq: CompletionQueue,
     recv_cq: CompletionQueue,
     conns: RefCell<Vec<ServerConn>>,
-    qp_to_conn: RefCell<BTreeMap<u32, usize>>,
     /// Every physical request from `issue` until its reply or failure
     /// takes it out, keyed (and so iterated) by request id.
     requests: RefCell<BTreeMap<u64, Phys>>,
@@ -585,7 +584,6 @@ impl HpbdClient {
                 send_cq,
                 recv_cq,
                 conns: RefCell::new(Vec::new()),
-                qp_to_conn: RefCell::new(BTreeMap::new()),
                 requests: RefCell::new(BTreeMap::new()),
                 next_req_id: Cell::new(1),
                 next_version: Cell::new(1),
@@ -654,25 +652,11 @@ impl HpbdClient {
         let credits = inner.config.credits;
         // Two extra receives beyond the credit window absorb
         // server-initiated notices (revocations).
-        let recvs = credits + 2;
-        let wire = REPLY_WIRE_SIZE as u64 + 4;
-        let recv_region = inner.ibnode.hca().register((recvs as u64 * wire) as usize);
-        for i in 0..recvs {
-            #[expect(
-                clippy::expect_used,
-                reason = "connection setup posts into an empty receive queue sized for exactly these buffers"
-            )]
-            qp.post_recv(i as u64, recv_region.slice(i as u64 * wire, wire))
-                .expect("pre-posting reply receives");
-        }
-        let idx = inner.conns.borrow().len();
-        inner.qp_to_conn.borrow_mut().insert(qp.qp_num(), idx);
         inner.conns.borrow_mut().push(ServerConn {
-            qp,
+            channel: Channel::open(&inner.ibnode, qp, credits + 2, REPLY_WIRE_SIZE + 4),
             credits: Cell::new(credits),
             queued: RefCell::new(VecDeque::new()),
             peak_queued: Cell::new(0),
-            recv_region,
             dead: Cell::new(false),
             generation: Cell::new(generation),
             batch: RefCell::new(Vec::new()),
@@ -1020,7 +1004,7 @@ impl HpbdClient {
             spool.push((phys.server_idx, wr));
             Ok(())
         } else {
-            conn.qp.post_send(wr)
+            conn.channel.qp.post_send(wr)
         };
         if posted.is_err() {
             self.fail_sends_later(vec![req_id]);
@@ -1192,7 +1176,10 @@ impl HpbdClient {
         while let Some(completion) = inner.recv_cq.poll() {
             assert_eq!(completion.opcode, Opcode::Recv);
             assert_eq!(completion.status, WcStatus::Success, "reply recv failed");
-            let Some(conn_idx) = inner.qp_to_conn.borrow().get(&completion.qp_num).copied() else {
+            let conns = inner.conns.borrow();
+            let route = channel::route(conns.iter().map(|c| &c.channel), completion.qp_num);
+            drop(conns);
+            let Some(conn_idx) = route else {
                 // A reply from a QP no connection claims (e.g. torn down
                 // by fault injection): count it and drop.
                 inner.stats.borrow_mut().bad_messages += 1;
@@ -1206,25 +1193,9 @@ impl HpbdClient {
 
     fn handle_reply(&self, conn_idx: usize, buf_idx: u64) {
         let inner = &self.inner;
-        let wire = REPLY_WIRE_SIZE as u64 + 4;
-        let decoded = {
-            let conns = inner.conns.borrow();
-            let conn = &conns[conn_idx];
-            let decoded = conn.recv_region.read_with(
-                (buf_idx * wire) as usize,
-                wire as usize,
-                ServerMessage::decode_slice,
-            );
-            // Re-post the consumed receive buffer.
-            #[expect(
-                clippy::expect_used,
-                reason = "re-posting the buffer just consumed cannot overflow the fixed-size receive queue"
-            )]
-            conn.qp
-                .post_recv(buf_idx, conn.recv_region.slice(buf_idx * wire, wire))
-                .expect("re-posting reply receive");
-            decoded
-        };
+        let decoded = inner.conns.borrow()[conn_idx]
+            .channel
+            .take(buf_idx, ServerMessage::decode_slice);
         let Ok(message) = decoded else {
             // Signature validation failed (paper §4.1): drop the
             // corrupt message; the requester's timeout recovers.
@@ -1479,7 +1450,7 @@ impl HpbdClient {
                 chain.push(wr);
             }
             let wr_ids = chain.iter().map(|wr| wr.wr_id).collect();
-            if conns[conn_idx].qp.post_send_many(chain).is_err() {
+            if conns[conn_idx].channel.qp.post_send_many(chain).is_err() {
                 self.fail_sends_later(wr_ids);
             }
         }

@@ -29,6 +29,7 @@
 //!   performs over sockets) and arms an optional deterministic
 //!   [`simfault::FaultPlan`] against the deployment.
 
+mod channel;
 pub mod client;
 pub mod cluster;
 pub mod config;

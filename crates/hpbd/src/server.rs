@@ -23,11 +23,12 @@
 //! of idling and is woken by the completion event of the next request.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::channel::{self, Channel};
 use crate::config::{HpbdConfig, REQUEST_PROC_NS, SERVER_IDLE_NS, SERVER_STAGING_SIZE};
 use crate::pool::{PoolBuf, SimBufferPool};
 use crate::proto::{
-    ClientMessage, MergedRequest, PageOp, PageReply, PageRequest, ProtoError, ReplyStatus,
-    RevokeNotice, MERGED_MAX_WIRE_SIZE,
+    ClientMessage, MergedRequest, PageOp, PageReply, PageRequest, ReplyStatus, RevokeNotice,
+    MERGED_MAX_WIRE_SIZE,
 };
 use ibsim::{
     CompletionQueue, Fabric, IbNode, MemoryRegion, Opcode, QueuePair, RemoteSlice, WcStatus,
@@ -156,13 +157,6 @@ impl Job {
     }
 }
 
-struct Conn {
-    qp: QueuePair,
-    /// Control-message receive buffers (slices of one registration),
-    /// indexed by recv wr_id.
-    recv_region: MemoryRegion,
-}
-
 /// Server statistics.
 #[derive(Clone, Debug, Default)]
 pub struct ServerStats {
@@ -213,8 +207,7 @@ struct ServerInner {
     staging_pool: SimBufferPool,
     send_cq: CompletionQueue,
     recv_cq: CompletionQueue,
-    conns: RefCell<Vec<Conn>>,
-    qp_to_conn: RefCell<BTreeMap<u32, usize>>,
+    conns: RefCell<Vec<Channel>>,
     /// Every job the live daemon accepted and has not answered, by the
     /// token drawn at its arrival (also the wr_id of its RDMA).
     jobs: RefCell<BTreeMap<u64, Job>>,
@@ -274,7 +267,6 @@ impl HpbdServer {
                 send_cq,
                 recv_cq,
                 conns: RefCell::new(Vec::new()),
-                qp_to_conn: RefCell::new(BTreeMap::new()),
                 jobs: RefCell::new(BTreeMap::new()),
                 versions: RefCell::new(BTreeMap::new()),
                 lost_recvs: RefCell::new(Vec::new()),
@@ -348,8 +340,7 @@ impl HpbdServer {
         );
         inner.stats.borrow_mut().revokes_sent += 1;
         let notice = RevokeNotice::new(offset, len);
-        let conns = inner.conns.borrow();
-        for conn in conns.iter() {
+        for conn in inner.conns.borrow().iter() {
             // Best-effort: a notice squeezed out by a full send queue is
             // dropped, not treated as fatal. Revoking again is safe: a
             // client moves each chunk once, however often it is named.
@@ -415,20 +406,8 @@ impl HpbdServer {
             .registration_time(SERVER_STAGING_SIZE);
         inner.ibnode.node().cpu().reserve(inner.engine.now(), reg);
         // Receives consumed by the dead process go back on the QPs.
-        let wire = MERGED_MAX_WIRE_SIZE as u64;
-        let lost: Vec<(usize, u64)> = inner.lost_recvs.borrow_mut().drain(..).collect();
-        {
-            let conns = inner.conns.borrow();
-            for (conn_idx, buf_idx) in lost {
-                let conn = &conns[conn_idx];
-                #[expect(
-                    clippy::expect_used,
-                    reason = "restart re-posts only buffers the crash drained, so the fixed-size receive queue cannot overflow"
-                )]
-                conn.qp
-                    .post_recv(buf_idx, conn.recv_region.slice(buf_idx * wire, wire))
-                    .expect("re-posting receives at restart");
-            }
+        for (conn, slot) in inner.lost_recvs.take() {
+            inner.conns.borrow()[conn].repost(slot);
         }
         // The store this process serves is a fresh, empty one: advertise a
         // new generation so clients can tell its replies come from after
@@ -447,13 +426,8 @@ impl HpbdServer {
     /// restart can re-post their buffers.
     fn reap_while_crashed(&self) {
         for completion in self.inner.recv_cq.drain() {
-            let Some(conn_idx) = self
-                .inner
-                .qp_to_conn
-                .borrow()
-                .get(&completion.qp_num)
-                .copied()
-            else {
+            let route = channel::route(&*self.inner.conns.borrow(), completion.qp_num);
+            let Some(conn_idx) = route else {
                 // A completion from a QP no connection claims: count it
                 // and drop rather than poison the restart bookkeeping.
                 self.inner.stats.borrow_mut().bad_messages += 1;
@@ -475,26 +449,11 @@ impl HpbdServer {
     /// receive buffers on `qp`. Called by the cluster builder after the QP
     /// exchange.
     pub fn attach_connection(&self, qp: QueuePair) {
-        let inner = &self.inner;
-        let credits = inner.config.credits;
+        let (node, credits) = (&self.inner.ibnode, self.inner.config.credits);
         // Buffers are sized for the largest control message — a maximally
         // merged request — so plain and merged requests share the pool.
-        let wire = MERGED_MAX_WIRE_SIZE as u64;
-        let recv_region = inner
-            .ibnode
-            .hca()
-            .register((credits as u64 * wire) as usize);
-        for i in 0..credits {
-            #[expect(
-                clippy::expect_used,
-                reason = "connection setup posts into an empty receive queue sized for exactly these buffers"
-            )]
-            qp.post_recv(i as u64, recv_region.slice(i as u64 * wire, wire))
-                .expect("pre-posting control receives");
-        }
-        let idx = inner.conns.borrow().len();
-        inner.qp_to_conn.borrow_mut().insert(qp.qp_num(), idx);
-        inner.conns.borrow_mut().push(Conn { qp, recv_region });
+        let channel = Channel::open(node, qp, credits, MERGED_MAX_WIRE_SIZE);
+        self.inner.conns.borrow_mut().push(channel);
     }
 
     /// Install the two CQ event handlers. The server owns its CQs, so each
@@ -550,13 +509,8 @@ impl HpbdServer {
         while let Some(completion) = self.inner.recv_cq.poll() {
             assert_eq!(completion.opcode, Opcode::Recv);
             assert_eq!(completion.status, WcStatus::Success, "control recv failed");
-            let Some(conn_idx) = self
-                .inner
-                .qp_to_conn
-                .borrow()
-                .get(&completion.qp_num)
-                .copied()
-            else {
+            let route = channel::route(&*self.inner.conns.borrow(), completion.qp_num);
+            let Some(conn_idx) = route else {
                 // Unroutable completion (e.g. a connection torn down by
                 // fault injection): count and drop, per the signature
                 // validation discipline of paper §4.1.
@@ -570,28 +524,7 @@ impl HpbdServer {
 
     fn handle_request(&self, conn_idx: usize, buf_idx: u64) {
         let inner = &self.inner;
-        let wire = MERGED_MAX_WIRE_SIZE as u64;
-        let decoded: Result<ClientMessage, ProtoError> = {
-            let conns = inner.conns.borrow();
-            let conn = &conns[conn_idx];
-            conn.recv_region.read_with(
-                (buf_idx * wire) as usize,
-                wire as usize,
-                ClientMessage::decode_slice,
-            )
-        };
-        // Buffer consumed: re-post it for the next request.
-        {
-            let conns = inner.conns.borrow();
-            let conn = &conns[conn_idx];
-            #[expect(
-                clippy::expect_used,
-                reason = "re-posting the buffer just consumed cannot overflow the fixed-size receive queue"
-            )]
-            conn.qp
-                .post_recv(buf_idx, conn.recv_region.slice(buf_idx * wire, wire))
-                .expect("re-posting control receive");
-        }
+        let decoded = inner.conns.borrow()[conn_idx].take(buf_idx, ClientMessage::decode_slice);
         let started = inner.engine.now();
         let job = match decoded {
             Ok(ClientMessage::Request(r)) => Job::from_request(&r, conn_idx, started),
@@ -1129,6 +1062,24 @@ mod tests {
                 assert_died_clean(&engine, &cluster, posted.get(), &case);
             }
         }
+    }
+
+    /// A restart re-posts every receive the dead daemon consumed, so the
+    /// client's whole credit window fits in the receive queue again.
+    #[test]
+    fn a_restart_reposts_the_receives_the_dead_daemon_consumed() {
+        let (engine, cluster) = rig();
+        let server = &cluster.servers[0];
+        let credits = server.inner.config.credits;
+        let depth = || server.inner.conns.borrow()[0].qp.recv_queue_depth();
+        server.crash();
+        for page in 0..credits as u64 {
+            submit(&cluster, IoOp::Read, page * 4096, 4096);
+        }
+        engine.run_until_idle();
+        assert_eq!(depth(), 0, "a request the dead daemon never received");
+        server.restart();
+        assert_eq!(depth(), credits);
     }
 
     /// A swap-in returns the store's bytes as they stood when its staging

@@ -22,7 +22,6 @@ pub struct Resource {
     name: &'static str,
     next_free: Rc<Cell<SimTime>>,
     busy_total: Rc<Cell<SimDuration>>,
-    reservations: Rc<Cell<u64>>,
 }
 
 impl Resource {
@@ -32,7 +31,6 @@ impl Resource {
             name,
             next_free: Rc::new(Cell::new(SimTime::ZERO)),
             busy_total: Rc::new(Cell::new(SimDuration::ZERO)),
-            reservations: Rc::new(Cell::new(0)),
         }
     }
 
@@ -43,23 +41,12 @@ impl Resource {
         let end = start + dur;
         self.next_free.set(end);
         self.busy_total.set(self.busy_total.get() + dur);
-        self.reservations.set(self.reservations.get() + 1);
         (start, end)
-    }
-
-    /// Instant at which the resource becomes free given current bookings.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free.get()
     }
 
     /// Total booked busy time (utilization numerator).
     pub fn busy_total(&self) -> SimDuration {
         self.busy_total.get()
-    }
-
-    /// Number of reservations made.
-    pub fn reservations(&self) -> u64 {
-        self.reservations.get()
     }
 
     /// Diagnostic name.
@@ -169,7 +156,6 @@ mod tests {
         let (s, _) = r.reserve(SimTime(500), SimDuration(10));
         assert_eq!(s, SimTime(500));
         assert_eq!(r.busy_total(), SimDuration(20));
-        assert_eq!(r.reservations(), 2);
     }
 
     #[test]

@@ -79,28 +79,6 @@ impl OnlineStats {
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Merge another accumulator into this one, as if every sample of
-    /// `other` had been recorded here (parallel Welford combination).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.mean += delta * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for OnlineStats {
@@ -141,45 +119,5 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_single_pass() {
-        let samples = [1.0, 5.0, 2.5, 9.0, 4.0, 4.0, 7.5, 0.5];
-        let mut whole = OnlineStats::new();
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for (i, &x) in samples.iter().enumerate() {
-            whole.record(x);
-            if i < 3 {
-                left.record(x);
-            } else {
-                right.record(x);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-12);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-        assert!((left.sum() - whole.sum()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.record(3.0);
-        a.record(5.0);
-        let before = (a.count(), a.mean(), a.variance());
-        a.merge(&OnlineStats::new());
-        assert_eq!((a.count(), a.mean(), a.variance()), before);
-
-        let mut empty = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.record(7.0);
-        empty.merge(&b);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 7.0);
     }
 }

@@ -71,17 +71,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Build a span from fractional seconds, rounding to nanoseconds.
-    /// Negative and non-finite inputs clamp to zero.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> SimDuration {
-        if s.is_finite() && s > 0.0 {
-            SimDuration((s * 1e9).round() as u64)
-        } else {
-            SimDuration(0)
-        }
-    }
-
     /// Nanosecond count.
     #[inline]
     pub fn as_nanos(self) -> u64 {
@@ -259,13 +248,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(3), SimDuration(3_000));
         assert_eq!(SimDuration::from_millis(2), SimDuration(2_000_000));
         assert_eq!(SimDuration::from_secs(1), SimDuration(1_000_000_000));
-    }
-
-    #[test]
-    fn from_secs_f64_clamps() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(1.5), SimDuration(1_500_000_000));
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl Default for DirectConfig {
             // polled` on every figU cell and on `zipf_direct`). What the
             // model charges is therefore 25 µs of CPU per hot fault, then
             // a sleep for the tail. Sizing or dropping the budget is
-            // ROADMAP item 1.
+            // ROADMAP item 9C.
             poll_budget_ns: 25_000,
             idle_threshold_ns: 200_000,
         }

@@ -8,7 +8,6 @@
 //! Figure 6, and what makes disk swap partially sequential for testswap.
 
 use crate::backend::SwapBackend;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// A page-sized slot on a swap device.
@@ -23,7 +22,9 @@ pub struct Slot {
 struct SwapDevice {
     backend: Rc<dyn SwapBackend>,
     priority: i32,
-    bitmap: Vec<bool>,
+    /// The page owning each slot: the allocation record, and the reverse
+    /// map readahead reads its neighbours from.
+    owners: Vec<Option<PageKey>>,
     free: u64,
     hint: u64,
 }
@@ -35,8 +36,9 @@ pub type PageKey = (u32, u64);
 pub struct SwapManager {
     page_size: u64,
     devices: Vec<SwapDevice>,
-    /// Reverse map slot → owning page, for readahead neighbour lookup.
-    rmap: BTreeMap<Slot, PageKey>,
+    /// Device ids in fill order: highest priority first, ties broken by
+    /// registration order, which keeps allocation deterministic.
+    fill_order: Vec<u32>,
 }
 
 impl SwapManager {
@@ -45,7 +47,7 @@ impl SwapManager {
         SwapManager {
             page_size,
             devices: Vec::new(),
-            rmap: BTreeMap::new(),
+            fill_order: Vec::new(),
         }
     }
 
@@ -54,14 +56,19 @@ impl SwapManager {
     pub fn add_device(&mut self, backend: Rc<dyn SwapBackend>, priority: i32) -> u32 {
         let slots = backend.capacity() / self.page_size;
         assert!(slots > 0, "swap device smaller than one page");
+        let id = self.devices.len() as u32;
         self.devices.push(SwapDevice {
             backend,
             priority,
-            bitmap: vec![false; slots as usize],
+            owners: vec![None; slots as usize],
             free: slots,
             hint: 0,
         });
-        (self.devices.len() - 1) as u32
+        self.fill_order.push(id);
+        let devices = &self.devices;
+        self.fill_order
+            .sort_by_key(|&d| (-devices[d as usize].priority, d));
+        id
     }
 
     /// Total free slots across devices.
@@ -89,32 +96,20 @@ impl SwapManager {
     /// Allocate a slot for `owner`, next-fit on the highest-priority device
     /// with space. Returns `None` when swap is exhausted.
     pub fn alloc_slot(&mut self, owner: PageKey) -> Option<Slot> {
-        // Highest priority first; ties broken by registration order, which
-        // keeps allocation deterministic.
-        let mut order: Vec<usize> = (0..self.devices.len()).collect();
-        order.sort_by_key(|&i| (-self.devices[i].priority, i));
-        for di in order {
-            let dev = &mut self.devices[di];
-            if dev.free == 0 {
-                continue;
-            }
-            let n = dev.bitmap.len() as u64;
-            for probe in 0..n {
-                let idx = (dev.hint + probe) % n;
-                if !dev.bitmap[idx as usize] {
-                    dev.bitmap[idx as usize] = true;
-                    dev.free -= 1;
-                    dev.hint = (idx + 1) % n;
-                    let slot = Slot {
-                        dev: di as u32,
-                        index: idx,
-                    };
-                    self.rmap.insert(slot, owner);
-                    return Some(slot);
-                }
-            }
-        }
-        None
+        let devices = &mut self.devices;
+        let &dev = self
+            .fill_order
+            .iter()
+            .find(|&&d| devices[d as usize].free > 0)?;
+        let device = &mut devices[dev as usize];
+        let n = device.owners.len() as u64;
+        let index = (0..n)
+            .map(|p| (device.hint + p) % n)
+            .find(|&i| device.owners[i as usize].is_none())?;
+        device.owners[index as usize] = Some(owner);
+        device.free -= 1;
+        device.hint = (index + 1) % n;
+        Some(Slot { dev, index })
     }
 
     /// Release a slot.
@@ -124,40 +119,27 @@ impl SwapManager {
     pub fn free_slot(&mut self, slot: Slot) {
         let dev = &mut self.devices[slot.dev as usize];
         assert!(
-            std::mem::replace(&mut dev.bitmap[slot.index as usize], false),
+            dev.owners[slot.index as usize].take().is_some(),
             "freeing unallocated swap slot {slot:?}"
         );
         dev.free += 1;
-        self.rmap.remove(&slot);
     }
 
     /// The page owning `slot`, if allocated.
     pub fn owner_of(&self, slot: Slot) -> Option<PageKey> {
-        self.rmap.get(&slot).copied()
+        self.devices[slot.dev as usize].owners[slot.index as usize]
     }
 
     /// Allocated slots immediately following `slot` on the same device, up
     /// to `k`, stopping at the first unallocated slot — the swap-in
     /// readahead cluster.
     pub fn readahead_neighbors(&self, slot: Slot, k: usize) -> Vec<(Slot, PageKey)> {
-        let dev = &self.devices[slot.dev as usize];
-        let n = dev.bitmap.len() as u64;
-        let mut out = Vec::new();
-        for step in 1..=k as u64 {
-            let idx = slot.index + step;
-            if idx >= n || !dev.bitmap[idx as usize] {
-                break;
-            }
-            let s = Slot {
-                dev: slot.dev,
-                index: idx,
-            };
-            match self.owner_of(s) {
-                Some(owner) => out.push((s, owner)),
-                None => break,
-            }
-        }
-        out
+        let (dev, first) = (slot.dev, slot.index + 1);
+        let owners = &self.devices[dev as usize].owners;
+        (first..)
+            .zip(owners.iter().skip(first as usize).take(k))
+            .map_while(|(index, owner)| Some((Slot { dev, index }, (*owner)?)))
+            .collect()
     }
 }
 
