@@ -20,7 +20,7 @@
 use crate::device::BlockDevice;
 use crate::queue::DispatchRecord;
 use crate::request::{new_buffer, Bio, IoOp, IoRequest};
-use simcore::{Counter, Engine, OnlineStats, Signal, SimTime};
+use simcore::{Engine, OnlineStats, Signal, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -145,12 +145,10 @@ pub fn replay_open_loop(
     trace: &SwapTrace,
 ) -> ReplayReport {
     let latency: Rc<RefCell<OnlineStats>> = Rc::default();
-    let done = Counter::new(0);
     let base = engine.now();
     for e in &trace.events {
         let device = device.clone();
         let latency = latency.clone();
-        let done = done.clone();
         let (op, offset, len) = (e.op, e.offset, e.len);
         let eng = engine.clone();
         engine.schedule_at(SimTime(base.as_nanos() + e.at_ns), move || {
@@ -164,18 +162,21 @@ pub fn replay_open_loop(
                     latency
                         .borrow_mut()
                         .record(eng2.now().since(issued).as_micros_f64());
-                    done.inc();
                 }),
             );
         });
     }
     engine.run_until_idle();
-    assert_eq!(done.get(), trace.events.len() as u64, "all events replayed");
     let latency_us = latency.borrow().clone();
+    assert_eq!(
+        latency_us.count(),
+        trace.events.len() as u64,
+        "all events replayed"
+    );
     ReplayReport {
         makespan: engine.now() - base,
+        requests: latency_us.count(),
         latency_us,
-        requests: done.get(),
     }
 }
 
@@ -187,7 +188,6 @@ pub fn replay_closed_loop(
     trace: &SwapTrace,
 ) -> ReplayReport {
     let latency: Rc<RefCell<OnlineStats>> = Rc::default();
-    let done = Counter::new(0);
     let base = engine.now();
     let events: Rc<Vec<TraceEvent>> = Rc::new(trace.events.clone());
     let finished = Signal::new("replay-finished");
@@ -198,7 +198,6 @@ pub fn replay_closed_loop(
         device: Rc<dyn BlockDevice>,
         events: Rc<Vec<TraceEvent>>,
         latency: Rc<RefCell<OnlineStats>>,
-        done: Counter,
         finished: Signal,
     ) {
         let Some(e) = events.get(idx).copied() else {
@@ -216,8 +215,7 @@ pub fn replay_closed_loop(
                 latency
                     .borrow_mut()
                     .record(eng2.now().since(issued).as_micros_f64());
-                done.inc();
-                issue(idx + 1, eng2.clone(), dev2, events, latency, done, finished);
+                issue(idx + 1, eng2.clone(), dev2, events, latency, finished);
             }),
         );
     }
@@ -229,7 +227,6 @@ pub fn replay_closed_loop(
             device.clone(),
             events.clone(),
             latency.clone(),
-            done.clone(),
             finished.clone(),
         );
         engine.run_until_signal(&finished);
@@ -238,8 +235,8 @@ pub fn replay_closed_loop(
     let latency_us = latency.borrow().clone();
     ReplayReport {
         makespan: engine.now() - base,
+        requests: latency_us.count(),
         latency_us,
-        requests: done.get(),
     }
 }
 

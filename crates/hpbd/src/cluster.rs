@@ -198,9 +198,9 @@ fn schedule_fault_plan(engine: &Engine, cluster: &HpbdCluster, plan: &FaultPlan,
             "fault plan names server {max}, but the cluster has {n_servers} servers"
         );
     }
-    for fault in plan.events() {
-        let at = SimTime(fault.at_ns);
-        match fault.event {
+    for timed in plan.events() {
+        let at = SimTime(timed.at_ns);
+        match timed.event {
             FaultEvent::ServerCrash { server } => {
                 let s = cluster.servers[server].clone();
                 engine.schedule_at(at, move || s.crash());
@@ -209,33 +209,9 @@ fn schedule_fault_plan(engine: &Engine, cluster: &HpbdCluster, plan: &FaultPlan,
                 let s = cluster.servers[server].clone();
                 engine.schedule_at(at, move || s.restart());
             }
-            FaultEvent::LinkDegrade {
-                server,
-                added_latency_ns,
-                bandwidth_factor,
-            } => {
+            FaultEvent::Link { server, fault } => {
                 let link = cluster.links[server].clone();
-                engine.schedule_at(at, move || link.degrade(added_latency_ns, bandwidth_factor));
-            }
-            FaultEvent::MessageLoss { server, count } => {
-                let link = cluster.links[server].clone();
-                engine.schedule_at(at, move || link.drop_next(count));
-            }
-            FaultEvent::CompletionError { server, count } => {
-                let link = cluster.links[server].clone();
-                engine.schedule_at(at, move || link.error_next(count));
-            }
-            FaultEvent::MessageDelay {
-                server,
-                count,
-                delay_ns,
-            } => {
-                let link = cluster.links[server].clone();
-                engine.schedule_at(at, move || link.delay_next(count, delay_ns));
-            }
-            FaultEvent::MessageDuplicate { server, count } => {
-                let link = cluster.links[server].clone();
-                engine.schedule_at(at, move || link.duplicate_next(count));
+                engine.schedule_at(at, move || link.arm(&fault));
             }
             // TCP resets target the NBD baseline; a plan shared between
             // an HPBD and an NBD deployment simply has no HPBD-side
@@ -1112,6 +1088,55 @@ mod tests {
         assert_eq!(
             cluster.client.health(),
             blockdev::DeviceHealth::Degraded { failed_servers: 1 }
+        );
+    }
+
+    /// Virtual time a 128 KiB write takes on a one-server cluster armed
+    /// with `plan`, whose faults all fire before the write is submitted.
+    fn write_ns_under(plan: FaultPlan) -> u64 {
+        let engine = Engine::new();
+        let cluster = ClusterBuilder::new()
+            .servers(1)
+            .per_server_capacity(1 << 20)
+            .fault_plan(plan)
+            .build(&engine, Rc::new(Calibration::cluster_2005()));
+        engine.run_until_idle();
+        let start = engine.now();
+        let done = Rc::new(Cell::new(None));
+        {
+            let (done, eng) = (done.clone(), engine.clone());
+            let buf = new_buffer(128 * 1024);
+            cluster
+                .client
+                .submit(IoRequest::single(Bio::new(IoOp::Write, 0, buf, move |r| {
+                    r.unwrap();
+                    done.set(Some(eng.now()));
+                })));
+        }
+        engine.run_until_idle();
+        (done.get().expect("write completed") - start).as_nanos()
+    }
+
+    #[test]
+    fn a_degraded_link_slows_a_write_until_it_is_healed() {
+        let healthy = write_ns_under(FaultPlan::new());
+        let latency = write_ns_under(FaultPlan::new().link_degrade(0, 0, 20_000, 1.0));
+        assert!(
+            latency >= healthy + 20_000,
+            "+20 µs per crossing: {latency} ns vs healthy {healthy} ns"
+        );
+        let bandwidth = write_ns_under(FaultPlan::new().link_degrade(0, 0, 0, 0.5));
+        assert!(
+            bandwidth > healthy,
+            "half bandwidth: {bandwidth} ns vs healthy {healthy} ns"
+        );
+        let healed = FaultPlan::new()
+            .link_degrade(0, 0, 20_000, 0.5)
+            .link_degrade(0, 0, 0, 1.0);
+        assert_eq!(
+            write_ns_under(healed),
+            healthy,
+            "a degrade reverted to (0, 1.0) is the healthy link"
         );
     }
 

@@ -2,34 +2,43 @@
 //!
 //! A [`LinkFaults`] handle carries the *current* fault condition of one
 //! client↔server connection: added propagation latency, a bandwidth
-//! multiplier, and one-shot counters for message drops and
-//! completion-with-error injection. The same handle is installed on **both**
-//! queue pairs of a connection (see [`crate::QueuePair::set_link_faults`]),
-//! so degradation is symmetric and drop/error budgets are shared across
-//! directions, matching a single flaky cable rather than two.
+//! multiplier, and counted budgets for message drops, completion-with-error
+//! injection, delays and duplicates. The same handle is installed on
+//! **both** queue pairs of a connection (see
+//! [`crate::QueuePair::set_link_faults`]), so degradation is symmetric and
+//! budgets are shared across directions, matching a single flaky cable
+//! rather than two.
 //!
-//! Fault plans (the `simfault` crate) mutate these handles from scheduled
-//! engine events; the QP engine consults them on its hot path. A QP with no
-//! handle installed — the default — performs **zero** extra arithmetic, so
-//! runs without fault plans are byte-identical to builds that predate this
-//! module.
+//! Fault plans (the `simfault` crate) arm these handles with a
+//! [`LinkFault`] from scheduled engine events; the QP engine consults them
+//! on its hot path. A QP with no handle installed — the default — performs
+//! **zero** extra arithmetic, so runs without fault plans are
+//! byte-identical to builds that predate this module.
 
 use simcore::SimDuration;
-use std::cell::Cell;
+use simfault::LinkFault;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
+
+/// A per-message budget: each armed unit applies to one message.
+#[derive(Clone, Copy)]
+pub(crate) enum Budget {
+    /// The message vanishes in flight.
+    Loss,
+    /// The work request completes with an error instead of transferring.
+    CompletionError,
+    /// The message is delivered twice.
+    Duplicate,
+}
 
 struct LinkFaultsInner {
     added_latency_ns: Cell<u64>,
     bandwidth_factor: Cell<f64>,
-    drop_next: Cell<u32>,
-    error_next: Cell<u32>,
-    delay_next: Cell<u32>,
-    delay_ns: Cell<u64>,
-    dup_next: Cell<u32>,
-    dropped: Cell<u64>,
-    errored: Cell<u64>,
-    delayed: Cell<u64>,
-    duplicated: Cell<u64>,
+    /// Messages left to fault, indexed by [`Budget`].
+    budgets: [Cell<u32>; 3],
+    /// Armed delays in arming order: `(messages left, delay_ns)`.
+    delays: RefCell<VecDeque<(u32, u64)>>,
 }
 
 /// Shared, interiorly-mutable fault state for one link. Clone freely;
@@ -47,153 +56,76 @@ impl LinkFaults {
             inner: Rc::new(LinkFaultsInner {
                 added_latency_ns: Cell::new(0),
                 bandwidth_factor: Cell::new(1.0),
-                drop_next: Cell::new(0),
-                error_next: Cell::new(0),
-                delay_next: Cell::new(0),
-                delay_ns: Cell::new(0),
-                dup_next: Cell::new(0),
-                dropped: Cell::new(0),
-                errored: Cell::new(0),
-                delayed: Cell::new(0),
-                duplicated: Cell::new(0),
+                budgets: Default::default(),
+                delays: RefCell::default(),
             }),
         }
     }
 
-    /// Degrade the link: every transfer gains `added_latency_ns` of one-way
-    /// propagation and bandwidth is multiplied by `bandwidth_factor`.
-    /// Calling with `(0, 1.0)` restores the link to healthy.
+    /// Arm `fault` on the link. A degrade replaces the link's latency and
+    /// bandwidth (`(0, 1.0)` heals it); a counted fault adds to what is
+    /// still pending, and each armed delay keeps its own length.
     ///
     /// # Panics
-    /// Panics if `bandwidth_factor` is not in `(0.0, 1.0]`.
-    pub fn degrade(&self, added_latency_ns: u64, bandwidth_factor: f64) {
-        assert!(
-            bandwidth_factor > 0.0 && bandwidth_factor <= 1.0,
-            "bandwidth_factor must be in (0.0, 1.0]"
-        );
-        self.inner.added_latency_ns.set(added_latency_ns);
-        self.inner.bandwidth_factor.set(bandwidth_factor);
-    }
-
-    /// Arrange for the next `n` messages on the link to vanish in flight
-    /// (no delivery, no completion — recovery must come from timeouts).
-    pub fn drop_next(&self, n: u32) {
+    /// Panics if a degrade's `bandwidth_factor` is not in `(0.0, 1.0]`.
+    pub fn arm(&self, fault: &LinkFault) {
         let inner = &self.inner;
-        inner.drop_next.set(inner.drop_next.get().saturating_add(n));
-    }
-
-    /// Arrange for the next `n` send-side work requests to complete with
-    /// [`crate::WcStatus::RetryExceeded`] instead of transferring.
-    pub fn error_next(&self, n: u32) {
-        let inner = &self.inner;
-        inner
-            .error_next
-            .set(inner.error_next.get().saturating_add(n));
-    }
-
-    /// Arrange for the next `n` deliveries on the link to arrive
-    /// `delay_ns` late. The send still completes successfully (the ack
-    /// follows the late arrival); only the in-flight time stretches, so a
-    /// delayed request can land after the timeout that gave up on it —
-    /// the reordering that write fencing exists for.
-    pub fn delay_next(&self, n: u32, delay_ns: u64) {
-        let inner = &self.inner;
-        inner
-            .delay_next
-            .set(inner.delay_next.get().saturating_add(n));
-        inner.delay_ns.set(delay_ns);
-    }
-
-    /// Arrange for the next `n` messages on the link to be delivered
-    /// twice: the ghost copy consumes a posted receive at the destination
-    /// while the sender sees a single completion.
-    pub fn duplicate_next(&self, n: u32) {
-        let inner = &self.inner;
-        inner.dup_next.set(inner.dup_next.get().saturating_add(n));
+        let add = |budget: Budget, n: u32| {
+            let left = &inner.budgets[budget as usize];
+            left.set(left.get().saturating_add(n));
+        };
+        match *fault {
+            LinkFault::Degrade {
+                added_latency_ns,
+                bandwidth_factor,
+            } => {
+                assert!(
+                    bandwidth_factor > 0.0 && bandwidth_factor <= 1.0,
+                    "bandwidth_factor must be in (0.0, 1.0]"
+                );
+                inner.added_latency_ns.set(added_latency_ns);
+                inner.bandwidth_factor.set(bandwidth_factor);
+            }
+            LinkFault::Loss { count } => add(Budget::Loss, count),
+            LinkFault::CompletionError { count } => add(Budget::CompletionError, count),
+            LinkFault::Duplicate { count } => add(Budget::Duplicate, count),
+            LinkFault::Delay { count, delay_ns } => {
+                if count > 0 {
+                    inner.delays.borrow_mut().push_back((count, delay_ns));
+                }
+            }
+        }
     }
 
     /// Remaining armed delay + duplication budget not yet consumed by
     /// traffic. Test harnesses assert this has drained before phases that
     /// must not race a late or ghost delivery.
     pub fn pending_delay_dup(&self) -> u32 {
-        self.inner
-            .delay_next
-            .get()
-            .saturating_add(self.inner.dup_next.get())
+        self.inner.delays.borrow().iter().fold(
+            self.inner.budgets[Budget::Duplicate as usize].get(),
+            |sum, &(n, _)| sum.saturating_add(n),
+        )
     }
 
-    /// Messages dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.get()
+    /// Consume one unit of `budget`, if any is left.
+    pub(crate) fn take(&self, budget: Budget) -> bool {
+        let left = &self.inner.budgets[budget as usize];
+        let n = left.get();
+        left.set(n.saturating_sub(1));
+        n > 0
     }
 
-    /// Deliveries delayed so far.
-    pub fn delayed(&self) -> u64 {
-        self.inner.delayed.get()
-    }
-
-    /// Messages delivered twice so far.
-    pub fn duplicated(&self) -> u64 {
-        self.inner.duplicated.get()
-    }
-
-    /// Work requests failed with an injected completion error so far.
-    pub fn errored(&self) -> u64 {
-        self.inner.errored.get()
-    }
-
-    /// Current added one-way latency in nanoseconds.
-    pub fn added_latency_ns(&self) -> u64 {
-        self.inner.added_latency_ns.get()
-    }
-
-    /// Current bandwidth multiplier.
-    pub fn bandwidth_factor(&self) -> f64 {
-        self.inner.bandwidth_factor.get()
-    }
-
-    /// Consume one pending drop, if any. Counts it when taken.
-    pub(crate) fn take_drop(&self) -> bool {
-        let pending = self.inner.drop_next.get();
-        if pending == 0 {
-            return false;
-        }
-        self.inner.drop_next.set(pending - 1);
-        self.inner.dropped.set(self.inner.dropped.get() + 1);
-        true
-    }
-
-    /// Consume one pending delivery delay, if any. Counts it when taken.
+    /// Consume one message of the oldest armed delay, if any, and return
+    /// its length.
     pub(crate) fn take_delay(&self) -> Option<SimDuration> {
-        let pending = self.inner.delay_next.get();
-        if pending == 0 {
-            return None;
+        let mut delays = self.inner.delays.borrow_mut();
+        let (left, delay_ns) = delays.front_mut()?;
+        let delay = SimDuration::from_nanos(*delay_ns);
+        *left -= 1;
+        if *left == 0 {
+            delays.pop_front();
         }
-        self.inner.delay_next.set(pending - 1);
-        self.inner.delayed.set(self.inner.delayed.get() + 1);
-        Some(SimDuration::from_nanos(self.inner.delay_ns.get()))
-    }
-
-    /// Consume one pending duplication, if any. Counts it when taken.
-    pub(crate) fn take_dup(&self) -> bool {
-        let pending = self.inner.dup_next.get();
-        if pending == 0 {
-            return false;
-        }
-        self.inner.dup_next.set(pending - 1);
-        self.inner.duplicated.set(self.inner.duplicated.get() + 1);
-        true
-    }
-
-    /// Consume one pending completion error, if any. Counts it when taken.
-    pub(crate) fn take_error(&self) -> bool {
-        let pending = self.inner.error_next.get();
-        if pending == 0 {
-            return false;
-        }
-        self.inner.error_next.set(pending - 1);
-        self.inner.errored.set(self.inner.errored.get() + 1);
-        true
+        Some(delay)
     }
 
     /// Extra one-way propagation to add to every transfer. Zero when
@@ -230,60 +162,75 @@ mod tests {
         assert_eq!(f.extra_latency(), SimDuration::from_nanos(0));
         let w = SimDuration::from_nanos(12_345);
         assert_eq!(f.stretch(w), w);
-        assert!(!f.take_drop());
-        assert!(!f.take_error());
+        assert!(!f.take(Budget::Loss));
+        assert!(!f.take(Budget::CompletionError));
+        assert!(!f.take(Budget::Duplicate));
+        assert!(f.take_delay().is_none());
     }
 
     #[test]
     fn degrade_stretches_and_delays() {
         let f = LinkFaults::new();
-        f.degrade(5_000, 0.5);
+        let degrade = |added_latency_ns, bandwidth_factor| LinkFault::Degrade {
+            added_latency_ns,
+            bandwidth_factor,
+        };
+        f.arm(&degrade(5_000, 0.5));
         assert_eq!(f.extra_latency(), SimDuration::from_nanos(5_000));
         assert_eq!(
             f.stretch(SimDuration::from_nanos(1_000)),
             SimDuration::from_nanos(2_000)
         );
         // Restoring to (0, 1.0) heals the link.
-        f.degrade(0, 1.0);
+        f.arm(&degrade(0, 1.0));
+        assert_eq!(f.extra_latency(), SimDuration::from_nanos(0));
         let w = SimDuration::from_nanos(777);
         assert_eq!(f.stretch(w), w);
     }
 
     #[test]
-    fn drop_and_error_budgets_are_one_shot() {
+    fn counted_budgets_are_one_shot_and_separate() {
         let f = LinkFaults::new();
-        f.drop_next(2);
-        assert!(f.take_drop());
-        assert!(f.take_drop());
-        assert!(!f.take_drop());
-        assert_eq!(f.dropped(), 2);
-
-        f.error_next(1);
-        assert!(f.take_error());
-        assert!(!f.take_error());
-        assert_eq!(f.errored(), 1);
+        f.arm(&LinkFault::Loss { count: 2 });
+        f.arm(&LinkFault::CompletionError { count: 1 });
+        f.arm(&LinkFault::Duplicate { count: 1 });
+        assert_eq!(f.pending_delay_dup(), 1);
+        assert!(f.take(Budget::Loss));
+        assert!(f.take(Budget::Loss));
+        assert!(!f.take(Budget::Loss));
+        assert!(f.take(Budget::CompletionError));
+        assert!(!f.take(Budget::CompletionError));
+        assert!(f.take(Budget::Duplicate));
+        assert!(!f.take(Budget::Duplicate));
+        assert_eq!(f.pending_delay_dup(), 0);
     }
 
     #[test]
-    fn delay_and_dup_budgets_are_one_shot() {
+    fn each_armed_delay_keeps_its_own_length() {
         let f = LinkFaults::new();
-        assert!(f.take_delay().is_none());
-        f.delay_next(2, 7_500);
+        f.arm(&LinkFault::Delay {
+            count: 2,
+            delay_ns: 7_500,
+        });
+        f.arm(&LinkFault::Delay {
+            count: 1,
+            delay_ns: 40_000,
+        });
+        f.arm(&LinkFault::Duplicate { count: 1 });
+        assert_eq!(f.pending_delay_dup(), 4);
         assert_eq!(f.take_delay(), Some(SimDuration::from_nanos(7_500)));
         assert_eq!(f.take_delay(), Some(SimDuration::from_nanos(7_500)));
+        assert_eq!(f.take_delay(), Some(SimDuration::from_nanos(40_000)));
         assert!(f.take_delay().is_none());
-        assert_eq!(f.delayed(), 2);
-
-        assert!(!f.take_dup());
-        f.duplicate_next(1);
-        assert!(f.take_dup());
-        assert!(!f.take_dup());
-        assert_eq!(f.duplicated(), 1);
+        assert_eq!(f.pending_delay_dup(), 1);
     }
 
     #[test]
     #[should_panic(expected = "bandwidth_factor")]
     fn degrade_validates_factor() {
-        LinkFaults::new().degrade(0, 1.5);
+        LinkFaults::new().arm(&LinkFault::Degrade {
+            added_latency_ns: 0,
+            bandwidth_factor: 1.5,
+        });
     }
 }

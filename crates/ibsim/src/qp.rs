@@ -33,7 +33,7 @@
 //! owned `Bytes`, copied into the receive buffer on delivery.
 
 use crate::cq::{Completion, CompletionQueue, Opcode, WcStatus};
-use crate::fault::LinkFaults;
+use crate::fault::{Budget, LinkFaults};
 use crate::hca::Hca;
 use crate::mr::{MrSlice, RemoteSlice};
 use bytes::Bytes;
@@ -305,7 +305,7 @@ impl QueuePair {
             .faults
             .borrow()
             .as_ref()
-            .is_some_and(|f| f.take_error());
+            .is_some_and(|f| f.take(Budget::CompletionError));
         if injected_error {
             let opcode = match wr.kind {
                 WorkKind::Send { .. } => Opcode::Send,
@@ -425,7 +425,7 @@ impl QueuePair {
             .faults
             .borrow()
             .as_ref()
-            .is_some_and(|f| f.take_drop());
+            .is_some_and(|f| f.take(Budget::Loss));
         if dropped {
             let wire = self.eff_wire(len);
             let (_, tx_end) = inner.node.tx().reserve(t_hca, wire);
@@ -442,7 +442,7 @@ impl QueuePair {
         // gave up on it; a duplicate schedules a second, ghost delivery of
         // the same bytes. Both consume their budget per message.
         let (extra_delay, duplicated) = match inner.faults.borrow().as_ref() {
-            Some(f) => (f.take_delay(), f.take_dup()),
+            Some(f) => (f.take_delay(), f.take(Budget::Duplicate)),
             None => (None, false),
         };
 

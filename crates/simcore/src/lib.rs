@@ -39,7 +39,7 @@ pub mod time;
 pub use engine::{Engine, EventId};
 pub use resource::{MultiResource, Resource};
 pub use rng::SimRng;
-pub use signal::{Counter, Signal};
+pub use signal::Signal;
 pub use simtrace::{
     FlightSummary, LifecycleHub, MetricsRegistry, MetricsSnapshot, TraceSession, Tracer,
 };

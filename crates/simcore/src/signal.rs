@@ -1,9 +1,8 @@
-//! Completion flags and counters for driving the engine.
+//! Completion flags for driving the engine.
 //!
 //! A [`Signal`] is a one-shot boolean flag shared between the code that posts
 //! asynchronous work and the loop that runs the engine waiting for it — the
-//! simulation analogue of a kernel completion. [`Counter`] is a shared
-//! monotonically adjustable integer used for credits and statistics.
+//! simulation analogue of a kernel completion.
 
 use std::cell::Cell;
 use std::fmt;
@@ -49,59 +48,6 @@ impl fmt::Debug for Signal {
     }
 }
 
-/// A shared integer cell (credits, in-flight counts, statistics).
-#[derive(Clone, Default)]
-pub struct Counter {
-    value: Rc<Cell<u64>>,
-}
-
-impl Counter {
-    /// A counter starting at `initial`.
-    pub fn new(initial: u64) -> Counter {
-        Counter {
-            value: Rc::new(Cell::new(initial)),
-        }
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value.get()
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.set(self.value.get() + n);
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Subtract `n`, panicking on underflow.
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        let v = self.value.get();
-        assert!(v >= n, "counter underflow: {v} - {n}");
-        self.value.set(v - n);
-    }
-
-    /// Set an absolute value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.set(v);
-    }
-}
-
-impl fmt::Debug for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Counter({})", self.get())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,23 +67,5 @@ mod tests {
         s.set();
         s.set();
         assert!(s.is_set());
-    }
-
-    #[test]
-    fn counter_arithmetic() {
-        let c = Counter::new(5);
-        c.add(3);
-        c.sub(2);
-        c.inc();
-        assert_eq!(c.get(), 7);
-        let d = c.clone();
-        d.set(1);
-        assert_eq!(c.get(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn counter_underflow_panics() {
-        Counter::new(0).sub(1);
     }
 }

@@ -40,60 +40,65 @@ pub enum FaultEvent {
         /// Index of the restarting server.
         server: usize,
     },
-    /// Degrade the client↔server link: every transfer gains
-    /// `added_latency_ns` of propagation delay and the link bandwidth is
-    /// multiplied by `bandwidth_factor` (1.0 = undegraded, 0.5 = half).
-    LinkDegrade {
-        /// Index of the server whose link degrades.
+    /// A fault on the client↔server link of server `server`, armed on
+    /// that connection's queue pairs unchanged.
+    Link {
+        /// Index of the server whose link misbehaves.
         server: usize,
+        /// What the link does.
+        fault: LinkFault,
+    },
+    /// Reset the TCP connection of the NBD baseline: both endpoints see
+    /// the reset, buffered bytes are discarded, and pending reads fail.
+    TcpReset,
+}
+
+/// What goes wrong on one client↔server link. Counted variants apply to
+/// the next `count` messages in either direction: budgets, not
+/// probabilities.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum LinkFault {
+    /// Every transfer gains `added_latency_ns` of propagation delay and the
+    /// link bandwidth is multiplied by `bandwidth_factor` (1.0 = undegraded,
+    /// 0.5 = half). `(0, 1.0)` heals the link.
+    Degrade {
         /// Extra one-way propagation delay, in nanoseconds.
         added_latency_ns: u64,
         /// Multiplier on link bandwidth; must be in `(0.0, 1.0]`.
         bandwidth_factor: f64,
     },
-    /// Silently drop the next `count` messages sent over the
-    /// client↔server link (both directions). The bytes vanish in flight:
-    /// no completion error is surfaced — recovery relies on timeouts.
-    MessageLoss {
-        /// Index of the server whose link drops messages.
-        server: usize,
+    /// Silently drop the next `count` messages. The bytes vanish in
+    /// flight: no completion error is surfaced — recovery relies on
+    /// timeouts.
+    Loss {
         /// How many sends to swallow.
         count: u32,
     },
-    /// Complete the next `count` send-side work requests on the
-    /// client↔server QP with an error status instead of transferring.
+    /// Complete the next `count` send-side work requests with an error
+    /// status instead of transferring.
     CompletionError {
-        /// Index of the server whose QP misbehaves.
-        server: usize,
         /// How many work requests to fail.
         count: u32,
     },
-    /// Hold the next `count` messages on the client↔server link (both
-    /// directions) in flight for an extra `delay_ns` before delivery. The
-    /// send still completes successfully (the RC ack follows the late
-    /// arrival); only the in-flight time stretches — the classic reorder
-    /// generator: a delayed request can outlive the timeout that gave up
-    /// on it and land after the retry that replaced it.
-    MessageDelay {
-        /// Index of the server whose link delays messages.
-        server: usize,
+    /// Hold the next `count` messages in flight for an extra `delay_ns`
+    /// before delivery. The send still completes successfully (the RC ack
+    /// follows the late arrival); only the in-flight time stretches — the
+    /// classic reorder generator: a delayed request can outlive the
+    /// timeout that gave up on it and land after the retry that replaced
+    /// it.
+    Delay {
         /// How many deliveries to delay.
         count: u32,
         /// Extra in-flight time per delayed message, in nanoseconds.
         delay_ns: u64,
     },
-    /// Deliver the next `count` messages on the client↔server link twice
-    /// (a fabric-level ghost copy). The duplicate consumes a posted
-    /// receive at the destination; the sender sees a single completion.
-    MessageDuplicate {
-        /// Index of the server whose link duplicates messages.
-        server: usize,
+    /// Deliver the next `count` messages twice (a fabric-level ghost
+    /// copy). The duplicate consumes a posted receive at the destination;
+    /// the sender sees a single completion.
+    Duplicate {
         /// How many deliveries to duplicate.
         count: u32,
     },
-    /// Reset the TCP connection of the NBD baseline: both endpoints see
-    /// the reset, buffered bytes are discarded, and pending reads fail.
-    TcpReset,
 }
 
 /// A fault bound to a virtual-clock instant.
@@ -110,7 +115,7 @@ pub struct TimedFault {
 /// `ClusterBuilder::fault_plan(..)` (or `ScenarioConfig::fault_plan`).
 ///
 /// ```
-/// use simfault::{FaultEvent, FaultPlan};
+/// use simfault::{FaultEvent, FaultPlan, LinkFault};
 /// let plan = FaultPlan::new()
 ///     .server_crash(50_000_000, 1)
 ///     .server_restart(80_000_000, 1)
@@ -118,7 +123,7 @@ pub struct TimedFault {
 /// assert_eq!(plan.len(), 3);
 /// assert!(matches!(
 ///     plan.events()[0].event,
-///     FaultEvent::LinkDegrade { .. }
+///     FaultEvent::Link { fault: LinkFault::Degrade { .. }, .. }
 /// ));
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -153,6 +158,11 @@ impl FaultPlan {
         self
     }
 
+    /// Arm `fault` on `server`'s link at `at_ns`.
+    fn link(self, at_ns: u64, server: usize, fault: LinkFault) -> FaultPlan {
+        self.with(at_ns, FaultEvent::Link { server, fault })
+    }
+
     /// Crash server `server` at `at_ns`.
     pub fn server_crash(self, at_ns: u64, server: usize) -> FaultPlan {
         self.with(at_ns, FaultEvent::ServerCrash { server })
@@ -178,10 +188,10 @@ impl FaultPlan {
             bandwidth_factor > 0.0 && bandwidth_factor <= 1.0,
             "bandwidth_factor must be in (0.0, 1.0]"
         );
-        self.with(
+        self.link(
             at_ns,
-            FaultEvent::LinkDegrade {
-                server,
+            server,
+            LinkFault::Degrade {
                 added_latency_ns,
                 bandwidth_factor,
             },
@@ -190,32 +200,25 @@ impl FaultPlan {
 
     /// Drop the next `count` messages on `server`'s link starting at `at_ns`.
     pub fn message_loss(self, at_ns: u64, server: usize, count: u32) -> FaultPlan {
-        self.with(at_ns, FaultEvent::MessageLoss { server, count })
+        self.link(at_ns, server, LinkFault::Loss { count })
     }
 
     /// Fail the next `count` send work requests on `server`'s QP with a
     /// completion error, starting at `at_ns`.
     pub fn completion_error(self, at_ns: u64, server: usize, count: u32) -> FaultPlan {
-        self.with(at_ns, FaultEvent::CompletionError { server, count })
+        self.link(at_ns, server, LinkFault::CompletionError { count })
     }
 
     /// Delay the next `count` deliveries on `server`'s link by `delay_ns`
     /// each, starting at `at_ns`.
     pub fn message_delay(self, at_ns: u64, server: usize, count: u32, delay_ns: u64) -> FaultPlan {
-        self.with(
-            at_ns,
-            FaultEvent::MessageDelay {
-                server,
-                count,
-                delay_ns,
-            },
-        )
+        self.link(at_ns, server, LinkFault::Delay { count, delay_ns })
     }
 
     /// Deliver the next `count` messages on `server`'s link twice,
     /// starting at `at_ns`.
     pub fn message_duplicate(self, at_ns: u64, server: usize, count: u32) -> FaultPlan {
-        self.with(at_ns, FaultEvent::MessageDuplicate { server, count })
+        self.link(at_ns, server, LinkFault::Duplicate { count })
     }
 
     /// Reset the NBD baseline's TCP connection at `at_ns`.
@@ -239,11 +242,7 @@ impl FaultPlan {
             .filter_map(|f| match f.event {
                 FaultEvent::ServerCrash { server }
                 | FaultEvent::ServerRestart { server }
-                | FaultEvent::LinkDegrade { server, .. }
-                | FaultEvent::MessageLoss { server, .. }
-                | FaultEvent::CompletionError { server, .. }
-                | FaultEvent::MessageDelay { server, .. }
-                | FaultEvent::MessageDuplicate { server, .. } => Some(server),
+                | FaultEvent::Link { server, .. } => Some(server),
                 FaultEvent::TcpReset => None,
             })
             .max()
@@ -292,9 +291,9 @@ mod tests {
         ));
         assert!(matches!(
             evs[2].event,
-            FaultEvent::MessageLoss {
+            FaultEvent::Link {
                 server: 0,
-                count: 3
+                fault: LinkFault::Loss { count: 3 }
             }
         ));
     }
@@ -316,17 +315,19 @@ mod tests {
         let evs = plan.events();
         assert!(matches!(
             evs[0].event,
-            FaultEvent::MessageDelay {
+            FaultEvent::Link {
                 server: 4,
-                count: 2,
-                delay_ns: 1_000_000
+                fault: LinkFault::Delay {
+                    count: 2,
+                    delay_ns: 1_000_000
+                }
             }
         ));
         assert!(matches!(
             evs[1].event,
-            FaultEvent::MessageDuplicate {
+            FaultEvent::Link {
                 server: 6,
-                count: 1
+                fault: LinkFault::Duplicate { count: 1 }
             }
         ));
     }

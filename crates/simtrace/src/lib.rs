@@ -32,8 +32,8 @@ mod metrics;
 mod session;
 
 pub use lifecycle::{
-    DeviceFlight, FlightRecorder, FlightSummary, LifecycleHub, MarkKind, Phase, RequestCtx,
-    RequestRecord, NUM_PHASES,
+    DeviceFlight, FlightSummary, LifecycleHub, MarkKind, Phase, RequestCtx, RequestRecord,
+    NUM_PHASES,
 };
 pub use metrics::{
     Counter, Histogram, HistogramSummary, LazyCounter, MetricsRegistry, MetricsSnapshot,

@@ -17,9 +17,9 @@
 //!   of the phases equals the end-to-end latency exactly, in integer
 //!   virtual nanoseconds, by construction — including requests that
 //!   retried or failed over.
-//! * Completed records land in a per-device [`FlightRecorder`]: a
+//! * Completed records land in a per-device [`DeviceFlight`]: a
 //!   bounded ring of recent records with query helpers (`by_request`,
-//!   `slowest`, `phase_breakdown`) and a deterministic JSON dump,
+//!   `slowest`, `phase_percentile`) and a deterministic JSON dump,
 //!   written automatically on the first fault/timeout when a dump
 //!   directory is configured.
 //!
@@ -295,163 +295,25 @@ impl RequestRecord {
     }
 }
 
-/// Nearest-rank percentile over an unsorted sample set (matches the
-/// metrics histograms' convention). Returns 0 for an empty set.
-pub fn percentile_ns(samples: &[u64], pct: f64) -> u64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    sorted_percentile(&sorted, pct)
-}
-
-/// Bounded ring of recent [`RequestRecord`]s for one device, plus
-/// run-length aggregates for exact percentiles.
-///
-/// The ring is bounded (`cap` records); the per-phase sample vectors
-/// grow with the number of completed requests (8 bytes per request per
-/// phase) so `phase_breakdown` is exact over the whole run, not just
-/// the ring window.
-#[derive(Clone, Debug, Default)]
-pub struct FlightRecorder {
-    cap: usize,
-    ring: VecDeque<RequestRecord>,
-    phase_samples: [Vec<u64>; NUM_PHASES],
-    e2e_samples: Vec<u64>,
-    total: u64,
-    failed: u64,
-    retries: u64,
-    failovers: u64,
-    sum_mismatches: u64,
-}
-
-impl FlightRecorder {
-    /// An empty recorder holding at most `cap` recent records.
-    pub fn new(cap: usize) -> FlightRecorder {
-        FlightRecorder {
-            cap: cap.max(1),
-            ..FlightRecorder::default()
-        }
-    }
-
-    /// Record a completed request.
-    pub fn push(&mut self, record: RequestRecord) {
-        self.total += 1;
-        if !record.ok {
-            self.failed += 1;
-        }
-        self.retries += record.retries as u64;
-        self.failovers += record.failovers as u64;
-        // The fold guarantees this by construction; counting (instead of
-        // asserting) lets a dump of a live system surface a regression
-        // without killing the run, and covers every request ever pushed —
-        // not just the bounded ring window.
-        if record.phase_ns.iter().sum::<u64>() != record.e2e_ns() {
-            self.sum_mismatches += 1;
-        }
-        for (i, &p) in record.phase_ns.iter().enumerate() {
-            self.phase_samples[i].push(p);
-        }
-        self.e2e_samples.push(record.e2e_ns());
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(record);
-    }
-
-    /// Requests recorded over the run (not just the ring window).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The records currently in the ring, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &RequestRecord> {
-        self.ring.iter()
-    }
-
-    /// The ring record for logical request `req`, if still retained.
-    pub fn by_request(&self, req: u64) -> Option<&RequestRecord> {
-        self.ring.iter().find(|r| r.req == req)
-    }
-
-    /// The `n` slowest requests in the ring, slowest first; ties break
-    /// by request id for determinism.
-    pub fn slowest(&self, n: usize) -> Vec<&RequestRecord> {
-        let mut all: Vec<&RequestRecord> = self.ring.iter().collect();
-        all.sort_by_key(|r| (std::cmp::Reverse(r.e2e_ns()), r.req));
-        all.truncate(n);
-        all
-    }
-
-    /// Per-phase nearest-rank percentile (ns) over every request of the
-    /// run, indexed by [`Phase`].
-    pub fn phase_breakdown(&self, pct: f64) -> [u64; NUM_PHASES] {
-        let mut out = [0u64; NUM_PHASES];
-        for (i, samples) in self.phase_samples.iter().enumerate() {
-            out[i] = percentile_ns(samples, pct);
-        }
-        out
-    }
-
-    /// Deterministic JSON dump: run aggregates plus the ring contents.
-    pub fn dump_json(&self, device: &str) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": \"hpbd-flight-recorder-v1\",\n");
-        s.push_str(&format!("  \"device\": \"{device}\",\n"));
-        s.push_str(&format!(
-            "  \"total\": {}, \"failed\": {}, \"retries\": {}, \"failovers\": {}, \"sum_mismatches\": {},\n",
-            self.total, self.failed, self.retries, self.failovers, self.sum_mismatches
-        ));
-        let names: Vec<String> = Phase::NAMES.iter().map(|n| format!("\"{n}\"")).collect();
-        s.push_str(&format!("  \"phases\": [{}],\n", names.join(",")));
-        let p99 = self.phase_breakdown(99.0);
-        let p99s: Vec<String> = p99.iter().map(|p| p.to_string()).collect();
-        s.push_str(&format!("  \"phase_p99_ns\": [{}],\n", p99s.join(",")));
-        s.push_str("  \"records\": [\n");
-        for (i, r) in self.ring.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&r.to_json());
-            if i + 1 < self.ring.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    fn snapshot(&self, device: &str) -> DeviceFlight {
-        let mut phase_samples: Vec<Vec<u64>> = self.phase_samples.to_vec();
-        for v in &mut phase_samples {
-            v.sort_unstable();
-        }
-        let mut e2e = self.e2e_samples.clone();
-        e2e.sort_unstable();
-        DeviceFlight {
-            device: device.to_string(),
-            records: self.ring.iter().cloned().collect(),
-            phase_samples,
-            e2e_samples: e2e,
-            total: self.total,
-            failed: self.failed,
-            retries: self.retries,
-            failovers: self.failovers,
-            sum_mismatches: self.sum_mismatches,
-        }
-    }
-}
-
-/// Plain-data snapshot of one device's flight recorder, `Send`-safe for
+/// One device's flight recorder: a bounded ring of recent
+/// [`RequestRecord`]s plus run-length aggregates for exact percentiles.
+/// It is plain `Send` data, so a [`FlightSummary`] of clones can cross
 /// the parallel sweep runner.
+///
+/// The ring is bounded; the per-phase sample vectors grow with the number
+/// of completed requests (8 bytes per request per phase) so percentiles
+/// are exact over the whole run, not just the ring window.
 #[derive(Clone, Debug)]
 pub struct DeviceFlight {
     /// Device label ("hpbd", "nbd", "hda", …).
     pub device: String,
-    /// Ring contents at snapshot time, oldest first.
-    pub records: Vec<RequestRecord>,
-    /// Per-phase duration samples over the whole run, **sorted**,
-    /// indexed by [`Phase`].
-    pub phase_samples: Vec<Vec<u64>>,
-    /// End-to-end latency samples over the whole run, **sorted**.
+    /// The most recent records, oldest first, at most `cap` of them.
+    pub records: VecDeque<RequestRecord>,
+    cap: usize,
+    /// Per-phase duration samples over the whole run, in completion
+    /// order, indexed by [`Phase`].
+    pub phase_samples: [Vec<u64>; NUM_PHASES],
+    /// End-to-end latency samples over the whole run, in completion order.
     pub e2e_samples: Vec<u64>,
     /// Requests completed over the run.
     pub total: u64,
@@ -468,36 +330,119 @@ pub struct DeviceFlight {
 }
 
 impl DeviceFlight {
-    /// Nearest-rank percentile of one phase's duration, in ns.
-    pub fn phase_percentile(&self, phase: Phase, pct: f64) -> u64 {
-        sorted_percentile(&self.phase_samples[phase as usize], pct)
+    /// An empty recorder for `device` holding at most `cap` recent records.
+    fn new(device: &str, cap: usize) -> DeviceFlight {
+        DeviceFlight {
+            device: device.to_string(),
+            records: VecDeque::new(),
+            cap: cap.max(1),
+            phase_samples: Default::default(),
+            e2e_samples: Vec::new(),
+            total: 0,
+            failed: 0,
+            retries: 0,
+            failovers: 0,
+            sum_mismatches: 0,
+        }
     }
 
-    /// Nearest-rank percentile of the end-to-end latency, in ns.
+    /// Record a completed request.
+    fn push(&mut self, record: RequestRecord) {
+        self.total += 1;
+        if !record.ok {
+            self.failed += 1;
+        }
+        self.retries += record.retries as u64;
+        self.failovers += record.failovers as u64;
+        // The fold guarantees this by construction; counting (instead of
+        // asserting) lets a dump of a live system surface a regression
+        // without killing the run, and covers every request ever pushed —
+        // not just the bounded ring window.
+        if record.phase_ns.iter().sum::<u64>() != record.e2e_ns() {
+            self.sum_mismatches += 1;
+        }
+        for (samples, &p) in self.phase_samples.iter_mut().zip(&record.phase_ns) {
+            samples.push(p);
+        }
+        self.e2e_samples.push(record.e2e_ns());
+        if self.records.len() == self.cap {
+            self.records.pop_front();
+        }
+        self.records.push_back(record);
+    }
+
+    /// The ring record for logical request `req`, if still retained.
+    pub fn by_request(&self, req: u64) -> Option<&RequestRecord> {
+        self.records.iter().find(|r| r.req == req)
+    }
+
+    /// The `n` slowest requests in the ring, slowest first; ties break
+    /// by request id for determinism.
+    pub fn slowest(&self, n: usize) -> Vec<&RequestRecord> {
+        let mut all: Vec<&RequestRecord> = self.records.iter().collect();
+        all.sort_by_key(|r| (std::cmp::Reverse(r.e2e_ns()), r.req));
+        all.truncate(n);
+        all
+    }
+
+    /// Nearest-rank percentile of one phase's duration over the run, in ns.
+    pub fn phase_percentile(&self, phase: Phase, pct: f64) -> u64 {
+        percentile(&self.phase_samples[phase as usize], pct)
+    }
+
+    /// Nearest-rank percentile of the end-to-end latency over the run, in ns.
     pub fn e2e_percentile(&self, pct: f64) -> u64 {
-        sorted_percentile(&self.e2e_samples, pct)
+        percentile(&self.e2e_samples, pct)
     }
 
     /// Sum of one phase across every request, in ns.
     pub fn phase_total_ns(&self, phase: Phase) -> u64 {
         self.phase_samples[phase as usize].iter().sum()
     }
-}
 
-/// [`percentile_ns`] over samples already in ascending order.
-fn sorted_percentile(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+    /// Deterministic JSON dump: run aggregates plus the ring contents.
+    pub fn dump_json(&self) -> String {
+        let mut s = String::new();
+        s.push_str("{\n");
+        s.push_str("  \"schema\": \"hpbd-flight-recorder-v1\",\n");
+        s.push_str(&format!("  \"device\": \"{}\",\n", self.device));
+        s.push_str(&format!(
+            "  \"total\": {}, \"failed\": {}, \"retries\": {}, \"failovers\": {}, \"sum_mismatches\": {},\n",
+            self.total, self.failed, self.retries, self.failovers, self.sum_mismatches
+        ));
+        let names: Vec<String> = Phase::NAMES.iter().map(|n| format!("\"{n}\"")).collect();
+        s.push_str(&format!("  \"phases\": [{}],\n", names.join(",")));
+        let p99s: Vec<String> = Phase::ALL
+            .iter()
+            .map(|&p| self.phase_percentile(p, 99.0).to_string())
+            .collect();
+        s.push_str(&format!("  \"phase_p99_ns\": [{}],\n", p99s.join(",")));
+        s.push_str("  \"records\": [\n");
+        for (i, r) in self.records.iter().enumerate() {
+            s.push_str("    ");
+            s.push_str(&r.to_json());
+            if i + 1 < self.records.len() {
+                s.push(',');
+            }
+            s.push('\n');
+        }
+        s.push_str("  ]\n}\n");
+        s
     }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Whole-run lifecycle snapshot: every device's flight recorder plus
-/// the fault counters stamped by vmsim.
+/// Nearest-rank percentile of samples in any order; 0 for none.
+fn percentile(samples: &[u64], pct: f64) -> u64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    crate::metrics::nearest_rank(&sorted, pct)
+}
+
+/// Whole-run lifecycle snapshot: a clone of every device's flight
+/// recorder plus the fault counters stamped by vmsim.
 #[derive(Clone, Debug, Default)]
 pub struct FlightSummary {
-    /// Per-device snapshots, in device-name order.
+    /// Per-device recorders, in device-name order.
     pub devices: Vec<DeviceFlight>,
     /// Page faults observed at the vmsim boundary.
     pub faults: u64,
@@ -606,7 +551,7 @@ struct HubInner {
     ring_cap: usize,
     next_req: Cell<u64>,
     registry: RefCell<BTreeMap<u64, Vec<PhysEntry>>>,
-    recorders: RefCell<BTreeMap<&'static str, FlightRecorder>>,
+    recorders: RefCell<BTreeMap<&'static str, DeviceFlight>>,
     faults: Cell<u64>,
     major_faults: Cell<u64>,
     dump_dir: RefCell<Option<PathBuf>>,
@@ -757,7 +702,7 @@ impl LifecycleHub {
             let mut recorders = inner.recorders.borrow_mut();
             recorders
                 .entry(device)
-                .or_insert_with(|| FlightRecorder::new(inner.ring_cap))
+                .or_insert_with(|| DeviceFlight::new(device, inner.ring_cap))
                 .push(record);
         }
         if anomalous && !inner.dumped.get() {
@@ -769,21 +714,11 @@ impl LifecycleHub {
         }
     }
 
-    /// Run `f` over `device`'s recorder (query access). Returns `None`
-    /// when disabled or no request completed on that device.
-    pub fn with_recorder<T>(
-        &self,
-        device: &str,
-        f: impl FnOnce(&FlightRecorder) -> T,
-    ) -> Option<T> {
-        let inner = self.inner.as_ref()?;
-        let recorders = inner.recorders.borrow();
-        recorders.get(device).map(f)
-    }
-
     /// The JSON dump for `device`, if it recorded anything.
     pub fn dump_json(&self, device: &str) -> Option<String> {
-        self.with_recorder(device, |r| r.dump_json(device))
+        let inner = self.inner.as_ref()?;
+        let recorders = inner.recorders.borrow();
+        recorders.get(device).map(DeviceFlight::dump_json)
     }
 
     /// Write every device's dump to `dir/flight-<device>.json`,
@@ -797,22 +732,19 @@ impl LifecycleHub {
         let recorders = inner.recorders.borrow();
         for (device, recorder) in recorders.iter() {
             let path = dir.join(format!("flight-{device}.json"));
-            std::fs::write(path, recorder.dump_json(device))?;
+            std::fs::write(path, recorder.dump_json())?;
         }
         Ok(())
     }
 
-    /// Snapshot every device's recorder into plain `Send` data.
+    /// Clone every device's recorder into plain `Send` data.
     pub fn summary(&self) -> FlightSummary {
         let Some(inner) = &self.inner else {
             return FlightSummary::default();
         };
         let recorders = inner.recorders.borrow();
         FlightSummary {
-            devices: recorders
-                .iter()
-                .map(|(device, r)| r.snapshot(device))
-                .collect(),
+            devices: recorders.values().cloned().collect(),
             faults: inner.faults.get(),
             major_faults: inner.major_faults.get(),
         }
@@ -836,9 +768,9 @@ mod tests {
     }
 
     fn record(hub: &LifecycleHub, req: u64) -> RequestRecord {
-        hub.with_recorder("dev", |r| r.by_request(req).cloned())
-            .flatten()
-            .expect("record present")
+        let summary = hub.summary();
+        let dev = summary.device("dev").expect("recorder present");
+        dev.by_request(req).cloned().expect("record present")
     }
 
     #[test]
@@ -938,7 +870,7 @@ mod tests {
         let r = record(&hub, 0);
         assert_eq!(r.end_ns, 200);
         assert!(r.ok);
-        assert_eq!(hub.with_recorder("dev", |r| r.total()), Some(1));
+        assert_eq!(hub.summary().device("dev").map(|d| d.total), Some(1));
     }
 
     #[test]
@@ -967,21 +899,17 @@ mod tests {
             c.mark(p, 0, MarkKind::Posted, 100);
             c.end(100 + (i + 1) * 10, true);
         }
-        hub.with_recorder("dev", |r| {
-            assert_eq!(r.records().count(), 4);
-            assert_eq!(r.total(), 10);
-            assert!(r.by_request(0).is_none(), "oldest evicted");
-            assert!(r.by_request(9).is_some());
-            let slowest = r.slowest(2);
-            assert_eq!(slowest[0].req, 9);
-            assert_eq!(slowest[1].req, 8);
-            // p50 over ALL 10 requests: e2e 10,20..100 → nearest-rank 50.
-            assert_eq!(
-                percentile_ns(&(1..=10).map(|i| i * 10).collect::<Vec<_>>(), 50.0),
-                50
-            );
-        })
-        .expect("recorder exists");
+        let summary = hub.summary();
+        let r = summary.device("dev").expect("recorder exists");
+        assert_eq!(r.records.len(), 4);
+        assert_eq!(r.total, 10);
+        assert!(r.by_request(0).is_none(), "oldest evicted");
+        assert!(r.by_request(9).is_some());
+        let slowest = r.slowest(2);
+        assert_eq!(slowest[0].req, 9);
+        assert_eq!(slowest[1].req, 8);
+        // p50 over ALL 10 requests: e2e 10,20..100 → nearest-rank 50.
+        assert_eq!(r.e2e_percentile(50.0), 50);
     }
 
     #[test]

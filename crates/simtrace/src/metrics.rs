@@ -231,23 +231,26 @@ impl HistogramSummary {
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
         let count = sorted.len() as u64;
         let sum: f64 = sorted.iter().sum();
-        let rank = |q: f64| -> f64 {
-            if sorted.is_empty() {
-                return 0.0;
-            }
-            let idx = ((q * count as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[idx - 1]
-        };
         HistogramSummary {
             count,
             mean: if count == 0 { 0.0 } else { sum / count as f64 },
             min: sorted.first().copied().unwrap_or(0.0),
             max: sorted.last().copied().unwrap_or(0.0),
-            p50: rank(0.50),
-            p95: rank(0.95),
-            p99: rank(0.99),
+            p50: nearest_rank(&sorted, 50.0),
+            p95: nearest_rank(&sorted, 95.0),
+            p99: nearest_rank(&sorted, 99.0),
         }
     }
+}
+
+/// Nearest-rank `pct`th percentile of samples in ascending order; zero
+/// for none.
+pub(crate) fn nearest_rank<T: Copy + Default>(sorted: &[T], pct: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// An immutable, renderable copy of a registry's state.

@@ -171,31 +171,30 @@ fn flight_recorder_queries_are_consistent() {
     let config = hpbd_scenario(FaultPlan::new());
     let scenario = Scenario::build(&config);
     scenario.run_qsort(512 * 1024, 11);
-    let hub = scenario.engine.lifecycle();
-    hub.with_recorder("hpbd0", |rec| {
-        let slowest = rec.slowest(5);
-        assert!(!slowest.is_empty());
-        // Slowest-first ordering, ties broken by request id.
-        for w in slowest.windows(2) {
-            assert!(
-                w[0].e2e_ns() > w[1].e2e_ns()
-                    || (w[0].e2e_ns() == w[1].e2e_ns() && w[0].req < w[1].req)
-            );
-        }
-        // by_request finds exactly the ring's records.
-        for r in rec.records() {
-            let found = rec.by_request(r.req).expect("ring record is queryable");
-            assert_eq!(found.req, r.req);
-        }
-        assert!(rec.by_request(u64::MAX).is_none());
-        // phase_breakdown percentiles are monotone in the percentile.
-        let p50 = rec.phase_breakdown(50.0);
-        let p99 = rec.phase_breakdown(99.0);
-        for i in 0..p50.len() {
-            assert!(p50[i] <= p99[i], "percentiles must be monotone");
-        }
-    })
-    .expect("hpbd0 has a recorder");
+    let summary = scenario.engine.lifecycle().summary();
+    let rec = summary.device("hpbd0").expect("hpbd0 has a recorder");
+    let slowest = rec.slowest(5);
+    assert!(!slowest.is_empty());
+    // Slowest-first ordering, ties broken by request id.
+    for w in slowest.windows(2) {
+        assert!(
+            w[0].e2e_ns() > w[1].e2e_ns()
+                || (w[0].e2e_ns() == w[1].e2e_ns() && w[0].req < w[1].req)
+        );
+    }
+    // by_request finds exactly the ring's records.
+    for r in &rec.records {
+        let found = rec.by_request(r.req).expect("ring record is queryable");
+        assert_eq!(found.req, r.req);
+    }
+    assert!(rec.by_request(u64::MAX).is_none());
+    // Phase percentiles are monotone in the percentile.
+    for phase in Phase::ALL {
+        assert!(
+            rec.phase_percentile(phase, 50.0) <= rec.phase_percentile(phase, 99.0),
+            "percentiles must be monotone"
+        );
+    }
 }
 
 #[test]

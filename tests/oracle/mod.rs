@@ -34,6 +34,7 @@ use hpbd_suite::vmsim::{DirectBackend, DirectConfig, LoadKind, SwapBackend};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::rc::Rc;
 
 const PAGE: u64 = 4096;
@@ -194,13 +195,13 @@ struct Run {
 }
 
 impl Run {
-    fn new(placements: &[Placement], record: bool, machine: Machine) -> Run {
+    fn new(placements: &[Placement], record: bool, machine: Machine, hub: LifecycleHub) -> Run {
         let engine = Engine::new();
         let tracer = record.then(Tracer::enabled);
         if let Some(tracer) = &tracer {
             engine.set_tracer(tracer.clone());
         }
-        engine.set_lifecycle(LifecycleHub::enabled());
+        engine.set_lifecycle(hub);
         let mut config = HpbdConfig {
             mirror_writes: true,
             request_timeout_ns: Some(TIMEOUT_NS),
@@ -436,9 +437,10 @@ fn run_oracle(
     record: bool,
     machine: Machine,
     may_lose_both: bool,
+    hub: LifecycleHub,
 ) -> Outcome {
     let servers = machine.servers;
-    let mut run = Run::new(placements, record, machine);
+    let mut run = Run::new(placements, record, machine, hub);
     let mut gen = 0;
     // Generations 0 and 1, then more while a delay/dup budget is still
     // armed on some link, so it is spent on writes. A budget that three
@@ -535,32 +537,69 @@ fn run_oracle(
     }
 }
 
-/// Run one plan on `machine`, naming it if anything inside panics. A
-/// single fault must lose nothing; a pair may write off both servers that
-/// hold a slot.
+/// Run one plan on `machine` and return its counters.
 pub fn check(placements: &[Placement], machine: Machine) -> ClientStats {
-    let label = format!("{placements:?}");
+    guarded(placements, false, machine).stats
+}
+
+/// [`run_oracle`] over one plan, naming it if anything inside panics. A
+/// single fault must lose nothing; a pair may write off both servers that
+/// hold a slot. A plan that panics leaves every device's flight recorder
+/// in [`dump_dir`] first.
+fn guarded(placements: &[Placement], record: bool, machine: Machine) -> Outcome {
+    let label = match placements {
+        [] => "fault-free".to_string(),
+        _ => format!("{placements:?}"),
+    };
     let may_lose_both = placements.len() > 1;
+    let hub = LifecycleHub::enabled();
     match catch_unwind(AssertUnwindSafe(|| {
-        run_oracle(&label, placements, false, machine, may_lose_both)
+        let hub = hub.clone();
+        run_oracle(&label, placements, record, machine, may_lose_both, hub)
     })) {
-        Ok(outcome) => outcome.stats,
+        Ok(outcome) => outcome,
         Err(cause) => {
+            let dir = dump_dir(machine, placements);
+            let dumped = match hub.dump_all(&dir) {
+                Ok(()) => format!("flight recorder in {}", dir.display()),
+                Err(e) => format!("no flight recorder in {}: {e}", dir.display()),
+            };
             let cause = cause
                 .downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| cause.downcast_ref::<&str>().copied())
                 .unwrap_or("non-string panic");
-            panic!("plan {label} panicked: {cause}");
+            panic!("plan {label} panicked ({dumped}): {cause}");
         }
     }
+}
+
+/// Where a red plan's flight-recorder dumps go: one directory per machine
+/// and plan under `target/flight-recorder/`, so parallel tests never
+/// share one.
+fn dump_dir(machine: Machine, placements: &[Placement]) -> PathBuf {
+    let mut name = format!("{}-servers", machine.servers);
+    let flags = [
+        (machine.revocable, "-revocable"),
+        (machine.direct, "-direct"),
+        (machine.batching, "-batching"),
+    ];
+    for (on, tag) in flags {
+        if on {
+            name.push_str(tag);
+        }
+    }
+    for p in placements {
+        name.push_str(&format!("+{:?}-s{}-{}ns", p.fault, p.server, p.at_ns));
+    }
+    PathBuf::from("target/flight-recorder").join(name)
 }
 
 /// Every single placement on `machine`, from the fault-free run's
 /// state-change instants; revokes too on a revocable machine. The
 /// fault-free run must exercise the machine's path and merging.
 pub fn placements(machine: Machine) -> Vec<Placement> {
-    let clean = run_oracle("fault-free", &[], true, machine, false);
+    let clean = guarded(&[], true, machine);
     if machine.direct {
         let stats = &clean.stats;
         assert!(
