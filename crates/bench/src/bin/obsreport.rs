@@ -24,37 +24,19 @@
 //! the recorder's aggregate mismatch counter, not just the bounded ring.
 
 use bench::figures::{fig10, fig5, fig9, figr, figu};
-use bench::CommonArgs;
+use bench::{CommonArgs, Flag};
 use simcore::{FlightSummary, TraceSession};
 use simtrace::{DeviceFlight, HistogramSummary, Phase};
 use workloads::{RunReport, SwapPath};
 
 fn main() {
-    let mut common = CommonArgs::default();
-    let mut skip_figr = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| -> u64 {
-            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("{name} requires an integer value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--scale" => common.scale = take("--scale").max(1),
-            "--seed" => common.seed = take("--seed"),
-            "--threads" => common.threads = take("--threads") as usize,
-            "--skip-figr" => skip_figr = true,
-            "--help" | "-h" => {
-                eprintln!("usage: obsreport [--scale N] [--seed N] [--threads N] [--skip-figr]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other} (try --help)");
-                std::process::exit(2);
-            }
-        }
+    let (skip, argv): (Vec<String>, Vec<String>) =
+        std::env::args().skip(1).partition(|a| a == "--skip-figr");
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("obsreport [--skip-figr]: leave out the recovery figure; other flags:");
     }
+    let mut common = CommonArgs::parse_from(argv, &[Flag::Threads]);
+    let skip_figr = !skip.is_empty();
     common.lifecycle = true;
 
     println!(

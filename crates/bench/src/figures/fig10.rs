@@ -6,10 +6,10 @@
 //! processing — our model reproduces it through the MT23108 QP-context
 //! cache (8 contexts; 16 active QPs thrash it).
 
-use super::paper_sizes;
+use super::{paper_sizes, run_traced};
 use crate::args::CommonArgs;
-use simcore::{TraceSession, Tracer};
-use workloads::{RunReport, Scenario, ScenarioConfig, SwapKind};
+use simcore::TraceSession;
+use workloads::{RunReport, ScenarioConfig, SwapKind};
 
 /// Result for one server count.
 #[derive(Clone, Debug)]
@@ -30,8 +30,8 @@ pub fn server_counts() -> Vec<usize> {
 }
 
 /// Run quicksort for each server count, fanned across `args.threads`
-/// workers. Each server count's events go into `session`; results come
-/// back in sweep order.
+/// workers by [`run_traced`]. Each server count's events go into
+/// `session`; results come back in sweep order.
 pub fn run(args: &CommonArgs, session: &mut TraceSession) -> Vec<ServerPoint> {
     let elements = args.scaled_elems(paper_sizes::DATASET_ELEMS);
     let local = args.scaled_bytes(paper_sizes::LOCAL_MEM);
@@ -39,48 +39,25 @@ pub fn run(args: &CommonArgs, session: &mut TraceSession) -> Vec<ServerPoint> {
     // while pages are resident-clean); split evenly across servers.
     let swap = args.scaled_bytes(paper_sizes::DATASET_BYTES + (128 << 20));
     let counts = server_counts();
-    let traced = session.is_enabled();
-    let results = args.runner().run_cells(counts.len(), |i| {
+    let cell = |i: usize| {
         let servers = counts[i];
         let mut config = ScenarioConfig::new(local, swap, SwapKind::Hpbd { servers });
-        let tracer = if traced {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
-        config.tracer = Some(tracer.clone());
-        config.record_lifecycle = args.lifecycle;
         // Same merged-message batching as fig9's HPBD cells (window 0 =
         // same-tick coalescing, see fig9).
         config.hpbd.batching = true;
         config.hpbd.merge_window_ns = 0;
-        let scenario = Scenario::build(&config);
+        (format!("HPBD-{servers}"), config)
+    };
+    run_traced(args, session, counts.len(), cell, |_, scenario| {
         let report = scenario.run_qsort(elements, args.seed);
-        let ctx_reloads = scenario
-            .hpbd
-            .as_ref()
-            .expect("HPBD scenario")
-            .client
-            .ibnode()
-            .hca()
-            .ctx_reloads();
-        (
-            ServerPoint {
-                servers,
-                seconds: report.elapsed.as_secs_f64(),
-                ctx_reloads,
-                report,
-            },
-            tracer.snapshot(),
-        )
-    });
-    results
-        .into_iter()
-        .map(|(point, events)| {
-            session.push_run(&format!("HPBD-{}", point.servers), events);
-            point
-        })
-        .collect()
+        let cluster = scenario.hpbd.as_ref().expect("HPBD scenario");
+        ServerPoint {
+            servers: cluster.servers.len(),
+            seconds: report.elapsed.as_secs_f64(),
+            ctx_reloads: cluster.client.ibnode().hca().ctx_reloads(),
+            report,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //! at 25 %; disk paging ≈ 36× (whence the abstract's "up to 21× faster
 //! than disk").
 
-use super::paper_sizes;
+use super::{paper_sizes, run_traced};
 use crate::args::CommonArgs;
-use simcore::{SimDuration, TraceSession, Tracer};
-use workloads::{RunReport, Scenario, ScenarioConfig, SwapKind};
+use simcore::{SimDuration, TraceSession};
+use workloads::{RunReport, ScenarioConfig, SwapKind};
 
 /// One Figure 9 configuration's outcome.
 #[derive(Clone, Debug)]
@@ -30,7 +30,6 @@ pub struct PairRun {
 }
 
 /// The four cell descriptors: label, local memory bytes, swap kind.
-/// `ScenarioConfig` itself is built inside the worker (it is not `Send`).
 fn cell_specs(args: &CommonArgs) -> Vec<(&'static str, u64, SwapKind)> {
     // Two 1 GiB datasets: give the baseline a little slack above 2 GiB so
     // "enough memory" truly holds, as on the testbed where the kernel's own
@@ -48,53 +47,37 @@ fn cell_specs(args: &CommonArgs) -> Vec<(&'static str, u64, SwapKind)> {
 
 /// Run the four Figure 9 configurations: local 2 GiB, HPBD at 50 % and
 /// 25 % local memory (4 servers × 512 MiB), and disk at 50 %, fanned
-/// across `args.threads` workers. Each configuration's events go into
-/// `session`; results come back in the figure's order.
+/// across `args.threads` workers by [`run_traced`]. Each configuration's
+/// events go into `session`; results come back in the figure's order.
 pub fn run(args: &CommonArgs, session: &mut TraceSession) -> Vec<PairRun> {
     let elements = args.scaled_elems(paper_sizes::DATASET_ELEMS);
     // "each memory server is configured with 512MB swap area"; four servers
     // cover the two datasets.
     let total_swap = args.scaled_bytes(512 << 20) * 4;
     let specs = cell_specs(args);
-    let traced = session.is_enabled();
-    let results = args.runner().run_cells(specs.len(), |i| {
+    let cell = |i: usize| {
         let (label, local_mem, kind) = specs[i].clone();
         let mut config = ScenarioConfig::new(local_mem, total_swap, kind);
-        let tracer = if traced {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
-        config.tracer = Some(tracer.clone());
-        config.record_lifecycle = args.lifecycle;
         // Hot-path batching: coalesce same-tick extents per server into
         // merged scatter-gather messages. Window 0 (same virtual instant)
         // tuned on this cell: positive windows delay demand faults and
         // measure worse on both swap p99 and host events/sec.
         config.hpbd.batching = true;
         config.hpbd.merge_window_ns = 0;
-        let scenario = Scenario::build(&config);
+        (label.to_string(), config)
+    };
+    run_traced(args, session, specs.len(), cell, |label, scenario| {
         let (a, b, report) = scenario.run_qsort_pair(elements, args.seed);
         let to_s = |d: SimDuration| d.as_secs_f64();
-        (
-            PairRun {
-                label: label.to_string(),
-                a_secs: to_s(a),
-                b_secs: to_s(b),
-                makespan_secs: to_s(report.elapsed),
-                swap_outs: report.vm.swap_outs,
-                report,
-            },
-            tracer.snapshot(),
-        )
-    });
-    results
-        .into_iter()
-        .map(|(pair, events)| {
-            session.push_run(&pair.label, events);
-            pair
-        })
-        .collect()
+        PairRun {
+            label: label.to_string(),
+            a_secs: to_s(a),
+            b_secs: to_s(b),
+            makespan_secs: to_s(report.elapsed),
+            swap_outs: report.vm.swap_outs,
+            report,
+        }
+    })
 }
 
 #[cfg(test)]

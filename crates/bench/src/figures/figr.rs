@@ -134,20 +134,28 @@ pub fn run(args: &CommonArgs) -> FigR {
     let local_mem = args.scaled_bytes(1 << 30); // fig9's 50 % row
 
     // Cell 1 fixes the clock for the fault injection.
-    let healthy = run_hpbd_cell("HPBD-4-mirror", elements, local_mem, total_swap, None, args);
+    let healthy = run_scenario_cell(
+        "HPBD-4-mirror",
+        hpbd_config(local_mem, total_swap),
+        elements,
+        args,
+    );
     let fault_at_ns = ((healthy.elapsed_secs * 1e9) * 0.4) as u64;
 
     let cells: Vec<FigRRow> = args.runner().run_cells(3, |i| match i {
-        0 => run_hpbd_cell(
-            "HPBD-4-mirror+crash",
-            elements,
-            local_mem,
-            total_swap,
-            Some(fault_at_ns),
-            args,
-        ),
-        1 => run_nbd_scenario_cell("NBD-IPoIB", elements, local_mem, total_swap, args),
-        _ => run_nbd_reset_cell("NBD-IPoIB+reset", total_swap, fault_at_ns, args),
+        0 => {
+            let mut config = hpbd_config(local_mem, total_swap);
+            config.fault_plan = FaultPlan::new().server_crash(fault_at_ns, 0);
+            run_scenario_cell("HPBD-4-mirror+crash", config, elements, args)
+        }
+        1 => {
+            let nbd = SwapKind::Nbd {
+                transport: Transport::IpoIb,
+            };
+            let config = ScenarioConfig::new(local_mem, total_swap, nbd);
+            run_scenario_cell("NBD-IPoIB", config, elements, args)
+        }
+        _ => run_nbd_reset_cell("NBD-IPoIB+reset", total_swap, fault_at_ns),
     });
 
     let mut rows = vec![healthy];
@@ -155,38 +163,41 @@ pub fn run(args: &CommonArgs) -> FigR {
     FigR { rows, fault_at_ns }
 }
 
-fn run_hpbd_cell(
+/// Run the fig9 workload on `config`, traced. A cell whose plan holds a
+/// fault measures detection and recovery from the trace. An HPBD cell
+/// reports its client's counters and swap-in histogram; an NBD cell has no
+/// client, so its recovery counters read zero and its request count is
+/// the run's dispatched requests.
+fn run_scenario_cell(
     label: &str,
+    mut config: ScenarioConfig,
     elements: usize,
-    local_mem: u64,
-    total_swap: u64,
-    crash_at_ns: Option<u64>,
     args: &CommonArgs,
 ) -> FigRRow {
-    let mut config = hpbd_config(local_mem, total_swap);
+    let faulted = !config.fault_plan.is_empty();
     let tracer = Tracer::enabled();
     config.tracer = Some(tracer.clone());
     config.record_lifecycle = args.lifecycle;
-    if let Some(at) = crash_at_ns {
-        config.fault_plan = FaultPlan::new().server_crash(at, 0);
-    }
     let scenario = Scenario::build(&config);
     let (_, _, report) = scenario.run_qsort_pair(elements, args.seed);
     let events = tracer.snapshot();
     let elapsed_ns = report.elapsed.as_nanos();
-    let stats = report.hpbd_client.clone().expect("hpbd cell has a client");
+    let (histogram, ok_requests) = match &report.hpbd_client {
+        Some(stats) => ("hpbd.swap_in_latency_us", stats.requests),
+        None => ("nbd.swap_in_latency_us", report.requests),
+    };
+    let stats = report.hpbd_client.clone().unwrap_or_default();
 
-    let (fault_ms, detection_ms, recovery_ms, recovery_cdf) = match crash_at_ns {
-        None => (None, None, None, Vec::new()),
-        Some(_) => {
-            let t_crash = events
-                .iter()
-                .find(|e| e.component == "hpbd_server" && e.name == "crash")
-                .map(|e| e.ts_ns)
-                .expect("crash cell traces the crash instant");
-            let (detection, recovery, cdf) = recovery_from_trace(&events, t_crash);
-            (Some(t_crash as f64 / 1e6), detection, recovery, cdf)
-        }
+    let (fault_ms, detection_ms, recovery_ms, recovery_cdf) = if faulted {
+        let t_crash = events
+            .iter()
+            .find(|e| e.component == "hpbd_server" && e.name == "crash")
+            .map(|e| e.ts_ns)
+            .expect("crash cell traces the crash instant");
+        let (detection, recovery, cdf) = recovery_from_trace(&events, t_crash);
+        (Some(t_crash as f64 / 1e6), detection, recovery, cdf)
+    } else {
+        (None, None, None, Vec::new())
     };
 
     FigRRow {
@@ -197,65 +208,14 @@ fn run_hpbd_cell(
         detection_ms,
         recovery_ms,
         recovery_cdf,
-        swap_in_latency_us: report
-            .metrics
-            .histograms
-            .get("hpbd.swap_in_latency_us")
-            .cloned(),
+        swap_in_latency_us: report.metrics.histograms.get(histogram).cloned(),
         timeouts: stats.timeouts,
         retries: stats.retries,
         failovers: stats.failovers,
         clean_failures: 0,
-        ok_requests: stats.requests,
+        ok_requests,
         stale_drops: stats.stale_drops,
         migration_retries: stats.migration_retries,
-        timeline: timeline_from_spans(&events, "blockdev", elapsed_ns),
-        events: report.events,
-        lifecycle: report.lifecycle.clone(),
-    }
-}
-
-fn run_nbd_scenario_cell(
-    label: &str,
-    elements: usize,
-    local_mem: u64,
-    total_swap: u64,
-    args: &CommonArgs,
-) -> FigRRow {
-    let mut config = ScenarioConfig::new(
-        local_mem,
-        total_swap,
-        SwapKind::Nbd {
-            transport: Transport::IpoIb,
-        },
-    );
-    let tracer = Tracer::enabled();
-    config.tracer = Some(tracer.clone());
-    config.record_lifecycle = args.lifecycle;
-    let scenario = Scenario::build(&config);
-    let (_, _, report) = scenario.run_qsort_pair(elements, args.seed);
-    let events = tracer.snapshot();
-    let elapsed_ns = report.elapsed.as_nanos();
-    FigRRow {
-        label: label.to_string(),
-        completed: true,
-        elapsed_secs: elapsed_ns as f64 / 1e9,
-        fault_ms: None,
-        detection_ms: None,
-        recovery_ms: None,
-        recovery_cdf: Vec::new(),
-        swap_in_latency_us: report
-            .metrics
-            .histograms
-            .get("nbd.swap_in_latency_us")
-            .cloned(),
-        timeouts: 0,
-        retries: 0,
-        failovers: 0,
-        clean_failures: 0,
-        ok_requests: report.requests,
-        stale_drops: 0,
-        migration_retries: 0,
         timeline: timeline_from_spans(&events, "blockdev", elapsed_ns),
         events: report.events,
         lifecycle: report.lifecycle.clone(),
@@ -269,7 +229,7 @@ fn run_nbd_scenario_cell(
 /// in-flight probe and every later one cleanly — a probe that neither
 /// completes nor fails would hang `run_until_idle` forever, so mere
 /// termination of this cell is part of the assertion.
-fn run_nbd_reset_cell(label: &str, capacity: u64, fault_at_ns: u64, _args: &CommonArgs) -> FigRRow {
+fn run_nbd_reset_cell(label: &str, capacity: u64, fault_at_ns: u64) -> FigRRow {
     let engine = Engine::new();
     let tracer = Tracer::enabled();
     engine.set_tracer(tracer.clone());

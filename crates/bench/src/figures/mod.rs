@@ -76,21 +76,43 @@ pub fn standard_configs(args: &CommonArgs) -> Vec<(String, ScenarioConfig)> {
     ]
 }
 
-/// Run `workload` on each of the [`standard_configs`], fanned across
-/// `args.threads` workers, collecting each configuration's events into
-/// `session` (one Chrome-trace process per configuration; pass
-/// [`TraceSession::disabled`] for none). Each cell builds its machine
-/// inside the worker; reports and trace buffers are reassembled in the
-/// paper's order, so the output is byte-identical at any thread count.
+/// Run `workload` on each of the [`standard_configs`] through
+/// [`run_traced`]; each report carries its configuration's label.
 pub fn run_standard(
     args: &CommonArgs,
     session: &mut TraceSession,
     workload: impl Fn(&Scenario) -> RunReport + Sync,
 ) -> Vec<RunReport> {
-    let traced = session.is_enabled();
     let cells = standard_configs(args).len();
+    run_traced(
+        args,
+        session,
+        cells,
+        |i| standard_configs(args).swap_remove(i),
+        |label, scenario| RunReport {
+            label: label.to_string(),
+            ..workload(scenario)
+        },
+    )
+}
+
+/// Run `cells` cells fanned across `args.threads` workers. Cell `i` is the
+/// `(label, config)` that `cell(i)` returns, built inside its worker (a
+/// `ScenarioConfig` is not `Send`) with the tracer on when `session` is
+/// enabled and `record_lifecycle` from the args; `work` runs on the built
+/// [`Scenario`]. Results come back in cell order and each cell's events go
+/// into `session` under its label (one Chrome-trace process per cell), so
+/// the output is byte-identical at any thread count.
+pub fn run_traced<T: Send>(
+    args: &CommonArgs,
+    session: &mut TraceSession,
+    cells: usize,
+    cell: impl Fn(usize) -> (String, ScenarioConfig) + Sync,
+    work: impl Fn(&str, &Scenario) -> T + Sync,
+) -> Vec<T> {
+    let traced = session.is_enabled();
     let results = args.runner().run_cells(cells, |i| {
-        let (label, mut config) = standard_configs(args).swap_remove(i);
+        let (label, mut config) = cell(i);
         let tracer = if traced {
             Tracer::enabled()
         } else {
@@ -98,15 +120,15 @@ pub fn run_standard(
         };
         config.tracer = Some(tracer.clone());
         config.record_lifecycle = args.lifecycle;
-        let mut report = workload(&Scenario::build(&config));
-        report.label = label;
-        (report, tracer.snapshot())
+        let scenario = Scenario::build(&config);
+        let out = work(&label, &scenario);
+        (label, out, tracer.snapshot())
     });
     results
         .into_iter()
-        .map(|(report, events)| {
-            session.push_run(&report.label, events);
-            report
+        .map(|(label, out, events)| {
+            session.push_run(&label, events);
+            out
         })
         .collect()
 }

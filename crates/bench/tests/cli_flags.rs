@@ -36,6 +36,7 @@ fn a_flag_the_binary_would_ignore_exits_2() {
         (env!("CARGO_BIN_EXE_all"), &["--metrics"]),
         (env!("CARGO_BIN_EXE_figr"), &["--metrics"]),
         (env!("CARGO_BIN_EXE_figu"), &["--trace", "t.json"]),
+        (env!("CARGO_BIN_EXE_obsreport"), &["--metrics"]),
         (
             env!("CARGO_BIN_EXE_trace"),
             &["record", "t.trace", "--sacle", "64"],

@@ -1,12 +1,12 @@
 //! Fan-out differential oracle: spreading a figure's cells over the sweep
 //! pool's worker threads must be *observationally invisible*. For fig5,
-//! fig9, and figR (fault plans included) every observable — the full
+//! fig9, fig10, and figR (fault plans included) every observable — the full
 //! debug-formatted reports (metrics snapshots, event counts, flight-recorder
 //! dumps) and the byte-exact Chrome trace export with its FNV fingerprint —
 //! must be identical between the inline run (`--threads 1`, no worker is
 //! spawned) and `--threads` at 2, 4, and 8.
 
-use bench::figures::{fig5, fig9, figr};
+use bench::figures::{fig10, fig5, fig9, figr};
 use bench::CommonArgs;
 use simcore::TraceSession;
 
@@ -41,6 +41,12 @@ fn fig9_under(threads: usize) -> (String, String) {
     // oracle here, and it is scale-invariant.
     let mut session = TraceSession::new(true);
     let reports = fig9::run(&args(1024, 3, threads), &mut session);
+    (format!("{reports:#?}"), session.to_chrome_json())
+}
+
+fn fig10_under(threads: usize) -> (String, String) {
+    let mut session = TraceSession::new(true);
+    let reports = fig10::run(&args(1024, 13, threads), &mut session);
     (format!("{reports:#?}"), session.to_chrome_json())
 }
 
@@ -91,6 +97,11 @@ fn fig5_is_byte_identical_at_any_thread_count() {
 #[test]
 fn fig9_is_byte_identical_at_any_thread_count() {
     assert_thread_count_is_invisible("fig9", fig9_under);
+}
+
+#[test]
+fn fig10_is_byte_identical_at_any_thread_count() {
+    assert_thread_count_is_invisible("fig10", fig10_under);
 }
 
 #[test]

@@ -565,10 +565,7 @@ impl HpbdClient {
         let hist_swap_out = metrics.histogram_handle("hpbd.swap_out_latency_us");
         // The pool is registered once at device load time (paper §4.2.2);
         // charge the registration cost against the client CPU.
-        let reg = ibnode
-            .memory_model()
-            .calibration()
-            .registration_time(config.pool_size);
+        let reg = ibnode.calibration().registration_time(config.pool_size);
         ibnode.node().cpu().reserve(engine.now(), reg);
         let pool_mr = ibnode.hca().register(config.pool_size as usize);
         let pool = SimBufferPool::new(config.pool_size);
@@ -898,8 +895,7 @@ impl HpbdClient {
         }
         let ready = match (&phys.staging, phys.op) {
             (Some(Staging::Ephemeral(_)), _) => {
-                let model = inner.ibnode.memory_model();
-                let reg = model.calibration().registration_time(len);
+                let reg = inner.ibnode.calibration().registration_time(len);
                 inner.ibnode.node().cpu().reserve(now, reg).1
             }
             // A pool read has nothing to copy: straight to the sender.
@@ -909,7 +905,7 @@ impl HpbdClient {
             }
             (_, PageOp::Write) => {
                 // The paper's copy-instead-of-register decision.
-                let copy = inner.ibnode.memory_model().memcpy_time(len);
+                let copy = inner.ibnode.calibration().memcpy_time(len);
                 let (_, t_copy) = inner.ibnode.node().cpu().reserve(now, copy);
                 inner.engine.span(
                     "hpbd",
@@ -1309,7 +1305,7 @@ impl HpbdClient {
                 let t_data = match &phys.staging {
                     Some(Staging::Ephemeral(_)) => t_proc,
                     _ => {
-                        let copy = inner.ibnode.memory_model().memcpy_time(len);
+                        let copy = inner.ibnode.calibration().memcpy_time(len);
                         let (_, t_copy) = inner.ibnode.node().cpu().reserve(t_proc, copy);
                         inner.engine.span(
                             "hpbd",
@@ -1355,8 +1351,7 @@ impl HpbdClient {
         match &phys.staging {
             Some(Staging::Pool(buf)) => inner.pool.free(*buf),
             Some(Staging::Ephemeral(mr)) => {
-                let model = inner.ibnode.memory_model();
-                let dereg = model.calibration().deregistration_time(phys.len());
+                let dereg = inner.ibnode.calibration().deregistration_time(phys.len());
                 inner.ibnode.node().cpu().reserve(inner.engine.now(), dereg);
                 inner.ibnode.hca().deregister(mr);
             }

@@ -35,7 +35,7 @@ use ibsim::{
     WorkKind, WorkRequest,
 };
 use simcore::{Engine, SimDuration, SimTime};
-use simtrace::{intern, LazyCounter, MarkKind};
+use simtrace::{LazyCounter, MarkKind};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -175,12 +175,6 @@ pub struct ServerStats {
     pub wakeups: u64,
     /// Malformed control messages dropped.
     pub bad_messages: u64,
-    /// Revocation notices sent (dynamic memory).
-    pub revokes_sent: u64,
-    /// Writes fenced off (every covered page already held an
-    /// equal-or-newer version) and acknowledged with `StaleWrite`
-    /// instead of being applied.
-    pub stale_writes: u64,
     /// Merged multi-extent requests served (client batching mode).
     pub merged_requests: u64,
 }
@@ -227,10 +221,6 @@ struct ServerInner {
     /// restart that happened inside their timeout window.
     generation: Cell<u64>,
     stats: RefCell<ServerStats>,
-    name: String,
-    /// High-water mark of jobs between staging grant and RDMA completion,
-    /// published as a per-server gauge at stats time.
-    peak_pending: Cell<usize>,
     ctr_wakeups: LazyCounter,
     ctr_requests: LazyCounter,
 }
@@ -275,8 +265,6 @@ impl HpbdServer {
                 crashed: Cell::new(false),
                 generation: Cell::new(1),
                 stats: RefCell::new(ServerStats::default()),
-                name: name.to_string(),
-                peak_pending: Cell::new(0),
             }),
         };
         server.install_handlers();
@@ -310,17 +298,8 @@ impl HpbdServer {
         self.inner.generation.get()
     }
 
-    /// Statistics snapshot. Also publishes the peak pending-RDMA depth
-    /// gauge (tracked in a cell on the hot path, registry-touched only
-    /// here).
+    /// Statistics snapshot.
     pub fn stats(&self) -> ServerStats {
-        self.inner.engine.metrics().set_gauge(
-            intern(&format!(
-                "hpbd_server.{}.peak_pending_rdma",
-                self.inner.name
-            )),
-            self.inner.peak_pending.get() as f64,
-        );
         self.inner.stats.borrow().clone()
     }
 
@@ -338,7 +317,6 @@ impl HpbdServer {
             inner.store.contains(offset, len),
             "revoking a range outside the store"
         );
-        inner.stats.borrow_mut().revokes_sent += 1;
         let notice = RevokeNotice::new(offset, len);
         for conn in inner.conns.borrow().iter() {
             // Best-effort: a notice squeezed out by a full send queue is
@@ -401,7 +379,6 @@ impl HpbdServer {
         // Boot cost: the staging pool must be pinned and registered again.
         let reg = inner
             .ibnode
-            .memory_model()
             .calibration()
             .registration_time(SERVER_STAGING_SIZE);
         inner.ibnode.node().cpu().reserve(inner.engine.now(), reg);
@@ -583,16 +560,7 @@ impl HpbdServer {
             (State::Rdma(span), Step::Pulled) => State::Apply(span),
             (state, step) => unreachable!("job {}: {step:?} in {state:?}", job.req_id),
         };
-        let mut jobs = self.inner.jobs.borrow_mut();
-        jobs.insert(token, job);
-        if let Step::Granted(_) = step {
-            let staged = jobs
-                .values()
-                .filter(|j| matches!(j.state, State::StoreCopy(_) | State::Rdma(_)))
-                .count();
-            let peak = &self.inner.peak_pending;
-            peak.set(peak.get().max(staged));
-        }
+        self.inner.jobs.borrow_mut().insert(token, job);
     }
 
     /// The parse is paid for: answer a job that is out of range, an
@@ -684,7 +652,7 @@ impl HpbdServer {
     fn charge_copy(&self, name: &'static str, len: u64, token: u64, next: fn(&Self, u64)) {
         let inner = &self.inner;
         let now = inner.engine.now();
-        let copy = inner.ibnode.memory_model().memcpy_time(len);
+        let copy = inner.ibnode.calibration().memcpy_time(len);
         let (_, t_copy) = inner.ibnode.node().cpu().reserve(now, copy);
         inner.engine.span(
             "hpbd_server",
@@ -867,7 +835,6 @@ impl HpbdServer {
         match (status, job.op) {
             (ReplyStatus::Ok, PageOp::Write) => inner.stats.borrow_mut().bytes_in += job.len,
             (ReplyStatus::Ok, PageOp::Read) => inner.stats.borrow_mut().bytes_out += job.len,
-            (ReplyStatus::StaleWrite, _) => inner.stats.borrow_mut().stale_writes += 1,
             _ => {}
         }
         if status != ReplyStatus::OutOfRange {

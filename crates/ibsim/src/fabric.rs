@@ -8,7 +8,7 @@
 use crate::cq::CompletionQueue;
 use crate::hca::Hca;
 use crate::qp::QueuePair;
-use netmodel::{Calibration, MemoryModel, Node};
+use netmodel::{Calibration, Node};
 use simcore::{Engine, SimDuration};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -45,9 +45,9 @@ impl IbNode {
         )
     }
 
-    /// A memory model charging copies against this node's CPUs.
-    pub fn memory_model(&self) -> MemoryModel {
-        MemoryModel::new(self.cal.clone(), self.node.cpu().clone())
+    /// The calibration in effect (memcpy and registration costs).
+    pub fn calibration(&self) -> &Calibration {
+        &self.cal
     }
 }
 

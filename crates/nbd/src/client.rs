@@ -16,17 +16,6 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use tcpsim::TcpConn;
 
-/// Client statistics.
-#[derive(Clone, Debug, Default)]
-pub struct NbdStats {
-    /// Requests completed.
-    pub requests: u64,
-    /// Bytes written to the server.
-    pub bytes_out: u64,
-    /// Bytes read from the server.
-    pub bytes_in: u64,
-}
-
 struct ClientInner {
     engine: Engine,
     /// The connection, owned here. Each continuation it stores (the
@@ -51,7 +40,6 @@ struct ClientInner {
     /// loses its device when the connection dies).
     failed: Cell<bool>,
     next_handle: Cell<u64>,
-    stats: RefCell<NbdStats>,
     name: String,
     ctr_requests: simtrace::LazyCounter,
 }
@@ -85,7 +73,6 @@ impl NbdClient {
                 busy: Cell::new(false),
                 failed: Cell::new(false),
                 next_handle: Cell::new(1),
-                stats: RefCell::new(NbdStats::default()),
                 name: format!("nbd0-{}", transport.label()),
             }),
         };
@@ -108,11 +95,6 @@ impl NbdClient {
                 body(&NbdClient { inner }, data);
             }
         }
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> NbdStats {
-        self.inner.stats.borrow().clone()
     }
 
     /// Start the next queued request if the single in-flight slot is free.
@@ -201,7 +183,6 @@ impl NbdClient {
         }
         match op {
             IoOp::Write => {
-                self.inner.stats.borrow_mut().bytes_out += len;
                 span_done(true);
                 self.finish(Ok(()));
             }
@@ -210,7 +191,6 @@ impl NbdClient {
                     if let Some(req) = this.inner.inflight.borrow().as_ref() {
                         req.scatter(&data);
                     }
-                    this.inner.stats.borrow_mut().bytes_in += data.len() as u64;
                     span_done(true);
                     this.finish(Ok(()));
                 };
@@ -223,7 +203,6 @@ impl NbdClient {
         let Some(req) = self.inner.inflight.borrow_mut().take() else {
             return; // a reset already failed this request
         };
-        self.inner.stats.borrow_mut().requests += 1;
         if let Some(ctx) = req.lifecycle() {
             let part = self.inner.inflight_part.get();
             let now = self.inner.engine.now().as_nanos();

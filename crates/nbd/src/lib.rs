@@ -241,28 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_traffic() {
-        let (engine, dev) = pair(Transport::IpoIb);
-        dev.submit(IoRequest::single(Bio::new(
-            IoOp::Write,
-            0,
-            new_buffer(8192),
-            |r| r.unwrap(),
-        )));
-        dev.submit(IoRequest::single(Bio::new(
-            IoOp::Read,
-            0,
-            new_buffer(4096),
-            |r| r.unwrap(),
-        )));
-        engine.run_until_idle();
-        let s = dev.stats();
-        assert_eq!(s.requests, 2);
-        assert_eq!(s.bytes_out, 8192);
-        assert_eq!(s.bytes_in, 4096);
-    }
-
-    #[test]
     fn tcp_reset_fails_inflight_and_queued_cleanly() {
         use blockdev::{DeviceHealth, FaultKind, IoError};
         let engine = Engine::new();

@@ -14,23 +14,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use tcpsim::TcpConn;
 
-/// Server statistics.
-#[derive(Clone, Debug, Default)]
-pub struct NbdServerStats {
-    /// Requests served.
-    pub requests: u64,
-    /// Bytes stored.
-    pub bytes_in: u64,
-    /// Bytes served.
-    pub bytes_out: u64,
-}
-
 struct ServerInner {
     engine: Engine,
     cal: Rc<Calibration>,
     node: Node,
     storage: Storage,
-    stats: RefCell<NbdServerStats>,
     /// The connections it serves, owned here. The receive each one holds
     /// names the server weakly and its connection by index.
     conns: RefCell<Vec<TcpConn>>,
@@ -51,15 +39,9 @@ impl NbdServer {
                 cal,
                 node,
                 storage: Storage::new(capacity),
-                stats: RefCell::new(NbdServerStats::default()),
                 conns: RefCell::new(Vec::new()),
             }),
         }
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> NbdServerStats {
-        self.inner.stats.borrow().clone()
     }
 
     /// Start the serve loop on `conn`. Runs for as long as the server is
@@ -98,7 +80,6 @@ impl NbdServer {
 
     fn dispatch(&self, conn_idx: usize, request: NbdRequest) {
         let inner = &self.inner;
-        inner.stats.borrow_mut().requests += 1;
         let ok = inner
             .storage
             .in_range(request.offset(), request.len() as u64);
@@ -120,7 +101,6 @@ impl NbdServer {
                     let this = this.clone();
                     inner.engine.schedule_at(t, move || {
                         this.inner.storage.write_at(request.offset(), &data);
-                        this.inner.stats.borrow_mut().bytes_in += data.len() as u64;
                         this.conn(conn_idx)
                             .send(NbdReply::new(request.handle(), 0).encode());
                         this.await_request(conn_idx);
@@ -140,7 +120,6 @@ impl NbdServer {
                 let (_, t) = inner.node.cpu().reserve(inner.engine.now(), copy);
                 let this = self.clone();
                 inner.engine.schedule_at(t, move || {
-                    this.inner.stats.borrow_mut().bytes_out += data.len() as u64;
                     let conn = this.conn(conn_idx);
                     conn.send(NbdReply::new(request.handle(), 0).encode());
                     conn.send(Bytes::from(data));

@@ -10,10 +10,12 @@
 //! and 3) and to public specs of the era's parts.
 //!
 //! * [`Calibration`] — one documented struct holding every constant; the
-//!   [`Calibration::cluster_2005`] preset reproduces the paper's testbed.
+//!   [`Calibration::cluster_2005`] preset reproduces the paper's testbed,
+//!   and [`Calibration::memcpy_time`], [`Calibration::registration_time`]
+//!   and [`Calibration::deregistration_time`] give the memcpy and
+//!   memory-registration costs (Figure 3).
 //! * [`TransportModel`] — linear latency/bandwidth/host-overhead model used
 //!   for native IB, IPoIB and GigE ([`Transport`] selects the preset).
-//! * [`MemoryModel`] — memcpy and memory-registration costs (Figure 3).
 //! * [`DiskParams`] — seek/rotation/transfer model for the local-disk
 //!   baseline.
 //!
@@ -24,11 +26,9 @@
 //! native verbs instead of TCP).
 
 pub mod calibration;
-pub mod memory;
 pub mod node;
 pub mod transport;
 
 pub use calibration::{Calibration, ComputeParams, DiskParams, HcaParams};
-pub use memory::MemoryModel;
 pub use node::Node;
 pub use transport::{Transport, TransportModel};

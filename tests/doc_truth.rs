@@ -214,7 +214,7 @@ fn docs_name_only_what_exists() {
 
 /// The byte size each long doc may not grow past. A change that adds prose
 /// cuts as much elsewhere; one that cuts more lowers the number here.
-const SIZE_CEILINGS: [(&str, u64); 2] = [("DESIGN.md", 71_246), ("EXPERIMENTS.md", 60_319)];
+const SIZE_CEILINGS: [(&str, u64); 2] = [("DESIGN.md", 71_236), ("EXPERIMENTS.md", 60_319)];
 
 #[test]
 fn long_docs_do_not_grow() {
